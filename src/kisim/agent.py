@@ -15,11 +15,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .env import ActionTriple, ScalingEnv
+from .config import ExperimentConfig
+from .env import ActionTriple, ScalingEnv, traffic_seed_for
 from .nn import (ActorCriticParams, Adam, NetDims, actor_forward, critic_forward,
                  log_softmax, ppo_loss_and_grads, tensor_shapes)
+from .traffic import PATTERN_NAMES
 
 CHECKPOINT_MAGIC = b"KISC1"
+MOVING_AVG_WINDOW = 10   # episodes in the reported moving-average return
 
 
 class AgentError(RuntimeError):
@@ -28,19 +31,6 @@ class AgentError(RuntimeError):
 
 class CheckpointError(RuntimeError):
     pass
-
-
-@dataclass
-class PpoHyperParams:
-    lr: float = 3e-4
-    clip_eps: float = 0.2
-    discount: float = 0.99
-    gae_lambda: float = 0.95
-    epochs: int = 4
-    minibatch: int = 64
-    entropy_coef: float = 0.01
-    value_coef: float = 0.5
-    update_every_episodes: int = 1
 
 
 @dataclass
@@ -111,13 +101,13 @@ def gae(rewards, values, dones, gamma: float, lam: float,
 class PpoAgent:
     """Actor-critic policy with multi-discrete heads."""
 
-    def __init__(self, dims: NetDims = NetDims(), hp: PpoHyperParams = PpoHyperParams(),
-                 seed: int = 0) -> None:
+    def __init__(self, dims: NetDims = NetDims(),
+                 cfg: ExperimentConfig = ExperimentConfig(), seed: int = 0) -> None:
         self.dims = dims
-        self.hp = hp
+        self.cfg = cfg
         init_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
         self.params = ActorCriticParams.initialize(dims, init_rng)
-        self.optimizer = Adam(self.params, lr=hp.lr)
+        self.optimizer = Adam(self.params, lr=cfg.ppo_lr)
         self._sample_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
         self._shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
 
@@ -150,30 +140,27 @@ class PpoAgent:
         heads = [int(np.argmax(lg[0])) for lg in logits]
         return ActionTriple.from_heads(heads[0], heads[1], heads[2])
 
-    def value(self, obs_vec: np.ndarray) -> float:
-        _, value = self._policy_forward(obs_vec)
-        return value
-
     # ---- learning ---------------------------------------------------------
 
     def update(self, buffer: RolloutBuffer) -> LossReport:
         if len(buffer) == 0:
             raise AgentError("cannot update from an empty rollout buffer")
-        batch = buffer.as_batch(self.hp.discount, self.hp.gae_lambda)
+        cfg = self.cfg
+        batch = buffer.as_batch(cfg.ppo_discount, cfg.ppo_gae_lambda)
         adv = batch["advantages"]
         batch["advantages"] = (adv - adv.mean()) / (adv.std() + 1e-8)
 
         n = len(buffer)
         reports: list[dict] = []
-        for _ in range(self.hp.epochs):
+        for _ in range(cfg.ppo_epochs):
             order = self._shuffle_rng.permutation(n)
-            for start in range(0, n, self.hp.minibatch):
-                idx = order[start:start + self.hp.minibatch]
+            for start in range(0, n, cfg.ppo_minibatch):
+                idx = order[start:start + cfg.ppo_minibatch]
                 mini = {k: v[idx] for k, v in batch.items()}
                 p64 = self.params.as_float64()
                 total, parts, grads = ppo_loss_and_grads(
-                    p64, mini, self.hp.clip_eps, self.hp.value_coef,
-                    self.hp.entropy_coef)
+                    p64, mini, cfg.ppo_clip, cfg.ppo_value_coef,
+                    cfg.ppo_entropy_coef)
                 if not math.isfinite(total):
                     raise AgentError(
                         f"non-finite PPO loss {total!r} (parts={parts})")
@@ -196,12 +183,11 @@ class TrainState:
     moving_avg: float = 0.0
     best_moving_avg: float = -math.inf
     converged_at: int = -1
-    moving_avg_window: int = 10
 
     def record_return(self, value: float) -> float:
         self.returns.append(value)
         self.episode_index = len(self.returns)
-        window = self.returns[-self.moving_avg_window:]
+        window = self.returns[-MOVING_AVG_WINDOW:]
         self.moving_avg = sum(window) / len(window)
         return self.moving_avg
 
@@ -312,15 +298,13 @@ def train(env: ScalingEnv, agent: PpoAgent, episodes: int = 100,
           on_episode: Optional[Callable] = None,
           on_eval: Optional[Callable] = None) -> TrainState:
     """Train over rotating patterns with a PPO update each episode."""
-    from .traffic import PATTERN_NAMES
-
     state = TrainState()
     buffer = RolloutBuffer()
     eval_round = 0
     for ep in range(episodes):
         episode_return = run_episode(env, agent, ep, buffer=buffer)
         losses = None
-        if (ep + 1) % agent.hp.update_every_episodes == 0:
+        if (ep + 1) % agent.cfg.ppo_update_every_episodes == 0:
             losses = agent.update(buffer)
         moving_avg = state.record_return(episode_return)
         if state.converged_at < 0 and detect_convergence(state):
@@ -336,7 +320,7 @@ def train(env: ScalingEnv, agent: PpoAgent, episodes: int = 100,
             target_env = eval_env or env
             for p_idx, pattern in enumerate(PATTERN_NAMES):
                 eval_index = ScalingEnv.EVAL_INDEX_BASE + eval_round * len(PATTERN_NAMES) + p_idx
-                seed = _eval_seed(target_env, eval_index)
+                seed = traffic_seed_for(target_env.config.seed, eval_index)
                 ret = run_episode(
                     target_env, agent, eval_index, greedy=True,
                     reset=lambda p=pattern, s=seed, i=eval_index:
@@ -346,8 +330,3 @@ def train(env: ScalingEnv, agent: PpoAgent, episodes: int = 100,
     if checkpoint_path is not None:
         save_checkpoint(agent.params, state, checkpoint_path)
     return state
-
-
-def _eval_seed(env: ScalingEnv, eval_index: int) -> int:
-    from .env import traffic_seed_for
-    return traffic_seed_for(env.base_seed, eval_index)

@@ -7,56 +7,34 @@ import math
 from dataclasses import dataclass, field
 
 from .config import ExperimentConfig
-from .env import SimStack, traffic_seed_for
+from .env import SimStack
 from .simcore import PodPhase, Pool, RoutePref
 
 POLICY_NAMES = ("fixed_gpu", "fixed_cpu", "hpa")
 
 
-@dataclass(frozen=True)
-class HpaConfig:
-    target_cpu_util: float = 0.5
-    min_replicas: int = 1
-    max_replicas: int = 6
-    sync_period_s: float = 15.0
-    stabilization_down_s: float = 300.0
-    tolerance: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.min_replicas > self.max_replicas:
-            raise ValueError("min_replicas exceeds max_replicas")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be >= 0")
-
-
-@dataclass(frozen=True)
-class FixedConfig:
-    pool: Pool
-    replicas: int
-
-
-def hpa_decide(current_replicas: int, current_util: float, cfg: HpaConfig) -> int:
+def hpa_decide(current_replicas: int, current_util: float, cfg: ExperimentConfig) -> int:
     """Canonical threshold rule: desired = ceil(current * util / target),
     clamped, with a tolerance dead-band around the target."""
     if current_replicas < 1:
         raise ValueError("hpa_decide requires at least one current replica")
-    if abs(current_util / cfg.target_cpu_util - 1.0) <= cfg.tolerance:
+    if abs(current_util / cfg.hpa_target_cpu_util - 1.0) <= cfg.hpa_tolerance:
         return current_replicas
-    desired = math.ceil(current_replicas * current_util / cfg.target_cpu_util)
-    return max(cfg.min_replicas, min(cfg.max_replicas, desired))
+    desired = math.ceil(current_replicas * current_util / cfg.hpa_target_cpu_util)
+    return max(cfg.hpa_min_replicas, min(cfg.hpa_max_replicas, desired))
 
 
 @dataclass
 class HpaController:
     """Stateful wrapper adding the downscale stabilization window."""
 
-    cfg: HpaConfig
+    cfg: ExperimentConfig
     _recommendations: list = field(default_factory=list)  # (t, desired)
 
     def decide(self, now: float, current_replicas: int, current_util: float) -> int:
         raw = hpa_decide(current_replicas, current_util, self.cfg)
         self._recommendations.append((now, raw))
-        cutoff = now - self.cfg.stabilization_down_s
+        cutoff = now - self.cfg.hpa_stabilization_down_s
         self._recommendations = [(t, d) for t, d in self._recommendations if t >= cutoff]
         if raw >= current_replicas:
             return raw
@@ -85,34 +63,14 @@ def _policy_setup(policy: str, config: ExperimentConfig) -> tuple[int, int, Rout
 
 
 def run_baseline(policy: str, pattern: str, config: ExperimentConfig,
-                 traffic_seed: int | None = None,
-                 duration_s: float | None = None,
-                 timeseries: list | None = None) -> dict:
+                 traffic_seed: int, timeseries: list | None = None) -> dict:
     """Simulate one (policy, pattern) run and return its metrics report."""
-    from .traffic import PATTERN_NAMES
-
-    if pattern not in PATTERN_NAMES:
-        raise ValueError(f"unknown pattern name: {pattern!r}")
-    duration = config.episode_s if duration_s is None else duration_s
-    if traffic_seed is None:
-        traffic_seed = traffic_seed_for(config.seed, PATTERN_NAMES.index(pattern))
     init_cpu, init_gpu, pref = _policy_setup(policy, config)
-    run_cfg = config if duration == config.episode_s else config.replace(episode_s=duration)
-    stack = SimStack(run_cfg, pattern, traffic_seed,
+    stack = SimStack(config, pattern, traffic_seed,
                      init_cpu=init_cpu, init_gpu=init_gpu, routing_pref=pref)
-
-    controller = None
-    if policy == "hpa":
-        controller = HpaController(HpaConfig(
-            target_cpu_util=config.hpa_target_cpu_util,
-            min_replicas=config.hpa_min_replicas,
-            max_replicas=config.hpa_max_replicas,
-            sync_period_s=config.hpa_sync_period_s,
-            stabilization_down_s=config.hpa_stabilization_down_s,
-            tolerance=config.hpa_tolerance,
-        ))
-
+    controller = HpaController(config) if policy == "hpa" else None
     interval = config.hpa_sync_period_s if policy == "hpa" else config.control_interval_s
+    duration = config.episode_s
     t = 0.0
     while t < duration:
         t = min(t + interval, duration)
@@ -125,35 +83,5 @@ def run_baseline(policy: str, pattern: str, config: ExperimentConfig,
             if desired != current:
                 stack.cluster.set_desired_replicas(Pool.CPU, desired)
         if timeseries is not None:
-            timeseries.append(_timeseries_row(stack))
-
-    cpu_util, mem_util, gpu_util = stack.stats.mean_utils()
-    return {
-        "pattern": pattern,
-        "policy": policy,
-        "p95_ms": stack.stats.p95_s() * 1000.0,
-        "mean_ms": stack.stats.mean_s() * 1000.0,
-        "throughput_rps": stack.stats.throughput_rps(duration),
-        "gpu_util_mean": gpu_util,
-        "cpu_util_mean": cpu_util,
-        "mem_util_mean": mem_util,
-        "requests_injected": stack.cluster.requests_injected,
-        "requests_completed": stack.cluster.requests_completed,
-        "traffic_seed": traffic_seed,
-    }
-
-
-def _timeseries_row(stack: SimStack) -> dict:
-    now = stack.engine.now
-    cpu, mem = stack.util_model.cpu_mem_utilization(stack.cluster)
-    return {
-        "t": now,
-        "users": stack.current_users(),
-        "p95_s": stack.window.p95(now),
-        "throughput_rps": stack.window.throughput(now),
-        "gpu_util": stack.util_model.gpu_utilization(stack.cluster),
-        "cpu_util": cpu,
-        "mem_util": mem,
-        "gpu_replicas": stack.cluster.ready_count(Pool.GPU),
-        "cpu_replicas": stack.cluster.ready_count(Pool.CPU),
-    }
+            timeseries.append(stack.row())
+    return stack.report(policy, traffic_seed)

@@ -13,11 +13,10 @@ import sys
 from collections import Counter, defaultdict
 from pathlib import Path
 
-from .agent import PpoAgent, PpoHyperParams, load_checkpoint, save_checkpoint, train
+from .agent import MOVING_AVG_WINDOW, PpoAgent, load_checkpoint, train
 from .baselines import POLICY_NAMES, run_baseline
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
 from .env import ScalingEnv, traffic_seed_for
-from .metrics import export_snapshot
 from .nn import NetDims
 from .traffic import PATTERN_NAMES
 
@@ -100,28 +99,12 @@ def _select_patterns(args) -> list[str]:
     return chosen
 
 
-def _agent_for(cfg: ExperimentConfig) -> PpoAgent:
-    dims = NetDims(hidden1=cfg.hidden1, hidden2=cfg.hidden2)
-    hp = PpoHyperParams(
-        lr=cfg.ppo_lr,
-        clip_eps=cfg.ppo_clip,
-        discount=cfg.ppo_discount,
-        gae_lambda=cfg.ppo_gae_lambda,
-        epochs=cfg.ppo_epochs,
-        minibatch=cfg.ppo_minibatch,
-        entropy_coef=cfg.ppo_entropy_coef,
-        value_coef=cfg.ppo_value_coef,
-        update_every_episodes=cfg.ppo_update_every_episodes,
-    )
-    return PpoAgent(dims, hp, seed=cfg.seed)
-
-
 # ---- train ----------------------------------------------------------------
 
 def cmd_train(args) -> int:
     cfg = _load_effective_config(args)
     out = _prepare_out(cfg)
-    agent = _agent_for(cfg)
+    agent = PpoAgent(NetDims(hidden1=cfg.hidden1, hidden2=cfg.hidden2), cfg, seed=cfg.seed)
 
     train_rows: list[dict] = []
     eval_rows: list[dict] = []
@@ -139,7 +122,7 @@ def cmd_train(args) -> int:
             "entropy": losses.entropy if losses else "",
         })
         pattern_returns[pattern].append(ret)
-        window = pattern_returns[pattern][-10:]
+        window = pattern_returns[pattern][-MOVING_AVG_WINDOW:]
         pattern_rows.append({
             "episode": ep,
             "pattern": pattern,
@@ -235,25 +218,10 @@ def run_policy_episode(agent: PpoAgent, pattern: str, cfg: ExperimentConfig,
     obs = env.reset_to(pattern, traffic_seed)
     done = False
     while not done:
-        action = agent.greedy_action(obs.as_vector())
-        obs, _, done = env.step(action)
+        obs, _, done = env.step(agent.greedy_action(obs.as_vector()))
         if timeseries is not None:
-            timeseries.append(env.metrics_row())
-    stack = env.stack
-    cpu_util, mem_util, gpu_util = stack.stats.mean_utils()
-    return {
-        "pattern": pattern,
-        "policy": "kiscaler",
-        "p95_ms": stack.stats.p95_s() * 1000.0,
-        "mean_ms": stack.stats.mean_s() * 1000.0,
-        "throughput_rps": stack.stats.throughput_rps(cfg.episode_s),
-        "gpu_util_mean": gpu_util,
-        "cpu_util_mean": cpu_util,
-        "mem_util_mean": mem_util,
-        "requests_injected": stack.cluster.requests_injected,
-        "requests_completed": stack.cluster.requests_completed,
-        "traffic_seed": traffic_seed,
-    }
+            timeseries.append(env.stack.row())
+    return env.stack.report("kiscaler", traffic_seed)
 
 
 def cmd_evaluate(args) -> int:
@@ -262,7 +230,7 @@ def cmd_evaluate(args) -> int:
     patterns = _select_patterns(args)
 
     params, _ = load_checkpoint(args.checkpoint)
-    agent = PpoAgent(params.dims, PpoHyperParams(), seed=cfg.seed)
+    agent = PpoAgent(params.dims, cfg, seed=cfg.seed)
     agent.params = params
 
     rows = []
@@ -281,22 +249,18 @@ def cmd_evaluate(args) -> int:
             _write_csv(out / f"timeseries_{pattern}_{policy}.csv",
                        TIMESERIES_FIELDS, ts)
         kis_p95 = reports["kiscaler"]["p95_ms"]
-        for policy in ("kiscaler",) + POLICY_NAMES:
-            row = dict(reports[policy])
+        baseline_best = min(reports[policy]["p95_ms"] for policy in POLICY_NAMES)
+        for policy, report in reports.items():
+            row = dict(report)
             if policy == "kiscaler" and kis_p95 > 0:
                 row["speedup_vs_fixed_gpu"] = reports["fixed_gpu"]["p95_ms"] / kis_p95
                 row["speedup_vs_fixed_cpu"] = reports["fixed_cpu"]["p95_ms"] / kis_p95
             else:
                 row["speedup_vs_fixed_gpu"] = ""
                 row["speedup_vs_fixed_cpu"] = ""
-            row["flag"] = ""
+            row["flag"] = ("baselines_ahead"
+                           if policy == "kiscaler" and kis_p95 > baseline_best else "")
             rows.append(row)
-        baseline_best = min(reports["fixed_gpu"]["p95_ms"],
-                            reports["fixed_cpu"]["p95_ms"])
-        if kis_p95 > baseline_best:
-            for row in rows:
-                if row["pattern"] == pattern and row["policy"] == "kiscaler":
-                    row["flag"] = "baselines_ahead"
 
     fields = ("pattern", "policy", "p95_ms", "mean_ms", "throughput_rps",
               "gpu_util_mean", "cpu_util_mean", "mem_util_mean",
@@ -368,15 +332,6 @@ def cmd_replay(args) -> int:
     return 0
 
 
-# ---- snapshot helper used by tests and reports -----------------------------
-
-def write_snapshot(env_or_stack, path: Path) -> None:
-    stack = getattr(env_or_stack, "stack", env_or_stack)
-    text = export_snapshot(stack.window, stack.cluster, stack.engine.now,
-                           stack.util_model)
-    path.write_text(text)
-
-
 # ---- entry point ------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,10 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ReplayError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # checkpoint/corruption errors surface here
+    except Exception as exc:  # config, replay, checkpoint and I/O errors alike
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

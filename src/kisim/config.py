@@ -91,13 +91,12 @@ class ExperimentConfig:
     ppo_update_every_episodes: int = 1
     hidden1: int = 256
     # second layer trimmed below 256 to keep the model inside its ~137k
-    # parameter budget (see agent.param_count)
+    # parameter budget (see nn.formula_param_count)
     hidden2: int = 250
 
     # Training schedule
     episodes: int = 100
     eval_every: int = 20
-    moving_avg_window: int = 10
 
     # HPA baseline
     hpa_target_cpu_util: float = 0.5
@@ -123,12 +122,10 @@ class ExperimentConfig:
             raise ConfigError("users_min must satisfy 0 <= users_min <= users_max")
         if self.hpa_min_replicas > self.hpa_max_replicas:
             raise ConfigError("hpa_min_replicas exceeds hpa_max_replicas")
+        if self.hpa_tolerance < 0:
+            raise ConfigError("hpa_tolerance must be >= 0")
         if self.episode_s <= 0 or self.control_interval_s <= 0:
             raise ConfigError("episode_s and control_interval_s must be positive")
-
-    @property
-    def steps_per_episode(self) -> int:
-        return int(round(self.episode_s / self.control_interval_s))
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         return dataclasses.replace(self, **kwargs)

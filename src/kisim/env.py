@@ -20,7 +20,6 @@ from .simcore import ClusterModel, Engine, EventKind, Pool, PoolLimits, RoutePre
 from .traffic import PATTERN_NAMES, LoadGenerator, PatternSpec, user_count
 
 DELTAS = (-2, -1, 0, 1, 2)
-ACTION_SPACE_SIZE = len(DELTAS) * len(DELTAS) * 2
 
 
 @dataclass(frozen=True)
@@ -42,9 +41,6 @@ class Observation:
                          self.t_norm, self.p_id], dtype=np.float64)
 
 
-OBS_DIM = 10
-
-
 @dataclass(frozen=True)
 class ActionTriple:
     d_gpu: int
@@ -56,19 +52,6 @@ class ActionTriple:
             raise ValueError(f"deltas must be in {DELTAS}")
         if self.pref not in (0, 1):
             raise ValueError("pref must be 0 or 1")
-
-    def to_flat(self) -> int:
-        return (DELTAS.index(self.d_gpu) * len(DELTAS) + DELTAS.index(self.d_cpu)) * 2 + self.pref
-
-    @classmethod
-    def from_flat(cls, index: int) -> "ActionTriple":
-        if not 0 <= index < ACTION_SPACE_SIZE:
-            raise ValueError(f"flat action index {index} outside [0, {ACTION_SPACE_SIZE})")
-        pref = index % 2
-        rest = index // 2
-        d_cpu = DELTAS[rest % len(DELTAS)]
-        d_gpu = DELTAS[rest // len(DELTAS)]
-        return cls(d_gpu=d_gpu, d_cpu=d_cpu, pref=pref)
 
     @classmethod
     def from_heads(cls, g_idx: int, c_idx: int, pref: int) -> "ActionTriple":
@@ -169,7 +152,6 @@ class SimStack:
     def _sample_util(self, now: float) -> None:
         cpu, mem = self.util_model.cpu_mem_utilization(self.cluster)
         gpu = self.util_model.gpu_utilization(self.cluster)
-        self.window.record_util(now, cpu, mem, gpu)
         self.stats.record_util(cpu, mem, gpu)
 
     def current_users(self) -> int:
@@ -177,6 +159,40 @@ class SimStack:
 
     def ready_replicas(self) -> tuple[int, int]:
         return (self.cluster.ready_count(Pool.GPU), self.cluster.ready_count(Pool.CPU))
+
+    def row(self) -> dict:
+        """One time-series CSV row at the current instant."""
+        now = self.engine.now
+        cpu, mem = self.util_model.cpu_mem_utilization(self.cluster)
+        gpu_ready, cpu_ready = self.ready_replicas()
+        return {
+            "t": now,
+            "users": self.current_users(),
+            "p95_s": self.window.p95(now),
+            "throughput_rps": self.window.throughput(now),
+            "gpu_util": self.util_model.gpu_utilization(self.cluster),
+            "cpu_util": cpu,
+            "mem_util": mem,
+            "gpu_replicas": gpu_ready,
+            "cpu_replicas": cpu_ready,
+        }
+
+    def report(self, policy: str, traffic_seed: int) -> dict:
+        """Whole-run metrics of one (policy, pattern) run."""
+        cpu_util, mem_util, gpu_util = self.stats.mean_utils()
+        return {
+            "pattern": self.spec.kind,
+            "policy": policy,
+            "p95_ms": self.stats.p95_s() * 1000.0,
+            "mean_ms": self.stats.mean_s() * 1000.0,
+            "throughput_rps": self.stats.throughput_rps(self.config.episode_s),
+            "gpu_util_mean": gpu_util,
+            "cpu_util_mean": cpu_util,
+            "mem_util_mean": mem_util,
+            "requests_injected": self.cluster.requests_injected,
+            "requests_completed": self.cluster.requests_completed,
+            "traffic_seed": traffic_seed,
+        }
 
 
 def traffic_seed_for(base_seed: int, key: int) -> int:
@@ -192,10 +208,9 @@ class ScalingEnv:
 
     EVAL_INDEX_BASE = 1_000_000
 
-    def __init__(self, config: ExperimentConfig, base_seed: Optional[int] = None,
+    def __init__(self, config: ExperimentConfig,
                  trace_sink: Optional[IO[str]] = None) -> None:
         self.config = config
-        self.base_seed = config.seed if base_seed is None else base_seed
         self.trace_sink = trace_sink
         self.stack: Optional[SimStack] = None
         self.pattern: str = PATTERN_NAMES[0]
@@ -204,20 +219,12 @@ class ScalingEnv:
         self._prev_p95 = 0.0
         self._prev_tput = 0.0
         self._done = True
-        # per-replica completion rate used by the over-provisioning estimate
-        self._sustainable_rps = ServiceModel(
-            base_s=config.base_service_s,
-            cpu_cap=config.cpu_concurrency,
-            gpu_cap=config.gpu_concurrency,
-            cpu_exponent=config.cpu_contention_exp,
-            gpu_exponent=config.gpu_contention_exp,
-        ).sustainable_rps(Pool.CPU)
 
     # ---- episode management ---------------------------------------------
 
     def reset(self, episode_index: int = 0) -> Observation:
         pattern = PATTERN_NAMES[episode_index % len(PATTERN_NAMES)]
-        seed = traffic_seed_for(self.base_seed, episode_index)
+        seed = traffic_seed_for(self.config.seed, episode_index)
         return self.reset_to(pattern, seed, episode_index=episode_index)
 
     def reset_to(self, pattern: str, traffic_seed: int,
@@ -270,7 +277,7 @@ class ScalingEnv:
             u_mem=u_mem,
             delta_l=delta_l,
             delta_theta=delta_theta,
-            t_norm=self.step_index / cfg.steps_per_episode,
+            t_norm=now / cfg.episode_s,
             p_id=PATTERN_NAMES.index(self.pattern) / (len(PATTERN_NAMES) - 1),
         )
 
@@ -293,7 +300,8 @@ class ScalingEnv:
         users = self.stack.current_users()
         cycle = self.config.hold_s + self.config.base_service_s
         offered_rps = users / cycle if cycle > 0 else 0.0
-        return int(math.ceil(offered_rps / self._sustainable_rps))
+        # every replica is rated at a CPU pod's saturated completion rate
+        return int(math.ceil(offered_rps / self.stack.service.sustainable_rps(Pool.CPU)))
 
     def reward(self, obs: Observation, action: ActionTriple) -> RewardBreakdown:
         cfg = self.config
@@ -325,7 +333,7 @@ class ScalingEnv:
         self.step_index += 1
         obs = self.observe()
         breakdown = self.reward(obs, action)
-        done = self.step_index >= self.config.steps_per_episode
+        done = target >= self.config.episode_s
         self._done = done
         if self.trace_sink is not None:
             self._write_trace(obs, action, breakdown)
@@ -346,21 +354,3 @@ class ScalingEnv:
             "users": self.stack.current_users(),
         }
         self.trace_sink.write(json.dumps(record, separators=(",", ":")) + "\n")
-
-    def metrics_row(self) -> dict:
-        """One time-series CSV row at the current instant."""
-        stack = self.stack
-        now = stack.engine.now
-        u_cpu, u_mem = stack.util_model.cpu_mem_utilization(stack.cluster)
-        gpu_ready, cpu_ready = stack.ready_replicas()
-        return {
-            "t": now,
-            "users": stack.current_users(),
-            "p95_s": stack.window.p95(now),
-            "throughput_rps": stack.window.throughput(now),
-            "gpu_util": stack.util_model.gpu_utilization(stack.cluster),
-            "cpu_util": u_cpu,
-            "mem_util": u_mem,
-            "gpu_replicas": gpu_ready,
-            "cpu_replicas": cpu_ready,
-        }

@@ -1,8 +1,9 @@
 """Windowed metrics and synthesized utilization (the Prometheus stand-in).
 
-Latency/throughput statistics come from a sliding window of completed
-requests; CPU/memory/GPU utilization is synthesized from per-pod constants
-because no real node exists. Snapshots export in the Prometheus text
+Latency/throughput statistics come from a sliding window that holds
+completed requests only; CPU/memory/GPU utilization is synthesized from
+per-pod constants because no real node exists, and its whole-run means are
+kept by RunStats. Snapshots export in the Prometheus text
 exposition format 0.0.4.
 """
 
@@ -10,9 +11,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .simcore import ClusterModel, Pod, PodPhase, Pool, Request
+from .simcore import ClusterModel, Pod, Pool, Request
 
 
 def nearest_rank_p95(values) -> float:
@@ -25,25 +26,19 @@ def nearest_rank_p95(values) -> float:
 
 
 class MetricsWindow:
-    """Sliding window over completions and utilization samples."""
+    """Sliding window over request completions only (no utilization)."""
 
     def __init__(self, window_len_s: float = 30.0) -> None:
         self.window_len_s = window_len_s
         self._latencies: deque[tuple[float, float]] = deque()   # (ts, latency)
-        self._utils: deque[tuple[float, tuple[float, float, float]]] = deque()
 
     def record_completion(self, ts: float, latency: float) -> None:
         self._latencies.append((ts, latency))
-
-    def record_util(self, ts: float, cpu: float, mem: float, gpu: float) -> None:
-        self._utils.append((ts, (cpu, mem, gpu)))
 
     def _prune(self, now: float) -> None:
         cutoff = now - self.window_len_s
         while self._latencies and self._latencies[0][0] <= cutoff:
             self._latencies.popleft()
-        while self._utils and self._utils[0][0] <= cutoff:
-            self._utils.popleft()
 
     def latencies(self, now: float) -> list[float]:
         self._prune(now)
@@ -55,16 +50,6 @@ class MetricsWindow:
     def throughput(self, now: float) -> float:
         self._prune(now)
         return len(self._latencies) / self.window_len_s
-
-    def mean_util(self, now: float) -> tuple[float, float, float]:
-        self._prune(now)
-        if not self._utils:
-            return (0.0, 0.0, 0.0)
-        n = len(self._utils)
-        cpu = sum(u[0] for _, u in self._utils) / n
-        mem = sum(u[1] for _, u in self._utils) / n
-        gpu = sum(u[2] for _, u in self._utils) / n
-        return (cpu, mem, gpu)
 
 
 @dataclass(frozen=True)

@@ -86,14 +86,8 @@ class ActorCriticParams:
             tensors[name] = _orthogonal(rng, shape[0], shape[1], gain)
         return cls(dims, tensors)
 
-    def param_count(self) -> int:
-        return sum(int(t.size) for t in self.tensors.values())
-
     def as_float64(self) -> dict[str, np.ndarray]:
         return {k: v.astype(np.float64) for k, v in self.tensors.items()}
-
-    def copy(self) -> "ActorCriticParams":
-        return ActorCriticParams(self.dims, {k: v.copy() for k, v in self.tensors.items()})
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -113,44 +107,6 @@ def critic_forward(p: dict[str, np.ndarray], obs: np.ndarray):
     h2 = np.tanh(h1 @ p["c_w2"] + p["c_b2"])
     values = (h2 @ p["c_w3"] + p["c_b3"])[:, 0]
     return values, (obs, h1, h2)
-
-
-def joint_log_prob(logits: list[np.ndarray], actions: np.ndarray) -> np.ndarray:
-    """Sum of per-head log-probabilities; actions holds head indices (B, 3)."""
-    total = np.zeros(actions.shape[0], dtype=np.float64)
-    for i, lg in enumerate(logits):
-        lp = log_softmax(lg)
-        total += lp[np.arange(actions.shape[0]), actions[:, i]]
-    return total
-
-
-def ppo_loss(p: dict[str, np.ndarray], batch: dict, clip_eps: float,
-             value_coef: float, entropy_coef: float):
-    """Clipped-surrogate PPO loss; returns (total, parts) without gradients."""
-    obs = batch["obs"]
-    actions = batch["actions"]
-    logits, _ = actor_forward(p, obs)
-    new_logp = joint_log_prob(logits, actions)
-    ratio = np.exp(new_logp - batch["old_logp"])
-    adv = batch["advantages"]
-    unclipped = ratio * adv
-    clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * adv
-    policy_loss = -np.minimum(unclipped, clipped).mean()
-
-    values, _ = critic_forward(p, obs)
-    value_loss = np.mean((values - batch["returns"]) ** 2)
-
-    entropy = 0.0
-    for lg in logits:
-        lp = log_softmax(lg)
-        prob = np.exp(lp)
-        entropy += -(prob * lp).sum(axis=1)
-    entropy = entropy.mean()
-
-    total = policy_loss + value_coef * value_loss - entropy_coef * entropy
-    return total, {"policy_loss": float(policy_loss),
-                   "value_loss": float(value_loss),
-                   "entropy": float(entropy)}
 
 
 def ppo_loss_and_grads(p: dict[str, np.ndarray], batch: dict, clip_eps: float,

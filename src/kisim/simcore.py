@@ -10,7 +10,6 @@ pair always replays the same trace.
 from __future__ import annotations
 
 import heapq
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -135,7 +134,6 @@ class Pod:
     pool: Pool
     concurrency_cap: int
     phase: PodPhase = PodPhase.PENDING
-    started_at: Optional[float] = None
     queue: deque = field(default_factory=deque)
     in_service: set = field(default_factory=set)
 
@@ -297,7 +295,6 @@ class ClusterModel:
 
     def _start_pod(self, pod: Pod) -> None:
         pod.phase = PodPhase.STARTING
-        pod.started_at = self.engine.now
         delay = self.cpu_startup_s if pod.pool is Pool.CPU else self.gpu_startup_s
         self.engine.schedule(self.engine.now + delay, EventKind.POD_PHASE_CHANGE,
                              lambda: self._make_ready(pod))

@@ -17,6 +17,7 @@ import numpy as np
 from .simcore import ClusterModel, Engine, EventKind, Request
 
 PATTERN_NAMES = ("ramp", "periodic", "random", "spike")
+SYNC_INTERVAL_S = 1.0   # how often the user count is brought to the curve
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,6 @@ class PatternSpec:
             raise ValueError("need 0 <= u_min <= u_max")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
-
-    @property
-    def pattern_index(self) -> int:
-        return PATTERN_NAMES.index(self.kind)
 
 
 @lru_cache(maxsize=256)
@@ -77,12 +74,10 @@ def user_count(spec: PatternSpec, t: float) -> int:
 class LoadGenerator:
     """Maintains user_count(t) closed-loop users against a cluster."""
 
-    def __init__(self, spec: PatternSpec, engine: Engine, cluster: ClusterModel,
-                 sync_interval_s: float = 1.0) -> None:
+    def __init__(self, spec: PatternSpec, engine: Engine, cluster: ClusterModel) -> None:
         self.spec = spec
         self.engine = engine
         self.cluster = cluster
-        self.sync_interval_s = sync_interval_s
 
         self._next_user_id = 0
         self._next_request_id = 0
@@ -95,7 +90,7 @@ class LoadGenerator:
     # ---- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        self.engine.schedule_periodic(0.0, self.sync_interval_s,
+        self.engine.schedule_periodic(0.0, SYNC_INTERVAL_S,
                                       EventKind.CONTROL_TICK, self._sync,
                                       until=self.spec.duration_s)
         self.engine.schedule(self.spec.duration_s, EventKind.EPISODE_END, self._stop)
@@ -105,13 +100,6 @@ class LoadGenerator:
 
     def active_users(self) -> int:
         return len(self._active)
-
-    def in_flight_users(self) -> int:
-        return sum(1 for s in self._active.values() if s == "inflight") \
-            + len(self._retiring)
-
-    def current_target(self) -> int:
-        return user_count(self.spec, min(self.engine.now, self.spec.duration_s))
 
     # ---- internals ---------------------------------------------------------
 
