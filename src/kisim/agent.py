@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import ExperimentConfig
-from .env import ActionTriple, ScalingEnv, traffic_seed_for
+from .env import ActionTriple, ScalingEnv
 from .nn import (ActorCriticParams, Adam, NetDims, actor_forward, critic_forward,
                  log_softmax, ppo_loss_and_grads, tensor_shapes)
 from .traffic import PATTERN_NAMES
@@ -267,21 +267,20 @@ def load_checkpoint(path: str | Path) -> tuple[ActorCriticParams, TrainState]:
 # ---- training loop -------------------------------------------------------
 
 def run_episode(env: ScalingEnv, agent: PpoAgent, episode_index: int,
-                buffer: Optional[RolloutBuffer] = None,
-                greedy: bool = False,
-                reset: Optional[Callable] = None) -> float:
-    """Play one episode; returns the undiscounted episode return."""
-    obs = reset() if reset is not None else env.reset(episode_index)
+                buffer: Optional[RolloutBuffer] = None) -> float:
+    """Play one episode; returns the undiscounted episode return.
+
+    With a buffer the agent samples its actions and the buffer records them;
+    without one it acts greedily."""
+    obs = env.reset(episode_index)
     episode_return = 0.0
     done = False
     while not done:
         vec = obs.as_vector()
-        if greedy:
+        if buffer is None:
             action = agent.greedy_action(vec)
-            obs, breakdown, done = env.step(action)
-            episode_return += breakdown.total
-            continue
-        action, log_prob, value = agent.sample_action(vec)
+        else:
+            action, log_prob, value = agent.sample_action(vec)
         obs, breakdown, done = env.step(action)
         episode_return += breakdown.total
         if buffer is not None:
@@ -319,12 +318,9 @@ def train(env: ScalingEnv, agent: PpoAgent, episodes: int = 100,
             eval_round += 1
             target_env = eval_env or env
             for p_idx, pattern in enumerate(PATTERN_NAMES):
+                # EVAL_INDEX_BASE is a multiple of len(PATTERN_NAMES): reset() picks `pattern`
                 eval_index = ScalingEnv.EVAL_INDEX_BASE + eval_round * len(PATTERN_NAMES) + p_idx
-                seed = traffic_seed_for(target_env.config.seed, eval_index)
-                ret = run_episode(
-                    target_env, agent, eval_index, greedy=True,
-                    reset=lambda p=pattern, s=seed, i=eval_index:
-                        target_env.reset_to(p, s, episode_index=i))
+                ret = run_episode(target_env, agent, eval_index)
                 if on_eval is not None:
                     on_eval(ep, eval_round, pattern, ret)
     if checkpoint_path is not None:

@@ -70,16 +70,16 @@ def run_baseline(policy: str, pattern: str, config: ExperimentConfig,
                      init_cpu=init_cpu, init_gpu=init_gpu, routing_pref=pref)
     controller = HpaController(config) if policy == "hpa" else None
     interval = config.hpa_sync_period_s if policy == "hpa" else config.control_interval_s
-    duration = config.episode_s
-    t = 0.0
-    while t < duration:
-        t = min(t + interval, duration)
-        stack.engine.run_until(t)
-        if controller is not None and t < duration:
+    k = 0
+    done = False
+    while not done:
+        k += 1
+        done = stack.advance(k, interval)
+        if controller is not None and not done:
             current = len([p for p in stack.cluster.cpu_pods
                            if p.phase is not PodPhase.TERMINATING])
             util = cpu_pool_utilization(stack)
-            desired = controller.decide(t, max(1, current), util)
+            desired = controller.decide(stack.engine.now, max(1, current), util)
             if desired != current:
                 stack.cluster.set_desired_replicas(Pool.CPU, desired)
         if timeseries is not None:

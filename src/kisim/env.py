@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .metrics import MetricsWindow, RunStats, UtilizationModel
-from .simcore import ClusterModel, Engine, EventKind, Pool, PoolLimits, RoutePref, ServiceModel
+from .simcore import ClusterModel, Engine, Pool, PoolLimits, RoutePref, ServiceModel
 from .traffic import PATTERN_NAMES, LoadGenerator, PatternSpec, user_count
 
 DELTAS = (-2, -1, 0, 1, 2)
@@ -112,19 +112,7 @@ class SimStack:
         self.cluster.spawn_ready(Pool.CPU, init_cpu)
         self.cluster.spawn_ready(Pool.GPU, init_gpu)
 
-        self.util_model = UtilizationModel(
-            node_millicores=config.node_millicores,
-            node_mem_bytes=config.node_mem_bytes,
-            cpu_pod_idle_millicores=config.cpu_pod_idle_millicores,
-            cpu_pod_busy_millicores=config.cpu_pod_busy_millicores,
-            cpu_pod_mem_bytes=config.cpu_pod_mem_bytes,
-            gpu_pod_idle_millicores=config.gpu_pod_idle_millicores,
-            gpu_pod_busy_millicores=config.gpu_pod_busy_millicores,
-            gpu_pod_mem_bytes=config.gpu_pod_mem_bytes,
-            memory_pods=config.memory_pods,
-            memory_pod_millicores=config.memory_pod_millicores,
-            memory_pod_mem_bytes=config.memory_pod_mem_bytes,
-        )
+        self.util_model = UtilizationModel(config)
         self.window = MetricsWindow(window_len_s=config.window_s)
         self.stats = RunStats()
         self.cluster.completion_listeners.append(
@@ -145,9 +133,14 @@ class SimStack:
         )
         self.generator = LoadGenerator(self.spec, self.engine, self.cluster)
         self.generator.start()
-        self.engine.schedule_periodic(0.0, config.monitor_interval_s,
-                                      EventKind.CONTROL_TICK, self._sample_util,
+        self.engine.schedule_periodic(0.0, config.monitor_interval_s, self._sample_util,
                                       until=config.episode_s)
+
+    def advance(self, k: int, interval: float) -> bool:
+        """Run to control instant min(k*interval, episode_s); True once it ends."""
+        target = min(k * interval, self.config.episode_s)
+        self.engine.run_until(target)
+        return target >= self.config.episode_s
 
     def _sample_util(self, now: float) -> None:
         cpu, mem = self.util_model.cpu_mem_utilization(self.cluster)
@@ -283,18 +276,15 @@ class ScalingEnv:
 
     # ---- action / reward ---------------------------------------------------
 
-    def decode_and_apply(self, action: ActionTriple) -> tuple[int, int]:
+    def decode_and_apply(self, action: ActionTriple) -> None:
         cluster = self.stack.cluster
         new_gpu = cluster.clamp_desired(Pool.GPU, cluster.desired_gpu + action.d_gpu)
         new_cpu = cluster.clamp_desired(Pool.CPU, cluster.desired_cpu + action.d_cpu)
-        applied_gpu = new_gpu - cluster.desired_gpu
-        applied_cpu = new_cpu - cluster.desired_cpu
         cluster.routing_pref = RoutePref(action.pref)
         if new_gpu != cluster.desired_gpu:
             cluster.set_desired_replicas(Pool.GPU, new_gpu)
         if new_cpu != cluster.desired_cpu:
             cluster.set_desired_replicas(Pool.CPU, new_cpu)
-        return applied_gpu, applied_cpu
 
     def demand_estimate(self) -> int:
         users = self.stack.current_users()
@@ -327,13 +317,10 @@ class ScalingEnv:
         if self._done:
             raise EpisodeFinished("episode is finished; call reset() first")
         self.decode_and_apply(action)
-        target = min((self.step_index + 1) * self.config.control_interval_s,
-                     self.config.episode_s)
-        self.stack.engine.run_until(target)
         self.step_index += 1
+        done = self.stack.advance(self.step_index, self.config.control_interval_s)
         obs = self.observe()
         breakdown = self.reward(obs, action)
-        done = target >= self.config.episode_s
         self._done = done
         if self.trace_sink is not None:
             self._write_trace(obs, action, breakdown)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
+from .config import ExperimentConfig
 from .simcore import ClusterModel, Pod, Pool, Request
 
 
@@ -52,41 +52,32 @@ class MetricsWindow:
         return len(self._latencies) / self.window_len_s
 
 
-@dataclass(frozen=True)
 class UtilizationModel:
-    """Node-level utilization from per-pod idle/busy constants."""
+    """Node-level utilization from the config's per-pod idle/busy constants."""
 
-    node_millicores: float = 16000.0
-    node_mem_bytes: float = 32.0 * 2**30
-    cpu_pod_idle_millicores: float = 715.0
-    cpu_pod_busy_millicores: float = 1062.0
-    cpu_pod_mem_bytes: float = 540e6
-    gpu_pod_idle_millicores: float = 42.0
-    gpu_pod_busy_millicores: float = 72.0
-    gpu_pod_mem_bytes: float = 825e6
-    memory_pods: int = 3
-    memory_pod_millicores: float = 3.0
-    memory_pod_mem_bytes: float = 3.0 * 2**20
+    def __init__(self, cfg: ExperimentConfig = ExperimentConfig()) -> None:
+        self.cfg = cfg
 
     @staticmethod
     def _busy_fraction(pod: Pod) -> float:
         return len(pod.in_service) / pod.concurrency_cap
 
     def cpu_mem_utilization(self, cluster: ClusterModel) -> tuple[float, float]:
-        millicores = self.memory_pods * self.memory_pod_millicores
-        mem = self.memory_pods * self.memory_pod_mem_bytes
+        cfg = self.cfg
+        millicores = cfg.memory_pods * cfg.memory_pod_millicores
+        mem = cfg.memory_pods * cfg.memory_pod_mem_bytes
         for pod in cluster.ready_pods(Pool.CPU):
             frac = self._busy_fraction(pod)
-            millicores += self.cpu_pod_idle_millicores + frac * (
-                self.cpu_pod_busy_millicores - self.cpu_pod_idle_millicores)
-            mem += self.cpu_pod_mem_bytes
+            millicores += cfg.cpu_pod_idle_millicores + frac * (
+                cfg.cpu_pod_busy_millicores - cfg.cpu_pod_idle_millicores)
+            mem += cfg.cpu_pod_mem_bytes
         for pod in cluster.ready_pods(Pool.GPU):
             frac = self._busy_fraction(pod)
-            millicores += self.gpu_pod_idle_millicores + frac * (
-                self.gpu_pod_busy_millicores - self.gpu_pod_idle_millicores)
-            mem += self.gpu_pod_mem_bytes
-        cpu_util = min(1.0, millicores / self.node_millicores)
-        mem_util = min(1.0, mem / self.node_mem_bytes)
+            millicores += cfg.gpu_pod_idle_millicores + frac * (
+                cfg.gpu_pod_busy_millicores - cfg.gpu_pod_idle_millicores)
+            mem += cfg.gpu_pod_mem_bytes
+        cpu_util = min(1.0, millicores / cfg.node_millicores)
+        mem_util = min(1.0, mem / cfg.node_mem_bytes)
         return (cpu_util, mem_util)
 
     def gpu_utilization(self, cluster: ClusterModel) -> float:

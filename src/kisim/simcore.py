@@ -5,6 +5,11 @@ of pods. Each pod is a finite-concurrency server with a FIFO queue; a device
 budget caps how many GPU pods can actually run, extra GPU pods stay Pending
 as standbys. Everything is driven by one event heap, so a (seed, config)
 pair always replays the same trace.
+
+An event is a (fire_at, seq, action, args) tuple: at fire_at the engine calls
+action(*args), and seq, the count of events scheduled so far, breaks ties in
+scheduling order. Repeated instants are computed as start + k*interval, never
+as a running sum, so every loop over the same interval sees the same times.
 """
 
 from __future__ import annotations
@@ -20,26 +25,10 @@ class SimulationError(RuntimeError):
     """Engine driven inconsistently (scheduling into the past etc.)."""
 
 
-class EventKind(IntEnum):
-    REQUEST_ARRIVAL = 0
-    SERVICE_COMPLETE = 1
-    POD_PHASE_CHANGE = 2
-    CONTROL_TICK = 3
-    EPISODE_END = 4
-
-
-@dataclass(order=True, slots=True)
-class SimEvent:
-    fire_at: float
-    seq: int
-    kind: EventKind = field(compare=False)
-    action: Callable[[], None] = field(compare=False)
-
-
 @dataclass(slots=True)
 class SimClock:
     now: float = 0.0
-    seq: int = 0
+    seq: int = 0    # events scheduled so far; the heap's tie-breaker
 
 
 class Engine:
@@ -47,50 +36,43 @@ class Engine:
 
     def __init__(self) -> None:
         self.clock = SimClock()
-        self._heap: list[SimEvent] = []
+        self._heap: list[tuple] = []
 
     @property
     def now(self) -> float:
         return self.clock.now
 
-    def make_event(self, fire_at: float, kind: EventKind,
-                   action: Callable[[], None]) -> SimEvent:
-        self.clock.seq += 1
-        return SimEvent(fire_at, self.clock.seq, kind, action)
-
-    def schedule_event(self, ev: SimEvent) -> None:
-        if ev.fire_at < self.clock.now:
+    def schedule(self, fire_at: float, action: Callable[..., None], *args) -> None:
+        """Call action(*args) at fire_at."""
+        clock = self.clock
+        if fire_at < clock.now:
             raise SimulationError(
-                f"event scheduled in the past: fire_at={ev.fire_at} < now={self.clock.now}")
-        heapq.heappush(self._heap, ev)
+                f"event scheduled in the past: fire_at={fire_at} < now={clock.now}")
+        clock.seq += 1
+        heapq.heappush(self._heap, (fire_at, clock.seq, action, args))
 
-    def schedule(self, fire_at: float, kind: EventKind,
-                 action: Callable[[], None]) -> SimEvent:
-        ev = self.make_event(fire_at, kind, action)
-        self.schedule_event(ev)
-        return ev
-
-    def schedule_periodic(self, start: float, interval: float, kind: EventKind,
+    def schedule_periodic(self, start: float, interval: float,
                           action: Callable[[float], None], until: float) -> None:
-        """Fire action(now) at start, start+interval, ... while <= until."""
+        """Fire action(now) at start + k*interval, k = 0, 1, ..., while <= until."""
 
-        def tick() -> None:
+        def tick(k: int) -> None:
             action(self.clock.now)
-            nxt = self.clock.now + interval
+            nxt = start + (k + 1) * interval
             if nxt <= until:
-                self.schedule(nxt, kind, tick)
+                self.schedule(nxt, tick, k + 1)
 
-        self.schedule(start, kind, tick)
+        self.schedule(start, tick, 0)
 
     def run_until(self, t_end: float) -> None:
-        if t_end < self.clock.now:
-            raise SimulationError(f"run_until({t_end}) before now={self.clock.now}")
+        clock = self.clock
+        if t_end < clock.now:
+            raise SimulationError(f"run_until({t_end}) before now={clock.now}")
         heap = self._heap
-        while heap and heap[0].fire_at <= t_end:
-            ev = heapq.heappop(heap)
-            self.clock.now = ev.fire_at
-            ev.action()
-        self.clock.now = t_end
+        while heap and heap[0][0] <= t_end:
+            fire_at, _, action, args = heapq.heappop(heap)
+            clock.now = fire_at
+            action(*args)
+        clock.now = t_end
 
     def pending_events(self) -> int:
         return len(self._heap)
@@ -296,8 +278,7 @@ class ClusterModel:
     def _start_pod(self, pod: Pod) -> None:
         pod.phase = PodPhase.STARTING
         delay = self.cpu_startup_s if pod.pool is Pool.CPU else self.gpu_startup_s
-        self.engine.schedule(self.engine.now + delay, EventKind.POD_PHASE_CHANGE,
-                             lambda: self._make_ready(pod))
+        self.engine.schedule(self.engine.now + delay, self._make_ready, pod)
 
     def _make_ready(self, pod: Pod) -> None:
         if pod.phase is not PodPhase.STARTING:
@@ -366,8 +347,7 @@ class ClusterModel:
         req.service_started_at = self.engine.now
         pod.in_service.add(req.id)
         dur = self.service.service_time(pod.pool, len(pod.in_service))
-        self.engine.schedule(self.engine.now + dur, EventKind.SERVICE_COMPLETE,
-                             lambda: self._complete(pod, req))
+        self.engine.schedule(self.engine.now + dur, self._complete, pod, req)
 
     def _complete(self, pod: Pod, req: Request) -> None:
         pod.in_service.discard(req.id)

@@ -3,7 +3,9 @@
 Each virtual user issues one request, waits for its completion, sleeps the
 think time, then repeats (Locust-style). The target number of concurrent
 users follows a deterministic curve per pattern; surplus users retire once
-their in-flight request completes.
+their in-flight request completes. The episode ends at duration_s, a time
+rather than an event: from then on no user is spawned, woken or sent back to
+think, so the generator issues no further request.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .simcore import ClusterModel, Engine, EventKind, Request
+from .simcore import ClusterModel, Engine, Request
 
 PATTERN_NAMES = ("ramp", "periodic", "random", "spike")
 SYNC_INTERVAL_S = 1.0   # how often the user count is brought to the curve
@@ -84,19 +86,13 @@ class LoadGenerator:
         self._active: dict[int, str] = {}   # uid -> "inflight" | "holding"
         self._retiring: set[int] = set()
         self._owner: dict[int, int] = {}    # request id -> uid
-        self._stopped = False
         cluster.completion_listeners.append(self._on_complete)
 
     # ---- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        self.engine.schedule_periodic(0.0, SYNC_INTERVAL_S,
-                                      EventKind.CONTROL_TICK, self._sync,
+        self.engine.schedule_periodic(0.0, SYNC_INTERVAL_S, self._sync,
                                       until=self.spec.duration_s)
-        self.engine.schedule(self.spec.duration_s, EventKind.EPISODE_END, self._stop)
-
-    def _stop(self) -> None:
-        self._stopped = True
 
     def active_users(self) -> int:
         return len(self._active)
@@ -104,7 +100,7 @@ class LoadGenerator:
     # ---- internals ---------------------------------------------------------
 
     def _sync(self, now: float) -> None:
-        if self._stopped:
+        if now >= self.spec.duration_s:
             return
         target = user_count(self.spec, now)
         while len(self._active) < target:
@@ -138,16 +134,14 @@ class LoadGenerator:
             return
         if uid not in self._active:
             return
-        if self._stopped:
+        if self.engine.now >= self.spec.duration_s:
             del self._active[uid]
             return
         self._active[uid] = "holding"
-        self.engine.schedule(self.engine.now + self.spec.hold_s,
-                             EventKind.REQUEST_ARRIVAL,
-                             lambda: self._wake(uid))
+        self.engine.schedule(self.engine.now + self.spec.hold_s, self._wake, uid)
 
     def _wake(self, uid: int) -> None:
-        if self._stopped or self._active.get(uid) != "holding":
+        if self.engine.now >= self.spec.duration_s or self._active.get(uid) != "holding":
             return
         self._active[uid] = "inflight"
         self._issue(uid)

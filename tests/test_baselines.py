@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from kisim.agent import PpoAgent
@@ -70,3 +73,16 @@ def test_policy_episode_conserves_requests_within_gpu_budget(checked_steps):
     report = run_policy_episode(agent, "spike", cfg, traffic_seed=3, timeseries=[])
     assert len(checked_steps) == round(cfg.episode_s / cfg.control_interval_s)
     assert report["requests_completed"] > 0
+
+
+def test_baseline_runs_reproduce_their_pinned_bytes():
+    """Any change to event order, timing or metrics moves this digest."""
+    cfg = ExperimentConfig(episode_s=60.0)
+    runs: list = []
+    for pattern in PATTERN_NAMES:
+        for policy in POLICY_NAMES:
+            rows: list[dict] = []
+            report = run_baseline(policy, pattern, cfg, traffic_seed=42, timeseries=rows)
+            runs += [report, rows]
+    digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
+    assert digest[:16] == "db7dabe46f58da0f"

@@ -4,11 +4,12 @@ from kisim.agent import PpoAgent
 from kisim.baselines import run_baseline
 from kisim.cli import run_policy_episode
 from kisim.config import ExperimentConfig
-from kisim.env import ActionTriple, ScalingEnv
+from kisim.env import ActionTriple, ScalingEnv, traffic_seed_for
 from kisim.nn import NetDims
+from kisim.traffic import PATTERN_NAMES
 
 
-@pytest.mark.parametrize("interval", [11.0, 13.0, 15.0])
+@pytest.mark.parametrize("interval", [11.0, 13.0, 15.0, 0.7, 2.3, 7.7])
 def test_policy_episode_runs_to_episode_end_like_a_baseline(interval):
     cfg = ExperimentConfig(control_interval_s=interval)
     agent = PpoAgent(NetDims(hidden1=16, hidden2=16), cfg, seed=0)
@@ -48,3 +49,13 @@ def test_step_count_for_default_and_dense_control(interval, steps):
         _, _, done = env.step(ActionTriple(d_gpu=0, d_cpu=0, pref=0))
         count += 1
     assert count == steps
+
+
+@pytest.mark.parametrize("p_idx", range(len(PATTERN_NAMES)))
+def test_eval_index_reset_picks_the_pattern_at_its_offset(p_idx):
+    cfg = ExperimentConfig(episode_s=5.0)
+    index = ScalingEnv.EVAL_INDEX_BASE + len(PATTERN_NAMES) * 3 + p_idx
+    env = ScalingEnv(cfg)
+    env.reset(index)
+    assert env.pattern == PATTERN_NAMES[p_idx]
+    assert env.stack.spec.seed == traffic_seed_for(cfg.seed, index)

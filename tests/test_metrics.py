@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from kisim.config import ExperimentConfig
 from kisim.metrics import (MetricsWindow, UtilizationModel, export_snapshot,
                            nearest_rank_p95)
 from kisim.simcore import (ClusterModel, Engine, PodPhase, Pool, PoolLimits,
@@ -101,7 +102,7 @@ def test_gpu_utilization_half_busy():
 
 
 def test_cpu_utilization_idle_and_busy_endpoints():
-    model = UtilizationModel(memory_pods=0)
+    model = UtilizationModel(ExperimentConfig(memory_pods=0))
     engine, cluster = make_cluster()
     cluster.spawn_ready(Pool.CPU, 3)
     cpu, mem = model.cpu_mem_utilization(cluster)
@@ -123,7 +124,7 @@ def test_no_pods_reports_only_memory_pod_constants():
 
 
 def test_all_utilizations_bounded():
-    model = UtilizationModel(node_millicores=100.0)  # tiny node saturates
+    model = UtilizationModel(ExperimentConfig(node_millicores=100.0))  # tiny node saturates
     engine, cluster = make_cluster()
     cluster.spawn_ready(Pool.CPU, 5)
     cpu, mem = model.cpu_mem_utilization(cluster)

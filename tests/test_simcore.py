@@ -2,7 +2,7 @@
 
 import pytest
 
-from kisim.simcore import (ClusterModel, Engine, EventKind, Pod, PodPhase, Pool,
+from kisim.simcore import (ClusterModel, Engine, Pod, PodPhase, Pool,
                            PoolLimits, Request, RoutePref, ServiceModel,
                            SimulationError)
 
@@ -22,8 +22,8 @@ def make_cluster(engine=None, pref=RoutePref.CPU_FIRST, budget=1,
 def test_events_tie_break_by_schedule_order():
     engine = Engine()
     fired = []
-    engine.schedule(5.0, EventKind.CONTROL_TICK, lambda: fired.append("A"))
-    engine.schedule(5.0, EventKind.CONTROL_TICK, lambda: fired.append("B"))
+    engine.schedule(5.0, lambda: fired.append("A"))
+    engine.schedule(5.0, lambda: fired.append("B"))
     engine.run_until(5.0)
     assert fired == ["A", "B"]
 
@@ -31,8 +31,8 @@ def test_events_tie_break_by_schedule_order():
 def test_events_dequeue_in_time_order():
     engine = Engine()
     fired = []
-    engine.schedule(7.0, EventKind.CONTROL_TICK, lambda: fired.append(7.0))
-    engine.schedule(3.0, EventKind.CONTROL_TICK, lambda: fired.append(3.0))
+    engine.schedule(7.0, lambda: fired.append(7.0))
+    engine.schedule(3.0, lambda: fired.append(3.0))
     engine.run_until(10.0)
     assert fired == [3.0, 7.0]
     assert engine.now == 10.0
@@ -42,7 +42,7 @@ def test_scheduling_into_the_past_is_an_error():
     engine = Engine()
     engine.run_until(2.0)
     with pytest.raises(SimulationError):
-        engine.schedule(1.0, EventKind.CONTROL_TICK, lambda: None)
+        engine.schedule(1.0, lambda: None)
 
 
 def test_run_until_empty_queue_advances_clock_only():
@@ -61,11 +61,40 @@ def test_run_until_backwards_is_an_error():
 
 def test_clock_sequence_strictly_increases():
     engine = Engine()
-    evs = [engine.make_event(1.0, EventKind.CONTROL_TICK, lambda: None)
-           for _ in range(5)]
-    seqs = [ev.seq for ev in evs]
+    seqs = []
+    for _ in range(5):
+        engine.schedule(1.0, lambda: None)
+        seqs.append(engine.clock.seq)
     assert seqs == sorted(seqs)
     assert len(set(seqs)) == len(seqs)
+
+
+def test_schedule_passes_its_arguments_to_the_action():
+    engine = Engine()
+    calls = []
+    engine.schedule(2.0, lambda a, b: calls.append((engine.now, a, b)), "x", 7)
+    engine.run_until(2.0)
+    assert calls == [(2.0, "x", 7)]
+
+
+def test_clock_sequence_counts_every_scheduled_event():
+    engine = Engine()
+    engine.schedule(1.0, lambda: engine.schedule(3.0, lambda: None))
+    engine.schedule_periodic(0.0, 1.0, lambda now: None, until=2.0)
+    assert engine.clock.seq == 2
+    engine.run_until(5.0)
+    assert engine.clock.seq == 5      # + the nested event and two more ticks
+    assert engine.pending_events() == 0
+
+
+def test_periodic_instants_are_start_plus_k_intervals():
+    engine = Engine()
+    fired = []
+    engine.schedule_periodic(0.0, 0.3, fired.append, until=300.0)
+    engine.run_until(300.0)
+    assert len(fired) == 1001
+    assert fired[-1] == 300.0
+    assert fired == [k * 0.3 for k in range(1001)]
 
 
 # ---- service model ----------------------------------------------------------
