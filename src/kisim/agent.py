@@ -1,8 +1,10 @@
-"""PPO autoscaling agent: rollouts, clipped-surrogate updates, checkpoints.
+"""PPO autoscaling agent: rollouts, clipped-surrogate updates, training, checkpoints.
 
 The actor emits three categorical heads (GPU delta, CPU delta, placement
 preference); the critic is an independent value network. Updates run once
-per episode by default over minibatches with normalized advantages.
+per episode by default over minibatches with normalized advantages. `train`
+runs the schedule in the agent's config and returns a `TrainState`, the one
+record of the run.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -22,7 +24,11 @@ from .nn import (ActorCriticParams, Adam, NetDims, actor_forward, critic_forward
 from .traffic import PATTERN_NAMES
 
 CHECKPOINT_MAGIC = b"KISC1"
+CHECKPOINT_STATE = struct.Struct("<IIddi")  # episode_index, n_returns, moving_avg, best, converged_at
 MOVING_AVG_WINDOW = 10   # episodes in the reported moving-average return
+CONVERGENCE_WINDOW = 20          # detect_convergence compares two such windows,
+CONVERGENCE_STD_FRAC = 0.05      # wants the last one's std under 5% of its mean
+CONVERGENCE_IMPROVE_FRAC = 0.01  # and its mean under 1% above the previous one's
 
 
 class AgentError(RuntimeError):
@@ -78,9 +84,9 @@ class RolloutBuffer:
         }
 
 
-def gae(rewards, values, dones, gamma: float, lam: float,
-        bootstrap_value: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized advantage estimation; returns (advantages, returns)."""
+def gae(rewards, values, dones, gamma: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized advantage estimation, valuing the state after the last
+    step at 0; returns (advantages, returns)."""
     r = np.asarray(rewards, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
     d = np.asarray(dones, dtype=np.float64)
@@ -91,7 +97,7 @@ def gae(rewards, values, dones, gamma: float, lam: float,
     carry = 0.0
     for t in range(n - 1, -1, -1):
         nonterminal = 1.0 - d[t]
-        next_value = v[t + 1] if t + 1 < n else bootstrap_value
+        next_value = v[t + 1] if t + 1 < n else 0.0
         delta = r[t] + gamma * next_value * nonterminal - v[t]
         carry = delta + gamma * lam * nonterminal * carry
         adv[t] = carry
@@ -178,33 +184,38 @@ class PpoAgent:
 
 @dataclass
 class TrainState:
-    episode_index: int = 0
+    """What a training run produced. `log` holds (pattern, moving_avg, losses
+    or None) per episode and `evals` (episode, round, pattern, return) per
+    greedy episode; checkpoints keep neither."""
     returns: list = field(default_factory=list)
-    moving_avg: float = 0.0
     best_moving_avg: float = -math.inf
     converged_at: int = -1
+    log: list = field(default_factory=list)
+    evals: list = field(default_factory=list)
 
-    def record_return(self, value: float) -> float:
-        self.returns.append(value)
-        self.episode_index = len(self.returns)
+    @property
+    def episode_index(self) -> int:
+        return len(self.returns)
+
+    @property
+    def moving_avg(self) -> float:
         window = self.returns[-MOVING_AVG_WINDOW:]
-        self.moving_avg = sum(window) / len(window)
-        return self.moving_avg
+        return sum(window) / len(window) if window else 0.0
 
 
-def detect_convergence(state: TrainState, window: int = 20,
-                       std_frac: float = 0.05, improve_frac: float = 0.01) -> bool:
+def detect_convergence(state: TrainState) -> bool:
     """Low variance and <1% window-over-window improvement."""
     returns = state.returns
+    window = CONVERGENCE_WINDOW
     if len(returns) < 2 * window:
         return False
     last = np.asarray(returns[-window:], dtype=np.float64)
     prev = np.asarray(returns[-2 * window:-window], dtype=np.float64)
     mean_last = last.mean()
-    if last.std() >= std_frac * abs(mean_last):
+    if last.std() >= CONVERGENCE_STD_FRAC * abs(mean_last):
         return False
     improvement = (mean_last - prev.mean()) / max(abs(prev.mean()), 1e-12)
-    return improvement < improve_frac
+    return improvement < CONVERGENCE_IMPROVE_FRAC
 
 
 # ---- checkpointing ---------------------------------------------------------
@@ -212,24 +223,23 @@ def detect_convergence(state: TrainState, window: int = 20,
 def save_checkpoint(params: ActorCriticParams, state: TrainState,
                     path: str | Path) -> None:
     dims = params.dims
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
+    blob = bytearray(CHECKPOINT_MAGIC)
     blob += struct.pack("<6I", dims.obs_dim, dims.hidden1, dims.hidden2,
                         *dims.heads)
     for name in tensor_shapes(dims):
         arr = np.ascontiguousarray(params.tensors[name], dtype="<f4")
         blob += arr.tobytes()
     returns = np.asarray(state.returns, dtype="<f8")
-    blob += struct.pack("<IIddi", state.episode_index, len(returns),
-                        state.moving_avg,
-                        state.best_moving_avg if math.isfinite(state.best_moving_avg)
-                        else -1e308,
-                        state.converged_at)
+    blob += CHECKPOINT_STATE.pack(
+        state.episode_index, len(returns), state.moving_avg,
+        state.best_moving_avg if math.isfinite(state.best_moving_avg) else -1e308,
+        state.converged_at)
     blob += returns.tobytes()
     Path(path).write_bytes(bytes(blob))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ActorCriticParams, TrainState]:
+    """Read a KISC1 file; any wrong length or inconsistent state is a CheckpointError."""
     raw = Path(path).read_bytes()
     if len(raw) < len(CHECKPOINT_MAGIC) + 24:
         raise CheckpointError(f"checkpoint {path} is truncated")
@@ -242,25 +252,29 @@ def load_checkpoint(path: str | Path) -> tuple[ActorCriticParams, TrainState]:
     obs_dim, h1, h2, k0, k1, k2 = struct.unpack_from("<6I", raw, off)
     off += struct.calcsize("<6I")
     dims = NetDims(obs_dim=obs_dim, hidden1=h1, hidden2=h2, heads=(k0, k1, k2))
+    shapes = tensor_shapes(dims)
+    state_off = off + 4 * sum(math.prod(shape) for shape in shapes.values())
+    if len(raw) < state_off + CHECKPOINT_STATE.size:
+        raise CheckpointError(f"checkpoint {path} is truncated before its training state")
+    episode_index, n_returns, moving_avg, best_avg, converged_at = \
+        CHECKPOINT_STATE.unpack_from(raw, state_off)
+    returns_off = state_off + CHECKPOINT_STATE.size
+    if len(raw) != returns_off + 8 * n_returns:
+        raise CheckpointError(f"checkpoint {path} is {len(raw)} bytes, expected "
+                              f"{returns_off + 8 * n_returns} for {n_returns} returns")
     tensors: dict[str, np.ndarray] = {}
-    for name, shape in tensor_shapes(dims).items():
-        count = int(np.prod(shape))
-        end = off + 4 * count
-        if end > len(raw):
-            raise CheckpointError(f"checkpoint {path} is truncated in tensor {name}")
+    for name, shape in shapes.items():
+        end = off + 4 * math.prod(shape)
         tensors[name] = np.frombuffer(raw[off:end], dtype="<f4").reshape(shape).copy()
         off = end
-    episode_index, n_returns, moving_avg, best_avg, converged_at = \
-        struct.unpack_from("<IIddi", raw, off)
-    off += struct.calcsize("<IIddi")
-    returns = np.frombuffer(raw[off:off + 8 * n_returns], dtype="<f8")
     state = TrainState(
-        episode_index=episode_index,
-        returns=[float(x) for x in returns],
-        moving_avg=moving_avg,
+        returns=np.frombuffer(raw, dtype="<f8", offset=returns_off).tolist(),
         best_moving_avg=best_avg if best_avg > -1e307 else -math.inf,
         converged_at=converged_at,
     )
+    if (episode_index, moving_avg) != (state.episode_index, state.moving_avg):
+        raise CheckpointError(f"checkpoint {path} stores episode_index/moving_avg "
+                              f"{episode_index}/{moving_avg!r} that its returns contradict")
     return ActorCriticParams(dims, tensors), state
 
 
@@ -289,40 +303,31 @@ def run_episode(env: ScalingEnv, agent: PpoAgent, episode_index: int,
     return episode_return
 
 
-def train(env: ScalingEnv, agent: PpoAgent, episodes: int = 100,
-          eval_every: int = 20,
-          eval_env: Optional[ScalingEnv] = None,
-          checkpoint_path: Optional[Path] = None,
-          best_checkpoint_path: Optional[Path] = None,
-          on_episode: Optional[Callable] = None,
-          on_eval: Optional[Callable] = None) -> TrainState:
-    """Train over rotating patterns with a PPO update each episode."""
+def train(env: ScalingEnv, agent: PpoAgent, out: str | Path) -> TrainState:
+    """Train `cfg.episodes` episodes over rotating patterns, updating every
+    `cfg.ppo_update_every_episodes`, and play one greedy episode per pattern
+    on an untraced env every `cfg.eval_every`. Writes out/checkpoint_best.kisc
+    whenever the moving average improves and out/checkpoint.kisc at the end."""
+    cfg = agent.cfg
+    eval_env = ScalingEnv(cfg)
     state = TrainState()
     buffer = RolloutBuffer()
-    eval_round = 0
-    for ep in range(episodes):
-        episode_return = run_episode(env, agent, ep, buffer=buffer)
-        losses = None
-        if (ep + 1) % agent.cfg.ppo_update_every_episodes == 0:
-            losses = agent.update(buffer)
-        moving_avg = state.record_return(episode_return)
+    for ep in range(cfg.episodes):
+        state.returns.append(run_episode(env, agent, ep, buffer=buffer))
+        update_due = (ep + 1) % cfg.ppo_update_every_episodes == 0
+        losses = agent.update(buffer) if update_due else None
+        state.log.append((env.pattern, state.moving_avg, losses))
         if state.converged_at < 0 and detect_convergence(state):
             state.converged_at = state.episode_index
-        if moving_avg > state.best_moving_avg:
-            state.best_moving_avg = moving_avg
-            if best_checkpoint_path is not None:
-                save_checkpoint(agent.params, state, best_checkpoint_path)
-        if on_episode is not None:
-            on_episode(ep, env.pattern, episode_return, moving_avg, losses)
-        if eval_every and (ep + 1) % eval_every == 0:
-            eval_round += 1
-            target_env = eval_env or env
+        if state.moving_avg > state.best_moving_avg:
+            state.best_moving_avg = state.moving_avg
+            save_checkpoint(agent.params, state, Path(out) / "checkpoint_best.kisc")
+        if cfg.eval_every and (ep + 1) % cfg.eval_every == 0:
+            eval_round = (ep + 1) // cfg.eval_every
             for p_idx, pattern in enumerate(PATTERN_NAMES):
                 # EVAL_INDEX_BASE is a multiple of len(PATTERN_NAMES): reset() picks `pattern`
                 eval_index = ScalingEnv.EVAL_INDEX_BASE + eval_round * len(PATTERN_NAMES) + p_idx
-                ret = run_episode(target_env, agent, eval_index)
-                if on_eval is not None:
-                    on_eval(ep, eval_round, pattern, ret)
-    if checkpoint_path is not None:
-        save_checkpoint(agent.params, state, checkpoint_path)
+                state.evals.append(
+                    (ep, eval_round, pattern, run_episode(eval_env, agent, eval_index)))
+    save_checkpoint(agent.params, state, Path(out) / "checkpoint.kisc")
     return state

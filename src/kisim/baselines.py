@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from .config import ExperimentConfig
 from .env import SimStack
-from .simcore import PodPhase, Pool, RoutePref
+from .simcore import Pool, RoutePref
 
 POLICY_NAMES = ("fixed_gpu", "fixed_cpu", "hpa")
 
@@ -76,8 +76,7 @@ def run_baseline(policy: str, pattern: str, config: ExperimentConfig,
         k += 1
         done = stack.advance(k, interval)
         if controller is not None and not done:
-            current = len([p for p in stack.cluster.cpu_pods
-                           if p.phase is not PodPhase.TERMINATING])
+            current = stack.cluster.desired_cpu
             util = cpu_pool_utilization(stack)
             desired = controller.decide(stack.engine.now, max(1, current), util)
             if desired != current:

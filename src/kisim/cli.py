@@ -106,59 +106,29 @@ def cmd_train(args) -> int:
     out = _prepare_out(cfg)
     agent = PpoAgent(NetDims(hidden1=cfg.hidden1, hidden2=cfg.hidden2), cfg, seed=cfg.seed)
 
-    train_rows: list[dict] = []
-    eval_rows: list[dict] = []
-    pattern_returns: dict[str, list[float]] = defaultdict(list)
-    pattern_rows: list[dict] = []
+    with (out / "trace.jsonl").open("w") as trace:
+        state = train(ScalingEnv(cfg, trace_sink=trace), agent, out)
 
-    def on_episode(ep, pattern, ret, moving_avg, losses):
-        train_rows.append({
-            "episode": ep,
-            "pattern": pattern,
-            "return": ret,
-            "moving_avg": moving_avg,
-            "policy_loss": losses.policy_loss if losses else "",
-            "value_loss": losses.value_loss if losses else "",
-            "entropy": losses.entropy if losses else "",
-        })
+    rows: list[dict] = []     # one per episode, for training_log and pattern_rewards
+    pattern_returns: dict[str, list[float]] = defaultdict(list)
+    for ep, (ret, (pattern, moving_avg, losses)) in enumerate(zip(state.returns, state.log)):
         pattern_returns[pattern].append(ret)
         window = pattern_returns[pattern][-MOVING_AVG_WINDOW:]
-        pattern_rows.append({
-            "episode": ep,
-            "pattern": pattern,
-            "return": ret,
+        rows.append({
+            "episode": ep, "pattern": pattern, "return": ret, "moving_avg": moving_avg,
             "pattern_moving_avg": sum(window) / len(window),
-        })
-
-    def on_eval(ep, eval_round, pattern, ret):
-        eval_rows.append({
-            "train_episode": ep,
-            "eval_round": eval_round,
-            "pattern": pattern,
-            "return": ret,
-        })
-
-    with (out / "trace.jsonl").open("w") as trace:
-        env = ScalingEnv(cfg, trace_sink=trace)
-        eval_env = ScalingEnv(cfg)
-        state = train(
-            env, agent,
-            episodes=cfg.episodes,
-            eval_every=cfg.eval_every,
-            eval_env=eval_env,
-            checkpoint_path=out / "checkpoint.kisc",
-            best_checkpoint_path=out / "checkpoint_best.kisc",
-            on_episode=on_episode,
-            on_eval=on_eval,
-        )
+            "policy_loss": losses.policy_loss if losses else "",
+            "value_loss": losses.value_loss if losses else "",
+            "entropy": losses.entropy if losses else ""})
+    eval_fields = ("train_episode", "eval_round", "pattern", "return")
 
     _write_csv(out / "training_log.csv",
                ("episode", "pattern", "return", "moving_avg",
-                "policy_loss", "value_loss", "entropy"), train_rows)
-    _write_csv(out / "eval_log.csv",
-               ("train_episode", "eval_round", "pattern", "return"), eval_rows)
+                "policy_loss", "value_loss", "entropy"), rows)
+    _write_csv(out / "eval_log.csv", eval_fields,
+               [dict(zip(eval_fields, row)) for row in state.evals])
     _write_csv(out / "pattern_rewards.csv",
-               ("episode", "pattern", "return", "pattern_moving_avg"), pattern_rows)
+               ("episode", "pattern", "return", "pattern_moving_avg"), rows)
     print(f"trained {cfg.episodes} episodes; "
           f"moving average reward {state.moving_avg:.3f} "
           f"(best {state.best_moving_avg:.3f})")

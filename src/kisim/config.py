@@ -126,6 +126,12 @@ class ExperimentConfig:
             raise ConfigError("hpa_tolerance must be >= 0")
         if self.episode_s <= 0 or self.control_interval_s <= 0:
             raise ConfigError("episode_s and control_interval_s must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, str) and ("#" in value or value != value.strip()
+                                           or len(value.splitlines()) > 1):
+                raise ConfigError(f"{f.name} = {value!r} cannot be written to a config "
+                                  "file: it holds '#', a line break or outer whitespace")
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         return dataclasses.replace(self, **kwargs)

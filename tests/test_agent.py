@@ -1,0 +1,108 @@
+import numpy as np
+import pytest
+
+from kisim.agent import (CHECKPOINT_STATE, MOVING_AVG_WINDOW, CheckpointError, PpoAgent,
+                         TrainState, detect_convergence, gae, load_checkpoint,
+                         save_checkpoint)
+from kisim.nn import NetDims
+
+N_RETURNS = 100
+
+
+def test_gae_matches_a_hand_worked_case_with_a_mid_buffer_done():
+    # gamma 0.9, lambda 0.8; step 1 ends an episode, the value after step 2 is 0.
+    # t=2: delta = 3 - 1.5 = 1.5                     A = 1.5
+    # t=1: delta = 2 - 1.0 = 1.0 (terminal)          A = 1.0
+    # t=0: delta = 1 + 0.9*1.0 - 0.5 = 1.4           A = 1.4 + 0.72*1.0 = 2.12
+    adv, ret = gae([1.0, 2.0, 3.0], [0.5, 1.0, 1.5], [False, True, False], 0.9, 0.8)
+    assert adv.tolist() == pytest.approx([2.12, 1.0, 1.5])
+    assert ret.tolist() == pytest.approx([2.62, 2.0, 3.0])
+
+
+def test_flat_returns_converge_after_two_windows():
+    converged = [n for n in range(1, 61) if detect_convergence(TrainState(returns=[1.0] * n))]
+    assert converged[0] == 40
+
+
+@pytest.mark.parametrize("returns", [
+    list(np.linspace(1.0, 2.0, 60)),     # still improving
+    [0.5, 1.5] * 30,                      # flat on average but noisy
+])
+def test_rising_or_noisy_returns_do_not_converge(returns):
+    assert not any(detect_convergence(TrainState(returns=returns[:n]))
+                   for n in range(1, len(returns) + 1))
+
+
+def test_train_state_derives_its_index_and_moving_average_from_its_returns():
+    state = TrainState()
+    assert (state.episode_index, state.moving_avg) == (0, 0.0)
+    state.returns.extend(float(r) for r in range(15))
+    assert state.episode_index == 15
+    assert state.moving_avg == sum(range(15 - MOVING_AVG_WINDOW, 15)) / MOVING_AVG_WINDOW
+    with pytest.raises(AttributeError):
+        state.moving_avg = 1.0
+
+
+@pytest.fixture
+def saved(tmp_path):
+    """A checkpoint of 100 returns: (path, bytes, offset of the state struct)."""
+    params = PpoAgent(NetDims(hidden1=8, hidden2=6), seed=3).params
+    rng = np.random.default_rng(7)
+    state = TrainState(returns=rng.normal(1.0, 0.3, N_RETURNS).tolist(),
+                       best_moving_avg=1.25, converged_at=61)
+    path = tmp_path / "run.kisc"
+    save_checkpoint(params, state, path)
+    raw = path.read_bytes()
+    return path, raw, len(raw) - 8 * N_RETURNS - CHECKPOINT_STATE.size, params, state
+
+
+def test_saved_state_round_trips(saved):
+    path, _, _, params, state = saved
+    loaded_params, loaded = load_checkpoint(path)
+    assert loaded == state
+    assert (loaded.episode_index, loaded.moving_avg) == (N_RETURNS, state.moving_avg)
+    for name, tensor in params.tensors.items():
+        assert np.array_equal(loaded_params.tensors[name], tensor.astype(np.float32))
+
+
+def test_fresh_state_round_trips(tmp_path):
+    path = tmp_path / "fresh.kisc"
+    save_checkpoint(PpoAgent(NetDims(hidden1=8, hidden2=6)).params, TrainState(), path)
+    _, loaded = load_checkpoint(path)
+    assert loaded == TrainState()
+
+
+def _cut_lengths(raw, state_off):
+    returns_off = state_off + CHECKPOINT_STATE.size
+    yield len(raw) - 80                              # ten returns short
+    yield len(raw) - 3
+    yield state_off + 10                             # inside the state struct
+    yield state_off
+    yield from range(returns_off, len(raw), 8)       # every return boundary
+
+
+def test_every_truncation_is_a_checkpoint_error(saved):
+    path, raw, state_off, _, _ = saved
+    for length in _cut_lengths(raw, state_off):
+        path.write_bytes(raw[:length])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("extra", [b"\0", b"\0" * 8, b"trailing garbage"])
+def test_appended_bytes_are_a_checkpoint_error(saved, extra):
+    path, raw, _, _, _ = saved
+    path.write_bytes(raw + extra)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_stored_index_or_average_that_the_returns_contradict_is_an_error(saved):
+    path, raw, state_off, _, _ = saved
+    episode_index, n, moving_avg, best, converged = CHECKPOINT_STATE.unpack_from(raw, state_off)
+    for fields in [(episode_index - 1, n, moving_avg, best, converged),
+                   (episode_index, n, moving_avg + 1e-9, best, converged)]:
+        path.write_bytes(raw[:state_off] + CHECKPOINT_STATE.pack(*fields)
+                         + raw[state_off + CHECKPOINT_STATE.size:])
+        with pytest.raises(CheckpointError, match="contradict"):
+            load_checkpoint(path)

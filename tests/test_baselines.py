@@ -9,6 +9,7 @@ from kisim.cli import run_policy_episode
 from kisim.config import ConfigError, ExperimentConfig
 from kisim.env import SimStack
 from kisim.nn import NetDims
+from kisim.simcore import PodPhase, Pool
 from kisim.traffic import PATTERN_NAMES
 
 
@@ -39,7 +40,8 @@ def test_negative_hpa_tolerance_is_a_config_error():
 
 @pytest.fixture
 def checked_steps(monkeypatch):
-    """Check conservation and the GPU budget at every time-series row, i.e.
+    """Check conservation, the GPU budget and that each pool's desired count
+    is its number of non-terminating pods at every time-series row, i.e.
     after every control step; returns the list of checked instants."""
     seen = []
     original = SimStack.row
@@ -49,6 +51,9 @@ def checked_steps(monkeypatch):
         assert cluster.requests_injected == \
             cluster.requests_completed + cluster.outstanding()
         assert cluster.active_gpu_count() <= cluster.gpu_device_budget
+        for pool, desired in ((Pool.CPU, cluster.desired_cpu), (Pool.GPU, cluster.desired_gpu)):
+            assert desired == sum(p.phase is not PodPhase.TERMINATING
+                                  for p in cluster.pods(pool))
         seen.append(stack.engine.now)
         return original(stack)
 

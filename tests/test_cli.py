@@ -1,8 +1,11 @@
+import csv
 import itertools
 import json
+import math
 
 import kisim.cli
-from kisim.agent import PpoAgent, TrainState, save_checkpoint
+from kisim.agent import (MOVING_AVG_WINDOW, PpoAgent, TrainState, load_checkpoint,
+                         save_checkpoint)
 from kisim.baselines import POLICY_NAMES
 from kisim.cli import main
 from kisim.nn import NetDims
@@ -65,3 +68,37 @@ def test_baselines_ahead_flag_counts_hpa(tmp_path, monkeypatch):
                      **{("ramp", p): "" for p in POLICY_NAMES},
                      ("spike", "kiscaler"): "",
                      **{("spike", p): "" for p in POLICY_NAMES}}
+
+
+def _read_csv(path):
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_training_outputs_agree(tmp_path):
+    out = tmp_path / "train"
+    assert main(["train", "--episodes", "4", "--set", "episode_s=30",
+                 "--set", "eval_every=2", "--out", str(out)]) == 0
+    _, state = load_checkpoint(out / "checkpoint.kisc")
+    log = _read_csv(out / "training_log.csv")
+    returns = [float(row["return"]) for row in log]
+    assert returns == state.returns and state.episode_index == 4
+    assert [row["pattern"] for row in log] == \
+        [PATTERN_NAMES[ep % len(PATTERN_NAMES)] for ep in range(4)]
+    for ep, row in enumerate(log):
+        window = returns[max(0, ep + 1 - MOVING_AVG_WINDOW):ep + 1]
+        assert float(row["moving_avg"]) == sum(window) / len(window)
+        assert row["policy_loss"] != ""           # one update per episode
+    # every pattern appears once, so each pattern's moving average is its return
+    assert [float(row["pattern_moving_avg"]) for row in
+            _read_csv(out / "pattern_rewards.csv")] == returns
+
+    evals = _read_csv(out / "eval_log.csv")
+    assert [(int(r["train_episode"]), int(r["eval_round"]), r["pattern"]) for r in evals] == \
+        [(1, 1, p) for p in PATTERN_NAMES] + [(3, 2, p) for p in PATTERN_NAMES]
+    assert all(math.isfinite(float(r["return"])) for r in evals)
+
+    _, best = load_checkpoint(out / "checkpoint_best.kisc")
+    assert 1 <= best.episode_index <= 4
+    assert best.returns == state.returns[:best.episode_index]
+    assert best.best_moving_avg == best.moving_avg == state.best_moving_avg

@@ -1,0 +1,51 @@
+from dataclasses import fields
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from kisim.cli import main
+from kisim.config import ConfigError, ExperimentConfig, parse_config_text
+
+# plain path characters plus everything the flat format treats specially:
+# '#', '=', spaces, and the line breaks str.splitlines knows
+ALPHABET = "az09/._-é#= \t\n\r\x0b\x0c\x1c\x85\u2028"
+VALUES = {"int": st.integers(),
+          "float": st.floats(allow_nan=False, allow_infinity=False),
+          "str": st.text(alphabet=ALPHABET)}
+
+NAMES = {ftype: [f.name for f in fields(ExperimentConfig) if f.type == ftype]
+         for ftype in VALUES}
+
+
+@st.composite
+def one_field_changed(draw):
+    # a type first, so the one string field gets a third of the examples
+    ftype = draw(st.sampled_from(sorted(VALUES)))
+    return draw(st.sampled_from(NAMES[ftype])), draw(VALUES[ftype])
+
+
+def test_every_field_has_a_value_strategy():
+    assert sum(map(len, NAMES.values())) == len(fields(ExperimentConfig))
+
+
+@given(one_field_changed())
+def test_config_text_round_trips(change):
+    name, value = change
+    try:
+        cfg = ExperimentConfig(**{name: value})
+    except ConfigError:
+        return                       # refused values never reach a config file
+    assert parse_config_text(cfg.to_text()) == cfg
+
+
+@pytest.mark.parametrize("out_dir", ["a#b", " a", "a ", "a\nb", "a\rb"])
+def test_out_dir_that_a_config_file_cannot_hold_is_a_config_error(out_dir):
+    with pytest.raises(ConfigError, match="out_dir"):
+        ExperimentConfig(out_dir=out_dir)
+
+
+def test_train_refuses_an_out_dir_its_config_file_would_misrecord(tmp_path, capsys):
+    assert main(["train", "--episodes", "1", "--out", str(tmp_path / "a#1")]) == 1
+    assert "out_dir" in capsys.readouterr().err
+    assert not (tmp_path / "a#1").exists()
