@@ -107,12 +107,15 @@ def gae(rewards, values, dones, gamma: float, lam: float) -> tuple[np.ndarray, n
 class PpoAgent:
     """Actor-critic policy with multi-discrete heads."""
 
-    def __init__(self, dims: NetDims = NetDims(),
+    def __init__(self, net: NetDims | ActorCriticParams = NetDims(),
                  cfg: ExperimentConfig = ExperimentConfig(), seed: int = 0) -> None:
-        self.dims = dims
+        """`net` is the shape of freshly initialized weights, or trained weights."""
+        if isinstance(net, ActorCriticParams):
+            self.params = net
+        else:
+            init_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+            self.params = ActorCriticParams.initialize(net, init_rng)
         self.cfg = cfg
-        init_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-        self.params = ActorCriticParams.initialize(dims, init_rng)
         self.optimizer = Adam(self.params, lr=cfg.ppo_lr)
         self._sample_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
         self._shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))

@@ -83,4 +83,4 @@ def run_baseline(policy: str, pattern: str, config: ExperimentConfig,
                 stack.cluster.set_desired_replicas(Pool.CPU, desired)
         if timeseries is not None:
             timeseries.append(stack.row())
-    return stack.report(policy, traffic_seed)
+    return stack.report(policy)

@@ -191,7 +191,7 @@ def run_policy_episode(agent: PpoAgent, pattern: str, cfg: ExperimentConfig,
         obs, _, done = env.step(agent.greedy_action(obs.as_vector()))
         if timeseries is not None:
             timeseries.append(env.stack.row())
-    return env.stack.report("kiscaler", traffic_seed)
+    return env.stack.report("kiscaler")
 
 
 def cmd_evaluate(args) -> int:
@@ -199,9 +199,7 @@ def cmd_evaluate(args) -> int:
     out = _prepare_out(cfg)
     patterns = _select_patterns(args)
 
-    params, _ = load_checkpoint(args.checkpoint)
-    agent = PpoAgent(params.dims, cfg, seed=cfg.seed)
-    agent.params = params
+    agent = PpoAgent(load_checkpoint(args.checkpoint)[0], cfg, seed=cfg.seed)
 
     rows = []
     for pattern in patterns:

@@ -122,10 +122,15 @@ class ExperimentConfig:
             raise ConfigError("users_min must satisfy 0 <= users_min <= users_max")
         if self.hpa_min_replicas > self.hpa_max_replicas:
             raise ConfigError("hpa_min_replicas exceeds hpa_max_replicas")
-        if self.hpa_tolerance < 0:
-            raise ConfigError("hpa_tolerance must be >= 0")
-        if self.episode_s <= 0 or self.control_interval_s <= 0:
-            raise ConfigError("episode_s and control_interval_s must be positive")
+        # a zero period reschedules its event at the same instant forever or divides by zero
+        for key in ("episode_s", "control_interval_s", "monitor_interval_s", "window_s",
+                    "hpa_sync_period_s", "periodic_period_s", "random_redraw_s"):
+            if not getattr(self, key) > 0:     # NaN fails too
+                raise ConfigError(f"{key} must be positive")
+        for key, least in (("ppo_minibatch", 1), ("ppo_update_every_episodes", 1),
+                           ("eval_every", 0), ("hpa_tolerance", 0)):
+            if not getattr(self, key) >= least:
+                raise ConfigError(f"{key} must be >= {least}")
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, str) and ("#" in value or value != value.strip()

@@ -15,9 +15,9 @@ from typing import IO, Optional
 import numpy as np
 
 from .config import ExperimentConfig
-from .metrics import MetricsWindow, RunStats, UtilizationModel
+from .metrics import MetricsWindow, UtilizationModel
 from .simcore import ClusterModel, Engine, Pool, PoolLimits, RoutePref, ServiceModel
-from .traffic import PATTERN_NAMES, LoadGenerator, PatternSpec, user_count
+from .traffic import PATTERN_NAMES, LoadGenerator
 
 DELTAS = (-2, -1, 0, 1, 2)
 
@@ -114,24 +114,11 @@ class SimStack:
 
         self.util_model = UtilizationModel(config)
         self.window = MetricsWindow(window_len_s=config.window_s)
-        self.stats = RunStats()
+        self.util_samples: list[tuple[float, float, float]] = []   # (cpu, mem, gpu)
         self.cluster.completion_listeners.append(
             lambda req: self.window.record_completion(req.completed_at, req.latency))
-        self.cluster.completion_listeners.append(self.stats.record_completion)
-
-        self.spec = PatternSpec(
-            kind=pattern,
-            duration_s=config.episode_s,
-            u_min=config.users_min,
-            u_max=config.users_max,
-            hold_s=config.hold_s,
-            period_s=config.periodic_period_s,
-            spike_at_s=config.spike_at_s,
-            spike_len_s=config.spike_len_s,
-            redraw_s=config.random_redraw_s,
-            seed=traffic_seed,
-        )
-        self.generator = LoadGenerator(self.spec, self.engine, self.cluster)
+        self.generator = LoadGenerator(config, pattern, traffic_seed,
+                                       self.engine, self.cluster)
         self.generator.start()
         self.engine.schedule_periodic(0.0, config.monitor_interval_s, self._sample_util,
                                       until=config.episode_s)
@@ -145,10 +132,10 @@ class SimStack:
     def _sample_util(self, now: float) -> None:
         cpu, mem = self.util_model.cpu_mem_utilization(self.cluster)
         gpu = self.util_model.gpu_utilization(self.cluster)
-        self.stats.record_util(cpu, mem, gpu)
+        self.util_samples.append((cpu, mem, gpu))
 
     def current_users(self) -> int:
-        return user_count(self.spec, min(self.engine.now, self.spec.duration_s))
+        return self.generator.target(min(self.engine.now, self.config.episode_s))
 
     def ready_replicas(self) -> tuple[int, int]:
         return (self.cluster.ready_count(Pool.GPU), self.cluster.ready_count(Pool.CPU))
@@ -170,21 +157,22 @@ class SimStack:
             "cpu_replicas": cpu_ready,
         }
 
-    def report(self, policy: str, traffic_seed: int) -> dict:
+    def report(self, policy: str) -> dict:
         """Whole-run metrics of one (policy, pattern) run."""
-        cpu_util, mem_util, gpu_util = self.stats.mean_utils()
+        cpu_util, mem_util, gpu_util = ([sum(col) / len(col) for col in zip(*self.util_samples)]
+                                        or (0.0, 0.0, 0.0))
         return {
-            "pattern": self.spec.kind,
+            "pattern": self.generator.kind,
             "policy": policy,
-            "p95_ms": self.stats.p95_s() * 1000.0,
-            "mean_ms": self.stats.mean_s() * 1000.0,
-            "throughput_rps": self.stats.throughput_rps(self.config.episode_s),
+            "p95_ms": self.window.run_p95() * 1000.0,
+            "mean_ms": self.window.run_mean() * 1000.0,
+            "throughput_rps": self.cluster.requests_completed / self.config.episode_s,
             "gpu_util_mean": gpu_util,
             "cpu_util_mean": cpu_util,
             "mem_util_mean": mem_util,
             "requests_injected": self.cluster.requests_injected,
             "requests_completed": self.cluster.requests_completed,
-            "traffic_seed": traffic_seed,
+            "traffic_seed": self.generator.seed,
         }
 
 

@@ -1,19 +1,19 @@
 """Windowed metrics and synthesized utilization (the Prometheus stand-in).
 
-Latency/throughput statistics come from a sliding window that holds
-completed requests only; CPU/memory/GPU utilization is synthesized from
-per-pod constants because no real node exists, and its whole-run means are
-kept by RunStats. Snapshots export in the Prometheus text
-exposition format 0.0.4.
+Latency/throughput statistics come from the log of a run's completed
+requests: the sliding window is its suffix of the last `window_len_s`
+seconds, and the whole log gives the run's p95 and mean. CPU/memory/GPU
+utilization is synthesized from per-pod constants because no real node
+exists. Snapshots export in the Prometheus text exposition format 0.0.4.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from bisect import bisect_right
 
 from .config import ExperimentConfig
-from .simcore import ClusterModel, Pod, Pool, Request
+from .simcore import ClusterModel, Pod, Pool
 
 
 def nearest_rank_p95(values) -> float:
@@ -26,30 +26,39 @@ def nearest_rank_p95(values) -> float:
 
 
 class MetricsWindow:
-    """Sliding window over request completions only (no utilization)."""
+    """Every request completion of a run, in completion order (no utilization).
+
+    Completions and queries come at nondecreasing engine time, so the window
+    at `now` is the suffix of the log completed after `now - window_len_s`."""
 
     def __init__(self, window_len_s: float = 30.0) -> None:
         self.window_len_s = window_len_s
-        self._latencies: deque[tuple[float, float]] = deque()   # (ts, latency)
+        self._times: list[float] = []
+        self._latencies: list[float] = []
 
     def record_completion(self, ts: float, latency: float) -> None:
-        self._latencies.append((ts, latency))
+        self._times.append(ts)
+        self._latencies.append(latency)
 
-    def _prune(self, now: float) -> None:
-        cutoff = now - self.window_len_s
-        while self._latencies and self._latencies[0][0] <= cutoff:
-            self._latencies.popleft()
+    def _start(self, now: float) -> int:
+        return bisect_right(self._times, now - self.window_len_s)
 
     def latencies(self, now: float) -> list[float]:
-        self._prune(now)
-        return [lat for _, lat in self._latencies]
+        return self._latencies[self._start(now):]
 
     def p95(self, now: float) -> float:
         return nearest_rank_p95(self.latencies(now))
 
     def throughput(self, now: float) -> float:
-        self._prune(now)
-        return len(self._latencies) / self.window_len_s
+        return (len(self._times) - self._start(now)) / self.window_len_s
+
+    def run_p95(self) -> float:
+        return nearest_rank_p95(self._latencies)
+
+    def run_mean(self) -> float:
+        if not self._latencies:
+            return 0.0
+        return sum(self._latencies) / len(self._latencies)
 
 
 class UtilizationModel:
@@ -87,39 +96,6 @@ class UtilizationModel:
         mean_busy = sum(self._busy_fraction(p) for p in ready) / len(ready)
         scale = len(ready) / cluster.gpu_device_budget
         return min(1.0, mean_busy * scale)
-
-
-class RunStats:
-    """Whole-run accumulation for report tables (not windowed)."""
-
-    def __init__(self) -> None:
-        self.latencies: list[float] = []
-        self.util_samples: list[tuple[float, float, float]] = []
-
-    def record_completion(self, req: Request) -> None:
-        self.latencies.append(req.latency)
-
-    def record_util(self, cpu: float, mem: float, gpu: float) -> None:
-        self.util_samples.append((cpu, mem, gpu))
-
-    def p95_s(self) -> float:
-        return nearest_rank_p95(self.latencies)
-
-    def mean_s(self) -> float:
-        if not self.latencies:
-            return 0.0
-        return sum(self.latencies) / len(self.latencies)
-
-    def throughput_rps(self, duration_s: float) -> float:
-        return len(self.latencies) / duration_s
-
-    def mean_utils(self) -> tuple[float, float, float]:
-        if not self.util_samples:
-            return (0.0, 0.0, 0.0)
-        n = len(self.util_samples)
-        return (sum(u[0] for u in self.util_samples) / n,
-                sum(u[1] for u in self.util_samples) / n,
-                sum(u[2] for u in self.util_samples) / n)
 
 
 def _fmt(value: float) -> str:

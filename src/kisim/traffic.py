@@ -1,85 +1,45 @@
 """Closed-loop virtual-user load generation: ramp, periodic, random, spike.
 
 Each virtual user issues one request, waits for its completion, sleeps the
-think time, then repeats (Locust-style). The target number of concurrent
-users follows a deterministic curve per pattern; surplus users retire once
-their in-flight request completes. The episode ends at duration_s, a time
-rather than an event: from then on no user is spawned, woken or sent back to
-think, so the generator issues no further request.
+think time `hold_s`, then repeats (Locust-style). The target number of
+concurrent users follows a deterministic curve per pattern, shaped by the
+config's `users_*`, `periodic_period_s`, `spike_*` and `random_redraw_s`;
+surplus users retire once their in-flight request completes. The episode ends
+at `episode_s`, a time rather than an event: from then on no user is spawned,
+woken or sent back to think, so the generator issues no further request.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .simcore import ClusterModel, Engine, Request
 
 PATTERN_NAMES = ("ramp", "periodic", "random", "spike")
 SYNC_INTERVAL_S = 1.0   # how often the user count is brought to the curve
 
 
-@dataclass(frozen=True)
-class PatternSpec:
-    kind: str
-    duration_s: float
-    u_min: int = 5
-    u_max: int = 50
-    hold_s: float = 0.5
-    period_s: float = 120.0
-    spike_at_s: float = 100.0
-    spike_len_s: float = 30.0
-    redraw_s: float = 15.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in PATTERN_NAMES:
-            raise ValueError(f"unknown pattern kind: {self.kind!r}")
-        if not 0 <= self.u_min <= self.u_max:
-            raise ValueError("need 0 <= u_min <= u_max")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-
-
-@lru_cache(maxsize=256)
-def _random_levels(spec: PatternSpec) -> tuple[int, ...]:
-    """Seeded piecewise-constant levels for the random pattern."""
-    n = int(math.ceil(spec.duration_s / spec.redraw_s))
-    rng = np.random.default_rng(spec.seed)
-    return tuple(int(v) for v in
-                 rng.integers(spec.u_min, spec.u_max, size=n, endpoint=True))
-
-
-def user_count(spec: PatternSpec, t: float) -> int:
-    """Target concurrent users at time t per the pattern curve."""
-    if not 0 <= t <= spec.duration_s:
-        raise ValueError(f"t={t} outside episode [0, {spec.duration_s}]")
-    span = spec.u_max - spec.u_min
-    if spec.kind == "ramp":
-        return spec.u_min + int(math.floor(span * (t / spec.duration_s)))
-    if spec.kind == "periodic":
-        phase = math.fmod(t, spec.period_s) / spec.period_s
-        level = (1.0 + math.sin(2.0 * math.pi * phase - math.pi / 2.0)) / 2.0
-        return spec.u_min + int(math.floor(span * level))
-    if spec.kind == "spike":
-        if spec.spike_at_s <= t < spec.spike_at_s + spec.spike_len_s:
-            return spec.u_max
-        return spec.u_min
-    levels = _random_levels(spec)
-    idx = min(int(t // spec.redraw_s), len(levels) - 1)
-    return levels[idx]
-
-
 class LoadGenerator:
-    """Maintains user_count(t) closed-loop users against a cluster."""
+    """Maintains target(t) closed-loop users of one pattern against a cluster."""
 
-    def __init__(self, spec: PatternSpec, engine: Engine, cluster: ClusterModel) -> None:
-        self.spec = spec
+    def __init__(self, cfg: ExperimentConfig, kind: str, seed: int,
+                 engine: Engine, cluster: ClusterModel) -> None:
+        if kind not in PATTERN_NAMES:
+            raise ValueError(f"unknown pattern kind: {kind!r}")
+        self.cfg = cfg
+        self.kind = kind
+        self.seed = seed
         self.engine = engine
         self.cluster = cluster
+        if kind == "random":
+            # seeded piecewise-constant levels, one per redraw period
+            n = int(math.ceil(cfg.episode_s / cfg.random_redraw_s))
+            rng = np.random.default_rng(seed)
+            self._levels = [int(v) for v in rng.integers(cfg.users_min, cfg.users_max,
+                                                         size=n, endpoint=True)]
 
         self._next_user_id = 0
         self._next_request_id = 0
@@ -88,11 +48,29 @@ class LoadGenerator:
         self._owner: dict[int, int] = {}    # request id -> uid
         cluster.completion_listeners.append(self._on_complete)
 
+    def target(self, t: float) -> int:
+        """Target concurrent users at time t per the pattern curve."""
+        cfg = self.cfg
+        if not 0 <= t <= cfg.episode_s:
+            raise ValueError(f"t={t} outside episode [0, {cfg.episode_s}]")
+        span = cfg.users_max - cfg.users_min
+        if self.kind == "ramp":
+            return cfg.users_min + int(math.floor(span * (t / cfg.episode_s)))
+        if self.kind == "periodic":
+            phase = math.fmod(t, cfg.periodic_period_s) / cfg.periodic_period_s
+            level = (1.0 + math.sin(2.0 * math.pi * phase - math.pi / 2.0)) / 2.0
+            return cfg.users_min + int(math.floor(span * level))
+        if self.kind == "spike":
+            if cfg.spike_at_s <= t < cfg.spike_at_s + cfg.spike_len_s:
+                return cfg.users_max
+            return cfg.users_min
+        return self._levels[min(int(t // cfg.random_redraw_s), len(self._levels) - 1)]
+
     # ---- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
         self.engine.schedule_periodic(0.0, SYNC_INTERVAL_S, self._sync,
-                                      until=self.spec.duration_s)
+                                      until=self.cfg.episode_s)
 
     def active_users(self) -> int:
         return len(self._active)
@@ -100,9 +78,9 @@ class LoadGenerator:
     # ---- internals ---------------------------------------------------------
 
     def _sync(self, now: float) -> None:
-        if now >= self.spec.duration_s:
+        if now >= self.cfg.episode_s:
             return
-        target = user_count(self.spec, now)
+        target = self.target(now)
         while len(self._active) < target:
             self._spawn_user()
         if len(self._active) > target:
@@ -134,14 +112,14 @@ class LoadGenerator:
             return
         if uid not in self._active:
             return
-        if self.engine.now >= self.spec.duration_s:
+        if self.engine.now >= self.cfg.episode_s:
             del self._active[uid]
             return
         self._active[uid] = "holding"
-        self.engine.schedule(self.engine.now + self.spec.hold_s, self._wake, uid)
+        self.engine.schedule(self.engine.now + self.cfg.hold_s, self._wake, uid)
 
     def _wake(self, uid: int) -> None:
-        if self.engine.now >= self.spec.duration_s or self._active.get(uid) != "holding":
+        if self.engine.now >= self.cfg.episode_s or self._active.get(uid) != "holding":
             return
         self._active[uid] = "inflight"
         self._issue(uid)

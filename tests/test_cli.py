@@ -8,7 +8,7 @@ from kisim.agent import (MOVING_AVG_WINDOW, PpoAgent, TrainState, load_checkpoin
                          save_checkpoint)
 from kisim.baselines import POLICY_NAMES
 from kisim.cli import main
-from kisim.nn import NetDims
+from kisim.nn import ActorCriticParams, NetDims
 from kisim.traffic import PATTERN_NAMES
 
 POLICIES = ("kiscaler",) + POLICY_NAMES
@@ -102,3 +102,22 @@ def test_training_outputs_agree(tmp_path):
     assert 1 <= best.episode_index <= 4
     assert best.returns == state.returns[:best.episode_index]
     assert best.best_moving_avg == best.moving_avg == state.best_moving_avg
+
+
+def test_evaluate_acts_with_the_checkpoint_weights_without_initializing_any(
+        tmp_path, monkeypatch):
+    checkpoint = tmp_path / "fresh.kisc"
+    params = PpoAgent(NetDims(hidden1=8, hidden2=8), seed=5).params
+    save_checkpoint(params, TrainState(), checkpoint)
+    acted_with = []
+
+    def run_policy_episode(agent, pattern, cfg, seed, timeseries=None):
+        acted_with.append(agent.params)
+        return _report(pattern, "kiscaler", 1.0)
+
+    monkeypatch.setattr(ActorCriticParams, "initialize", None)   # any call raises
+    monkeypatch.setattr(kisim.cli, "run_policy_episode", run_policy_episode)
+    assert main(["evaluate", str(checkpoint), "--patterns", "ramp", "--set", "episode_s=15",
+                 "--out", str(tmp_path / "eval")]) == 0
+    [loaded] = acted_with
+    assert all((loaded.tensors[k] == v).all() for k, v in params.tensors.items())

@@ -49,3 +49,21 @@ def test_train_refuses_an_out_dir_its_config_file_would_misrecord(tmp_path, caps
     assert main(["train", "--episodes", "1", "--out", str(tmp_path / "a#1")]) == 1
     assert "out_dir" in capsys.readouterr().err
     assert not (tmp_path / "a#1").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("monitor_interval_s", 0.0), ("hpa_sync_period_s", 0.0), ("window_s", 0.0),
+    ("random_redraw_s", 0.0), ("periodic_period_s", 0.0), ("monitor_interval_s", -1.0),
+    ("window_s", float("nan")),
+    ("ppo_minibatch", 0), ("ppo_update_every_episodes", 0), ("eval_every", -1)])
+def test_values_that_hang_or_crash_a_run_are_config_errors(key, value):
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig(**{key: value})
+
+
+def test_baseline_refuses_a_zero_monitor_interval(tmp_path, capsys):
+    out = tmp_path / "base"
+    assert main(["baseline", "--set", "episode_s=30", "--set", "monitor_interval_s=0",
+                 "--out", str(out)]) == 1
+    assert "monitor_interval_s" in capsys.readouterr().err
+    assert not out.exists()

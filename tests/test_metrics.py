@@ -55,6 +55,33 @@ def test_samples_age_out_of_the_window():
     assert window.throughput(40.5) == pytest.approx(1 / 30.0)
 
 
+# events of a run: ("done", gap, latency) records a completion and ("query", gap)
+# queries the window, each `gap` seconds after the previous event
+GAPS = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(min_value=0.0, max_value=40.0)
+EVENTS = st.lists(st.tuples(st.just("done"), GAPS, st.floats(min_value=0.0, max_value=5.0))
+                  | st.tuples(st.just("query"), GAPS), max_size=200)
+
+
+@given(EVENTS, st.sampled_from([0.5, 3.0, 30.0]))
+def test_window_and_run_queries_match_brute_force_filters(events, window_len):
+    window = MetricsWindow(window_len)
+    log = []
+    now = 0.0
+    for kind, gap, *latency in events:
+        now += gap
+        if kind == "done":
+            window.record_completion(now, latency[0])
+            log.append((now, latency[0]))
+            continue
+        inside = [lat for ts, lat in log if ts > now - window_len]
+        assert window.latencies(now) == inside
+        assert window.p95(now) == brute_force_p95(inside)
+        assert window.throughput(now) == len(inside) / window_len
+    every = [lat for _, lat in log]
+    assert window.run_p95() == brute_force_p95(every)
+    assert window.run_mean() == (sum(every) / len(every) if every else 0.0)
+
+
 # ---- throughput --------------------------------------------------------------
 
 def test_throughput_is_completions_over_window():

@@ -2,122 +2,127 @@
 
 import pytest
 
+from kisim.config import ExperimentConfig
 from kisim.simcore import ClusterModel, Engine, Pool, PoolLimits, RoutePref, ServiceModel
-from kisim.traffic import PATTERN_NAMES, LoadGenerator, PatternSpec, user_count
+from kisim.traffic import PATTERN_NAMES, LoadGenerator
 
 
-def spec(kind, **kw):
-    defaults = dict(duration_s=300.0, u_min=5, u_max=50, hold_s=0.5, seed=9)
+def config(**kw):
+    defaults = dict(episode_s=300.0, users_min=5, users_max=50, hold_s=0.5)
     defaults.update(kw)
-    return PatternSpec(kind=kind, **defaults)
+    return ExperimentConfig(**defaults)
+
+
+def make_cluster():
+    engine = Engine()
+    return engine, ClusterModel(engine, ServiceModel(), limits=PoolLimits(0, 8, 0, 8),
+                                routing_pref=RoutePref.GPU_FIRST)
+
+
+def curve(kind, seed=9, **kw):
+    """The target(t) curve of a generator that is never started."""
+    return LoadGenerator(config(**kw), kind, seed, *make_cluster()).target
 
 
 # ---- curves -----------------------------------------------------------------
 
 def test_ramp_endpoints():
-    s = spec("ramp")
-    assert user_count(s, 0.0) == 5
-    assert user_count(s, 300.0) == 50
+    target = curve("ramp")
+    assert target(0.0) == 5
+    assert target(300.0) == 50
 
 
 def test_ramp_is_monotone_nondecreasing():
-    s = spec("ramp")
-    counts = [user_count(s, t / 2.0) for t in range(0, 601)]
+    target = curve("ramp")
+    counts = [target(t / 2.0) for t in range(0, 601)]
     assert counts == sorted(counts)
     assert all(5 <= c <= 50 for c in counts)
 
 
 def test_periodic_starts_at_floor_and_repeats():
-    s = spec("periodic", period_s=120.0)
-    assert user_count(s, 0.0) == 5
+    target = curve("periodic", periodic_period_s=120.0)
+    assert target(0.0) == 5
     for t in (0.0, 1.5, 7.25, 60.0, 119.0, 150.5):
-        assert user_count(s, t) == user_count(s, t + 120.0)
+        assert target(t) == target(t + 120.0)
 
 
 def test_periodic_peaks_mid_cycle():
-    s = spec("periodic", period_s=120.0)
-    assert user_count(s, 60.0) == 50
+    target = curve("periodic", periodic_period_s=120.0)
+    assert target(60.0) == 50
 
 
 def test_spike_window_and_two_values():
-    s = spec("spike", spike_at_s=100.0, spike_len_s=30.0)
-    assert user_count(s, 115.0) == 50
-    assert user_count(s, 99.999) == 5
-    assert user_count(s, 130.0) == 5
-    values = {user_count(s, t / 4.0) for t in range(0, 1201)}
+    target = curve("spike", spike_at_s=100.0, spike_len_s=30.0)
+    assert target(115.0) == 50
+    assert target(99.999) == 5
+    assert target(130.0) == 5
+    values = {target(t / 4.0) for t in range(0, 1201)}
     assert values == {5, 50}
 
 
 def test_random_is_piecewise_constant_and_seeded():
-    s = spec("random", redraw_s=15.0)
-    curve = [user_count(s, float(t)) for t in range(0, 300)]
-    assert curve == [user_count(spec("random"), float(t)) for t in range(0, 300)]
+    target = curve("random", random_redraw_s=15.0)
+    counts = [target(float(t)) for t in range(0, 300)]
+    assert counts == [curve("random")(float(t)) for t in range(0, 300)]
     for seg in range(20):
-        seg_vals = {curve[t] for t in range(seg * 15, (seg + 1) * 15)}
+        seg_vals = {counts[t] for t in range(seg * 15, (seg + 1) * 15)}
         assert len(seg_vals) == 1
-    assert all(5 <= c <= 50 for c in curve)
-    other = [user_count(spec("random", seed=10), float(t)) for t in range(0, 300)]
-    assert other != curve
+    assert all(5 <= c <= 50 for c in counts)
+    other = [curve("random", seed=10)(float(t)) for t in range(0, 300)]
+    assert other != counts
 
 
 def test_time_outside_episode_rejected():
-    s = spec("ramp")
+    target = curve("ramp")
     with pytest.raises(ValueError):
-        user_count(s, -0.1)
+        target(-0.1)
     with pytest.raises(ValueError):
-        user_count(s, 300.1)
+        target(300.1)
 
 
 def test_unknown_pattern_rejected():
     with pytest.raises(ValueError):
-        PatternSpec(kind="sawtooth", duration_s=300.0)
+        curve("sawtooth")
 
 
 @pytest.mark.parametrize("kind", PATTERN_NAMES)
 def test_all_curves_stay_in_bounds(kind):
-    s = spec(kind)
+    target = curve(kind)
     for t in range(0, 301, 3):
-        assert 5 <= user_count(s, float(t)) <= 50
+        assert 5 <= target(float(t)) <= 50
 
 
 # ---- closed-loop generator ------------------------------------------------
 
-def run_generator(pattern_spec, init_cpu=0, init_gpu=1,
-                  pref=RoutePref.GPU_FIRST):
-    engine = Engine()
-    cluster = ClusterModel(engine, ServiceModel(),
-                           limits=PoolLimits(0, 8, 0, 8),
-                           routing_pref=pref)
+def run_generator(kind, seed=9, init_cpu=0, init_gpu=1, **kw):
+    engine, cluster = make_cluster()
     if init_cpu:
         cluster.spawn_ready(Pool.CPU, init_cpu)
     if init_gpu:
         cluster.spawn_ready(Pool.GPU, init_gpu)
-    gen = LoadGenerator(pattern_spec, engine, cluster)
+    gen = LoadGenerator(config(**kw), kind, seed, engine, cluster)
     gen.start()
     return engine, cluster, gen
 
 
 def test_single_user_hold_zero_reaches_service_rate():
-    s = spec("spike", u_min=1, u_max=1, hold_s=0.0, duration_s=300.0)
-    engine, cluster, _ = run_generator(s)
+    engine, cluster, _ = run_generator("spike", users_min=1, users_max=1, hold_s=0.0,
+                                       episode_s=300.0)
     engine.run_until(300.0)
     throughput = cluster.requests_completed / 300.0
     assert throughput == pytest.approx(1.0 / 0.0816, rel=0.01)
 
 
 def test_zero_users_zero_arrivals():
-    s = spec("spike", u_min=0, u_max=0)
-    engine, cluster, _ = run_generator(s)
+    engine, cluster, _ = run_generator("spike", users_min=0, users_max=0)
     engine.run_until(300.0)
     assert cluster.requests_injected == 0
 
 
 def test_doubling_users_below_saturation_doubles_throughput():
     # GPU pod with 8 slots: 2 and 4 users are both far from saturation
-    one = spec("spike", u_min=2, u_max=2, hold_s=0.5)
-    two = spec("spike", u_min=4, u_max=4, hold_s=0.5)
-    _, c1, _ = run_generator(one)
-    _, c2, _ = run_generator(two)
+    _, c1, _ = run_generator("spike", users_min=2, users_max=2, hold_s=0.5)
+    _, c2, _ = run_generator("spike", users_min=4, users_max=4, hold_s=0.5)
     c1.engine.run_until(300.0)
     c2.engine.run_until(300.0)
     ratio = c2.requests_completed / c1.requests_completed
@@ -125,19 +130,17 @@ def test_doubling_users_below_saturation_doubles_throughput():
 
 
 def test_in_flight_never_exceeds_user_curve_on_monotone_pattern():
-    s = spec("ramp", u_min=2, u_max=20)
-    engine, cluster, gen = run_generator(s)
+    engine, cluster, gen = run_generator("ramp", users_min=2, users_max=20)
     while engine.now < 300.0:
         engine.run_until(min(300.0, engine.now + 0.25))
-        assert cluster.outstanding() <= user_count(s, engine.now)
-        assert gen.active_users() <= user_count(s, engine.now)
+        assert cluster.outstanding() <= gen.target(engine.now)
+        assert gen.active_users() <= gen.target(engine.now)
 
 
 def test_user_removals_wait_for_inflight_completion():
     # spike drops from u_max back to u_min at t=20; in-flight work finishes
-    s = spec("spike", u_min=1, u_max=30, spike_at_s=10.0, spike_len_s=10.0,
-             hold_s=0.2)
-    engine, cluster, gen = run_generator(s, init_gpu=1)
+    engine, cluster, gen = run_generator("spike", init_gpu=1, users_min=1, users_max=30,
+                                         spike_at_s=10.0, spike_len_s=10.0, hold_s=0.2)
     engine.run_until(19.0)
     assert gen.active_users() == 30
     engine.run_until(21.0)
@@ -149,8 +152,7 @@ def test_user_removals_wait_for_inflight_completion():
 
 def test_seeded_generator_reproduces_trace():
     def run():
-        s = spec("random", u_min=2, u_max=10, seed=17)
-        engine, cluster, _ = run_generator(s)
+        engine, cluster, _ = run_generator("random", seed=17, users_min=2, users_max=10)
         completions = []
         cluster.completion_listeners.append(
             lambda r: completions.append((r.id, round(r.completed_at, 9))))
