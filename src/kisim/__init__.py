@@ -2,7 +2,7 @@
 PPO-based autoscaler and threshold/fixed baselines."""
 
 from .config import ExperimentConfig
-from .env import ActionTriple, Observation, RewardBreakdown, ScalingEnv
+from .env import ActionTriple, ScalingEnv
 from .simcore import ClusterModel, Engine, Pool, ServiceModel
 
 __version__ = "0.1.0"
@@ -12,9 +12,7 @@ __all__ = [
     "ClusterModel",
     "Engine",
     "ExperimentConfig",
-    "Observation",
     "Pool",
-    "RewardBreakdown",
     "ScalingEnv",
     "ServiceModel",
     "__version__",

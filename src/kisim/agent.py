@@ -293,16 +293,16 @@ def run_episode(env: ScalingEnv, agent: PpoAgent, episode_index: int,
     episode_return = 0.0
     done = False
     while not done:
-        vec = obs.as_vector()
         if buffer is None:
-            action = agent.greedy_action(vec)
+            action = agent.greedy_action(obs)
         else:
-            action, log_prob, value = agent.sample_action(vec)
-        obs, breakdown, done = env.step(action)
-        episode_return += breakdown.total
+            action, log_prob, value = agent.sample_action(obs)
+        next_obs, reward, done = env.step(action)
+        episode_return += reward
         if buffer is not None:
             heads = (action.d_gpu + 2, action.d_cpu + 2, action.pref)
-            buffer.add(vec, heads, log_prob, value, breakdown.total, done)
+            buffer.add(obs, heads, log_prob, value, reward, done)
+        obs = next_obs
     return episode_return
 
 

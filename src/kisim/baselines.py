@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 from .config import ExperimentConfig
 from .env import SimStack
+from .metrics import mean_busy
 from .simcore import Pool, RoutePref
 
 POLICY_NAMES = ("fixed_gpu", "fixed_cpu", "hpa")
@@ -44,14 +45,6 @@ class HpaController:
         return min(current_replicas, max(raw, window_max))
 
 
-def cpu_pool_utilization(stack: SimStack) -> float:
-    """Average busy fraction across Ready CPU pods (the HPA input signal)."""
-    ready = stack.cluster.ready_pods(Pool.CPU)
-    if not ready:
-        return 0.0
-    return sum(len(p.in_service) / p.concurrency_cap for p in ready) / len(ready)
-
-
 def _policy_setup(policy: str, config: ExperimentConfig) -> tuple[int, int, RoutePref]:
     if policy == "fixed_gpu":
         return 0, config.fixed_gpu_replicas, RoutePref.GPU_FIRST
@@ -77,7 +70,7 @@ def run_baseline(policy: str, pattern: str, config: ExperimentConfig,
         done = stack.advance(k, interval)
         if controller is not None and not done:
             current = stack.cluster.desired_cpu
-            util = cpu_pool_utilization(stack)
+            util = mean_busy(stack.cluster, Pool.CPU)   # the HPA input signal
             desired = controller.decide(stack.engine.now, max(1, current), util)
             if desired != current:
                 stack.cluster.set_desired_replicas(Pool.CPU, desired)

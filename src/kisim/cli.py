@@ -188,9 +188,9 @@ def run_policy_episode(agent: PpoAgent, pattern: str, cfg: ExperimentConfig,
     obs = env.reset_to(pattern, traffic_seed)
     done = False
     while not done:
-        obs, _, done = env.step(agent.greedy_action(obs.as_vector()))
+        obs, _, done = env.step(agent.greedy_action(obs))
         if timeseries is not None:
-            timeseries.append(env.stack.row())
+            timeseries.append(env.row)
     return env.stack.report("kiscaler")
 
 

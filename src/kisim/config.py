@@ -8,6 +8,7 @@ config written next to its outputs.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -122,11 +123,12 @@ class ExperimentConfig:
             raise ConfigError("users_min must satisfy 0 <= users_min <= users_max")
         if self.hpa_min_replicas > self.hpa_max_replicas:
             raise ConfigError("hpa_min_replicas exceeds hpa_max_replicas")
-        # a zero period reschedules its event at the same instant forever or divides by zero
+        # a zero period reschedules its event at the same instant forever or divides
+        # by zero; an infinite one never ends the episode or empties the run
         for key in ("episode_s", "control_interval_s", "monitor_interval_s", "window_s",
                     "hpa_sync_period_s", "periodic_period_s", "random_redraw_s"):
-            if not getattr(self, key) > 0:     # NaN fails too
-                raise ConfigError(f"{key} must be positive")
+            if not 0 < getattr(self, key) < math.inf:     # NaN fails too
+                raise ConfigError(f"{key} must be positive and finite")
         for key, least in (("ppo_minibatch", 1), ("ppo_update_every_episodes", 1),
                            ("eval_every", 0), ("hpa_tolerance", 0)):
             if not getattr(self, key) >= least:
@@ -163,12 +165,6 @@ def _parse_value(key: str, raw: str):
             return int(raw)
         if ftype == "float":
             return float(raw)
-        if ftype == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         return raw
     except ValueError as exc:
         raise ConfigError(f"invalid value for config key {key!r}: {raw!r}") from exc

@@ -1,8 +1,11 @@
 """RL environment over the simulator: observations, actions, reward, episodes.
 
 One episode = one pattern, 300 simulated seconds, one decision every 15 s.
-Observations are the 10-feature vector (all components in [0, 1]); actions
-are (GPU delta, CPU delta, placement preference) triples over a 5x5x2 space.
+Each control step takes one `SimStack.row()` snapshot, kept as `ScalingEnv.row`;
+the observation, the reward, the trace record and the evaluation time series
+all read it. Observations are float64 vectors in `OBS_FIELDS` order (all
+components in [0, 1]); actions are (GPU delta, CPU delta, placement
+preference) triples over a 5x5x2 space.
 """
 
 from __future__ import annotations
@@ -20,25 +23,8 @@ from .simcore import ClusterModel, Engine, Pool, PoolLimits, RoutePref, ServiceM
 from .traffic import PATTERN_NAMES, LoadGenerator
 
 DELTAS = (-2, -1, 0, 1, 2)
-
-
-@dataclass(frozen=True)
-class Observation:
-    n_replicas: float
-    u_gpu: float
-    l_p95: float
-    theta_req: float
-    u_cpu: float
-    u_mem: float
-    delta_l: float
-    delta_theta: float
-    t_norm: float
-    p_id: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.n_replicas, self.u_gpu, self.l_p95, self.theta_req,
-                         self.u_cpu, self.u_mem, self.delta_l, self.delta_theta,
-                         self.t_norm, self.p_id], dtype=np.float64)
+OBS_FIELDS = ("n_replicas", "u_gpu", "l_p95", "theta_req", "u_cpu", "u_mem",
+              "delta_l", "delta_theta", "t_norm", "p_id")
 
 
 @dataclass(frozen=True)
@@ -56,34 +42,6 @@ class ActionTriple:
     @classmethod
     def from_heads(cls, g_idx: int, c_idx: int, pref: int) -> "ActionTriple":
         return cls(d_gpu=DELTAS[g_idx], d_cpu=DELTAS[c_idx], pref=pref)
-
-
-@dataclass(frozen=True)
-class RewardBreakdown:
-    latency_term: float
-    gpu_util_term: float
-    overhead_term: float
-    smoothness_term: float
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-
-    @property
-    def total(self) -> float:
-        return (-self.alpha * self.latency_term
-                + self.beta * self.gpu_util_term
-                - self.gamma * self.overhead_term
-                - self.delta * self.smoothness_term)
-
-    def as_dict(self) -> dict:
-        return {
-            "latency": self.latency_term,
-            "gpu_util": self.gpu_util_term,
-            "overhead": self.overhead_term,
-            "smoothness": self.smoothness_term,
-            "total": self.total,
-        }
 
 
 class SimStack:
@@ -134,27 +92,20 @@ class SimStack:
         gpu = self.util_model.gpu_utilization(self.cluster)
         self.util_samples.append((cpu, mem, gpu))
 
-    def current_users(self) -> int:
-        return self.generator.target(min(self.engine.now, self.config.episode_s))
-
-    def ready_replicas(self) -> tuple[int, int]:
-        return (self.cluster.ready_count(Pool.GPU), self.cluster.ready_count(Pool.CPU))
-
     def row(self) -> dict:
         """One time-series CSV row at the current instant."""
         now = self.engine.now
         cpu, mem = self.util_model.cpu_mem_utilization(self.cluster)
-        gpu_ready, cpu_ready = self.ready_replicas()
         return {
             "t": now,
-            "users": self.current_users(),
+            "users": self.generator.target(min(now, self.config.episode_s)),
             "p95_s": self.window.p95(now),
             "throughput_rps": self.window.throughput(now),
             "gpu_util": self.util_model.gpu_utilization(self.cluster),
             "cpu_util": cpu,
             "mem_util": mem,
-            "gpu_replicas": gpu_ready,
-            "cpu_replicas": cpu_ready,
+            "gpu_replicas": self.cluster.ready_count(Pool.GPU),
+            "cpu_replicas": self.cluster.ready_count(Pool.CPU),
         }
 
     def report(self, policy: str) -> dict:
@@ -194,6 +145,7 @@ class ScalingEnv:
         self.config = config
         self.trace_sink = trace_sink
         self.stack: Optional[SimStack] = None
+        self.row: dict = {}     # the SimStack.row() snapshot of the last observe()
         self.pattern: str = PATTERN_NAMES[0]
         self.episode_index = -1
         self.step_index = 0
@@ -203,13 +155,13 @@ class ScalingEnv:
 
     # ---- episode management ---------------------------------------------
 
-    def reset(self, episode_index: int = 0) -> Observation:
+    def reset(self, episode_index: int = 0) -> np.ndarray:
         pattern = PATTERN_NAMES[episode_index % len(PATTERN_NAMES)]
         seed = traffic_seed_for(self.config.seed, episode_index)
         return self.reset_to(pattern, seed, episode_index=episode_index)
 
     def reset_to(self, pattern: str, traffic_seed: int,
-                 episode_index: int = 0) -> Observation:
+                 episode_index: int = 0) -> np.ndarray:
         self.pattern = pattern
         self.episode_index = episode_index
         self.step_index = 0
@@ -224,43 +176,34 @@ class ScalingEnv:
 
     # ---- observation -----------------------------------------------------
 
-    def observe(self, update_trends: bool = True) -> Observation:
+    def observe(self, update_trends: bool = True) -> np.ndarray:
+        """A fresh vector in OBS_FIELDS order from one new `self.row` snapshot."""
         cfg = self.config
-        stack = self.stack
-        now = stack.engine.now
-        p95 = stack.window.p95(now)
-        tput = stack.window.throughput(now)
-        u_cpu, u_mem = stack.util_model.cpu_mem_utilization(stack.cluster)
-        u_gpu = stack.util_model.gpu_utilization(stack.cluster)
-
-        gpu_ready, cpu_ready = stack.ready_replicas()
+        self.row = row = self.stack.row()
+        p95 = row["p95_s"]
+        tput = row["throughput_rps"]
         n_max = cfg.gpu_max + cfg.cpu_max
-        n_replicas = min(1.0, (gpu_ready + cpu_ready) / n_max)
-        l_p95 = min(p95 / cfg.latency_cap_s, 1.0)
-        theta = min(tput / cfg.throughput_cap_rps, 1.0)
 
         def trend(cur: float, prev: float, cap: float) -> float:
             v = max(-1.0, min(1.0, (cur - prev) / cap))
             return (v + 1.0) / 2.0
 
-        delta_l = trend(p95, self._prev_p95, cfg.latency_cap_s)
-        delta_theta = trend(tput, self._prev_tput, cfg.throughput_cap_rps)
+        obs = np.array([
+            min(1.0, (row["gpu_replicas"] + row["cpu_replicas"]) / n_max),
+            row["gpu_util"],
+            min(p95 / cfg.latency_cap_s, 1.0),
+            min(tput / cfg.throughput_cap_rps, 1.0),
+            row["cpu_util"],
+            row["mem_util"],
+            trend(p95, self._prev_p95, cfg.latency_cap_s),
+            trend(tput, self._prev_tput, cfg.throughput_cap_rps),
+            row["t"] / cfg.episode_s,
+            PATTERN_NAMES.index(self.pattern) / (len(PATTERN_NAMES) - 1),
+        ], dtype=np.float64)
         if update_trends:
             self._prev_p95 = p95
             self._prev_tput = tput
-
-        return Observation(
-            n_replicas=n_replicas,
-            u_gpu=u_gpu,
-            l_p95=l_p95,
-            theta_req=theta,
-            u_cpu=u_cpu,
-            u_mem=u_mem,
-            delta_l=delta_l,
-            delta_theta=delta_theta,
-            t_norm=now / cfg.episode_s,
-            p_id=PATTERN_NAMES.index(self.pattern) / (len(PATTERN_NAMES) - 1),
-        )
+        return obs
 
     # ---- action / reward ---------------------------------------------------
 
@@ -275,57 +218,54 @@ class ScalingEnv:
             cluster.set_desired_replicas(Pool.CPU, new_cpu)
 
     def demand_estimate(self) -> int:
-        users = self.stack.current_users()
+        users = self.row["users"]
         cycle = self.config.hold_s + self.config.base_service_s
         offered_rps = users / cycle if cycle > 0 else 0.0
         # every replica is rated at a CPU pod's saturated completion rate
         return int(math.ceil(offered_rps / self.stack.service.sustainable_rps(Pool.CPU)))
 
-    def reward(self, obs: Observation, action: ActionTriple) -> RewardBreakdown:
+    def reward(self, obs: np.ndarray, action: ActionTriple) -> dict:
+        """The four reward terms and their weighted `total`."""
         cfg = self.config
         cluster = self.stack.cluster
         n_max = cfg.gpu_max + cfg.cpu_max
         over = max(0, cluster.desired_gpu + cluster.desired_cpu - self.demand_estimate())
-        overhead = min(1.0, over / n_max)
-        smoothness = (abs(action.d_gpu) + abs(action.d_cpu)) / 4.0
-        return RewardBreakdown(
-            latency_term=obs.l_p95,
-            gpu_util_term=obs.u_gpu,
-            overhead_term=overhead,
-            smoothness_term=smoothness,
-            alpha=cfg.reward_alpha,
-            beta=cfg.reward_beta,
-            gamma=cfg.reward_gamma,
-            delta=cfg.reward_delta,
-        )
+        # l_p95 and u_gpu as Python floats, so the trace and training log write plain reprs
+        terms = {"latency": float(obs[2]), "gpu_util": float(obs[1]),
+                 "overhead": min(1.0, over / n_max),
+                 "smoothness": (abs(action.d_gpu) + abs(action.d_cpu)) / 4.0}
+        terms["total"] = (-cfg.reward_alpha * terms["latency"]
+                          + cfg.reward_beta * terms["gpu_util"]
+                          - cfg.reward_gamma * terms["overhead"]
+                          - cfg.reward_delta * terms["smoothness"])
+        return terms
 
     # ---- stepping ----------------------------------------------------------
 
-    def step(self, action: ActionTriple) -> tuple[Observation, RewardBreakdown, bool]:
+    def step(self, action: ActionTriple) -> tuple[np.ndarray, float, bool]:
         if self._done:
             raise EpisodeFinished("episode is finished; call reset() first")
         self.decode_and_apply(action)
         self.step_index += 1
         done = self.stack.advance(self.step_index, self.config.control_interval_s)
         obs = self.observe()
-        breakdown = self.reward(obs, action)
+        terms = self.reward(obs, action)
         self._done = done
         if self.trace_sink is not None:
-            self._write_trace(obs, action, breakdown)
-        return obs, breakdown, done
+            self._write_trace(obs, action, terms)
+        return obs, terms["total"], done
 
-    def _write_trace(self, obs: Observation, action: ActionTriple,
-                     breakdown: RewardBreakdown) -> None:
+    def _write_trace(self, obs: np.ndarray, action: ActionTriple, terms: dict) -> None:
         cluster = self.stack.cluster
         record = {
             "episode": self.episode_index,
             "step": self.step_index,
             "pattern": self.pattern,
-            "obs": [round(float(x), 9) for x in obs.as_vector()],
+            "obs": [round(float(x), 9) for x in obs],
             "action": [action.d_gpu, action.d_cpu, action.pref],
-            "reward": {k: round(float(v), 9) for k, v in breakdown.as_dict().items()},
+            "reward": {k: round(v, 9) for k, v in terms.items()},
             "desired_gpu": cluster.desired_gpu,
             "desired_cpu": cluster.desired_cpu,
-            "users": self.stack.current_users(),
+            "users": self.row["users"],
         }
         self.trace_sink.write(json.dumps(record, separators=(",", ":")) + "\n")

@@ -4,7 +4,7 @@ Latency/throughput statistics come from the log of a run's completed
 requests: the sliding window is its suffix of the last `window_len_s`
 seconds, and the whole log gives the run's p95 and mean. CPU/memory/GPU
 utilization is synthesized from per-pod constants because no real node
-exists. Snapshots export in the Prometheus text exposition format 0.0.4.
+exists.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 
 from .config import ExperimentConfig
-from .simcore import ClusterModel, Pod, Pool
+from .simcore import ClusterModel, Pool
 
 
 def nearest_rank_p95(values) -> float:
@@ -61,65 +61,41 @@ class MetricsWindow:
         return sum(self._latencies) / len(self._latencies)
 
 
+def mean_busy(cluster: ClusterModel, pool: Pool) -> float:
+    """Mean busy fraction (requests in service / concurrency cap) of a pool's
+    Ready pods; 0.0 when none is Ready."""
+    ready = cluster.ready_pods(pool)
+    if not ready:
+        return 0.0
+    return sum(len(p.in_service) / p.concurrency_cap for p in ready) / len(ready)
+
+
 class UtilizationModel:
     """Node-level utilization from the config's per-pod idle/busy constants."""
 
     def __init__(self, cfg: ExperimentConfig = ExperimentConfig()) -> None:
         self.cfg = cfg
 
-    @staticmethod
-    def _busy_fraction(pod: Pod) -> float:
-        return len(pod.in_service) / pod.concurrency_cap
-
     def cpu_mem_utilization(self, cluster: ClusterModel) -> tuple[float, float]:
         cfg = self.cfg
         millicores = cfg.memory_pods * cfg.memory_pod_millicores
         mem = cfg.memory_pods * cfg.memory_pod_mem_bytes
-        for pod in cluster.ready_pods(Pool.CPU):
-            frac = self._busy_fraction(pod)
-            millicores += cfg.cpu_pod_idle_millicores + frac * (
-                cfg.cpu_pod_busy_millicores - cfg.cpu_pod_idle_millicores)
-            mem += cfg.cpu_pod_mem_bytes
-        for pod in cluster.ready_pods(Pool.GPU):
-            frac = self._busy_fraction(pod)
-            millicores += cfg.gpu_pod_idle_millicores + frac * (
-                cfg.gpu_pod_busy_millicores - cfg.gpu_pod_idle_millicores)
-            mem += cfg.gpu_pod_mem_bytes
+        # summed pod by pod: a pool's mean busy fraction times its pod count
+        # can round differently
+        for pool, idle, busy, pod_mem in (
+                (Pool.CPU, cfg.cpu_pod_idle_millicores, cfg.cpu_pod_busy_millicores,
+                 cfg.cpu_pod_mem_bytes),
+                (Pool.GPU, cfg.gpu_pod_idle_millicores, cfg.gpu_pod_busy_millicores,
+                 cfg.gpu_pod_mem_bytes)):
+            for pod in cluster.ready_pods(pool):
+                millicores += idle + len(pod.in_service) / pod.concurrency_cap * (busy - idle)
+                mem += pod_mem
         cpu_util = min(1.0, millicores / cfg.node_millicores)
         mem_util = min(1.0, mem / cfg.node_mem_bytes)
         return (cpu_util, mem_util)
 
     def gpu_utilization(self, cluster: ClusterModel) -> float:
-        ready = cluster.ready_pods(Pool.GPU)
+        ready = cluster.ready_count(Pool.GPU)
         if not ready:
             return 0.0
-        mean_busy = sum(self._busy_fraction(p) for p in ready) / len(ready)
-        scale = len(ready) / cluster.gpu_device_budget
-        return min(1.0, mean_busy * scale)
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def export_snapshot(window: MetricsWindow, cluster: ClusterModel, now: float,
-                    util_model: UtilizationModel) -> str:
-    """Current gauges in Prometheus text exposition format 0.0.4."""
-    cpu_util, mem_util = util_model.cpu_mem_utilization(cluster)
-    gpu_util = util_model.gpu_utilization(cluster)
-    lines = [
-        "# TYPE kis_p95_seconds gauge",
-        f"kis_p95_seconds {_fmt(window.p95(now))}",
-        "# TYPE kis_throughput_rps gauge",
-        f"kis_throughput_rps {_fmt(window.throughput(now))}",
-        "# TYPE kis_gpu_util gauge",
-        f"kis_gpu_util {_fmt(gpu_util)}",
-        "# TYPE kis_cpu_util gauge",
-        f"kis_cpu_util {_fmt(cpu_util)}",
-        "# TYPE kis_mem_util gauge",
-        f"kis_mem_util {_fmt(mem_util)}",
-        "# TYPE kis_replicas gauge",
-        f'kis_replicas{{pool="gpu"}} {cluster.desired_gpu}',
-        f'kis_replicas{{pool="cpu"}} {cluster.desired_cpu}',
-    ]
-    return "\n".join(lines) + "\n"
+        return min(1.0, mean_busy(cluster, Pool.GPU) * (ready / cluster.gpu_device_budget))

@@ -76,7 +76,8 @@ def test_policy_episode_conserves_requests_within_gpu_budget(checked_steps):
     cfg = ExperimentConfig()
     agent = PpoAgent(NetDims(hidden1=16, hidden2=16), cfg, seed=0)
     report = run_policy_episode(agent, "spike", cfg, traffic_seed=3, timeseries=[])
-    assert len(checked_steps) == round(cfg.episode_s / cfg.control_interval_s)
+    # one row per observation: the reset at t=0, then one after every step
+    assert checked_steps == [k * cfg.control_interval_s for k in range(21)]
     assert report["requests_completed"] > 0
 
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import pytest
@@ -55,15 +56,20 @@ def test_train_refuses_an_out_dir_its_config_file_would_misrecord(tmp_path, caps
     ("monitor_interval_s", 0.0), ("hpa_sync_period_s", 0.0), ("window_s", 0.0),
     ("random_redraw_s", 0.0), ("periodic_period_s", 0.0), ("monitor_interval_s", -1.0),
     ("window_s", float("nan")),
+    *((key, math.inf) for key in ("episode_s", "control_interval_s", "monitor_interval_s",
+                                  "window_s", "hpa_sync_period_s", "periodic_period_s",
+                                  "random_redraw_s")),
     ("ppo_minibatch", 0), ("ppo_update_every_episodes", 0), ("eval_every", -1)])
 def test_values_that_hang_or_crash_a_run_are_config_errors(key, value):
     with pytest.raises(ConfigError, match=key):
         ExperimentConfig(**{key: value})
 
 
-def test_baseline_refuses_a_zero_monitor_interval(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("monitor_interval_s", "0"), ("episode_s", "inf")])
+def test_baseline_refuses_a_zero_monitor_interval(key, value, tmp_path, capsys):
+    """A zero monitor interval resamples at t=0 forever; an infinite episode never ends."""
     out = tmp_path / "base"
-    assert main(["baseline", "--set", "episode_s=30", "--set", "monitor_interval_s=0",
+    assert main(["baseline", "--set", "episode_s=30", "--set", f"{key}={value}",
                  "--out", str(out)]) == 1
-    assert "monitor_interval_s" in capsys.readouterr().err
+    assert f"{key} must be positive and finite" in capsys.readouterr().err
     assert not out.exists()

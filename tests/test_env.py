@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 from io import StringIO
 
 import pytest
@@ -8,7 +9,7 @@ from kisim.agent import PpoAgent
 from kisim.baselines import run_baseline
 from kisim.cli import run_policy_episode
 from kisim.config import ExperimentConfig
-from kisim.env import ActionTriple, ScalingEnv, traffic_seed_for
+from kisim.env import OBS_FIELDS, ActionTriple, ScalingEnv, traffic_seed_for
 from kisim.nn import NetDims
 from kisim.traffic import PATTERN_NAMES
 
@@ -31,11 +32,11 @@ def test_observations_stay_in_unit_interval_through_the_last_step(interval):
     cfg = ExperimentConfig(control_interval_s=interval)
     env = ScalingEnv(cfg)
     obs = env.reset_to("spike", 5)
-    vectors = [obs.as_vector()]
+    vectors = [obs]
     done = False
     while not done:
         obs, _, done = env.step(ActionTriple(d_gpu=1, d_cpu=1, pref=1))
-        vectors.append(obs.as_vector())
+        vectors.append(obs)
     assert env.stack.engine.now == cfg.episode_s
     assert vectors[-1][8] == 1.0          # t_norm reaches exactly 1
     for vec in vectors:
@@ -65,15 +66,34 @@ def test_eval_index_reset_picks_the_pattern_at_its_offset(p_idx):
     assert env.stack.generator.seed == traffic_seed_for(cfg.seed, index)
 
 
+def test_each_observation_reads_the_row_of_its_step():
+    cfg = ExperimentConfig(episode_s=90.0)
+    assert len(OBS_FIELDS) == NetDims().obs_dim
+    env = ScalingEnv(cfg)
+    obs = env.reset_to("periodic", 7)
+    done = False
+    while True:
+        fields = dict(zip(OBS_FIELDS, obs))
+        assert fields["t_norm"] * cfg.episode_s == env.row["t"] == env.stack.engine.now
+        assert fields["u_gpu"] == env.row["gpu_util"]
+        assert fields["u_cpu"] == env.row["cpu_util"]
+        assert fields["u_mem"] == env.row["mem_util"]
+        if done:
+            break
+        obs, _, done = env.step(ActionTriple(d_gpu=1, d_cpu=-1, pref=1))
+
+
+FIVE_ACTIONS = (ActionTriple(1, 1, 1), ActionTriple(2, -1, 0), ActionTriple(-1, 2, 1),
+                ActionTriple(0, -2, 0), ActionTriple(-2, 0, 1))
+
+
 def test_env_trace_reproduces_its_pinned_bytes():
     """Observations, rewards and trace records of four episodes under a fixed
     action cycle; any change to the simulator, the metrics window or the load
     generator as ScalingEnv reads them moves this digest."""
     sink = StringIO()
     env = ScalingEnv(ExperimentConfig(episode_s=60.0), trace_sink=sink)
-    actions = itertools.cycle([ActionTriple(1, 1, 1), ActionTriple(2, -1, 0),
-                               ActionTriple(-1, 2, 1), ActionTriple(0, -2, 0),
-                               ActionTriple(-2, 0, 1)])
+    actions = itertools.cycle(FIVE_ACTIONS)
     for i in range(4):
         env.reset(i)
         done = False
@@ -81,3 +101,26 @@ def test_env_trace_reproduces_its_pinned_bytes():
             _, _, done = env.step(next(actions))
     digest = hashlib.sha256(sink.getvalue().encode()).hexdigest()
     assert digest[:16] == "9b3f9802bb552b19"
+
+
+class CyclingAgent:
+    """Acts FIVE_ACTIONS in turn, whatever it observes."""
+
+    def __init__(self) -> None:
+        self.actions = itertools.cycle(FIVE_ACTIONS)
+
+    def greedy_action(self, obs):
+        return next(self.actions)
+
+
+def test_policy_episodes_reproduce_their_pinned_bytes():
+    """Reports and time-series rows of the KIScaler loop in every pattern under
+    a fixed action cycle; no network is involved, so no BLAS rounding either."""
+    cfg = ExperimentConfig(episode_s=60.0)
+    agent = CyclingAgent()
+    runs: list = []
+    for pattern in PATTERN_NAMES:
+        rows: list[dict] = []
+        runs.append([run_policy_episode(agent, pattern, cfg, 42, timeseries=rows), rows])
+    digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
+    assert digest[:16] == "c484660a4c13a13d"

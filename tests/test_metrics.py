@@ -1,14 +1,12 @@
-"""Windowed statistics, utilization synthesis and the exposition format."""
+"""Windowed statistics and utilization synthesis."""
 
 import math
-import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from kisim.config import ExperimentConfig
-from kisim.metrics import (MetricsWindow, UtilizationModel, export_snapshot,
-                           nearest_rank_p95)
+from kisim.metrics import MetricsWindow, UtilizationModel, mean_busy, nearest_rank_p95
 from kisim.simcore import (ClusterModel, Engine, PodPhase, Pool, PoolLimits,
                            Request, RoutePref, ServiceModel)
 
@@ -112,6 +110,20 @@ def occupy(cluster, pool, n):
     return pod
 
 
+def test_mean_busy_averages_the_ready_pods_of_one_pool():
+    engine, cluster = make_cluster()
+    assert mean_busy(cluster, Pool.CPU) == 0.0           # no Ready pod
+    cluster.spawn_ready(Pool.CPU, 3)
+    cluster.spawn_ready(Pool.GPU, 1)
+    cpu = cluster.ready_pods(Pool.CPU)
+    cpu[0].in_service.update({1, 2})
+    cpu[1].in_service.add(3)
+    cpu[2].in_service.update({4, 5})
+    cpu[2].phase = PodPhase.TERMINATING                  # not Ready: left out
+    assert mean_busy(cluster, Pool.CPU) == (2 / 2 + 1 / 2) / 2
+    assert mean_busy(cluster, Pool.GPU) == 0.0
+
+
 def test_gpu_utilization_levels():
     engine, cluster = make_cluster()
     model = UtilizationModel()
@@ -156,67 +168,3 @@ def test_all_utilizations_bounded():
     cluster.spawn_ready(Pool.CPU, 5)
     cpu, mem = model.cpu_mem_utilization(cluster)
     assert 0.0 <= cpu <= 1.0 and 0.0 <= mem <= 1.0
-
-
-# ---- exposition format ----------------------------------------------------------
-
-_SAMPLE_RE = re.compile(
-    r'^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)'
-    r'(?:\{(?P<labels>[^}]*)\})?\s+(?P<value>\S+)$')
-
-
-def parse_exposition(text):
-    """Independent parser for the text format (the round-trip oracle)."""
-    types = {}
-    samples = {}
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split()
-            assert parts[1] == "TYPE", f"unexpected comment line: {line!r}"
-            types[parts[2]] = parts[3]
-            continue
-        m = _SAMPLE_RE.match(line)
-        assert m, f"unparseable sample line: {line!r}"
-        labels = {}
-        if m.group("labels"):
-            for item in m.group("labels").split(","):
-                k, v = item.split("=", 1)
-                assert v.startswith('"') and v.endswith('"')
-                labels[k] = v[1:-1]
-        key = (m.group("name"), tuple(sorted(labels.items())))
-        samples[key] = float(m.group("value"))
-    return types, samples
-
-
-def test_snapshot_round_trips_through_parser():
-    engine, cluster = make_cluster()
-    cluster.spawn_ready(Pool.CPU, 3)
-    cluster.spawn_ready(Pool.GPU, 2)
-    window = MetricsWindow(30.0)
-    window.record_completion(1.0, 0.1)
-    text = export_snapshot(window, cluster, 1.0, UtilizationModel())
-    types, samples = parse_exposition(text)
-    assert types == {
-        "kis_p95_seconds": "gauge",
-        "kis_throughput_rps": "gauge",
-        "kis_gpu_util": "gauge",
-        "kis_cpu_util": "gauge",
-        "kis_mem_util": "gauge",
-        "kis_replicas": "gauge",
-    }
-    assert samples[("kis_p95_seconds", ())] == pytest.approx(0.1)
-    assert samples[("kis_replicas", (("pool", "gpu"),))] == 2
-    assert samples[("kis_replicas", (("pool", "cpu"),))] == 3
-    cpu, mem = UtilizationModel().cpu_mem_utilization(cluster)
-    assert samples[("kis_cpu_util", ())] == pytest.approx(cpu)
-    assert samples[("kis_mem_util", ())] == pytest.approx(mem)
-
-
-def test_snapshot_simple_value_formatting():
-    engine, cluster = make_cluster()
-    window = MetricsWindow(30.0)
-    window.record_completion(1.0, 0.1)
-    text = export_snapshot(window, cluster, 1.0, UtilizationModel())
-    assert "kis_p95_seconds 0.1\n" in text
