@@ -2,9 +2,10 @@
 
 The actor emits three categorical heads (GPU delta, CPU delta, placement
 preference); the critic is an independent value network. Updates run once
-per episode by default over minibatches with normalized advantages. `train`
-runs the schedule in the agent's config and returns a `TrainState`, the one
-record of the run.
+per episode by default over minibatches with normalized advantages. A
+rollout is a plain list of `(obs, heads, log_prob, value, reward, done)`
+steps, `heads` being the drawn head indices. `train` runs the schedule in
+the agent's config and returns a `TrainState`, the one record of the run.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -44,44 +44,6 @@ class LossReport:
     policy_loss: float
     value_loss: float
     entropy: float
-
-
-class RolloutBuffer:
-    """Per-step trajectory records; cleared after every policy update."""
-
-    def __init__(self) -> None:
-        self.obs: list[np.ndarray] = []
-        self.actions: list[tuple[int, int, int]] = []
-        self.log_probs: list[float] = []
-        self.values: list[float] = []
-        self.rewards: list[float] = []
-        self.dones: list[bool] = []
-
-    def add(self, obs: np.ndarray, action_heads: tuple[int, int, int],
-            log_prob: float, value: float, reward: float, done: bool) -> None:
-        self.obs.append(np.asarray(obs, dtype=np.float64))
-        self.actions.append(action_heads)
-        self.log_probs.append(log_prob)
-        self.values.append(value)
-        self.rewards.append(reward)
-        self.dones.append(done)
-
-    def __len__(self) -> int:
-        return len(self.rewards)
-
-    def clear(self) -> None:
-        self.__init__()
-
-    def as_batch(self, discount: float, gae_lambda: float) -> dict:
-        advantages, returns = gae(self.rewards, self.values, self.dones,
-                                  discount, gae_lambda)
-        return {
-            "obs": np.stack(self.obs),
-            "actions": np.asarray(self.actions, dtype=np.int64),
-            "old_logp": np.asarray(self.log_probs, dtype=np.float64),
-            "advantages": advantages,
-            "returns": returns,
-        }
 
 
 def gae(rewards, values, dones, gamma: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -132,7 +94,8 @@ class PpoAgent:
         value, _ = critic_forward(p, obs)
         return logits, float(value[0])
 
-    def sample_action(self, obs_vec: np.ndarray) -> tuple[ActionTriple, float, float]:
+    def sample_action(self, obs_vec: np.ndarray) -> tuple[ActionTriple, tuple, float, float]:
+        """(action, drawn head indices, their joint log-probability, value)."""
         logits, value = self._policy_forward(obs_vec)
         heads = []
         log_prob = 0.0
@@ -141,25 +104,28 @@ class PpoAgent:
             idx = int(self._sample_rng.choice(len(lp), p=np.exp(lp)))
             heads.append(idx)
             log_prob += float(lp[idx])
-        action = ActionTriple.from_heads(heads[0], heads[1], heads[2])
-        return action, log_prob, value
+        return ActionTriple.from_heads(*heads), tuple(heads), log_prob, value
 
     def greedy_action(self, obs_vec: np.ndarray) -> ActionTriple:
         logits, _ = self._policy_forward(obs_vec)
-        heads = [int(np.argmax(lg[0])) for lg in logits]
-        return ActionTriple.from_heads(heads[0], heads[1], heads[2])
+        return ActionTriple.from_heads(*(int(np.argmax(lg[0])) for lg in logits))
 
     # ---- learning ---------------------------------------------------------
 
-    def update(self, buffer: RolloutBuffer) -> LossReport:
-        if len(buffer) == 0:
-            raise AgentError("cannot update from an empty rollout buffer")
+    def update(self, steps: list) -> LossReport:
+        """PPO epochs over the rollout `steps`, which it then empties."""
+        if not steps:
+            raise AgentError("cannot update from an empty rollout")
         cfg = self.cfg
-        batch = buffer.as_batch(cfg.ppo_discount, cfg.ppo_gae_lambda)
-        adv = batch["advantages"]
-        batch["advantages"] = (adv - adv.mean()) / (adv.std() + 1e-8)
+        obs, heads, log_probs, values, rewards, dones = zip(*steps)
+        adv, returns = gae(rewards, values, dones, cfg.ppo_discount, cfg.ppo_gae_lambda)
+        batch = {"obs": np.stack(obs),
+                 "actions": np.asarray(heads, dtype=np.int64),
+                 "old_logp": np.asarray(log_probs, dtype=np.float64),
+                 "advantages": (adv - adv.mean()) / (adv.std() + 1e-8),
+                 "returns": returns}
 
-        n = len(buffer)
+        n = len(steps)
         reports: list[dict] = []
         for _ in range(cfg.ppo_epochs):
             order = self._shuffle_rng.permutation(n)
@@ -175,7 +141,7 @@ class PpoAgent:
                         f"non-finite PPO loss {total!r} (parts={parts})")
                 self.optimizer.step(self.params, grads)
                 reports.append(parts)
-        buffer.clear()
+        steps.clear()
         return LossReport(
             policy_loss=float(np.mean([r["policy_loss"] for r in reports])),
             value_loss=float(np.mean([r["value_loss"] for r in reports])),
@@ -284,24 +250,23 @@ def load_checkpoint(path: str | Path) -> tuple[ActorCriticParams, TrainState]:
 # ---- training loop -------------------------------------------------------
 
 def run_episode(env: ScalingEnv, agent: PpoAgent, episode_index: int,
-                buffer: Optional[RolloutBuffer] = None) -> float:
+                steps: list | None = None) -> float:
     """Play one episode; returns the undiscounted episode return.
 
-    With a buffer the agent samples its actions and the buffer records them;
-    without one it acts greedily."""
+    With a `steps` list the agent samples its actions and each step is
+    appended to it; without one it acts greedily."""
     obs = env.reset(episode_index)
     episode_return = 0.0
     done = False
     while not done:
-        if buffer is None:
+        if steps is None:
             action = agent.greedy_action(obs)
         else:
-            action, log_prob, value = agent.sample_action(obs)
+            action, heads, log_prob, value = agent.sample_action(obs)
         next_obs, reward, done = env.step(action)
         episode_return += reward
-        if buffer is not None:
-            heads = (action.d_gpu + 2, action.d_cpu + 2, action.pref)
-            buffer.add(obs, heads, log_prob, value, reward, done)
+        if steps is not None:
+            steps.append((obs, heads, log_prob, value, reward, done))
         obs = next_obs
     return episode_return
 
@@ -314,11 +279,11 @@ def train(env: ScalingEnv, agent: PpoAgent, out: str | Path) -> TrainState:
     cfg = agent.cfg
     eval_env = ScalingEnv(cfg)
     state = TrainState()
-    buffer = RolloutBuffer()
+    steps: list = []
     for ep in range(cfg.episodes):
-        state.returns.append(run_episode(env, agent, ep, buffer=buffer))
+        state.returns.append(run_episode(env, agent, ep, steps=steps))
         update_due = (ep + 1) % cfg.ppo_update_every_episodes == 0
-        losses = agent.update(buffer) if update_due else None
+        losses = agent.update(steps) if update_due else None
         state.log.append((env.pattern, state.moving_avg, losses))
         if state.converged_at < 0 and detect_convergence(state):
             state.converged_at = state.episode_index

@@ -16,13 +16,13 @@ POLICY_NAMES = ("fixed_gpu", "fixed_cpu", "hpa")
 
 def hpa_decide(current_replicas: int, current_util: float, cfg: ExperimentConfig) -> int:
     """Canonical threshold rule: desired = ceil(current * util / target),
-    clamped, with a tolerance dead-band around the target."""
+    clamped to the CPU pool's bounds, with a tolerance dead-band around the target."""
     if current_replicas < 1:
         raise ValueError("hpa_decide requires at least one current replica")
     if abs(current_util / cfg.hpa_target_cpu_util - 1.0) <= cfg.hpa_tolerance:
         return current_replicas
     desired = math.ceil(current_replicas * current_util / cfg.hpa_target_cpu_util)
-    return max(cfg.hpa_min_replicas, min(cfg.hpa_max_replicas, desired))
+    return max(cfg.cpu_min, min(cfg.cpu_max, desired))
 
 
 @dataclass

@@ -256,35 +256,43 @@ def cmd_replay(args) -> int:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                records.append((lineno, json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise ReplayError(f"malformed trace line {lineno}: {exc}") from exc
-
-    out = Path(args.out) if args.out else path.parent
-    out.mkdir(parents=True, exist_ok=True)
 
     returns: dict[int, float] = defaultdict(float)
     histogram: Counter = Counter()
     rows = []
-    for rec in records:
-        ep = rec.get("episode", 0)
-        reward = rec.get("reward", {})
-        returns[ep] += reward.get("total", 0.0)
-        action = rec.get("action", [0, 0, 0])
+    for lineno, rec in records:
+        if not isinstance(rec, dict):
+            raise ReplayError(f"trace line {lineno}: not a JSON object")
+        try:
+            action = rec["action"]
+            if not (isinstance(action, list) and len(action) == 3
+                    and all(type(a) is int for a in action)):
+                raise ReplayError(f"trace line {lineno}: action {action!r} is not 3 ints")
+            row = {
+                "episode": rec["episode"],
+                "step": rec["step"],
+                "pattern": rec["pattern"],
+                "reward_total": rec["reward"]["total"],
+                "d_gpu": action[0],
+                "d_cpu": action[1],
+                "pref": action[2],
+                "desired_gpu": rec["desired_gpu"],
+                "desired_cpu": rec["desired_cpu"],
+                "users": rec["users"],
+            }
+            returns[row["episode"]] += row["reward_total"]
+        except KeyError as exc:
+            raise ReplayError(f"trace line {lineno}: missing key {exc}") from None
+        except TypeError as exc:     # a "reward" that is not an object, a total not a number
+            raise ReplayError(f"trace line {lineno}: {exc}") from None
+        rows.append(row)
         histogram[tuple(action)] += 1
-        rows.append({
-            "episode": ep,
-            "step": rec.get("step", 0),
-            "pattern": rec.get("pattern", ""),
-            "reward_total": reward.get("total", 0.0),
-            "d_gpu": action[0],
-            "d_cpu": action[1],
-            "pref": action[2],
-            "desired_gpu": rec.get("desired_gpu", ""),
-            "desired_cpu": rec.get("desired_cpu", ""),
-            "users": rec.get("users", ""),
-        })
 
+    out = Path(args.out) if args.out else path.parent
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "replay_summary.csv",
                ("episode", "step", "pattern", "reward_total", "d_gpu", "d_cpu",
                 "pref", "desired_gpu", "desired_cpu", "users"), rows)

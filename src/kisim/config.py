@@ -99,10 +99,8 @@ class ExperimentConfig:
     episodes: int = 100
     eval_every: int = 20
 
-    # HPA baseline
+    # HPA baseline (it scales the CPU pool within cpu_min..cpu_max)
     hpa_target_cpu_util: float = 0.5
-    hpa_min_replicas: int = 1
-    hpa_max_replicas: int = 6
     hpa_sync_period_s: float = 15.0
     hpa_stabilization_down_s: float = 300.0
     hpa_tolerance: float = 0.1
@@ -119,14 +117,16 @@ class ExperimentConfig:
             raise ConfigError("cpu_min exceeds cpu_max")
         if self.gpu_min > self.gpu_max:
             raise ConfigError("gpu_min exceeds gpu_max")
+        if self.cpu_max + self.gpu_max < 1:
+            raise ConfigError("cpu_max + gpu_max must be >= 1")
         if self.users_min < 0 or self.users_min > self.users_max:
             raise ConfigError("users_min must satisfy 0 <= users_min <= users_max")
-        if self.hpa_min_replicas > self.hpa_max_replicas:
-            raise ConfigError("hpa_min_replicas exceeds hpa_max_replicas")
-        # a zero period reschedules its event at the same instant forever or divides
-        # by zero; an infinite one never ends the episode or empties the run
+        # a zero period reschedules its event at the same instant forever and a zero
+        # cap divides the observation by zero; an infinite period never ends the
+        # episode or empties the run, and an infinite cap zeroes its feature
         for key in ("episode_s", "control_interval_s", "monitor_interval_s", "window_s",
-                    "hpa_sync_period_s", "periodic_period_s", "random_redraw_s"):
+                    "hpa_sync_period_s", "periodic_period_s", "random_redraw_s",
+                    "latency_cap_s", "throughput_cap_rps"):
             if not 0 < getattr(self, key) < math.inf:     # NaN fails too
                 raise ConfigError(f"{key} must be positive and finite")
         for key, least in (("ppo_minibatch", 1), ("ppo_update_every_episodes", 1),

@@ -172,11 +172,11 @@ class ScalingEnv:
                               init_cpu=self.config.init_cpu,
                               init_gpu=self.config.init_gpu,
                               routing_pref=RoutePref.CPU_FIRST)
-        return self.observe(update_trends=False)
+        return self.observe()
 
     # ---- observation -----------------------------------------------------
 
-    def observe(self, update_trends: bool = True) -> np.ndarray:
+    def observe(self) -> np.ndarray:
         """A fresh vector in OBS_FIELDS order from one new `self.row` snapshot."""
         cfg = self.config
         self.row = row = self.stack.row()
@@ -200,9 +200,8 @@ class ScalingEnv:
             row["t"] / cfg.episode_s,
             PATTERN_NAMES.index(self.pattern) / (len(PATTERN_NAMES) - 1),
         ], dtype=np.float64)
-        if update_trends:
-            self._prev_p95 = p95
-            self._prev_tput = tput
+        self._prev_p95 = p95
+        self._prev_tput = tput
         return obs
 
     # ---- action / reward ---------------------------------------------------

@@ -2,7 +2,9 @@
 
 Weights are stored float32; all math runs in float64 so the analytic
 gradients survive a central finite-difference check. No autograd framework:
-the whole model is two tanh MLPs plus three categorical heads.
+the actor ("a") and the critic ("c") are one two-layer tanh trunk each, with
+the same forward and backward code, topped by three categorical heads and
+one value output respectively.
 """
 
 from __future__ import annotations
@@ -24,30 +26,24 @@ class NetDims:
 
 def tensor_shapes(dims: NetDims) -> dict[str, tuple[int, ...]]:
     """Canonical tensor order; checkpoints and Adam state follow it."""
-    shapes: dict[str, tuple[int, ...]] = {
-        "a_w1": (dims.obs_dim, dims.hidden1), "a_b1": (dims.hidden1,),
-        "a_w2": (dims.hidden1, dims.hidden2), "a_b2": (dims.hidden2,),
-    }
+    def trunk(net: str) -> dict[str, tuple[int, ...]]:
+        return {f"{net}_w1": (dims.obs_dim, dims.hidden1), f"{net}_b1": (dims.hidden1,),
+                f"{net}_w2": (dims.hidden1, dims.hidden2), f"{net}_b2": (dims.hidden2,)}
+
+    shapes = trunk("a")
     for i, k in enumerate(dims.heads):
         shapes[f"h{i}_w"] = (dims.hidden2, k)
         shapes[f"h{i}_b"] = (k,)
-    shapes.update({
-        "c_w1": (dims.obs_dim, dims.hidden1), "c_b1": (dims.hidden1,),
-        "c_w2": (dims.hidden1, dims.hidden2), "c_b2": (dims.hidden2,),
-        "c_w3": (dims.hidden2, 1), "c_b3": (1,),
-    })
+    shapes.update(trunk("c"), c_w3=(dims.hidden2, 1), c_b3=(1,))
     return shapes
 
 
 def formula_param_count(dims: NetDims) -> int:
     """Closed-form parameter count for the actor + critic pair."""
-    actor = (dims.obs_dim * dims.hidden1 + dims.hidden1
-             + dims.hidden1 * dims.hidden2 + dims.hidden2
-             + sum(dims.hidden2 * k + k for k in dims.heads))
-    critic = (dims.obs_dim * dims.hidden1 + dims.hidden1
-              + dims.hidden1 * dims.hidden2 + dims.hidden2
-              + dims.hidden2 + 1)
-    return actor + critic
+    trunk = (dims.obs_dim * dims.hidden1 + dims.hidden1
+             + dims.hidden1 * dims.hidden2 + dims.hidden2)
+    heads = sum(dims.hidden2 * k + k for k in dims.heads)
+    return 2 * trunk + heads + dims.hidden2 + 1
 
 
 def _orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float) -> np.ndarray:
@@ -95,18 +91,35 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def _trunk(p: dict[str, np.ndarray], net: str, obs: np.ndarray):
+    """Activation cache (obs, h1, h2) of the "a" or "c" trunk."""
+    h1 = np.tanh(obs @ p[f"{net}_w1"] + p[f"{net}_b1"])
+    h2 = np.tanh(h1 @ p[f"{net}_w2"] + p[f"{net}_b2"])
+    return obs, h1, h2
+
+
+def _trunk_backward(p: dict[str, np.ndarray], net: str, cache, dh2: np.ndarray,
+                    grads: dict[str, np.ndarray]) -> None:
+    """Adds the trunk's four gradients to `grads`, given d loss / d h2."""
+    x, h1, h2 = cache
+    dz2 = dh2 * (1.0 - h2 ** 2)
+    grads[f"{net}_w2"] = h1.T @ dz2
+    grads[f"{net}_b2"] = dz2.sum(axis=0)
+    dz1 = (dz2 @ p[f"{net}_w2"].T) * (1.0 - h1 ** 2)
+    grads[f"{net}_w1"] = x.T @ dz1
+    grads[f"{net}_b1"] = dz1.sum(axis=0)
+
+
 def actor_forward(p: dict[str, np.ndarray], obs: np.ndarray):
     """Returns per-head logits and the activation cache for backprop."""
-    h1 = np.tanh(obs @ p["a_w1"] + p["a_b1"])
-    h2 = np.tanh(h1 @ p["a_w2"] + p["a_b2"])
-    logits = [h2 @ p[f"h{i}_w"] + p[f"h{i}_b"] for i in range(len(HEAD_SIZES))]
-    return logits, (obs, h1, h2)
+    cache = _trunk(p, "a", obs)
+    logits = [cache[2] @ p[f"h{i}_w"] + p[f"h{i}_b"] for i in range(len(HEAD_SIZES))]
+    return logits, cache
+
 
 def critic_forward(p: dict[str, np.ndarray], obs: np.ndarray):
-    h1 = np.tanh(obs @ p["c_w1"] + p["c_b1"])
-    h2 = np.tanh(h1 @ p["c_w2"] + p["c_b2"])
-    values = (h2 @ p["c_w3"] + p["c_b3"])[:, 0]
-    return values, (obs, h1, h2)
+    cache = _trunk(p, "c", obs)
+    return (cache[2] @ p["c_w3"] + p["c_b3"])[:, 0], cache
 
 
 def ppo_loss_and_grads(p: dict[str, np.ndarray], batch: dict, clip_eps: float,
@@ -116,10 +129,11 @@ def ppo_loss_and_grads(p: dict[str, np.ndarray], batch: dict, clip_eps: float,
     actions = batch["actions"]
     adv = batch["advantages"]
     n = obs.shape[0]
-    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    grads: dict[str, np.ndarray] = {}   # every tensor gets assigned below
 
     # ---- actor ----
-    logits, (x, h1, h2) = actor_forward(p, obs)
+    logits, cache = actor_forward(p, obs)
+    h2 = cache[2]
     log_probs = [log_softmax(lg) for lg in logits]
     probs = [np.exp(lp) for lp in log_probs]
     new_logp = np.zeros(n, dtype=np.float64)
@@ -149,29 +163,16 @@ def ppo_loss_and_grads(p: dict[str, np.ndarray], batch: dict, clip_eps: float,
         grads[f"h{i}_w"] = h2.T @ dlogits
         grads[f"h{i}_b"] = dlogits.sum(axis=0)
         dh2 += dlogits @ p[f"h{i}_w"].T
-    dz2 = dh2 * (1.0 - h2 ** 2)
-    grads["a_w2"] = h1.T @ dz2
-    grads["a_b2"] = dz2.sum(axis=0)
-    dh1 = dz2 @ p["a_w2"].T
-    dz1 = dh1 * (1.0 - h1 ** 2)
-    grads["a_w1"] = x.T @ dz1
-    grads["a_b1"] = dz1.sum(axis=0)
+    _trunk_backward(p, "a", cache, dh2, grads)
 
     # ---- critic ----
-    values, (xc, ch1, ch2) = critic_forward(p, obs)
+    values, cache = critic_forward(p, obs)
     err = values - batch["returns"]
     value_loss = np.mean(err ** 2)
     dvalues = value_coef * 2.0 * err / n
-    grads["c_w3"] = ch2.T @ dvalues[:, None]
+    grads["c_w3"] = cache[2].T @ dvalues[:, None]
     grads["c_b3"] = np.array([dvalues.sum()])
-    dch2 = dvalues[:, None] @ p["c_w3"].T
-    dcz2 = dch2 * (1.0 - ch2 ** 2)
-    grads["c_w2"] = ch1.T @ dcz2
-    grads["c_b2"] = dcz2.sum(axis=0)
-    dch1 = dcz2 @ p["c_w2"].T
-    dcz1 = dch1 * (1.0 - ch1 ** 2)
-    grads["c_w1"] = xc.T @ dcz1
-    grads["c_b1"] = dcz1.sum(axis=0)
+    _trunk_backward(p, "c", cache, dvalues[:, None] @ p["c_w3"].T, grads)
 
     total = policy_loss + value_coef * value_loss - entropy_coef * entropy
     parts = {"policy_loss": float(policy_loss),

@@ -43,8 +43,7 @@ class LoadGenerator:
 
         self._next_user_id = 0
         self._next_request_id = 0
-        self._active: dict[int, str] = {}   # uid -> "inflight" | "holding"
-        self._retiring: set[int] = set()
+        self._active: set[int] = set()      # uids of current users, never reused
         self._owner: dict[int, int] = {}    # request id -> uid
         cluster.completion_listeners.append(self._on_complete)
 
@@ -84,18 +83,15 @@ class LoadGenerator:
         while len(self._active) < target:
             self._spawn_user()
         if len(self._active) > target:
-            # Retire the newest users first; holders leave right away,
-            # users with an in-flight request leave on its completion.
+            # Retire the newest users first; the completion or wake-up that a
+            # retired user still has pending finds its uid gone and ends there.
             for uid in sorted(self._active, reverse=True)[:len(self._active) - target]:
-                state = self._active.pop(uid)
-                if state == "inflight":
-                    self._retiring.add(uid)
+                self._active.remove(uid)
 
     def _spawn_user(self) -> None:
         self._next_user_id += 1
-        uid = self._next_user_id
-        self._active[uid] = "inflight"
-        self._issue(uid)
+        self._active.add(self._next_user_id)
+        self._issue(self._next_user_id)
 
     def _issue(self, uid: int) -> None:
         self._next_request_id += 1
@@ -105,21 +101,13 @@ class LoadGenerator:
 
     def _on_complete(self, req: Request) -> None:
         uid = self._owner.pop(req.id, None)
-        if uid is None:
-            return
-        if uid in self._retiring:
-            self._retiring.discard(uid)
-            return
-        if uid not in self._active:
+        if uid not in self._active:     # a retired user, or not a request of ours
             return
         if self.engine.now >= self.cfg.episode_s:
-            del self._active[uid]
+            self._active.remove(uid)
             return
-        self._active[uid] = "holding"
         self.engine.schedule(self.engine.now + self.cfg.hold_s, self._wake, uid)
 
     def _wake(self, uid: int) -> None:
-        if self.engine.now >= self.cfg.episode_s or self._active.get(uid) != "holding":
-            return
-        self._active[uid] = "inflight"
-        self._issue(uid)
+        if self.engine.now < self.cfg.episode_s and uid in self._active:
+            self._issue(uid)

@@ -1,9 +1,15 @@
+import json
+import math
+from io import StringIO
+
 import numpy as np
 import pytest
 
-from kisim.agent import (CHECKPOINT_STATE, MOVING_AVG_WINDOW, CheckpointError, PpoAgent,
-                         TrainState, detect_convergence, gae, load_checkpoint,
-                         save_checkpoint)
+from kisim.agent import (CHECKPOINT_STATE, MOVING_AVG_WINDOW, AgentError, CheckpointError,
+                         PpoAgent, TrainState, detect_convergence, gae, load_checkpoint,
+                         run_episode, save_checkpoint)
+from kisim.config import ExperimentConfig
+from kisim.env import ActionTriple, ScalingEnv
 from kisim.nn import NetDims
 
 N_RETURNS = 100
@@ -17,6 +23,41 @@ def test_gae_matches_a_hand_worked_case_with_a_mid_buffer_done():
     adv, ret = gae([1.0, 2.0, 3.0], [0.5, 1.0, 1.5], [False, True, False], 0.9, 0.8)
     assert adv.tolist() == pytest.approx([2.12, 1.0, 1.5])
     assert ret.tolist() == pytest.approx([2.62, 2.0, 3.0])
+
+
+SHORT = ExperimentConfig(episode_s=60.0)
+
+
+def sampled_episode(trace_sink=None):
+    """(agent, steps) after one sampled 4-step episode of a small network."""
+    agent = PpoAgent(NetDims(hidden1=8, hidden2=6), SHORT, seed=1)
+    steps: list = []
+    run_episode(ScalingEnv(SHORT, trace_sink=trace_sink), agent, 0, steps=steps)
+    return agent, steps
+
+
+def test_update_of_an_empty_rollout_is_an_agent_error():
+    with pytest.raises(AgentError, match="empty rollout"):
+        PpoAgent(NetDims(hidden1=8, hidden2=6), SHORT).update([])
+
+
+def test_update_learns_from_its_steps_and_empties_them():
+    agent, steps = sampled_episode()
+    assert len(steps) == 4
+    before = {k: v.copy() for k, v in agent.params.tensors.items()}
+    report = agent.update(steps)
+    assert steps == []
+    assert all(math.isfinite(v) for v in
+               (report.policy_loss, report.value_loss, report.entropy))
+    assert all(not np.array_equal(before[k], v) for k, v in agent.params.tensors.items())
+
+
+def test_recorded_heads_decode_to_the_traced_action():
+    sink = StringIO()
+    _, steps = sampled_episode(trace_sink=sink)
+    traced = [json.loads(line)["action"] for line in sink.getvalue().splitlines()]
+    decoded = [ActionTriple.from_heads(*heads) for _, heads, *_ in steps]
+    assert [[a.d_gpu, a.d_cpu, a.pref] for a in decoded] == traced
 
 
 def test_flat_returns_converge_after_two_windows():

@@ -19,8 +19,17 @@ def test_hpa_holds_inside_tolerance_band_and_scales_outside_it():
     assert hpa_decide(4, 0.46, cfg) == 4
     assert hpa_decide(4, 0.6, cfg) == 5         # ceil(4 * 1.2)
     assert hpa_decide(4, 0.3, cfg) == 3         # ceil(4 * 0.6)
-    assert hpa_decide(4, 1.0, cfg) == cfg.hpa_max_replicas
-    assert hpa_decide(4, 0.0, cfg) == cfg.hpa_min_replicas
+    assert hpa_decide(4, 1.0, cfg) == cfg.cpu_max
+    assert hpa_decide(4, 0.0, cfg) == cfg.cpu_min
+
+
+def test_hpa_scales_the_cpu_pool_within_its_bounds():
+    """Under a ramp to 50 users HPA wants every CPU pod it may have, and no more
+    than the bounds KIScaler is held to."""
+    cfg = ExperimentConfig(cpu_max=2, init_cpu=2)
+    rows: list[dict] = []
+    run_baseline("hpa", "ramp", cfg, traffic_seed=3, timeseries=rows)
+    assert max(row["cpu_replicas"] for row in rows) == 2
 
 
 def test_hpa_stabilization_window_delays_scale_down():

@@ -3,6 +3,8 @@ import itertools
 import json
 import math
 
+import pytest
+
 import kisim.cli
 from kisim.agent import (MOVING_AVG_WINDOW, PpoAgent, TrainState, load_checkpoint,
                          save_checkpoint)
@@ -30,6 +32,33 @@ def test_train_evaluate_replay_smoke(tmp_path):
         set(itertools.product(PATTERN_NAMES, POLICIES))
     for pattern, policy in itertools.product(PATTERN_NAMES, POLICIES):
         assert (eval_dir / f"timeseries_{pattern}_{policy}.csv").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("{}", "trace line 1: missing key 'action'"),
+    ("3", "trace line 1: not a JSON object"),
+    ('{"episode":0,"action":[1]}', "trace line 1: action [1] is not 3 ints"),
+    ('{"episode":0,"step":1,"pattern":"ramp","action":[0,0,0],"reward":3,"desired_gpu":1,'
+     '"desired_cpu":3,"users":5}', "trace line 1: 'int' object is not subscriptable")],
+    ids=["no_keys", "not_an_object", "short_action", "reward_not_an_object"])
+def test_replay_refuses_a_trace_record_it_cannot_read(line, message, tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(line + "\n")
+    assert main(["replay", str(trace), "--out", str(tmp_path / "replay")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "replay").exists()
+
+
+def test_two_identical_train_runs_write_identical_files(tmp_path):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["train", "--episodes", "3", "--set", "episode_s=30", "--set", "hidden1=8",
+                     "--set", "hidden2=6", "--out", str(out)]) == 0
+    files = [{path.name: path.read_bytes() for path in out.iterdir()} for out in outs]
+    for written, out in zip(files, outs):
+        written["effective_config.txt"] = \
+            written["effective_config.txt"].replace(str(out).encode(), b"OUT")
+    assert files[0] == files[1]
 
 
 def test_removed_config_key_is_rejected(tmp_path, capsys):

@@ -55,19 +55,27 @@ def test_train_refuses_an_out_dir_its_config_file_would_misrecord(tmp_path, caps
 @pytest.mark.parametrize("key, value", [
     ("monitor_interval_s", 0.0), ("hpa_sync_period_s", 0.0), ("window_s", 0.0),
     ("random_redraw_s", 0.0), ("periodic_period_s", 0.0), ("monitor_interval_s", -1.0),
-    ("window_s", float("nan")),
+    ("window_s", float("nan")), ("latency_cap_s", 0.0), ("throughput_cap_rps", 0.0),
     *((key, math.inf) for key in ("episode_s", "control_interval_s", "monitor_interval_s",
                                   "window_s", "hpa_sync_period_s", "periodic_period_s",
-                                  "random_redraw_s")),
+                                  "random_redraw_s", "latency_cap_s", "throughput_cap_rps")),
     ("ppo_minibatch", 0), ("ppo_update_every_episodes", 0), ("eval_every", -1)])
 def test_values_that_hang_or_crash_a_run_are_config_errors(key, value):
     with pytest.raises(ConfigError, match=key):
         ExperimentConfig(**{key: value})
 
 
-@pytest.mark.parametrize("key, value", [("monitor_interval_s", "0"), ("episode_s", "inf")])
+def test_a_cluster_without_replicas_is_a_config_error():
+    """The observation divides the ready count by cpu_max + gpu_max."""
+    with pytest.raises(ConfigError, match=r"cpu_max \+ gpu_max must be >= 1"):
+        ExperimentConfig(cpu_min=0, cpu_max=0, gpu_max=0, init_cpu=0, init_gpu=0)
+
+
+@pytest.mark.parametrize("key, value", [("monitor_interval_s", "0"), ("episode_s", "inf"),
+                                        ("latency_cap_s", "0"), ("throughput_cap_rps", "0")])
 def test_baseline_refuses_a_zero_monitor_interval(key, value, tmp_path, capsys):
-    """A zero monitor interval resamples at t=0 forever; an infinite episode never ends."""
+    """A zero monitor interval resamples at t=0 forever; an infinite episode never
+    ends; a zero cap divides the observation by zero."""
     out = tmp_path / "base"
     assert main(["baseline", "--set", "episode_s=30", "--set", f"{key}={value}",
                  "--out", str(out)]) == 1
