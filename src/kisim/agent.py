@@ -84,30 +84,32 @@ class PpoAgent:
 
     # ---- acting ---------------------------------------------------------
 
-    def _policy_forward(self, obs_vec: np.ndarray):
-        p = self.params.as_float64()
+    def _actor(self, obs_vec: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         obs = np.asarray(obs_vec, dtype=np.float64).reshape(1, -1)
-        logits, _ = actor_forward(p, obs)
+        logits, _ = actor_forward(self.params.as_float64(), obs)
         for lg in logits:
             if not np.all(np.isfinite(lg)):
                 raise AgentError("non-finite policy logits (training diverged)")
-        value, _ = critic_forward(p, obs)
-        return logits, float(value[0])
+        return obs, logits
 
     def sample_action(self, obs_vec: np.ndarray) -> tuple[ActionTriple, tuple, float, float]:
-        """(action, drawn head indices, their joint log-probability, value)."""
-        logits, value = self._policy_forward(obs_vec)
+        """(action, drawn head indices, their joint log-probability, value). Each head
+        is drawn as `Generator.choice(k, p=exp(lp))` draws it, by one uniform's inverse CDF."""
+        obs, logits = self._actor(obs_vec)
+        value, _ = critic_forward(self.params.as_float64(), obs)
         heads = []
         log_prob = 0.0
-        for lg in logits:
+        for lg, u in zip(logits, self._sample_rng.random(len(logits))):
             lp = log_softmax(lg)[0]
-            idx = int(self._sample_rng.choice(len(lp), p=np.exp(lp)))
+            cdf = np.exp(lp).cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(u, side="right"))
             heads.append(idx)
             log_prob += float(lp[idx])
-        return ActionTriple.from_heads(*heads), tuple(heads), log_prob, value
+        return ActionTriple.from_heads(*heads), tuple(heads), log_prob, float(value[0])
 
     def greedy_action(self, obs_vec: np.ndarray) -> ActionTriple:
-        logits, _ = self._policy_forward(obs_vec)
+        _, logits = self._actor(obs_vec)
         return ActionTriple.from_heads(*(int(np.argmax(lg[0])) for lg in logits))
 
     # ---- learning ---------------------------------------------------------

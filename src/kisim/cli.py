@@ -88,15 +88,11 @@ def _prepare_out(cfg: ExperimentConfig) -> Path:
 
 
 def _select_patterns(args) -> list[str]:
-    if not args.patterns:
-        return list(PATTERN_NAMES)
-    chosen = []
-    for name in args.patterns:
+    for name in args.patterns or ():
         if name not in PATTERN_NAMES:
             raise ConfigError(
                 f"unknown pattern name: {name!r} (expected one of {PATTERN_NAMES})")
-        chosen.append(name)
-    return chosen
+    return list(args.patterns or PATTERN_NAMES)
 
 
 # ---- train ----------------------------------------------------------------

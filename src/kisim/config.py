@@ -119,6 +119,10 @@ class ExperimentConfig:
             raise ConfigError("gpu_min exceeds gpu_max")
         if self.cpu_max + self.gpu_max < 1:
             raise ConfigError("cpu_max + gpu_max must be >= 1")
+        if not self.cpu_min <= self.init_cpu <= self.cpu_max:
+            raise ConfigError("init_cpu must lie in cpu_min..cpu_max")
+        if not self.gpu_min <= self.init_gpu <= self.gpu_max:
+            raise ConfigError("init_gpu must lie in gpu_min..gpu_max")
         if self.users_min < 0 or self.users_min > self.users_max:
             raise ConfigError("users_min must satisfy 0 <= users_min <= users_max")
         # a zero period reschedules its event at the same instant forever and a zero

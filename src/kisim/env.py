@@ -82,10 +82,15 @@ class SimStack:
                                       until=config.episode_s)
 
     def advance(self, k: int, interval: float) -> bool:
-        """Run to control instant min(k*interval, episode_s); True once it ends."""
+        """Run to control instant min(k*interval, episode_s); True once it ends, when it
+        drops the events and listeners that point back at the stack, freeing it sooner."""
         target = min(k * interval, self.config.episode_s)
         self.engine.run_until(target)
-        return target >= self.config.episode_s
+        if target < self.config.episode_s:
+            return False
+        self.engine.clear()
+        self.cluster.completion_listeners.clear()
+        return True
 
     def _sample_util(self, now: float) -> None:
         cpu, mem = self.util_model.cpu_mem_utilization(self.cluster)

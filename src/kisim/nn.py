@@ -5,6 +5,13 @@ gradients survive a central finite-difference check. No autograd framework:
 the actor ("a") and the critic ("c") are one two-layer tanh trunk each, with
 the same forward and backward code, topped by three categorical heads and
 one value output respectively.
+
+`as_float64()` serves one float64 view of the tensors, built once. Only
+`Adam.step` changes weights; it rebinds each view to a fresh
+`astype(np.float64)` of the new float32 tensor and never updates one in
+place: a fresh copy has a fresh conversion's memory order (an orthogonal
+`*_w1` init is Fortran-ordered until its first step), and that order picks
+the forward's BLAS path, hence its last bits.
 """
 
 from __future__ import annotations
@@ -56,11 +63,12 @@ def _orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float) -> 
 
 
 class ActorCriticParams:
-    """Float32 parameter store for the actor-critic pair."""
+    """Float32 parameter store for the actor-critic pair, with its float64 view."""
 
     def __init__(self, dims: NetDims, tensors: dict[str, np.ndarray]) -> None:
         self.dims = dims
         self.tensors = tensors
+        self._f64 = {k: v.astype(np.float64) for k, v in tensors.items()}
         counted = sum(int(t.size) for t in tensors.values())
         expected = formula_param_count(dims)
         if counted != expected:
@@ -83,7 +91,8 @@ class ActorCriticParams:
         return cls(dims, tensors)
 
     def as_float64(self) -> dict[str, np.ndarray]:
-        return {k: v.astype(np.float64) for k, v in self.tensors.items()}
+        """The float64 view of `tensors`; read it, never write it."""
+        return self._f64
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -202,5 +211,5 @@ class Adam:
             m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
             v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
             update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            params.tensors[name] = (
-                params.tensors[name].astype(np.float64) - update).astype(np.float32)
+            new = params.tensors[name] = (params._f64[name] - update).astype(np.float32)
+            params._f64[name] = new.astype(np.float64)   # rebound, see the module docstring

@@ -10,6 +10,10 @@ An event is a (fire_at, seq, action, args) tuple: at fire_at the engine calls
 action(*args), and seq, the count of events scheduled so far, breaks ties in
 scheduling order. Repeated instants are computed as start + k*interval, never
 as a running sum, so every loop over the same interval sees the same times.
+
+A ClusterModel serves each request from a per-pool table of service_time(pool,
+n), n = 1..cap (the same floats), and `Request.user` names the virtual user
+waiting on the request: None for one whose completion wakes no one.
 """
 
 from __future__ import annotations
@@ -54,14 +58,15 @@ class Engine:
     def schedule_periodic(self, start: float, interval: float,
                           action: Callable[[float], None], until: float) -> None:
         """Fire action(now) at start + k*interval, k = 0, 1, ..., while <= until."""
+        self.schedule(start, self._tick, start, interval, action, until, 0)
 
-        def tick(k: int) -> None:
-            action(self.clock.now)
-            nxt = start + (k + 1) * interval
-            if nxt <= until:
-                self.schedule(nxt, tick, k + 1)
-
-        self.schedule(start, tick, 0)
+    def _tick(self, start: float, interval: float, action: Callable[[float], None],
+              until: float, k: int) -> None:
+        # a method, since a closure that schedules itself lives on until the cyclic GC
+        action(self.clock.now)
+        nxt = start + (k + 1) * interval
+        if nxt <= until:
+            self.schedule(nxt, self._tick, start, interval, action, until, k + 1)
 
     def run_until(self, t_end: float) -> None:
         clock = self.clock
@@ -76,6 +81,10 @@ class Engine:
 
     def pending_events(self) -> int:
         return len(self._heap)
+
+    def clear(self) -> None:
+        """Drop every pending event."""
+        self._heap.clear()
 
 
 class Pool(str, Enum):
@@ -102,6 +111,7 @@ class Request:
     service_started_at: Optional[float] = None
     completed_at: Optional[float] = None
     pod_id: Optional[int] = None
+    user: Optional[int] = None      # the virtual user waiting on it, if any
 
     @property
     def latency(self) -> float:
@@ -118,9 +128,6 @@ class Pod:
     phase: PodPhase = PodPhase.PENDING
     queue: deque = field(default_factory=deque)
     in_service: set = field(default_factory=set)
-
-    def free_slots(self) -> int:
-        return self.concurrency_cap - len(self.in_service)
 
 
 @dataclass(frozen=True)
@@ -182,6 +189,10 @@ class ClusterModel:
         self.cpu_startup_s = cpu_startup_s
         self.gpu_startup_s = gpu_startup_s
         self.routing_pref = routing_pref
+        # service_time(pool, n) for n = 1..cap, at index n - 1
+        self._service_times = {pool: tuple(service.service_time(pool, n)
+                                           for n in range(1, service.cap(pool) + 1))
+                               for pool in Pool}
 
         self.cpu_pods: list[Pod] = []
         self.gpu_pods: list[Pod] = []
@@ -326,12 +337,13 @@ class ClusterModel:
         else:
             order = (self.cpu_pods, self.gpu_pods)
         for pods in order:
+            # pods are in id order, so the first strict minimum is the (count, id) one
             target = None
             for p in pods:
-                if p.phase is PodPhase.READY and p.free_slots() > 0:
-                    if target is None or len(p.in_service) < len(target.in_service) \
-                            or (len(p.in_service) == len(target.in_service) and p.id < target.id):
-                        target = p
+                if p.phase is PodPhase.READY:
+                    n = len(p.in_service)
+                    if n < p.concurrency_cap and (target is None or n < least):
+                        target, least = p, n
             if target is not None:
                 self._start_service(target, req)
                 return
@@ -344,19 +356,19 @@ class ClusterModel:
 
     def _start_service(self, pod: Pod, req: Request) -> None:
         req.pod_id = pod.id
-        req.service_started_at = self.engine.now
+        req.service_started_at = now = self.engine.clock.now
         pod.in_service.add(req.id)
-        dur = self.service.service_time(pod.pool, len(pod.in_service))
-        self.engine.schedule(self.engine.now + dur, self._complete, pod, req)
+        dur = self._service_times[pod.pool][len(pod.in_service) - 1]
+        self.engine.schedule(now + dur, self._complete, pod, req)
 
     def _complete(self, pod: Pod, req: Request) -> None:
         pod.in_service.discard(req.id)
-        req.completed_at = self.engine.now
+        req.completed_at = self.engine.clock.now
         self.requests_completed += 1
         for listener in self.completion_listeners:
             listener(req)
         if pod.phase is PodPhase.READY:
-            if pod.queue and pod.free_slots() > 0:
+            if pod.queue and len(pod.in_service) < pod.concurrency_cap:
                 self._start_service(pod, pod.queue.popleft())
         elif pod.phase is PodPhase.TERMINATING and not pod.in_service:
             self._remove_pod(pod)

@@ -44,7 +44,6 @@ class LoadGenerator:
         self._next_user_id = 0
         self._next_request_id = 0
         self._active: set[int] = set()      # uids of current users, never reused
-        self._owner: dict[int, int] = {}    # request id -> uid
         cluster.completion_listeners.append(self._on_complete)
 
     def target(self, t: float) -> int:
@@ -95,19 +94,18 @@ class LoadGenerator:
 
     def _issue(self, uid: int) -> None:
         self._next_request_id += 1
-        req = Request(id=self._next_request_id, arrived_at=self.engine.now)
-        self._owner[req.id] = uid
-        self.cluster.submit(req)
+        self.cluster.submit(Request(id=self._next_request_id,
+                                    arrived_at=self.engine.clock.now, user=uid))
 
     def _on_complete(self, req: Request) -> None:
-        uid = self._owner.pop(req.id, None)
-        if uid not in self._active:     # a retired user, or not a request of ours
+        if req.user not in self._active:    # a retired user, or no user at all
             return
-        if self.engine.now >= self.cfg.episode_s:
-            self._active.remove(uid)
+        now = self.engine.clock.now
+        if now >= self.cfg.episode_s:
+            self._active.remove(req.user)
             return
-        self.engine.schedule(self.engine.now + self.cfg.hold_s, self._wake, uid)
+        self.engine.schedule(now + self.cfg.hold_s, self._wake, req.user)
 
     def _wake(self, uid: int) -> None:
-        if self.engine.now < self.cfg.episode_s and uid in self._active:
+        if self.engine.clock.now < self.cfg.episode_s and uid in self._active:
             self._issue(uid)

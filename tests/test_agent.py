@@ -5,12 +5,13 @@ from io import StringIO
 import numpy as np
 import pytest
 
+import kisim.agent
 from kisim.agent import (CHECKPOINT_STATE, MOVING_AVG_WINDOW, AgentError, CheckpointError,
                          PpoAgent, TrainState, detect_convergence, gae, load_checkpoint,
                          run_episode, save_checkpoint)
 from kisim.config import ExperimentConfig
 from kisim.env import ActionTriple, ScalingEnv
-from kisim.nn import NetDims
+from kisim.nn import ActorCriticParams, Adam, NetDims, actor_forward, log_softmax, tensor_shapes
 
 N_RETURNS = 100
 
@@ -58,6 +59,74 @@ def test_recorded_heads_decode_to_the_traced_action():
     traced = [json.loads(line)["action"] for line in sink.getvalue().splitlines()]
     decoded = [ActionTriple.from_heads(*heads) for _, heads, *_ in steps]
     assert [[a.d_gpu, a.d_cpu, a.pref] for a in decoded] == traced
+
+
+def test_sampled_heads_are_the_draws_of_generator_choice(monkeypatch):
+    """sample_action's inverse CDF draws what Generator.choice(k, p) draws from
+    a twin generator, and leaves the generator in the same state."""
+    rng = np.random.default_rng(11)
+    logit_sets = [[rng.normal(0.0, scale, (1, k)) for k in (5, 5, 2)]
+                  for scale in rng.choice([0.1, 3.0, 30.0], size=200)]
+    fed = iter(logit_sets)
+    monkeypatch.setattr(kisim.agent, "actor_forward", lambda p, obs: (next(fed), None))
+    agent = PpoAgent(NetDims(hidden1=8, hidden2=6), SHORT, seed=5)
+    agent._sample_rng = np.random.default_rng(2024)
+    twin = np.random.default_rng(2024)
+    for logits in logit_sets:
+        _, heads, log_prob, _ = agent.sample_action(np.zeros(10))
+        lps = [log_softmax(lg)[0] for lg in logits]
+        expected = tuple(int(twin.choice(len(lp), p=np.exp(lp))) for lp in lps)
+        assert heads == expected
+        assert log_prob == sum(float(lp[i]) for lp, i in zip(lps, heads))
+    assert agent._sample_rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_greedy_action_is_the_argmax_of_the_actor_alone(monkeypatch):
+    init = PpoAgent(NetDims(hidden1=16, hidden2=12), seed=2).params
+    rng = np.random.default_rng(3)
+    # spread the near-uniform initial heads, so the argmax moves with obs
+    agent = PpoAgent(ActorCriticParams(init.dims, {
+        name: w + rng.normal(0.0, 0.5, w.shape).astype(np.float32)
+        for name, w in init.tensors.items()}), SHORT)
+
+    def no_critic(*args):
+        raise AssertionError("greedy_action ran the critic")
+
+    monkeypatch.setattr(kisim.agent, "critic_forward", no_critic)
+    chosen = set()
+    for obs in rng.uniform(0.0, 1.0, (50, 10)):
+        logits, _ = actor_forward(agent.params.as_float64(), obs.reshape(1, -1))
+        expected = ActionTriple.from_heads(*(int(np.argmax(lg[0])) for lg in logits))
+        assert agent.greedy_action(obs) == expected
+        chosen.add(expected)
+    assert len(chosen) > 1
+
+
+def assert_view_is_a_fresh_conversion(params):
+    view = params.as_float64()
+    assert list(view) == list(params.tensors)
+    for name, tensor in params.tensors.items():
+        fresh = tensor.astype(np.float64)
+        assert np.array_equal(view[name], fresh), name
+        assert (view[name].flags.c_contiguous, view[name].flags.f_contiguous) == \
+            (fresh.flags.c_contiguous, fresh.flags.f_contiguous), name
+
+
+def test_float64_view_follows_the_weights_value_and_memory_order(tmp_path):
+    """The memory order picks the BLAS path, so the last bits of every forward."""
+    params = PpoAgent(NetDims(hidden1=16, hidden2=12), seed=4).params
+    assert_view_is_a_fresh_conversion(params)
+    # the orthogonal init of a wide *_w1 is Fortran-ordered until its first step
+    assert not params.as_float64()["a_w1"].flags.c_contiguous
+    optimizer = Adam(params, lr=0.01)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        optimizer.step(params, {name: rng.normal(size=shape)
+                                for name, shape in tensor_shapes(params.dims).items()})
+        assert_view_is_a_fresh_conversion(params)
+    save_checkpoint(params, TrainState(), tmp_path / "p.kisc")
+    loaded, _ = load_checkpoint(tmp_path / "p.kisc")
+    assert_view_is_a_fresh_conversion(loaded)
 
 
 def test_flat_returns_converge_after_two_windows():

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
@@ -101,3 +103,27 @@ def test_baseline_runs_reproduce_their_pinned_bytes():
             runs += [report, rows]
     digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
     assert digest[:16] == "db7dabe46f58da0f"
+
+
+def test_a_finished_run_is_freed_without_the_cyclic_gc(monkeypatch):
+    """Nothing a finished run leaves points back at its SimStack, so reference
+    counting frees it the moment the run returns."""
+    stacks = []
+    original = SimStack.__init__
+
+    def init(stack, *args, **kwargs):
+        original(stack, *args, **kwargs)
+        stacks.append(weakref.ref(stack))
+
+    monkeypatch.setattr(SimStack, "__init__", init)
+    cfg = ExperimentConfig(episode_s=30)
+    agent = PpoAgent(NetDims(hidden1=8, hidden2=6), cfg)
+    gc.collect()
+    gc.disable()
+    try:
+        run_baseline("hpa", "ramp", cfg, traffic_seed=3)
+        run_policy_episode(agent, "spike", cfg, traffic_seed=3)
+        assert len(stacks) == 2
+        assert [ref() for ref in stacks] == [None, None]
+    finally:
+        gc.enable()

@@ -59,7 +59,9 @@ def test_train_refuses_an_out_dir_its_config_file_would_misrecord(tmp_path, caps
     *((key, math.inf) for key in ("episode_s", "control_interval_s", "monitor_interval_s",
                                   "window_s", "hpa_sync_period_s", "periodic_period_s",
                                   "random_redraw_s", "latency_cap_s", "throughput_cap_rps")),
-    ("ppo_minibatch", 0), ("ppo_update_every_episodes", 0), ("eval_every", -1)])
+    ("ppo_minibatch", 0), ("ppo_update_every_episodes", 0), ("eval_every", -1),
+    # outside its pool's bounds: more (or fewer) ready pods than a policy may ask for
+    ("init_cpu", 0), ("init_cpu", 7), ("init_gpu", -1), ("init_gpu", 4)])
 def test_values_that_hang_or_crash_a_run_are_config_errors(key, value):
     with pytest.raises(ConfigError, match=key):
         ExperimentConfig(**{key: value})

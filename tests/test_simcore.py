@@ -215,7 +215,7 @@ def test_spillover_to_other_pool_when_preferred_saturated():
     gpu = cluster.gpu_pods[0]
     for i in range(gpu.concurrency_cap):
         cluster.submit(Request(id=100 + i, arrived_at=engine.now))
-    assert gpu.free_slots() == 0
+    assert len(gpu.in_service) == gpu.concurrency_cap
     req = Request(id=200, arrived_at=engine.now)
     cluster.submit(req)
     assert req.pod_id == cluster.cpu_pods[0].id
@@ -357,3 +357,31 @@ def test_identical_seeds_produce_identical_traces():
         return events
 
     assert trace() == trace()
+
+
+def test_each_request_is_served_in_the_time_its_start_load_gives():
+    """A pod's n-th concurrent request takes service_time(pool, n), for every
+    n up to the cap and for both pools, under a non-default service model."""
+    svc = ServiceModel(base_s=0.0731, cpu_cap=3, gpu_cap=5,
+                       cpu_exponent=0.77, gpu_exponent=0.41)
+    for pool, pref in ((Pool.CPU, RoutePref.CPU_FIRST), (Pool.GPU, RoutePref.GPU_FIRST)):
+        engine = Engine()
+        cluster = ClusterModel(engine, svc, limits=PoolLimits(0, 8, 0, 8), routing_pref=pref)
+        cluster.spawn_ready(pool, 1)
+        reqs = [Request(id=n, arrived_at=0.0) for n in range(1, svc.cap(pool) + 1)]
+        for req in reqs:
+            cluster.submit(req)
+        engine.run_until(10.0)
+        assert [r.latency for r in reqs] == [svc.service_time(pool, r.id) for r in reqs]
+
+
+def test_direct_routing_takes_the_least_loaded_ready_pod_lowest_id_first():
+    engine, cluster = make_cluster()
+    pods = ready_pod(cluster, Pool.CPU, n=3)
+    cluster.set_desired_replicas(Pool.CPU, 4)       # a fourth pod, idle but starting
+    reqs = [Request(id=i, arrived_at=engine.now) for i in range(6)]
+    for req in reqs:
+        cluster.submit(req)
+    # the first of three idle pods; then idle pod 2 over busier pod 1, and so
+    # on; then pod 1 again, the lowest id of three equally loaded pods
+    assert [r.pod_id for r in reqs] == [p.id for p in pods] * 2

@@ -3,7 +3,8 @@
 import pytest
 
 from kisim.config import ExperimentConfig
-from kisim.simcore import ClusterModel, Engine, Pool, PoolLimits, RoutePref, ServiceModel
+from kisim.simcore import (ClusterModel, Engine, Pool, PoolLimits, Request, RoutePref,
+                           ServiceModel)
 from kisim.traffic import PATTERN_NAMES, LoadGenerator
 
 
@@ -160,3 +161,19 @@ def test_seeded_generator_reproduces_trace():
         return completions
 
     assert run() == run()
+
+
+def test_a_request_without_a_user_wakes_no_one():
+    engine, cluster, gen = run_generator("spike", users_min=1, users_max=1)
+    # not the generator's request; alone on the pod, it completes first, at base time
+    stranger = Request(id=1000, arrived_at=0.0)
+    cluster.submit(stranger)
+    engine.run_until(0.0)                   # user 1 issues request 1
+    assert gen.active_users() == 1 and cluster.requests_injected == 2
+    scheduled = engine.clock.seq
+    engine.run_until(0.09)
+    assert stranger.completed_at == 0.0816
+    assert engine.clock.seq == scheduled    # nobody was sent to think
+    engine.run_until(0.2)                   # user 1's own completion
+    assert cluster.requests_completed == 2
+    assert engine.clock.seq == scheduled + 1
