@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .env import ActionTriple, ScalingEnv
+from .env import ActionTriple, ScalingEnv, episode_traffic
 from .nn import (ActorCriticParams, Adam, NetDims, actor_forward, critic_forward,
                  log_softmax, ppo_loss_and_grads, tensor_shapes)
 from .traffic import PATTERN_NAMES
@@ -257,7 +257,8 @@ def run_episode(env: ScalingEnv, agent: PpoAgent, episode_index: int,
 
     With a `steps` list the agent samples its actions and each step is
     appended to it; without one it acts greedily."""
-    obs = env.reset(episode_index)
+    obs = env.reset_to(*episode_traffic(env.config.seed, episode_index),
+                       episode_index=episode_index)
     episode_return = 0.0
     done = False
     while not done:
@@ -295,7 +296,7 @@ def train(env: ScalingEnv, agent: PpoAgent, out: str | Path) -> TrainState:
         if cfg.eval_every and (ep + 1) % cfg.eval_every == 0:
             eval_round = (ep + 1) // cfg.eval_every
             for p_idx, pattern in enumerate(PATTERN_NAMES):
-                # EVAL_INDEX_BASE is a multiple of len(PATTERN_NAMES): reset() picks `pattern`
+                # a multiple of len(PATTERN_NAMES) plus p_idx: episode_traffic picks `pattern`
                 eval_index = ScalingEnv.EVAL_INDEX_BASE + eval_round * len(PATTERN_NAMES) + p_idx
                 state.evals.append(
                     (ep, eval_round, pattern, run_episode(eval_env, agent, eval_index)))

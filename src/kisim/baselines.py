@@ -69,7 +69,7 @@ def run_baseline(policy: str, pattern: str, config: ExperimentConfig,
         k += 1
         done = stack.advance(k, interval)
         if controller is not None and not done:
-            current = stack.cluster.desired_cpu
+            current = stack.cluster.desired(Pool.CPU)
             util = mean_busy(stack.cluster, Pool.CPU)   # the HPA input signal
             desired = controller.decide(stack.engine.now, max(1, current), util)
             if desired != current:

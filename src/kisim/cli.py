@@ -16,14 +16,11 @@ from pathlib import Path
 from .agent import MOVING_AVG_WINDOW, PpoAgent, load_checkpoint, train
 from .baselines import POLICY_NAMES, run_baseline
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
-from .env import ScalingEnv, traffic_seed_for
+from .env import TIMESERIES_FIELDS, ScalingEnv, episode_traffic
 from .nn import NetDims
 from .traffic import PATTERN_NAMES
 
 EVAL_SEED_BASE = 2_000_000
-
-TIMESERIES_FIELDS = ("t", "users", "p95_s", "throughput_rps", "gpu_util",
-                     "cpu_util", "mem_util", "gpu_replicas", "cpu_replicas")
 
 
 class ReplayError(RuntimeError):
@@ -143,7 +140,7 @@ def cmd_baseline(args) -> int:
 
     rows = []
     for pattern in patterns:
-        seed = traffic_seed_for(cfg.seed, PATTERN_NAMES.index(pattern))
+        _, seed = episode_traffic(cfg.seed, PATTERN_NAMES.index(pattern))
         per_policy = {}
         for policy in ("fixed_gpu", "fixed_cpu"):
             ts: list[dict] = []
@@ -199,8 +196,7 @@ def cmd_evaluate(args) -> int:
 
     rows = []
     for pattern in patterns:
-        p_idx = PATTERN_NAMES.index(pattern)
-        seed = traffic_seed_for(cfg.seed, EVAL_SEED_BASE + p_idx)
+        _, seed = episode_traffic(cfg.seed, EVAL_SEED_BASE + PATTERN_NAMES.index(pattern))
         reports = {}
         ts: list[dict] = []
         reports["kiscaler"] = run_policy_episode(agent, pattern, cfg, seed,

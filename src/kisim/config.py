@@ -176,22 +176,15 @@ def _parse_value(key: str, raw: str):
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Parse `key = value` lines; '#' starts a comment; unknown keys are fatal."""
-    cfg = base or ExperimentConfig()
-    updates = {}
+    pairs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
-        key, raw = stripped.split("=", 1)
-        key = key.strip()
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown config key: {key!r}")
-        updates[key] = _parse_value(key, raw)
-    values = dataclasses.asdict(cfg)
-    values.update(updates)
-    return ExperimentConfig(**values)
+        pairs.append(stripped)
+    return apply_overrides(base or ExperimentConfig(), pairs)
 
 
 def load_config(path: str | Path, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -199,7 +192,7 @@ def load_config(path: str | Path, base: ExperimentConfig | None = None) -> Exper
 
 
 def apply_overrides(cfg: ExperimentConfig, pairs: list[str]) -> ExperimentConfig:
-    """Apply --set key=value overrides on top of a config."""
+    """Apply key=value pairs (--set overrides, config file lines) on top of a config."""
     values = dataclasses.asdict(cfg)
     for pair in pairs:
         if "=" not in pair:

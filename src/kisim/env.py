@@ -44,6 +44,11 @@ class ActionTriple:
         return cls(d_gpu=DELTAS[g_idx], d_cpu=DELTAS[c_idx], pref=pref)
 
 
+# the keys of SimStack.row(), in order: the columns of every time-series CSV
+TIMESERIES_FIELDS = ("t", "users", "p95_s", "throughput_rps", "gpu_util",
+                     "cpu_util", "mem_util", "gpu_replicas", "cpu_replicas")
+
+
 class SimStack:
     """Engine + cluster + metrics + traffic for one simulated run."""
 
@@ -109,8 +114,8 @@ class SimStack:
             "gpu_util": self.util_model.gpu_utilization(self.cluster),
             "cpu_util": cpu,
             "mem_util": mem,
-            "gpu_replicas": self.cluster.ready_count(Pool.GPU),
-            "cpu_replicas": self.cluster.ready_count(Pool.CPU),
+            "gpu_replicas": len(self.cluster.ready_pods(Pool.GPU)),
+            "cpu_replicas": len(self.cluster.ready_pods(Pool.CPU)),
         }
 
     def report(self, policy: str) -> dict:
@@ -132,8 +137,10 @@ class SimStack:
         }
 
 
-def traffic_seed_for(base_seed: int, key: int) -> int:
-    return int(np.random.SeedSequence([base_seed, key]).generate_state(1)[0])
+def episode_traffic(base_seed: int, index: int) -> tuple[str, int]:
+    """The (pattern, traffic seed) of episode `index`: patterns rotate with the index."""
+    return (PATTERN_NAMES[index % len(PATTERN_NAMES)],
+            int(np.random.SeedSequence([base_seed, index]).generate_state(1)[0]))
 
 
 class EpisodeFinished(RuntimeError):
@@ -141,7 +148,7 @@ class EpisodeFinished(RuntimeError):
 
 
 class ScalingEnv:
-    """Gym-style facade: reset(episode) -> obs; step(action) -> (obs, reward, done)."""
+    """Gym-style facade: reset_to(pattern, seed) -> obs; step(action) -> (obs, reward, done)."""
 
     EVAL_INDEX_BASE = 1_000_000
 
@@ -159,11 +166,6 @@ class ScalingEnv:
         self._done = True
 
     # ---- episode management ---------------------------------------------
-
-    def reset(self, episode_index: int = 0) -> np.ndarray:
-        pattern = PATTERN_NAMES[episode_index % len(PATTERN_NAMES)]
-        seed = traffic_seed_for(self.config.seed, episode_index)
-        return self.reset_to(pattern, seed, episode_index=episode_index)
 
     def reset_to(self, pattern: str, traffic_seed: int,
                  episode_index: int = 0) -> np.ndarray:
@@ -213,13 +215,12 @@ class ScalingEnv:
 
     def decode_and_apply(self, action: ActionTriple) -> None:
         cluster = self.stack.cluster
-        new_gpu = cluster.clamp_desired(Pool.GPU, cluster.desired_gpu + action.d_gpu)
-        new_cpu = cluster.clamp_desired(Pool.CPU, cluster.desired_cpu + action.d_cpu)
         cluster.routing_pref = RoutePref(action.pref)
-        if new_gpu != cluster.desired_gpu:
-            cluster.set_desired_replicas(Pool.GPU, new_gpu)
-        if new_cpu != cluster.desired_cpu:
-            cluster.set_desired_replicas(Pool.CPU, new_cpu)
+        for pool, delta in ((Pool.GPU, action.d_gpu), (Pool.CPU, action.d_cpu)):
+            current = cluster.desired(pool)
+            new = cluster.clamp_desired(pool, current + delta)
+            if new != current:
+                cluster.set_desired_replicas(pool, new)
 
     def demand_estimate(self) -> int:
         users = self.row["users"]
@@ -233,7 +234,8 @@ class ScalingEnv:
         cfg = self.config
         cluster = self.stack.cluster
         n_max = cfg.gpu_max + cfg.cpu_max
-        over = max(0, cluster.desired_gpu + cluster.desired_cpu - self.demand_estimate())
+        over = max(0, cluster.desired(Pool.GPU) + cluster.desired(Pool.CPU)
+                   - self.demand_estimate())
         # l_p95 and u_gpu as Python floats, so the trace and training log write plain reprs
         terms = {"latency": float(obs[2]), "gpu_util": float(obs[1]),
                  "overhead": min(1.0, over / n_max),
@@ -248,7 +250,7 @@ class ScalingEnv:
 
     def step(self, action: ActionTriple) -> tuple[np.ndarray, float, bool]:
         if self._done:
-            raise EpisodeFinished("episode is finished; call reset() first")
+            raise EpisodeFinished("episode is finished; call reset_to() first")
         self.decode_and_apply(action)
         self.step_index += 1
         done = self.stack.advance(self.step_index, self.config.control_interval_s)
@@ -268,8 +270,8 @@ class ScalingEnv:
             "obs": [round(float(x), 9) for x in obs],
             "action": [action.d_gpu, action.d_cpu, action.pref],
             "reward": {k: round(v, 9) for k, v in terms.items()},
-            "desired_gpu": cluster.desired_gpu,
-            "desired_cpu": cluster.desired_cpu,
+            "desired_gpu": cluster.desired(Pool.GPU),
+            "desired_cpu": cluster.desired(Pool.CPU),
             "users": self.row["users"],
         }
         self.trace_sink.write(json.dumps(record, separators=(",", ":")) + "\n")

@@ -67,7 +67,7 @@ def mean_busy(cluster: ClusterModel, pool: Pool) -> float:
     ready = cluster.ready_pods(pool)
     if not ready:
         return 0.0
-    return sum(len(p.in_service) / p.concurrency_cap for p in ready) / len(ready)
+    return sum(p.in_service / p.concurrency_cap for p in ready) / len(ready)
 
 
 class UtilizationModel:
@@ -88,14 +88,14 @@ class UtilizationModel:
                 (Pool.GPU, cfg.gpu_pod_idle_millicores, cfg.gpu_pod_busy_millicores,
                  cfg.gpu_pod_mem_bytes)):
             for pod in cluster.ready_pods(pool):
-                millicores += idle + len(pod.in_service) / pod.concurrency_cap * (busy - idle)
+                millicores += idle + pod.in_service / pod.concurrency_cap * (busy - idle)
                 mem += pod_mem
         cpu_util = min(1.0, millicores / cfg.node_millicores)
         mem_util = min(1.0, mem / cfg.node_mem_bytes)
         return (cpu_util, mem_util)
 
     def gpu_utilization(self, cluster: ClusterModel) -> float:
-        ready = cluster.ready_count(Pool.GPU)
+        ready = len(cluster.ready_pods(Pool.GPU))
         if not ready:
             return 0.0
         return min(1.0, mean_busy(cluster, Pool.GPU) * (ready / cluster.gpu_device_budget))

@@ -14,6 +14,10 @@ as a running sum, so every loop over the same interval sees the same times.
 A ClusterModel serves each request from a per-pool table of service_time(pool,
 n), n = 1..cap (the same floats), and `Request.user` names the virtual user
 waiting on the request: None for one whose completion wakes no one.
+
+The pod lists are the only record of replicas and load: a pool's desired
+replica count is its number of non-terminating pods, and a pod counts its
+requests in service. Pre-warmed pods are born Ready, with no start-up event.
 """
 
 from __future__ import annotations
@@ -127,7 +131,7 @@ class Pod:
     concurrency_cap: int
     phase: PodPhase = PodPhase.PENDING
     queue: deque = field(default_factory=deque)
-    in_service: set = field(default_factory=set)
+    in_service: int = 0     # requests in service
 
 
 @dataclass(frozen=True)
@@ -197,8 +201,6 @@ class ClusterModel:
         self.cpu_pods: list[Pod] = []
         self.gpu_pods: list[Pod] = []
         self.backlog: deque[Request] = deque()
-        self.desired_cpu = 0
-        self.desired_gpu = 0
 
         self._next_pod_id = 0
         self.requests_injected = 0
@@ -213,8 +215,9 @@ class ClusterModel:
     def ready_pods(self, pool: Pool) -> list[Pod]:
         return [p for p in self.pods(pool) if p.phase is PodPhase.READY]
 
-    def ready_count(self, pool: Pool) -> int:
-        return sum(1 for p in self.pods(pool) if p.phase is PodPhase.READY)
+    def desired(self, pool: Pool) -> int:
+        """The pool's replica count: its pods that are not terminating."""
+        return sum(1 for p in self.pods(pool) if p.phase is not PodPhase.TERMINATING)
 
     def active_gpu_count(self) -> int:
         """GPU pods holding the device per the budget invariant."""
@@ -225,14 +228,10 @@ class ClusterModel:
         # Terminating-but-draining pods still hold the device until removed.
         return sum(1 for p in self.gpu_pods if p.phase is not PodPhase.PENDING)
 
-    def in_flight(self) -> int:
-        return sum(len(p.in_service) for p in self.cpu_pods + self.gpu_pods)
-
-    def queued(self) -> int:
-        return sum(len(p.queue) for p in self.cpu_pods + self.gpu_pods)
-
     def outstanding(self) -> int:
-        return self.in_flight() + self.queued() + len(self.backlog)
+        """Requests injected and not completed: in service, queued or backlogged."""
+        return (sum(p.in_service + len(p.queue) for p in self.cpu_pods + self.gpu_pods)
+                + len(self.backlog))
 
     # ---- replica control -----------------------------------------------
 
@@ -244,10 +243,6 @@ class ClusterModel:
     def set_desired_replicas(self, pool: Pool, count: int) -> None:
         if count < 0:
             raise ValueError("replica count must be non-negative")
-        if pool is Pool.CPU:
-            self.desired_cpu = count
-        else:
-            self.desired_gpu = count
         pods = self.pods(pool)
         alive = [p for p in pods if p.phase is not PodPhase.TERMINATING]
         if count > len(alive):
@@ -258,15 +253,9 @@ class ClusterModel:
                 self._terminate_pod(victim)
 
     def spawn_ready(self, pool: Pool, count: int) -> None:
-        """Bring up pre-warmed pods at t=0 (episode starts on a live cluster)."""
-        if pool is Pool.CPU:
-            self.desired_cpu = count
-        else:
-            self.desired_gpu = count
+        """Bring up pre-warmed pods, born Ready (the episode starts on a live cluster)."""
         for _ in range(count):
-            pod = self._create_pod(pool)
-            if pod.phase is PodPhase.STARTING:
-                pod.phase = PodPhase.READY
+            self._create_pod(pool, ready=True)
 
     @staticmethod
     def _pick_victims(alive: list[Pod], n: int) -> list[Pod]:
@@ -275,16 +264,18 @@ class ClusterModel:
         ranked = sorted(alive, key=lambda p: (order[p.phase], -p.id))
         return ranked[:n]
 
-    def _create_pod(self, pool: Pool) -> Pod:
+    def _create_pod(self, pool: Pool, ready: bool = False) -> None:
         self._next_pod_id += 1
         pod = Pod(id=self._next_pod_id, pool=pool,
                   concurrency_cap=self.service.cap(pool))
         self.pods(pool).append(pod)
         # CPU pods start immediately; GPU pods only while a device is free,
-        # otherwise they sit Pending as standbys.
+        # otherwise they sit Pending as standbys. A pre-warmed pod skips start-up.
         if pool is Pool.CPU or self._occupied_gpu_count() < self.gpu_device_budget:
-            self._start_pod(pod)
-        return pod
+            if ready:
+                pod.phase = PodPhase.READY
+            else:
+                self._start_pod(pod)
 
     def _start_pod(self, pod: Pod) -> None:
         pod.phase = PodPhase.STARTING
@@ -295,10 +286,7 @@ class ClusterModel:
         if pod.phase is not PodPhase.STARTING:
             return  # terminated while starting
         pod.phase = PodPhase.READY
-        self._drain_backlog()
-
-    def _drain_backlog(self) -> None:
-        # Only called once a pod is Ready, so every request finds a home.
+        # a pod is Ready now, so every backlogged request finds a home
         while self.backlog:
             self._route(self.backlog.popleft())
 
@@ -341,7 +329,7 @@ class ClusterModel:
             target = None
             for p in pods:
                 if p.phase is PodPhase.READY:
-                    n = len(p.in_service)
+                    n = p.in_service
                     if n < p.concurrency_cap and (target is None or n < least):
                         target, least = p, n
             if target is not None:
@@ -357,18 +345,18 @@ class ClusterModel:
     def _start_service(self, pod: Pod, req: Request) -> None:
         req.pod_id = pod.id
         req.service_started_at = now = self.engine.clock.now
-        pod.in_service.add(req.id)
-        dur = self._service_times[pod.pool][len(pod.in_service) - 1]
+        pod.in_service += 1
+        dur = self._service_times[pod.pool][pod.in_service - 1]
         self.engine.schedule(now + dur, self._complete, pod, req)
 
     def _complete(self, pod: Pod, req: Request) -> None:
-        pod.in_service.discard(req.id)
+        pod.in_service -= 1
         req.completed_at = self.engine.clock.now
         self.requests_completed += 1
         for listener in self.completion_listeners:
             listener(req)
         if pod.phase is PodPhase.READY:
-            if pod.queue and len(pod.in_service) < pod.concurrency_cap:
+            if pod.queue and pod.in_service < pod.concurrency_cap:
                 self._start_service(pod, pod.queue.popleft())
         elif pod.phase is PodPhase.TERMINATING and not pod.in_service:
             self._remove_pod(pod)

@@ -62,9 +62,9 @@ def checked_steps(monkeypatch):
         assert cluster.requests_injected == \
             cluster.requests_completed + cluster.outstanding()
         assert cluster.active_gpu_count() <= cluster.gpu_device_budget
-        for pool, desired in ((Pool.CPU, cluster.desired_cpu), (Pool.GPU, cluster.desired_gpu)):
-            assert desired == sum(p.phase is not PodPhase.TERMINATING
-                                  for p in cluster.pods(pool))
+        for pool in (Pool.CPU, Pool.GPU):
+            assert cluster.desired(pool) == sum(p.phase is not PodPhase.TERMINATING
+                                                for p in cluster.pods(pool))
         seen.append(stack.engine.now)
         return original(stack)
 

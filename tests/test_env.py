@@ -9,7 +9,8 @@ from kisim.agent import PpoAgent
 from kisim.baselines import run_baseline
 from kisim.cli import run_policy_episode
 from kisim.config import ExperimentConfig
-from kisim.env import OBS_FIELDS, ActionTriple, ScalingEnv, traffic_seed_for
+from kisim.env import (OBS_FIELDS, TIMESERIES_FIELDS, ActionTriple, ScalingEnv,
+                       episode_traffic)
 from kisim.nn import NetDims
 from kisim.traffic import PATTERN_NAMES
 
@@ -47,7 +48,7 @@ def test_observations_stay_in_unit_interval_through_the_last_step(interval):
 def test_step_count_for_default_and_dense_control(interval, steps):
     env = ScalingEnv(ExperimentConfig(control_interval_s=interval,
                                       users_min=1, users_max=5))
-    env.reset(0)
+    env.reset_to(*episode_traffic(env.config.seed, 0))
     done = False
     count = 0
     while not done:
@@ -61,9 +62,16 @@ def test_eval_index_reset_picks_the_pattern_at_its_offset(p_idx):
     cfg = ExperimentConfig(episode_s=5.0)
     index = ScalingEnv.EVAL_INDEX_BASE + len(PATTERN_NAMES) * 3 + p_idx
     env = ScalingEnv(cfg)
-    env.reset(index)
+    env.reset_to(*episode_traffic(cfg.seed, index))
     assert env.pattern == PATTERN_NAMES[p_idx]
-    assert env.stack.generator.seed == traffic_seed_for(cfg.seed, index)
+    assert env.stack.generator.seed == episode_traffic(cfg.seed, index)[1]
+
+
+def test_a_row_holds_the_time_series_fields_in_order():
+    env = ScalingEnv(ExperimentConfig(episode_s=30.0))
+    env.reset_to("ramp", 3)
+    env.step(ActionTriple(d_gpu=0, d_cpu=1, pref=0))
+    assert tuple(env.stack.row()) == TIMESERIES_FIELDS
 
 
 def test_each_observation_reads_the_row_of_its_step():
@@ -95,7 +103,7 @@ def test_env_trace_reproduces_its_pinned_bytes():
     env = ScalingEnv(ExperimentConfig(episode_s=60.0), trace_sink=sink)
     actions = itertools.cycle(FIVE_ACTIONS)
     for i in range(4):
-        env.reset(i)
+        env.reset_to(*episode_traffic(env.config.seed, i), episode_index=i)
         done = False
         while not done:
             _, _, done = env.step(next(actions))

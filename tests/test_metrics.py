@@ -116,9 +116,9 @@ def test_mean_busy_averages_the_ready_pods_of_one_pool():
     cluster.spawn_ready(Pool.CPU, 3)
     cluster.spawn_ready(Pool.GPU, 1)
     cpu = cluster.ready_pods(Pool.CPU)
-    cpu[0].in_service.update({1, 2})
-    cpu[1].in_service.add(3)
-    cpu[2].in_service.update({4, 5})
+    cpu[0].in_service = 2
+    cpu[1].in_service = 1
+    cpu[2].in_service = 2
     cpu[2].phase = PodPhase.TERMINATING                  # not Ready: left out
     assert mean_busy(cluster, Pool.CPU) == (2 / 2 + 1 / 2) / 2
     assert mean_busy(cluster, Pool.GPU) == 0.0
@@ -148,8 +148,7 @@ def test_cpu_utilization_idle_and_busy_endpoints():
     assert cpu == pytest.approx(3 * 715 / 16000)
     assert mem == pytest.approx(3 * 540e6 / (32 * 2**30))
     for pod in cluster.cpu_pods:
-        for i in range(pod.concurrency_cap):
-            pod.in_service.add(9000 + pod.id * 10 + i)
+        pod.in_service = pod.concurrency_cap
     cpu, _ = model.cpu_mem_utilization(cluster)
     assert cpu == pytest.approx(3 * 1062 / 16000)
 

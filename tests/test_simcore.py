@@ -215,7 +215,7 @@ def test_spillover_to_other_pool_when_preferred_saturated():
     gpu = cluster.gpu_pods[0]
     for i in range(gpu.concurrency_cap):
         cluster.submit(Request(id=100 + i, arrived_at=engine.now))
-    assert len(gpu.in_service) == gpu.concurrency_cap
+    assert gpu.in_service == gpu.concurrency_cap
     req = Request(id=200, arrived_at=engine.now)
     cluster.submit(req)
     assert req.pod_id == cluster.cpu_pods[0].id
@@ -249,7 +249,7 @@ def test_backlog_drains_on_first_readiness():
     engine.run_until(5.0)
     assert not cluster.backlog
     pod = cluster.cpu_pods[0]
-    assert len(pod.in_service) == pod.concurrency_cap
+    assert pod.in_service == pod.concurrency_cap
     assert len(pod.queue) == 1
 
 
@@ -385,3 +385,36 @@ def test_direct_routing_takes_the_least_loaded_ready_pod_lowest_id_first():
     # the first of three idle pods; then idle pod 2 over busier pod 1, and so
     # on; then pod 1 again, the lowest id of three equally loaded pods
     assert [r.pod_id for r in reqs] == [p.id for p in pods] * 2
+
+
+# ---- one record of replicas and load ------------------------------------------
+
+def test_a_pod_counts_requests_in_service_even_with_equal_ids():
+    engine = Engine()
+    cluster = ClusterModel(engine, ServiceModel(), limits=PoolLimits(0, 4, 0, 2))
+    cluster.spawn_ready(Pool.CPU, 1)                # one Ready pod with two slots
+    reqs = [Request(id=i, arrived_at=0.0) for i in (7, 7, 8)]
+    for req in reqs:
+        cluster.submit(req)
+    pod = cluster.cpu_pods[0]
+    assert (pod.in_service, len(pod.queue)) == (2, 1)
+    assert cluster.outstanding() == 3
+    engine.run_until(1.0)
+    two = 0.0816 * 2 ** 0.9
+    assert [r.completed_at for r in reqs] == [0.0816, two, 0.0816 + two]
+    assert cluster.outstanding() == 0
+
+
+def test_pre_warmed_pods_are_born_ready_without_a_start_up_event():
+    engine, cluster = make_cluster()
+    cluster.spawn_ready(Pool.CPU, 3)
+    cluster.spawn_ready(Pool.GPU, 1)
+    assert [p.phase for p in cluster.cpu_pods + cluster.gpu_pods] == [PodPhase.READY] * 4
+    assert engine.pending_events() == 0
+
+
+def test_desired_counts_the_pods_of_every_spawn():
+    _, cluster = make_cluster()
+    cluster.spawn_ready(Pool.CPU, 2)
+    cluster.spawn_ready(Pool.CPU, 2)
+    assert cluster.desired(Pool.CPU) == 4 == len(cluster.cpu_pods)

@@ -1,0 +1,65 @@
+"""Determinism digest of kisim: the sha256 prefix of every output file.
+
+Runs four commands of the kisim in this checkout into a temporary directory:
+
+- `train --seed 42` (the default 100-episode training run);
+- `evaluate` of that run's checkpoint;
+- `baseline`;
+- the 30-episode dense train, `train --episodes 30 --set control_interval_s=1
+  --set users_min=1 --set users_max=5`.
+
+It then prints one `<run>/<file>  <sha256 prefix>` line per output file. The
+`out_dir` line of `effective_config.txt` names the temporary directory, so it is
+masked before hashing. Two checkouts are byte for byte alike when their outputs
+are; compare with `diff <(python tools/digest.py) <(python ../other/tools/digest.py)`.
+
+Usage: python tools/digest.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from kisim.cli import main  # noqa: E402
+
+OUT_DIR_LINE = re.compile(rb"^out_dir = .*$", re.MULTILINE)
+
+
+def run(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = main(argv)
+    if status != 0:
+        raise SystemExit(f"kisim {' '.join(argv)} exited {status}")
+
+
+def file_digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name == "effective_config.txt":
+        data = OUT_DIR_LINE.sub(b"out_dir = <masked>", data)
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def main_digest() -> None:
+    with tempfile.TemporaryDirectory(prefix="kisim-digest-") as tmp:
+        root = Path(tmp)
+        train, evaluate, baseline, dense = (str(root / name) for name in
+                                            ("train", "evaluate", "baseline", "dense"))
+        run(["train", "--seed", "42", "--out", train])
+        run(["evaluate", str(Path(train) / "checkpoint.kisc"), "--out", evaluate])
+        run(["baseline", "--out", baseline])
+        run(["train", "--episodes", "30", "--set", "control_interval_s=1",
+             "--set", "users_min=1", "--set", "users_max=5", "--out", dense])
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            print(f"{path.relative_to(root).as_posix()}  {file_digest(path)}")
+
+
+if __name__ == "__main__":
+    main_digest()
