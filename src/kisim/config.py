@@ -125,16 +125,19 @@ class ExperimentConfig:
             raise ConfigError("init_gpu must lie in gpu_min..gpu_max")
         if self.users_min < 0 or self.users_min > self.users_max:
             raise ConfigError("users_min must satisfy 0 <= users_min <= users_max")
-        # a zero period reschedules its event at the same instant forever and a zero
-        # cap divides the observation by zero; an infinite period never ends the
-        # episode or empties the run, and an infinite cap zeroes its feature
+        # a zero period reschedules its event at the same instant forever, a zero cap or
+        # node size divides by zero and a zero service time lets a user loop at one
+        # instant; an infinite period never ends the episode, an infinite cap zeroes its feature
         for key in ("episode_s", "control_interval_s", "monitor_interval_s", "window_s",
                     "hpa_sync_period_s", "periodic_period_s", "random_redraw_s",
-                    "latency_cap_s", "throughput_cap_rps"):
+                    "latency_cap_s", "throughput_cap_rps", "base_service_s",
+                    "node_millicores", "node_mem_bytes"):
             if not 0 < getattr(self, key) < math.inf:     # NaN fails too
                 raise ConfigError(f"{key} must be positive and finite")
+        # below these: a think time in the past, a pod without a slot, NaN losses of no epoch
         for key, least in (("ppo_minibatch", 1), ("ppo_update_every_episodes", 1),
-                           ("eval_every", 0), ("hpa_tolerance", 0)):
+                           ("eval_every", 0), ("hpa_tolerance", 0), ("hold_s", 0),
+                           ("cpu_concurrency", 1), ("gpu_concurrency", 1), ("ppo_epochs", 1)):
             if not getattr(self, key) >= least:
                 raise ConfigError(f"{key} must be >= {least}")
         for f in fields(self):

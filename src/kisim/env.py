@@ -78,8 +78,7 @@ class SimStack:
         self.util_model = UtilizationModel(config)
         self.window = MetricsWindow(window_len_s=config.window_s)
         self.util_samples: list[tuple[float, float, float]] = []   # (cpu, mem, gpu)
-        self.cluster.completion_listeners.append(
-            lambda req: self.window.record_completion(req.completed_at, req.latency))
+        self.cluster.completion_listeners.append(self.window.record)
         self.generator = LoadGenerator(config, pattern, traffic_seed,
                                        self.engine, self.cluster)
         self.generator.start()
@@ -223,9 +222,8 @@ class ScalingEnv:
                 cluster.set_desired_replicas(pool, new)
 
     def demand_estimate(self) -> int:
-        users = self.row["users"]
-        cycle = self.config.hold_s + self.config.base_service_s
-        offered_rps = users / cycle if cycle > 0 else 0.0
+        cycle = self.config.hold_s + self.config.base_service_s     # > 0 by the config
+        offered_rps = self.row["users"] / cycle
         # every replica is rated at a CPU pod's saturated completion rate
         return int(math.ceil(offered_rps / self.stack.service.sustainable_rps(Pool.CPU)))
 

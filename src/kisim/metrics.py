@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 
 from .config import ExperimentConfig
-from .simcore import ClusterModel, Pool
+from .simcore import ClusterModel, Pool, Request
 
 
 def nearest_rank_p95(values) -> float:
@@ -36,9 +36,10 @@ class MetricsWindow:
         self._times: list[float] = []
         self._latencies: list[float] = []
 
-    def record_completion(self, ts: float, latency: float) -> None:
-        self._times.append(ts)
-        self._latencies.append(latency)
+    def record(self, req: Request) -> None:
+        done = req.completed_at     # logs the request's latency as req.latency computes it
+        self._times.append(done)
+        self._latencies.append(done - req.arrived_at)
 
     def _start(self, now: float) -> int:
         return bisect_right(self._times, now - self.window_len_s)

@@ -18,11 +18,15 @@ waiting on the request: None for one whose completion wakes no one.
 The pod lists are the only record of replicas and load: a pool's desired
 replica count is its number of non-terminating pods, and a pod counts its
 requests in service. Pre-warmed pods are born Ready, with no start-up event.
+Each pool also keeps a Ready index, its Ready pods in id order, changed only where
+a pod turns Ready or stops being Ready, so routing and utilization never filter
+pods; `ready_pods(pool)` returns the index itself, which callers must not change.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -200,6 +204,8 @@ class ClusterModel:
 
         self.cpu_pods: list[Pod] = []
         self.gpu_pods: list[Pod] = []
+        self.cpu_ready: list[Pod] = []     # the Ready index, one per pool
+        self.gpu_ready: list[Pod] = []
         self.backlog: deque[Request] = deque()
 
         self._next_pod_id = 0
@@ -213,7 +219,8 @@ class ClusterModel:
         return self.cpu_pods if pool is Pool.CPU else self.gpu_pods
 
     def ready_pods(self, pool: Pool) -> list[Pod]:
-        return [p for p in self.pods(pool) if p.phase is PodPhase.READY]
+        """The pool's Ready pods in id order: the live index, so read-only."""
+        return self.cpu_ready if pool is Pool.CPU else self.gpu_ready
 
     def desired(self, pool: Pool) -> int:
         """The pool's replica count: its pods that are not terminating."""
@@ -274,6 +281,7 @@ class ClusterModel:
         if pool is Pool.CPU or self._occupied_gpu_count() < self.gpu_device_budget:
             if ready:
                 pod.phase = PodPhase.READY
+                self.ready_pods(pool).append(pod)   # the newest id, so last
             else:
                 self._start_pod(pod)
 
@@ -286,17 +294,17 @@ class ClusterModel:
         if pod.phase is not PodPhase.STARTING:
             return  # terminated while starting
         pod.phase = PodPhase.READY
+        insort(self.ready_pods(pod.pool), pod, key=lambda p: p.id)
         # a pod is Ready now, so every backlogged request finds a home
         while self.backlog:
             self._route(self.backlog.popleft())
 
     def _terminate_pod(self, pod: Pod) -> None:
+        if pod.phase is PodPhase.READY:
+            self.ready_pods(pod.pool).remove(pod)
         pod.phase = PodPhase.TERMINATING
-        if pod.queue:
-            waiting = list(pod.queue)
-            pod.queue.clear()
-            for req in waiting:
-                self._route(req)
+        while pod.queue:    # out of the Ready index, the pod takes none of them back
+            self._route(pod.queue.popleft())
         if not pod.in_service:
             self._remove_pod(pod)
         # else: drain; in-service requests finish, removal happens in _complete
@@ -321,26 +329,26 @@ class ClusterModel:
 
     def _route(self, req: Request) -> None:
         if self.routing_pref is RoutePref.GPU_FIRST:
-            order = (self.gpu_pods, self.cpu_pods)
+            order = (self.gpu_ready, self.cpu_ready)
         else:
-            order = (self.cpu_pods, self.gpu_pods)
+            order = (self.cpu_ready, self.gpu_ready)
         for pods in order:
             # pods are in id order, so the first strict minimum is the (count, id) one
             target = None
             for p in pods:
-                if p.phase is PodPhase.READY:
-                    n = p.in_service
-                    if n < p.concurrency_cap and (target is None or n < least):
-                        target, least = p, n
+                n = p.in_service
+                if n < p.concurrency_cap and (target is None or n < least):
+                    target, least = p, n
             if target is not None:
                 self._start_service(target, req)
                 return
-        ready = [p for p in self.cpu_pods + self.gpu_pods if p.phase is PodPhase.READY]
-        if ready:
-            target = min(ready, key=lambda p: (len(p.queue), p.id))
-            target.queue.append(req)
-        else:
-            self.backlog.append(req)
+        target = None   # every Ready pod is full: the least (queue length, id) queues it
+        for pods in order:
+            for p in pods:
+                n = len(p.queue)
+                if target is None or n < least or (n == least and p.id < target.id):
+                    target, least = p, n
+        (self.backlog if target is None else target.queue).append(req)
 
     def _start_service(self, pod: Pod, req: Request) -> None:
         req.pod_id = pod.id

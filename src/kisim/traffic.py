@@ -94,17 +94,19 @@ class LoadGenerator:
 
     def _issue(self, uid: int) -> None:
         self._next_request_id += 1
-        self.cluster.submit(Request(id=self._next_request_id,
-                                    arrived_at=self.engine.clock.now, user=uid))
+        # Request(id, arrived_at, service_started_at, completed_at, pod_id, user)
+        self.cluster.submit(Request(self._next_request_id, self.engine.clock.now,
+                                    None, None, None, uid))
 
     def _on_complete(self, req: Request) -> None:
-        if req.user not in self._active:    # a retired user, or no user at all
+        uid = req.user
+        if uid not in self._active:     # a retired user, or no user at all
             return
-        now = self.engine.clock.now
-        if now >= self.cfg.episode_s:
-            self._active.remove(req.user)
+        now, cfg = self.engine.clock.now, self.cfg
+        if now >= cfg.episode_s:
+            self._active.remove(uid)
             return
-        self.engine.schedule(now + self.cfg.hold_s, self._wake, req.user)
+        self.engine.schedule(now + cfg.hold_s, self._wake, uid)
 
     def _wake(self, uid: int) -> None:
         if self.engine.clock.now < self.cfg.episode_s and uid in self._active:

@@ -61,7 +61,13 @@ def test_train_refuses_an_out_dir_its_config_file_would_misrecord(tmp_path, caps
                                   "random_redraw_s", "latency_cap_s", "throughput_cap_rps")),
     ("ppo_minibatch", 0), ("ppo_update_every_episodes", 0), ("eval_every", -1),
     # outside its pool's bounds: more (or fewer) ready pods than a policy may ask for
-    ("init_cpu", 0), ("init_cpu", 7), ("init_gpu", -1), ("init_gpu", 4)])
+    ("init_cpu", 0), ("init_cpu", 7), ("init_gpu", -1), ("init_gpu", 4),
+    # a think time in the past, a user looping at one instant, a pod without a slot,
+    # a node of no size, and a PPO update that averages no epoch (NaN losses)
+    ("hold_s", -1.0), ("hold_s", float("nan")), ("base_service_s", 0.0),
+    ("base_service_s", math.inf), ("cpu_concurrency", 0), ("gpu_concurrency", 0),
+    ("node_millicores", 0.0), ("node_mem_bytes", 0.0), ("node_mem_bytes", math.inf),
+    ("ppo_epochs", 0)])
 def test_values_that_hang_or_crash_a_run_are_config_errors(key, value):
     with pytest.raises(ConfigError, match=key):
         ExperimentConfig(**{key: value})
@@ -73,13 +79,31 @@ def test_a_cluster_without_replicas_is_a_config_error():
         ExperimentConfig(cpu_min=0, cpu_max=0, gpu_max=0, init_cpu=0, init_gpu=0)
 
 
+LEAST = {"hold_s": 0, "cpu_concurrency": 1, "gpu_concurrency": 1, "ppo_epochs": 1}
+
+
 @pytest.mark.parametrize("key, value", [("monitor_interval_s", "0"), ("episode_s", "inf"),
-                                        ("latency_cap_s", "0"), ("throughput_cap_rps", "0")])
+                                        ("latency_cap_s", "0"), ("throughput_cap_rps", "0"),
+                                        ("hold_s", "-1"), ("base_service_s", "0"),
+                                        ("cpu_concurrency", "0"), ("gpu_concurrency", "0"),
+                                        ("node_millicores", "0"), ("node_mem_bytes", "0")])
 def test_baseline_refuses_a_zero_monitor_interval(key, value, tmp_path, capsys):
     """A zero monitor interval resamples at t=0 forever; an infinite episode never
-    ends; a zero cap divides the observation by zero."""
+    ends; a zero cap divides the observation by zero. A negative think time
+    schedules into the past, a zero service time loops at one instant, and a zero
+    concurrency or node size divides by zero: each is refused before any output."""
     out = tmp_path / "base"
     assert main(["baseline", "--set", "episode_s=30", "--set", f"{key}={value}",
                  "--out", str(out)]) == 1
-    assert f"{key} must be positive and finite" in capsys.readouterr().err
+    rule = f">= {LEAST[key]}" if key in LEAST else "positive and finite"
+    assert f"{key} must be {rule}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_refuses_zero_ppo_epochs_before_any_output(tmp_path, capsys):
+    """No epoch averages no loss: every training_log.csv loss would read nan."""
+    out = tmp_path / "train"
+    assert main(["train", "--episodes", "1", "--set", "ppo_epochs=0",
+                 "--out", str(out)]) == 1
+    assert "ppo_epochs must be >= 1" in capsys.readouterr().err
     assert not out.exists()

@@ -11,6 +11,11 @@ from kisim.simcore import (ClusterModel, Engine, PodPhase, Pool, PoolLimits,
                            Request, RoutePref, ServiceModel)
 
 
+def done(ts, latency):
+    """A request completed at ts that arrived `latency` seconds before (to rounding)."""
+    return Request(id=0, arrived_at=ts - latency, completed_at=ts)
+
+
 def brute_force_p95(values):
     if not values:
         return 0.0
@@ -23,15 +28,15 @@ def brute_force_p95(values):
 def test_p95_twenty_samples_takes_19th_order_statistic():
     window = MetricsWindow(30.0)
     for i in range(19):
-        window.record_completion(1.0, 0.1)
-    window.record_completion(1.0, 1.0)
+        window.record(done(1.0, 0.1))
+    window.record(done(1.0, 1.0))
     assert window.p95(1.0) == pytest.approx(0.1)
 
 
 def test_p95_singleton_and_empty():
     window = MetricsWindow(30.0)
     assert window.p95(0.0) == 0.0
-    window.record_completion(0.5, 0.5)
+    window.record(done(0.5, 0.5))
     assert window.p95(0.5) == pytest.approx(0.5)
 
 
@@ -39,15 +44,16 @@ def test_p95_singleton_and_empty():
                           allow_nan=False), min_size=1, max_size=1000))
 def test_p95_matches_sort_oracle(latencies):
     window = MetricsWindow(1e9)
-    for lat in latencies:
-        window.record_completion(1.0, lat)
-    assert window.p95(1.0) == brute_force_p95(latencies)
+    requests = [done(1.0, lat) for lat in latencies]
+    for req in requests:
+        window.record(req)
+    assert window.p95(1.0) == brute_force_p95([req.latency for req in requests])
 
 
 def test_samples_age_out_of_the_window():
     window = MetricsWindow(30.0)
-    window.record_completion(10.0, 5.0)
-    window.record_completion(35.0, 0.2)
+    window.record(done(10.0, 5.0))
+    window.record(done(35.0, 0.2))
     assert window.p95(35.0) == pytest.approx(5.0)   # 10.0 > 35-30, retained
     assert window.p95(40.5) == pytest.approx(0.2)   # old sample expired
     assert window.throughput(40.5) == pytest.approx(1 / 30.0)
@@ -68,8 +74,9 @@ def test_window_and_run_queries_match_brute_force_filters(events, window_len):
     for kind, gap, *latency in events:
         now += gap
         if kind == "done":
-            window.record_completion(now, latency[0])
-            log.append((now, latency[0]))
+            req = done(now, latency[0])
+            window.record(req)
+            log.append((now, req.latency))
             continue
         inside = [lat for ts, lat in log if ts > now - window_len]
         assert window.latencies(now) == inside
@@ -85,7 +92,7 @@ def test_window_and_run_queries_match_brute_force_filters(events, window_len):
 def test_throughput_is_completions_over_window():
     window = MetricsWindow(30.0)
     for i in range(300):
-        window.record_completion(29.9, 0.1)
+        window.record(done(29.9, 0.1))
     assert window.throughput(30.0) == pytest.approx(10.0)
     assert window.throughput(30.0) * window.window_len_s == 300
 
@@ -115,11 +122,13 @@ def test_mean_busy_averages_the_ready_pods_of_one_pool():
     assert mean_busy(cluster, Pool.CPU) == 0.0           # no Ready pod
     cluster.spawn_ready(Pool.CPU, 3)
     cluster.spawn_ready(Pool.GPU, 1)
-    cpu = cluster.ready_pods(Pool.CPU)
+    cpu = list(cluster.ready_pods(Pool.CPU))
     cpu[0].in_service = 2
     cpu[1].in_service = 1
     cpu[2].in_service = 2
-    cpu[2].phase = PodPhase.TERMINATING                  # not Ready: left out
+    cluster.set_desired_replicas(Pool.CPU, 2)            # the newest Ready pod goes
+    assert cpu[2].phase is PodPhase.TERMINATING          # draining, not Ready: left out
+    assert cpu[2] in cluster.cpu_pods and cpu[2].in_service == 2
     assert mean_busy(cluster, Pool.CPU) == (2 / 2 + 1 / 2) / 2
     assert mean_busy(cluster, Pool.GPU) == 0.0
 

@@ -418,3 +418,68 @@ def test_desired_counts_the_pods_of_every_spawn():
     cluster.spawn_ready(Pool.CPU, 2)
     cluster.spawn_ready(Pool.CPU, 2)
     assert cluster.desired(Pool.CPU) == 4 == len(cluster.cpu_pods)
+
+
+# ---- the Ready index ------------------------------------------------------------
+
+def assert_ready_index_is_the_scan(cluster):
+    for pool in Pool:
+        scan = [p for p in cluster.pods(pool) if p.phase is PodPhase.READY]
+        index = cluster.ready_pods(pool)
+        assert [p.id for p in index] == [p.id for p in scan]
+        assert all(a is b for a, b in zip(index, scan))
+        assert [p.id for p in index] == sorted(p.id for p in index)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("pref", list(RoutePref))
+def test_ready_index_follows_every_phase_change_under_churn(seed, pref):
+    import random
+    rng = random.Random(seed)
+    engine, cluster = make_cluster(pref=pref, budget=2)
+    next_id = 0
+    for _ in range(400):
+        roll = rng.random()
+        if roll < 0.4:
+            next_id += 1
+            cluster.submit(Request(id=next_id, arrived_at=engine.now))
+        elif roll < 0.55:
+            cluster.set_desired_replicas(Pool.CPU, rng.randint(0, 5))
+        elif roll < 0.7:
+            cluster.set_desired_replicas(Pool.GPU, rng.randint(0, 3))
+        elif roll < 0.75:
+            cluster.spawn_ready(rng.choice(list(Pool)), 1)
+        else:
+            engine.run_until(engine.now + rng.random() * 6.0)
+        assert_ready_index_is_the_scan(cluster)
+    assert cluster.requests_injected == cluster.requests_completed + cluster.outstanding()
+
+
+def test_an_older_pod_ready_after_a_newer_pre_warmed_one_ranks_by_id():
+    engine, cluster = make_cluster()
+    cluster.set_desired_replicas(Pool.CPU, 1)       # pod 1 starting
+    cluster.spawn_ready(Pool.CPU, 1)                # pod 2 Ready at once
+    assert [p.id for p in cluster.ready_pods(Pool.CPU)] == [2]
+    engine.run_until(5.0)                           # pod 1 Ready after pod 2
+    assert [p.id for p in cluster.ready_pods(Pool.CPU)] == [1, 2]
+    assert_ready_index_is_the_scan(cluster)
+    req = Request(id=1, arrived_at=engine.now)
+    cluster.submit(req)
+    assert req.pod_id == 1                          # both idle: the lower id
+
+
+@pytest.mark.parametrize("first", list(Pool))
+@pytest.mark.parametrize("pref", list(RoutePref))
+def test_queued_route_breaks_a_cross_pool_tie_by_the_lower_id(first, pref):
+    engine, cluster = make_cluster(pref=pref)
+    second = Pool.GPU if first is Pool.CPU else Pool.CPU
+    cluster.spawn_ready(first, 1)                   # the lower id
+    cluster.spawn_ready(second, 1)
+    low, high = cluster.ready_pods(first)[0], cluster.ready_pods(second)[0]
+    for i in range(low.concurrency_cap + high.concurrency_cap):
+        cluster.submit(Request(id=i, arrived_at=0.0))
+    assert low.in_service == low.concurrency_cap and high.in_service == high.concurrency_cap
+    a, b = Request(id=100, arrived_at=0.0), Request(id=101, arrived_at=0.0)
+    cluster.submit(a)                               # queues 0 and 0: the lower id
+    cluster.submit(b)                               # queues 1 and 0: the shorter
+    assert list(low.queue) == [a] and list(high.queue) == [b]

@@ -177,3 +177,18 @@ def test_a_request_without_a_user_wakes_no_one():
     engine.run_until(0.2)                   # user 1's own completion
     assert cluster.requests_completed == 2
     assert engine.clock.seq == scheduled + 1
+
+
+def test_the_request_path_costs_one_completion_and_one_wake_per_request():
+    """Events and completions of a fixed run that queues requests, as measured
+    before the Ready index: the count moves if the path gains or loses an event."""
+    engine, cluster, gen = run_generator("periodic", seed=5, init_cpu=2, init_gpu=1,
+                                         users_min=4, users_max=40, periodic_period_s=60.0,
+                                         hold_s=0.1)
+    queued = []
+    cluster.completion_listeners.append(
+        lambda r: queued.append(r.service_started_at > r.arrived_at))
+    engine.run_until(120.0)
+    assert sum(queued) == 4620                      # most of them waited in a queue
+    assert (engine.clock.seq, cluster.requests_completed) == (13716, 6819)
+    assert cluster.requests_injected == 6821 and cluster.outstanding() == 2
