@@ -92,7 +92,7 @@ class ExperimentConfig:
     ppo_update_every_episodes: int = 1
     hidden1: int = 256
     # second layer trimmed below 256 to keep the model inside its ~137k
-    # parameter budget (see nn.formula_param_count)
+    # parameter budget (nn.tensor_shapes lists every tensor)
     hidden2: int = 250
 
     # Training schedule

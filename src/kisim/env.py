@@ -143,7 +143,7 @@ def episode_traffic(base_seed: int, index: int) -> tuple[str, int]:
 
 
 class EpisodeFinished(RuntimeError):
-    """step() called after the episode emitted done."""
+    """step() called before any reset_to() or after the episode emitted done."""
 
 
 class ScalingEnv:
@@ -157,23 +157,21 @@ class ScalingEnv:
         self.trace_sink = trace_sink
         self.stack: Optional[SimStack] = None
         self.row: dict = {}     # the SimStack.row() snapshot of the last observe()
-        self.pattern: str = PATTERN_NAMES[0]
         self.episode_index = -1
         self.step_index = 0
-        self._prev_p95 = 0.0
-        self._prev_tput = 0.0
-        self._done = True
+
+    @property
+    def pattern(self) -> str:
+        """The current episode's traffic pattern."""
+        return self.stack.generator.kind
 
     # ---- episode management ---------------------------------------------
 
     def reset_to(self, pattern: str, traffic_seed: int,
                  episode_index: int = 0) -> np.ndarray:
-        self.pattern = pattern
         self.episode_index = episode_index
         self.step_index = 0
-        self._prev_p95 = 0.0
-        self._prev_tput = 0.0
-        self._done = False
+        self.row = {}   # so the first trends compare with 0.0
         self.stack = SimStack(self.config, pattern, traffic_seed,
                               init_cpu=self.config.init_cpu,
                               init_gpu=self.config.init_gpu,
@@ -185,6 +183,7 @@ class ScalingEnv:
     def observe(self) -> np.ndarray:
         """A fresh vector in OBS_FIELDS order from one new `self.row` snapshot."""
         cfg = self.config
+        prev = self.row     # the trends compare with the previous snapshot
         self.row = row = self.stack.row()
         p95 = row["p95_s"]
         tput = row["throughput_rps"]
@@ -201,13 +200,11 @@ class ScalingEnv:
             min(tput / cfg.throughput_cap_rps, 1.0),
             row["cpu_util"],
             row["mem_util"],
-            trend(p95, self._prev_p95, cfg.latency_cap_s),
-            trend(tput, self._prev_tput, cfg.throughput_cap_rps),
+            trend(p95, prev.get("p95_s", 0.0), cfg.latency_cap_s),
+            trend(tput, prev.get("throughput_rps", 0.0), cfg.throughput_cap_rps),
             row["t"] / cfg.episode_s,
             PATTERN_NAMES.index(self.pattern) / (len(PATTERN_NAMES) - 1),
         ], dtype=np.float64)
-        self._prev_p95 = p95
-        self._prev_tput = tput
         return obs
 
     # ---- action / reward ---------------------------------------------------
@@ -247,14 +244,13 @@ class ScalingEnv:
     # ---- stepping ----------------------------------------------------------
 
     def step(self, action: ActionTriple) -> tuple[np.ndarray, float, bool]:
-        if self._done:
+        if self.stack is None or self.stack.engine.now >= self.config.episode_s:
             raise EpisodeFinished("episode is finished; call reset_to() first")
         self.decode_and_apply(action)
         self.step_index += 1
         done = self.stack.advance(self.step_index, self.config.control_interval_s)
         obs = self.observe()
         terms = self.reward(obs, action)
-        self._done = done
         if self.trace_sink is not None:
             self._write_trace(obs, action, terms)
         return obs, terms["total"], done

@@ -45,14 +45,6 @@ def tensor_shapes(dims: NetDims) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def formula_param_count(dims: NetDims) -> int:
-    """Closed-form parameter count for the actor + critic pair."""
-    trunk = (dims.obs_dim * dims.hidden1 + dims.hidden1
-             + dims.hidden1 * dims.hidden2 + dims.hidden2)
-    heads = sum(dims.hidden2 * k + k for k in dims.heads)
-    return 2 * trunk + heads + dims.hidden2 + 1
-
-
 def _orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float) -> np.ndarray:
     a = rng.standard_normal((max(rows, cols), min(rows, cols)))
     q, r = np.linalg.qr(a)
@@ -68,11 +60,10 @@ class ActorCriticParams:
     def __init__(self, dims: NetDims, tensors: dict[str, np.ndarray]) -> None:
         self.dims = dims
         self.tensors = tensors
+        shapes = {name: t.shape for name, t in tensors.items()}
+        if shapes != tensor_shapes(dims):
+            raise ValueError(f"tensor shapes {shapes} do not match the layout of {dims}")
         self._f64 = {k: v.astype(np.float64) for k, v in tensors.items()}
-        counted = sum(int(t.size) for t in tensors.values())
-        expected = formula_param_count(dims)
-        if counted != expected:
-            raise ValueError(f"parameter count mismatch: {counted} != formula {expected}")
 
     @classmethod
     def initialize(cls, dims: NetDims, rng: np.random.Generator) -> "ActorCriticParams":

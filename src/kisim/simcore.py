@@ -3,8 +3,9 @@
 The cluster is a single node logically split into a CPU pool and a GPU pool
 of pods. Each pod is a finite-concurrency server with a FIFO queue; a device
 budget caps how many GPU pods can actually run, extra GPU pods stay Pending
-as standbys. Everything is driven by one event heap, so a (seed, config)
-pair always replays the same trace.
+as standbys. Every GPU pod that is not Pending holds a device, a terminating
+one too until its last request drains. Everything is driven by one event
+heap, so a (seed, config) pair always replays the same trace.
 
 An event is a (fire_at, seq, action, args) tuple: at fire_at the engine calls
 action(*args), and seq, the count of events scheduled so far, breaks ties in
@@ -128,7 +129,7 @@ class Request:
         return self.completed_at - self.arrived_at
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)    # ids are unique, so pods compare by identity
 class Pod:
     id: int
     pool: Pool
@@ -227,12 +228,7 @@ class ClusterModel:
         return sum(1 for p in self.pods(pool) if p.phase is not PodPhase.TERMINATING)
 
     def active_gpu_count(self) -> int:
-        """GPU pods holding the device per the budget invariant."""
-        return sum(1 for p in self.gpu_pods
-                   if p.phase in (PodPhase.STARTING, PodPhase.READY))
-
-    def _occupied_gpu_count(self) -> int:
-        # Terminating-but-draining pods still hold the device until removed.
+        """GPU pods holding a device: all but the Pending ones, draining ones too."""
         return sum(1 for p in self.gpu_pods if p.phase is not PodPhase.PENDING)
 
     def outstanding(self) -> int:
@@ -278,7 +274,7 @@ class ClusterModel:
         self.pods(pool).append(pod)
         # CPU pods start immediately; GPU pods only while a device is free,
         # otherwise they sit Pending as standbys. A pre-warmed pod skips start-up.
-        if pool is Pool.CPU or self._occupied_gpu_count() < self.gpu_device_budget:
+        if pool is Pool.CPU or self.active_gpu_count() < self.gpu_device_budget:
             if ready:
                 pod.phase = PodPhase.READY
                 self.ready_pods(pool).append(pod)   # the newest id, so last
@@ -315,11 +311,12 @@ class ClusterModel:
             self._promote_pending_gpu()
 
     def _promote_pending_gpu(self) -> None:
-        while self._occupied_gpu_count() < self.gpu_device_budget:
-            pending = [p for p in self.gpu_pods if p.phase is PodPhase.PENDING]
-            if not pending:
+        # gpu_pods is in id order, so the oldest standby takes a freed device first
+        for pod in self.gpu_pods:
+            if self.active_gpu_count() >= self.gpu_device_budget:
                 return
-            self._start_pod(min(pending, key=lambda p: p.id))
+            if pod.phase is PodPhase.PENDING:
+                self._start_pod(pod)
 
     # ---- request flow ----------------------------------------------------
 

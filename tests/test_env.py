@@ -9,8 +9,8 @@ from kisim.agent import PpoAgent
 from kisim.baselines import run_baseline
 from kisim.cli import run_policy_episode
 from kisim.config import ExperimentConfig
-from kisim.env import (OBS_FIELDS, TIMESERIES_FIELDS, ActionTriple, ScalingEnv,
-                       episode_traffic)
+from kisim.env import (OBS_FIELDS, TIMESERIES_FIELDS, ActionTriple, EpisodeFinished,
+                       ScalingEnv, episode_traffic)
 from kisim.nn import NetDims
 from kisim.traffic import PATTERN_NAMES
 
@@ -65,6 +65,29 @@ def test_eval_index_reset_picks_the_pattern_at_its_offset(p_idx):
     env.reset_to(*episode_traffic(cfg.seed, index))
     assert env.pattern == PATTERN_NAMES[p_idx]
     assert env.stack.generator.seed == episode_traffic(cfg.seed, index)[1]
+
+
+def test_step_outside_an_episode_is_episode_finished():
+    env = ScalingEnv(ExperimentConfig(episode_s=30.0))
+    hold = ActionTriple(d_gpu=0, d_cpu=0, pref=0)
+    with pytest.raises(EpisodeFinished):
+        env.step(hold)
+    env.reset_to("ramp", 3)
+    assert env.step(hold)[2] is False
+    assert env.step(hold)[2] is True
+    with pytest.raises(EpisodeFinished):
+        env.step(hold)
+    env.reset_to("spike", 3)
+    assert env.step(hold)[2] is False
+
+
+def test_pattern_follows_each_reset_across_episodes():
+    env = ScalingEnv(ExperimentConfig(episode_s=15.0))
+    for i, pattern in enumerate(["spike", "ramp", "ramp", "periodic", "random"]):
+        env.reset_to(pattern, i)
+        assert env.pattern == pattern
+        env.step(ActionTriple(d_gpu=0, d_cpu=0, pref=0))
+        assert env.pattern == pattern
 
 
 def test_a_row_holds_the_time_series_fields_in_order():

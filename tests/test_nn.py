@@ -107,3 +107,16 @@ def test_every_gradient_matches_central_finite_difference(problem):
             numeric[idx] = (up - down) / (2.0 * h)
         np.testing.assert_allclose(grads[name], numeric, rtol=1e-5, atol=1e-8,
                                    err_msg=f"gradient of {name}")
+
+
+def test_a_tensor_of_the_wrong_shape_is_a_value_error():
+    init = ActorCriticParams.initialize(NetDims(hidden1=16, hidden2=12),
+                                        np.random.default_rng(0))
+    transposed = dict(init.tensors, a_w1=init.tensors["a_w1"].T.copy())
+    # the same parameter count, but not the layout of tensor_shapes
+    assert transposed["a_w1"].size == init.tensors["a_w1"].size
+    with pytest.raises(ValueError, match="tensor shapes"):
+        ActorCriticParams(init.dims, transposed)
+    missing = {k: v for k, v in init.tensors.items() if k != "c_b3"}
+    with pytest.raises(ValueError, match="tensor shapes"):
+        ActorCriticParams(init.dims, missing)

@@ -168,6 +168,28 @@ def test_pending_gpu_promoted_when_device_frees():
     assert cluster.active_gpu_count() == 1
 
 
+def test_a_draining_gpu_pod_holds_its_device():
+    engine, cluster = make_cluster(budget=1, pref=RoutePref.GPU_FIRST)
+    cluster.set_desired_replicas(Pool.GPU, 1)
+    engine.run_until(10.0)
+    old_pod = cluster.gpu_pods[0]
+    cluster.submit(Request(id=1, arrived_at=engine.now))  # served until 10.0816
+    cluster.set_desired_replicas(Pool.GPU, 0)             # drain starts
+    cluster.set_desired_replicas(Pool.GPU, 1)
+    new_pod = cluster.gpu_pods[1]
+    holders = (PodPhase.STARTING, PodPhase.READY, PodPhase.TERMINATING)
+    while engine.now < 10.08:
+        assert (old_pod.phase, old_pod.in_service) == (PodPhase.TERMINATING, 1)
+        assert new_pod.phase is PodPhase.PENDING
+        held = sum(1 for p in cluster.gpu_pods if p.phase in holders)
+        assert cluster.active_gpu_count() == held == 1
+        engine.run_until(engine.now + 0.01)
+    engine.run_until(10.1)   # the drain ends and the standby takes the device
+    assert cluster.gpu_pods == [new_pod]
+    assert new_pod.phase is PodPhase.STARTING
+    assert cluster.active_gpu_count() == 1
+
+
 def test_noop_scaling_emits_no_events():
     engine, cluster = make_cluster()
     cluster.set_desired_replicas(Pool.CPU, 3)
@@ -483,3 +505,9 @@ def test_queued_route_breaks_a_cross_pool_tie_by_the_lower_id(first, pref):
     cluster.submit(a)                               # queues 0 and 0: the lower id
     cluster.submit(b)                               # queues 1 and 0: the shorter
     assert list(low.queue) == [a] and list(high.queue) == [b]
+
+
+def test_pods_compare_by_identity():
+    pod = Pod(1, Pool.CPU, 2)
+    assert pod == pod
+    assert Pod(1, Pool.CPU, 2) != Pod(1, Pool.CPU, 2)
