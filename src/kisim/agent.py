@@ -170,8 +170,13 @@ class TrainState:
 
     @property
     def moving_avg(self) -> float:
-        window = self.returns[-MOVING_AVG_WINDOW:]
-        return sum(window) / len(window) if window else 0.0
+        return moving_average(self.returns)
+
+
+def moving_average(returns: list) -> float:
+    """Mean of the last `MOVING_AVG_WINDOW` returns; 0.0 for none."""
+    window = returns[-MOVING_AVG_WINDOW:]
+    return sum(window) / len(window) if window else 0.0
 
 
 def detect_convergence(state: TrainState) -> bool:

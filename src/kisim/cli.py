@@ -2,18 +2,23 @@
 
 Every run writes its effective config next to its outputs so results can be
 reproduced byte-for-byte from the recorded file plus the same code.
+
+`baseline` and `evaluate` run one pattern x policy grid (`_run_grid`); they
+differ in its policies and in the episode index base of its traffic seeds:
+0 for `baseline`, `EVAL_SEED_BASE` for `evaluate`.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
 
-from .agent import MOVING_AVG_WINDOW, PpoAgent, load_checkpoint, train
+from .agent import PpoAgent, load_checkpoint, moving_average, train
 from .baselines import POLICY_NAMES, run_baseline
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
 from .env import TIMESERIES_FIELDS, ScalingEnv, episode_traffic
@@ -27,25 +32,22 @@ class ReplayError(RuntimeError):
     pass
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, fieldnames, rows) -> None:
+    # csv writes a float as its repr and any other value as its str
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in fieldnames])
+        writer.writerows([row[k] for k in fieldnames] for row in rows)
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_report(out: Path, stem: str, fields, rows: list[dict], shown) -> None:
+    """`<stem>.json`, `<stem>.csv` and a stdout table of the `shown` columns."""
+    (out / f"{stem}.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+    _write_csv(out / f"{stem}.csv", fields, rows)
+    sys.stdout.write(_render_table(rows, shown))
 
 
-def _render_table(rows: list[dict], columns: list[str]) -> str:
+def _render_table(rows: list[dict], columns) -> str:
     if not rows:
         return "(empty)\n"
     cells = [[_format_cell(r.get(c, "")) for c in columns] for r in rows]
@@ -68,28 +70,43 @@ def _load_effective_config(args) -> ExperimentConfig:
         cfg = load_config(args.config, base=cfg)
     if args.set:
         cfg = apply_overrides(cfg, args.set)
-    if args.seed is not None:
-        cfg = cfg.replace(seed=args.seed)
-    if getattr(args, "episodes", None) is not None:
-        cfg = cfg.replace(episodes=args.episodes)
-    if args.out is not None:
-        cfg = cfg.replace(out_dir=args.out)
-    return cfg
+    flags = {"seed": args.seed, "episodes": getattr(args, "episodes", None),
+             "out_dir": args.out}
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _prepare_out(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg.write(out / "effective_config.txt")
+    (out / "effective_config.txt").write_text(cfg.to_text())
     return out
 
 
 def _select_patterns(args) -> list[str]:
-    for name in args.patterns or ():
+    patterns = list(args.patterns or PATTERN_NAMES)
+    for name in patterns:
         if name not in PATTERN_NAMES:
             raise ConfigError(
                 f"unknown pattern name: {name!r} (expected one of {PATTERN_NAMES})")
-    return list(args.patterns or PATTERN_NAMES)
+        if patterns.count(name) > 1:
+            raise ConfigError(f"pattern name {name!r} is given more than once")
+    return patterns
+
+
+def _run_grid(cfg: ExperimentConfig, out: Path, patterns, index_base: int, policies,
+              agent: PpoAgent | None = None) -> dict[str, dict[str, dict]]:
+    """Each policy on each pattern's traffic (`"kiscaler"` is `agent`), time series written."""
+    grid: dict[str, dict[str, dict]] = {}
+    for pattern in patterns:
+        _, seed = episode_traffic(cfg.seed, index_base + PATTERN_NAMES.index(pattern))
+        grid[pattern] = reports = {}
+        for policy in policies:
+            ts: list[dict] = []
+            reports[policy] = (
+                run_policy_episode(agent, pattern, cfg, seed, timeseries=ts) if policy == "kiscaler"
+                else run_baseline(policy, pattern, cfg, traffic_seed=seed, timeseries=ts))
+            _write_csv(out / f"timeseries_{pattern}_{policy}.csv", TIMESERIES_FIELDS, ts)
+    return grid
 
 
 # ---- train ----------------------------------------------------------------
@@ -106,10 +123,9 @@ def cmd_train(args) -> int:
     pattern_returns: dict[str, list[float]] = defaultdict(list)
     for ep, (ret, (pattern, moving_avg, losses)) in enumerate(zip(state.returns, state.log)):
         pattern_returns[pattern].append(ret)
-        window = pattern_returns[pattern][-MOVING_AVG_WINDOW:]
         rows.append({
             "episode": ep, "pattern": pattern, "return": ret, "moving_avg": moving_avg,
-            "pattern_moving_avg": sum(window) / len(window),
+            "pattern_moving_avg": moving_average(pattern_returns[pattern]),
             "policy_loss": losses.policy_loss if losses else "",
             "value_loss": losses.value_loss if losses else "",
             "entropy": losses.entropy if losses else ""})
@@ -135,20 +151,11 @@ def cmd_train(args) -> int:
 
 def cmd_baseline(args) -> int:
     cfg = _load_effective_config(args)
-    out = _prepare_out(cfg)
     patterns = _select_patterns(args)
+    out = _prepare_out(cfg)
 
     rows = []
-    for pattern in patterns:
-        _, seed = episode_traffic(cfg.seed, PATTERN_NAMES.index(pattern))
-        per_policy = {}
-        for policy in ("fixed_gpu", "fixed_cpu"):
-            ts: list[dict] = []
-            report = run_baseline(policy, pattern, cfg, traffic_seed=seed,
-                                  timeseries=ts)
-            per_policy[policy] = report
-            _write_csv(out / f"timeseries_{pattern}_{policy}.csv",
-                       TIMESERIES_FIELDS, ts)
+    for pattern, per_policy in _run_grid(cfg, out, patterns, 0, ("fixed_gpu", "fixed_cpu")).items():
         gpu, cpu = per_policy["fixed_gpu"], per_policy["fixed_cpu"]
         rows.append({
             "pattern": pattern,
@@ -160,15 +167,13 @@ def cmd_baseline(args) -> int:
             "throughput_ratio": (gpu["throughput_rps"] / cpu["throughput_rps"]
                                  if cpu["throughput_rps"] > 0 else 0.0),
             "gpu_util_mean": gpu["gpu_util_mean"],
-            "traffic_seed": seed,
+            "traffic_seed": gpu["traffic_seed"],
         })
 
     fields = ("pattern", "gpu_p95_ms", "cpu_p95_ms", "speedup",
               "gpu_throughput_rps", "cpu_throughput_rps", "throughput_ratio",
               "gpu_util_mean", "traffic_seed")
-    _write_json(out / "baseline_report.json", rows)
-    _write_csv(out / "baseline_report.csv", fields, rows)
-    sys.stdout.write(_render_table(rows, list(fields)))
+    _write_report(out, "baseline_report", fields, rows, fields)
     return 0
 
 
@@ -189,25 +194,13 @@ def run_policy_episode(agent: PpoAgent, pattern: str, cfg: ExperimentConfig,
 
 def cmd_evaluate(args) -> int:
     cfg = _load_effective_config(args)
-    out = _prepare_out(cfg)
     patterns = _select_patterns(args)
-
     agent = PpoAgent(load_checkpoint(args.checkpoint)[0], cfg, seed=cfg.seed)
+    out = _prepare_out(cfg)
 
     rows = []
-    for pattern in patterns:
-        _, seed = episode_traffic(cfg.seed, EVAL_SEED_BASE + PATTERN_NAMES.index(pattern))
-        reports = {}
-        ts: list[dict] = []
-        reports["kiscaler"] = run_policy_episode(agent, pattern, cfg, seed,
-                                                 timeseries=ts)
-        _write_csv(out / f"timeseries_{pattern}_kiscaler.csv", TIMESERIES_FIELDS, ts)
-        for policy in POLICY_NAMES:
-            ts = []
-            reports[policy] = run_baseline(policy, pattern, cfg,
-                                           traffic_seed=seed, timeseries=ts)
-            _write_csv(out / f"timeseries_{pattern}_{policy}.csv",
-                       TIMESERIES_FIELDS, ts)
+    grid = _run_grid(cfg, out, patterns, EVAL_SEED_BASE, ("kiscaler",) + POLICY_NAMES, agent)
+    for reports in grid.values():
         kis_p95 = reports["kiscaler"]["p95_ms"]
         baseline_best = min(reports[policy]["p95_ms"] for policy in POLICY_NAMES)
         for policy, report in reports.items():
@@ -216,8 +209,7 @@ def cmd_evaluate(args) -> int:
                 row["speedup_vs_fixed_gpu"] = reports["fixed_gpu"]["p95_ms"] / kis_p95
                 row["speedup_vs_fixed_cpu"] = reports["fixed_cpu"]["p95_ms"] / kis_p95
             else:
-                row["speedup_vs_fixed_gpu"] = ""
-                row["speedup_vs_fixed_cpu"] = ""
+                row["speedup_vs_fixed_gpu"] = row["speedup_vs_fixed_cpu"] = ""
             row["flag"] = ("baselines_ahead"
                            if policy == "kiscaler" and kis_p95 > baseline_best else "")
             rows.append(row)
@@ -226,12 +218,9 @@ def cmd_evaluate(args) -> int:
               "gpu_util_mean", "cpu_util_mean", "mem_util_mean",
               "speedup_vs_fixed_gpu", "speedup_vs_fixed_cpu", "flag",
               "requests_injected", "requests_completed", "traffic_seed")
-    _write_json(out / "comparison.json", rows)
-    _write_csv(out / "comparison.csv", fields, rows)
-    sys.stdout.write(_render_table(
-        rows, ["pattern", "policy", "p95_ms", "throughput_rps",
-               "gpu_util_mean", "speedup_vs_fixed_gpu", "speedup_vs_fixed_cpu",
-               "flag"]))
+    _write_report(out, "comparison", fields, rows,
+                  ("pattern", "policy", "p95_ms", "throughput_rps", "gpu_util_mean",
+                   "speedup_vs_fixed_gpu", "speedup_vs_fixed_cpu", "flag"))
     return 0
 
 

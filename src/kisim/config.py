@@ -134,10 +134,12 @@ class ExperimentConfig:
                     "node_millicores", "node_mem_bytes"):
             if not 0 < getattr(self, key) < math.inf:     # NaN fails too
                 raise ConfigError(f"{key} must be positive and finite")
-        # below these: a think time in the past, a pod without a slot, NaN losses of no epoch
+        # below these: a think time in the past, a pod without a slot, NaN losses of no
+        # epoch, a fixed deployment that serves nothing and reports a p95 of 0
         for key, least in (("ppo_minibatch", 1), ("ppo_update_every_episodes", 1),
                            ("eval_every", 0), ("hpa_tolerance", 0), ("hold_s", 0),
-                           ("cpu_concurrency", 1), ("gpu_concurrency", 1), ("ppo_epochs", 1)):
+                           ("cpu_concurrency", 1), ("gpu_concurrency", 1), ("ppo_epochs", 1),
+                           ("fixed_cpu_replicas", 1), ("fixed_gpu_replicas", 1)):
             if not getattr(self, key) >= least:
                 raise ConfigError(f"{key} must be >= {least}")
         for f in fields(self):
@@ -147,18 +149,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} = {value!r} cannot be written to a config "
                                   "file: it holds '#', a line break or outer whitespace")
 
-    def replace(self, **kwargs) -> "ExperimentConfig":
-        return dataclasses.replace(self, **kwargs)
-
     def to_text(self) -> str:
         """Serialize as the flat key = value format (diff-friendly)."""
         lines = ["# kisim experiment configuration"]
         for f in fields(self):
             lines.append(f"{f.name} = {getattr(self, f.name)}")
         return "\n".join(lines) + "\n"
-
-    def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_text())
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}

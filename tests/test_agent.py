@@ -8,7 +8,7 @@ import pytest
 import kisim.agent
 from kisim.agent import (CHECKPOINT_STATE, MOVING_AVG_WINDOW, AgentError, CheckpointError,
                          PpoAgent, TrainState, detect_convergence, gae, load_checkpoint,
-                         run_episode, save_checkpoint)
+                         moving_average, run_episode, save_checkpoint)
 from kisim.config import ExperimentConfig
 from kisim.env import ActionTriple, ScalingEnv
 from kisim.nn import ActorCriticParams, Adam, NetDims, actor_forward, log_softmax, tensor_shapes
@@ -151,6 +151,14 @@ def test_train_state_derives_its_index_and_moving_average_from_its_returns():
     assert state.moving_avg == sum(range(15 - MOVING_AVG_WINDOW, 15)) / MOVING_AVG_WINDOW
     with pytest.raises(AttributeError):
         state.moving_avg = 1.0
+
+
+def test_moving_average_is_the_mean_of_the_last_window_of_returns():
+    assert moving_average([]) == 0.0
+    assert moving_average([2.0, 4.0]) == 3.0
+    returns = [float(r * r) for r in range(MOVING_AVG_WINDOW + 5)]
+    assert moving_average(returns) == sum(returns[-MOVING_AVG_WINDOW:]) / MOVING_AVG_WINDOW
+    assert moving_average(returns) == TrainState(returns=returns).moving_avg
 
 
 @pytest.fixture

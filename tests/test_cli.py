@@ -8,8 +8,10 @@ import pytest
 import kisim.cli
 from kisim.agent import (MOVING_AVG_WINDOW, PpoAgent, TrainState, load_checkpoint,
                          save_checkpoint)
-from kisim.baselines import POLICY_NAMES
-from kisim.cli import main
+from kisim.baselines import POLICY_NAMES, run_baseline
+from kisim.cli import EVAL_SEED_BASE, main
+from kisim.config import ExperimentConfig
+from kisim.env import TIMESERIES_FIELDS, episode_traffic
 from kisim.nn import ActorCriticParams, NetDims
 from kisim.traffic import PATTERN_NAMES
 
@@ -150,3 +152,86 @@ def test_evaluate_acts_with_the_checkpoint_weights_without_initializing_any(
                  "--out", str(tmp_path / "eval")]) == 0
     [loaded] = acted_with
     assert all((loaded.tensors[k] == v).all() for k, v in params.tensors.items())
+
+
+def _fresh_checkpoint(tmp_path):
+    checkpoint = tmp_path / "fresh.kisc"
+    save_checkpoint(PpoAgent(NetDims(hidden1=8, hidden2=8)).params, TrainState(), checkpoint)
+    return checkpoint
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["baseline", "--patterns", "bogus"], "unknown pattern name: 'bogus'"),
+    (["evaluate", "missing.kisc"], "missing.kisc"),
+    (["baseline", "--patterns", "ramp", "spike", "ramp"],
+     "pattern name 'ramp' is given more than once"),
+    (["evaluate", "CHECKPOINT", "--patterns", "spike", "spike"],
+     "pattern name 'spike' is given more than once")],
+    ids=["baseline_unknown_pattern", "evaluate_missing_checkpoint",
+         "baseline_repeated_pattern", "evaluate_repeated_pattern"])
+def test_a_refused_comparison_writes_nothing(argv, message, tmp_path, capsys):
+    argv = [str(_fresh_checkpoint(tmp_path)) if a == "CHECKPOINT" else a for a in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--set", "episode_s=15", "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _assert_cells_read_back(csv_rows, rows):
+    """Every cell is its value's text; a float's parses back to the same float."""
+    assert len(csv_rows) == len(rows)
+    for cells, row in zip(csv_rows, rows):
+        for key, cell in cells.items():
+            if isinstance(row[key], float):
+                assert float(cell) == row[key], key
+            else:
+                assert cell == str(row[key]), key
+
+
+def test_evaluate_rows_and_csv_cells_follow_the_grid(tmp_path):
+    out = tmp_path / "eval"
+    assert main(["evaluate", str(_fresh_checkpoint(tmp_path)), "--patterns", "spike", "ramp",
+                 "--set", "episode_s=30", "--seed", "3", "--out", str(out)]) == 0
+    rows = json.loads((out / "comparison.json").read_text())
+    assert [(r["pattern"], r["policy"]) for r in rows] == \
+        [(p, policy) for p in ("spike", "ramp") for policy in POLICIES]
+    for row in rows:
+        assert row["traffic_seed"] == \
+            episode_traffic(3, EVAL_SEED_BASE + PATTERN_NAMES.index(row["pattern"]))[1]
+    _assert_cells_read_back(_read_csv(out / "comparison.csv"), rows)
+
+    ts: list[dict] = []
+    cfg = ExperimentConfig(episode_s=30.0, seed=3, out_dir=str(out))
+    run_baseline("hpa", "ramp", cfg, traffic_seed=rows[-1]["traffic_seed"], timeseries=ts)
+    csv_rows = _read_csv(out / "timeseries_ramp_hpa.csv")
+    assert list(csv_rows[0]) == list(TIMESERIES_FIELDS)
+    _assert_cells_read_back(csv_rows, ts)
+
+
+def test_baseline_runs_every_pattern_through_run_baseline(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run_baseline(policy, pattern, cfg, traffic_seed, timeseries=None):
+        calls.append((pattern, policy, traffic_seed))
+        return {**_report(pattern, policy, 10.0 if policy == "fixed_gpu" else 30.0),
+                "traffic_seed": traffic_seed}
+
+    monkeypatch.setattr(kisim.cli, "run_baseline", fake_run_baseline)
+    out = tmp_path / "base"
+    assert main(["baseline", "--patterns", "spike", "ramp", "--seed", "7",
+                 "--out", str(out)]) == 0
+    seeds = {p: episode_traffic(7, PATTERN_NAMES.index(p))[1] for p in ("spike", "ramp")}
+    assert calls == [(p, policy, seeds[p]) for p in ("spike", "ramp")
+                     for policy in ("fixed_gpu", "fixed_cpu")]
+    rows = json.loads((out / "baseline_report.json").read_text())
+    assert [(r["pattern"], r["traffic_seed"], r["speedup"]) for r in rows] == \
+        [("spike", seeds["spike"], 3.0), ("ramp", seeds["ramp"], 3.0)]
+
+
+def test_baseline_report_cells_read_back(tmp_path):
+    out = tmp_path / "base"
+    assert main(["baseline", "--patterns", "periodic", "--set", "episode_s=30",
+                 "--out", str(out)]) == 0
+    rows = json.loads((out / "baseline_report.json").read_text())
+    assert rows[0]["gpu_p95_ms"] > 0 and rows[0]["cpu_p95_ms"] > 0
+    _assert_cells_read_back(_read_csv(out / "baseline_report.csv"), rows)

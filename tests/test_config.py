@@ -67,7 +67,9 @@ def test_train_refuses_an_out_dir_its_config_file_would_misrecord(tmp_path, caps
     ("hold_s", -1.0), ("hold_s", float("nan")), ("base_service_s", 0.0),
     ("base_service_s", math.inf), ("cpu_concurrency", 0), ("gpu_concurrency", 0),
     ("node_millicores", 0.0), ("node_mem_bytes", 0.0), ("node_mem_bytes", math.inf),
-    ("ppo_epochs", 0)])
+    ("ppo_epochs", 0),
+    # a fixed deployment that completes no request and so reports the best p95, 0.0
+    ("fixed_cpu_replicas", 0), ("fixed_gpu_replicas", -2)])
 def test_values_that_hang_or_crash_a_run_are_config_errors(key, value):
     with pytest.raises(ConfigError, match=key):
         ExperimentConfig(**{key: value})
