@@ -61,7 +61,7 @@ def _render_table(rows: list[dict], columns) -> str:
 def _format_cell(v) -> str:
     if isinstance(v, float):
         return f"{v:.2f}"
-    return str(v)
+    return "" if v is None else str(v)
 
 
 def _load_effective_config(args) -> ExperimentConfig:
@@ -161,7 +161,7 @@ def cmd_baseline(args) -> int:
             "pattern": pattern,
             "gpu_p95_ms": gpu["p95_ms"],
             "cpu_p95_ms": cpu["p95_ms"],
-            "speedup": cpu["p95_ms"] / gpu["p95_ms"] if gpu["p95_ms"] > 0 else 0.0,
+            "speedup": cpu["p95_ms"] / gpu["p95_ms"] if gpu["p95_ms"] and cpu["p95_ms"] else "",
             "gpu_throughput_rps": gpu["throughput_rps"],
             "cpu_throughput_rps": cpu["throughput_rps"],
             "throughput_ratio": (gpu["throughput_rps"] / cpu["throughput_rps"]
@@ -202,16 +202,17 @@ def cmd_evaluate(args) -> int:
     grid = _run_grid(cfg, out, patterns, EVAL_SEED_BASE, ("kiscaler",) + POLICY_NAMES, agent)
     for reports in grid.values():
         kis_p95 = reports["kiscaler"]["p95_ms"]
-        baseline_best = min(reports[policy]["p95_ms"] for policy in POLICY_NAMES)
+        # a p95 of None (no request completed) is no result: it ranks below any p95
+        served = [reports[p]["p95_ms"] for p in POLICY_NAMES if reports[p]["p95_ms"] is not None]
+        ahead = bool(served) and (kis_p95 is None or kis_p95 > min(served))
         for policy, report in reports.items():
             row = dict(report)
-            if policy == "kiscaler" and kis_p95 > 0:
-                row["speedup_vs_fixed_gpu"] = reports["fixed_gpu"]["p95_ms"] / kis_p95
-                row["speedup_vs_fixed_cpu"] = reports["fixed_cpu"]["p95_ms"] / kis_p95
-            else:
-                row["speedup_vs_fixed_gpu"] = row["speedup_vs_fixed_cpu"] = ""
-            row["flag"] = ("baselines_ahead"
-                           if policy == "kiscaler" and kis_p95 > baseline_best else "")
+            row["speedup_vs_fixed_gpu"] = row["speedup_vs_fixed_cpu"] = ""
+            if policy == "kiscaler" and kis_p95:
+                for base in ("fixed_gpu", "fixed_cpu"):
+                    base_p95 = reports[base]["p95_ms"]
+                    row[f"speedup_vs_{base}"] = base_p95 / kis_p95 if base_p95 else ""
+            row["flag"] = "baselines_ahead" if policy == "kiscaler" and ahead else ""
             rows.append(row)
 
     fields = ("pattern", "policy", "p95_ms", "mean_ms", "throughput_rps",

@@ -121,11 +121,12 @@ class SimStack:
         """Whole-run metrics of one (policy, pattern) run."""
         cpu_util, mem_util, gpu_util = ([sum(col) / len(col) for col in zip(*self.util_samples)]
                                         or (0.0, 0.0, 0.0))
+        served = self.cluster.requests_completed > 0    # else no latency: p95, mean None
         return {
             "pattern": self.generator.kind,
             "policy": policy,
-            "p95_ms": self.window.run_p95() * 1000.0,
-            "mean_ms": self.window.run_mean() * 1000.0,
+            "p95_ms": self.window.run_p95() * 1000.0 if served else None,
+            "mean_ms": self.window.run_mean() * 1000.0 if served else None,
             "throughput_rps": self.cluster.requests_completed / self.config.episode_s,
             "gpu_util_mean": gpu_util,
             "cpu_util_mean": cpu_util,

@@ -5,15 +5,19 @@ of pods. Each pod is a finite-concurrency server with a FIFO queue; a device
 budget caps how many GPU pods can actually run, extra GPU pods stay Pending
 as standbys. Every GPU pod that is not Pending holds a device, a terminating
 one too until its last request drains. Everything is driven by one event
-heap, so a (seed, config) pair always replays the same trace.
+loop, so a (seed, config) pair always replays the same trace.
 
 An event is a (fire_at, seq, action, args) tuple: at fire_at the engine calls
 action(*args), and seq, the count of events scheduled so far, breaks ties in
-scheduling order. Repeated instants are computed as start + k*interval, never
-as a running sum, so every loop over the same interval sees the same times.
+scheduling order. An event waits in the heap, or in the in-order lane, a FIFO
+for events whose due times never decrease (wakes a constant delay after their
+scheduling instant). `run_until` fires the earlier (fire_at, seq) of the two
+heads, so an event fires in the same place, with the same seq, in either queue.
+Repeated instants are computed as start + k*interval, never as a running sum,
+so every loop over the same interval sees the same times.
 
-A ClusterModel serves each request from a per-pool table of service_time(pool,
-n), n = 1..cap (the same floats), and `Request.user` names the virtual user
+A pod serves each request from its pool's table of service_time(pool, n),
+n = 1..cap (the same floats), and `Request.user` names the virtual user
 waiting on the request: None for one whose completion wakes no one.
 
 The pod lists are the only record of replicas and load: a pool's desired
@@ -45,11 +49,12 @@ class SimClock:
 
 
 class Engine:
-    """Time-ordered event loop. Ties break on scheduling order (seq)."""
+    """Time-ordered event loop over a heap and a lane. Ties break on scheduling order (seq)."""
 
     def __init__(self) -> None:
         self.clock = SimClock()
         self._heap: list[tuple] = []
+        self._lane: deque[tuple] = deque()     # due times never decrease
 
     @property
     def now(self) -> float:
@@ -63,6 +68,15 @@ class Engine:
                 f"event scheduled in the past: fire_at={fire_at} < now={clock.now}")
         clock.seq += 1
         heapq.heappush(self._heap, (fire_at, clock.seq, action, args))
+
+    def schedule_in_order(self, fire_at: float, action: Callable[..., None], *args) -> None:
+        """Call action(*args) at fire_at, no earlier than any event in the lane."""
+        clock, lane = self.clock, self._lane
+        if fire_at < clock.now or (lane and fire_at < lane[-1][0]):
+            raise SimulationError(f"in-order event at fire_at={fire_at} is before "
+                                  f"now={clock.now} or the lane's last event")
+        clock.seq += 1
+        lane.append((fire_at, clock.seq, action, args))
 
     def schedule_periodic(self, start: float, interval: float,
                           action: Callable[[float], None], until: float) -> None:
@@ -81,19 +95,27 @@ class Engine:
         clock = self.clock
         if t_end < clock.now:
             raise SimulationError(f"run_until({t_end}) before now={clock.now}")
-        heap = self._heap
-        while heap and heap[0][0] <= t_end:
-            fire_at, _, action, args = heapq.heappop(heap)
+        heap, lane = self._heap, self._lane
+        while True:
+            if lane and not (heap and heap[0] < lane[0]):   # the earlier (fire_at, seq)
+                if lane[0][0] > t_end:
+                    break
+                fire_at, _, action, args = lane.popleft()
+            elif heap and heap[0][0] <= t_end:
+                fire_at, _, action, args = heapq.heappop(heap)
+            else:
+                break
             clock.now = fire_at
             action(*args)
         clock.now = t_end
 
     def pending_events(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._lane)
 
     def clear(self) -> None:
         """Drop every pending event."""
         self._heap.clear()
+        self._lane.clear()
 
 
 class Pool(str, Enum):
@@ -111,6 +133,10 @@ class PodPhase(Enum):
 class RoutePref(IntEnum):
     CPU_FIRST = 0
     GPU_FIRST = 1
+
+
+# bound once: reading a member off its Enum class is a slow lookup in Python 3.11
+_READY, _TERMINATING, _GPU_FIRST = PodPhase.READY, PodPhase.TERMINATING, RoutePref.GPU_FIRST
 
 
 @dataclass(slots=True)
@@ -137,6 +163,7 @@ class Pod:
     phase: PodPhase = PodPhase.PENDING
     queue: deque = field(default_factory=deque)
     in_service: int = 0     # requests in service
+    service_times: tuple = field(default=(), repr=False)    # of n in service, at n - 1
 
 
 @dataclass(frozen=True)
@@ -269,8 +296,8 @@ class ClusterModel:
 
     def _create_pod(self, pool: Pool, ready: bool = False) -> None:
         self._next_pod_id += 1
-        pod = Pod(id=self._next_pod_id, pool=pool,
-                  concurrency_cap=self.service.cap(pool))
+        pod = Pod(id=self._next_pod_id, pool=pool, concurrency_cap=self.service.cap(pool),
+                  service_times=self._service_times[pool])
         self.pods(pool).append(pod)
         # CPU pods start immediately; GPU pods only while a device is free,
         # otherwise they sit Pending as standbys. A pre-warmed pod skips start-up.
@@ -325,7 +352,7 @@ class ClusterModel:
         self._route(req)
 
     def _route(self, req: Request) -> None:
-        if self.routing_pref is RoutePref.GPU_FIRST:
+        if self.routing_pref is _GPU_FIRST:
             order = (self.gpu_ready, self.cpu_ready)
         else:
             order = (self.cpu_ready, self.gpu_ready)
@@ -336,8 +363,11 @@ class ClusterModel:
                 n = p.in_service
                 if n < p.concurrency_cap and (target is None or n < least):
                     target, least = p, n
-            if target is not None:
-                self._start_service(target, req)
+            if target is not None:     # _start_service, inlined on the hot path
+                req.pod_id = target.id
+                req.service_started_at = now = self.engine.clock.now
+                target.in_service = least + 1
+                self.engine.schedule(now + target.service_times[least], self._complete, target, req)
                 return
         target = None   # every Ready pod is full: the least (queue length, id) queues it
         for pods in order:
@@ -351,8 +381,7 @@ class ClusterModel:
         req.pod_id = pod.id
         req.service_started_at = now = self.engine.clock.now
         pod.in_service += 1
-        dur = self._service_times[pod.pool][pod.in_service - 1]
-        self.engine.schedule(now + dur, self._complete, pod, req)
+        self.engine.schedule(now + pod.service_times[pod.in_service - 1], self._complete, pod, req)
 
     def _complete(self, pod: Pod, req: Request) -> None:
         pod.in_service -= 1
@@ -360,8 +389,8 @@ class ClusterModel:
         self.requests_completed += 1
         for listener in self.completion_listeners:
             listener(req)
-        if pod.phase is PodPhase.READY:
-            if pod.queue and pod.in_service < pod.concurrency_cap:
+        if pod.phase is _READY:
+            if pod.queue:   # a slot just came free
                 self._start_service(pod, pod.queue.popleft())
-        elif pod.phase is PodPhase.TERMINATING and not pod.in_service:
+        elif pod.phase is _TERMINATING and not pod.in_service:
             self._remove_pod(pod)

@@ -90,13 +90,7 @@ class LoadGenerator:
     def _spawn_user(self) -> None:
         self._next_user_id += 1
         self._active.add(self._next_user_id)
-        self._issue(self._next_user_id)
-
-    def _issue(self, uid: int) -> None:
-        self._next_request_id += 1
-        # Request(id, arrived_at, service_started_at, completed_at, pod_id, user)
-        self.cluster.submit(Request(self._next_request_id, self.engine.clock.now,
-                                    None, None, None, uid))
+        self._wake(self._next_user_id)      # issues its first request now
 
     def _on_complete(self, req: Request) -> None:
         uid = req.user
@@ -106,8 +100,12 @@ class LoadGenerator:
         if now >= cfg.episode_s:
             self._active.remove(uid)
             return
-        self.engine.schedule(now + cfg.hold_s, self._wake, uid)
+        # a wake is a constant delay after its completion: due times never decrease
+        self.engine.schedule_in_order(now + cfg.hold_s, self._wake, uid)
 
     def _wake(self, uid: int) -> None:
-        if self.engine.clock.now < self.cfg.episode_s and uid in self._active:
-            self._issue(uid)
+        now = self.engine.clock.now
+        if now < self.cfg.episode_s and uid in self._active:
+            self._next_request_id += 1
+            # Request(id, arrived_at, service_started_at, completed_at, pod_id, user)
+            self.cluster.submit(Request(self._next_request_id, now, None, None, None, uid))

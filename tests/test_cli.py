@@ -235,3 +235,58 @@ def test_baseline_report_cells_read_back(tmp_path):
     rows = json.loads((out / "baseline_report.json").read_text())
     assert rows[0]["gpu_p95_ms"] > 0 and rows[0]["cpu_p95_ms"] > 0
     _assert_cells_read_back(_read_csv(out / "baseline_report.csv"), rows)
+
+
+@pytest.mark.parametrize("overrides, served", [
+    (["gpu_device_budget=0"], {"gpu": False, "cpu": True}),
+    (["users_min=0", "users_max=0"], {"gpu": False, "cpu": False})],
+    ids=["gpu_pod_never_starts", "no_users"])
+def test_a_baseline_that_completes_no_request_reports_no_p95(overrides, served, tmp_path):
+    out = tmp_path / "base"
+    sets = [a for kv in overrides + ["episode_s=30"] for a in ("--set", kv)]
+    assert main(["baseline", "--patterns", "ramp", *sets, "--out", str(out)]) == 0
+    [row] = json.loads((out / "baseline_report.json").read_text())
+    [cells] = _read_csv(out / "baseline_report.csv")
+    for pool, ok in served.items():
+        assert (row[f"{pool}_p95_ms"] is None) == (not ok)
+        assert (cells[f"{pool}_p95_ms"] == "") == (not ok)
+    assert row["speedup"] == cells["speedup"] == ""
+
+
+def test_evaluate_ranks_a_baseline_that_completes_no_request_last(tmp_path):
+    out = tmp_path / "eval"
+    assert main(["evaluate", str(_fresh_checkpoint(tmp_path)), "--patterns", "ramp",
+                 "--set", "gpu_device_budget=0", "--set", "episode_s=30",
+                 "--out", str(out)]) == 0
+    rows = {r["policy"]: r for r in json.loads((out / "comparison.json").read_text())}
+    cells = {r["policy"]: r for r in _read_csv(out / "comparison.csv")}
+    assert rows["fixed_gpu"]["requests_completed"] == 0
+    assert rows["fixed_gpu"]["p95_ms"] is None and rows["fixed_gpu"]["mean_ms"] is None
+    assert cells["fixed_gpu"]["p95_ms"] == cells["fixed_gpu"]["mean_ms"] == ""
+    kis = rows["kiscaler"]
+    assert kis["p95_ms"] > 0 and kis["speedup_vs_fixed_gpu"] == ""
+    assert kis["speedup_vs_fixed_cpu"] == rows["fixed_cpu"]["p95_ms"] / kis["p95_ms"]
+    best = min(rows[p]["p95_ms"] for p in ("fixed_cpu", "hpa"))
+    assert kis["flag"] == ("baselines_ahead" if kis["p95_ms"] > best else "")
+
+
+@pytest.mark.parametrize("p95, flag", [
+    ({"kiscaler": None, "fixed_gpu": None, "fixed_cpu": 700.0, "hpa": None}, "baselines_ahead"),
+    ({"kiscaler": 300.0, "fixed_gpu": None, "fixed_cpu": None, "hpa": None}, ""),
+    ({"kiscaler": None, "fixed_gpu": None, "fixed_cpu": None, "hpa": None}, "")],
+    ids=["only_a_baseline_served", "only_kiscaler_served", "none_served"])
+def test_a_p95_of_none_ranks_below_any_p95(p95, flag, tmp_path, monkeypatch):
+    def report(pattern, policy):
+        return {**_report(pattern, policy, 1.0), "p95_ms": p95[policy], "mean_ms": p95[policy]}
+
+    monkeypatch.setattr(kisim.cli, "run_policy_episode",
+                        lambda agent, pattern, cfg, seed, timeseries=None:
+                            report(pattern, "kiscaler"))
+    monkeypatch.setattr(kisim.cli, "run_baseline",
+                        lambda policy, pattern, cfg, traffic_seed, timeseries=None:
+                            report(pattern, policy))
+    assert main(["evaluate", str(_fresh_checkpoint(tmp_path)), "--patterns", "spike",
+                 "--out", str(tmp_path / "eval")]) == 0
+    rows = json.loads((tmp_path / "eval" / "comparison.json").read_text())
+    assert [r["flag"] for r in rows] == [flag, "", "", ""]
+    assert all(r["speedup_vs_fixed_gpu"] == r["speedup_vs_fixed_cpu"] == "" for r in rows)

@@ -1,6 +1,7 @@
 """Engine ordering, pod lifecycle, routing and the service-time model."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from kisim.simcore import (ClusterModel, Engine, Pod, PodPhase, Pool,
                            PoolLimits, Request, RoutePref, ServiceModel,
@@ -95,6 +96,65 @@ def test_periodic_instants_are_start_plus_k_intervals():
     assert len(fired) == 1001
     assert fired[-1] == 300.0
     assert fired == [k * 0.3 for k in range(1001)]
+
+
+CHILD = st.tuples(st.booleans(), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+
+
+@given(hold=st.sampled_from([0.0, 0.25, 0.5]),
+       steps=st.lists(st.lists(CHILD, max_size=3), min_size=1, max_size=40),
+       cuts=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]), max_size=4))
+def test_the_lane_fires_like_a_single_heap(hold, steps, cuts):
+    """Each fired event schedules the children of the next step: a lane child at
+    now + hold, a heap child at now + its delay. Sent to the heap instead, the
+    lane children fire in the same order, at the same times, with the same seq."""
+    def run(use_lane):
+        engine = Engine()
+        todo, fired = iter(steps), []
+
+        def fire(label):
+            fired.append((engine.now, label, engine.clock.seq))
+            for in_lane, delay in next(todo, []):
+                schedule = engine.schedule_in_order if in_lane and use_lane else engine.schedule
+                schedule(engine.now + (hold if in_lane else delay), fire, engine.clock.seq + 1)
+
+        fire(0)
+        for t in sorted(cuts):
+            engine.run_until(t)
+            fired.append(("cut", t, engine.pending_events()))
+        engine.run_until(100.0)
+        return fired, engine.clock.seq, engine.pending_events()
+
+    assert run(use_lane=True) == run(use_lane=False)
+
+
+def test_the_lane_refuses_a_time_before_now_or_before_its_last_event():
+    engine = Engine()
+    engine.run_until(2.0)
+    with pytest.raises(SimulationError):
+        engine.schedule_in_order(1.0, lambda: None)
+    engine.schedule_in_order(5.0, lambda: None)
+    with pytest.raises(SimulationError):
+        engine.schedule_in_order(4.0, lambda: None)
+    assert (engine.clock.seq, engine.pending_events()) == (1, 1)   # refusals leave no trace
+    engine.schedule_in_order(5.0, lambda: None)     # an equal time keeps the order
+    engine.schedule(3.0, lambda: None)              # the heap may still take an earlier one
+    engine.run_until(5.0)
+    engine.schedule_in_order(5.0, lambda: None)     # the lane drained: now bounds it alone
+    assert engine.pending_events() == 1
+
+
+def test_pending_events_and_clear_cover_the_heap_and_the_lane():
+    engine = Engine()
+    fired = []
+    engine.schedule(1.0, fired.append, "heap")
+    engine.schedule_in_order(1.0, fired.append, "lane")
+    engine.schedule_in_order(2.0, fired.append, "lane")
+    assert engine.pending_events() == 3
+    engine.clear()
+    assert engine.pending_events() == 0
+    engine.run_until(5.0)
+    assert fired == [] and engine.clock.seq == 3
 
 
 # ---- service model ----------------------------------------------------------

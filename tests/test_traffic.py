@@ -192,3 +192,36 @@ def test_the_request_path_costs_one_completion_and_one_wake_per_request():
     assert sum(queued) == 4620                      # most of them waited in a queue
     assert (engine.clock.seq, cluster.requests_completed) == (13716, 6819)
     assert cluster.requests_injected == 6821 and cluster.outstanding() == 2
+
+
+
+@pytest.mark.parametrize("hold_s, pin", [(0.0, (15360, 7653)), (3.0, (1858, 868))],
+                         ids=["wake_at_its_completion_instant", "users_retired_mid_think"])
+def test_a_wake_comes_hold_s_after_its_completion_and_the_run_is_pinned(hold_s, pin):
+    """Events and completions of two fixed runs, as measured when wakes shared the
+    heap with every other event: at hold_s=0 each wake is due at its completion's
+    own instant; at hold_s=3 the falling half of the curve retires thinking users."""
+    engine, cluster, gen = run_generator("periodic", seed=5, init_cpu=2, init_gpu=1,
+                                         users_min=4, users_max=40, periodic_period_s=60.0,
+                                         hold_s=hold_s)
+    last_done, thinking, retired_thinking, lags = {}, set(), set(), []
+    submit = cluster.submit
+
+    def tracked_submit(req):
+        if req.user in last_done:
+            lags.append(req.arrived_at - last_done[req.user])
+        thinking.discard(req.user)
+        submit(req)
+
+    def on_complete(req):
+        last_done[req.user] = req.completed_at
+        retired_thinking.update(u for u in thinking if u not in gen._active)
+        if req.user in gen._active:
+            thinking.add(req.user)
+
+    cluster.submit = tracked_submit
+    cluster.completion_listeners.append(on_complete)
+    engine.run_until(120.0)
+    assert (engine.clock.seq, cluster.requests_completed) == pin
+    assert lags and all(lag == pytest.approx(hold_s, abs=1e-9) for lag in lags)
+    assert bool(retired_thinking) == (hold_s > 0)
