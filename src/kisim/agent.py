@@ -10,6 +10,8 @@ the agent's config and returns a `TrainState`, the one record of the run.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -19,7 +21,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .env import ActionTriple, ScalingEnv, episode_traffic
-from .nn import (ActorCriticParams, Adam, NetDims, actor_forward, critic_forward,
+from .nn import (HEAD_SIZES, ActorCriticParams, Adam, NetDims, actor_forward, critic_forward,
                  log_softmax, ppo_loss_and_grads, tensor_shapes)
 from .traffic import PATTERN_NAMES
 
@@ -84,33 +86,35 @@ class PpoAgent:
 
     # ---- acting ---------------------------------------------------------
 
-    def _actor(self, obs_vec: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    def _actor(self, obs_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(obs row, logits): head i's fill row i, and -inf the slots past its size."""
         obs = np.asarray(obs_vec, dtype=np.float64).reshape(1, -1)
         logits, _ = actor_forward(self.params.as_float64(), obs)
-        for lg in logits:
-            if not np.all(np.isfinite(lg)):
-                raise AgentError("non-finite policy logits (training diverged)")
-        return obs, logits
+        z = np.full((len(HEAD_SIZES), max(HEAD_SIZES)), -np.inf)
+        for row, lg in zip(z, logits):
+            row[:lg.shape[1]] = lg[0]
+        if np.count_nonzero(np.isfinite(z)) != sum(HEAD_SIZES):
+            raise AgentError("non-finite policy logits (training diverged)")
+        return obs, z
 
     def sample_action(self, obs_vec: np.ndarray) -> tuple[ActionTriple, tuple, float, float]:
         """(action, drawn head indices, their joint log-probability, value). Each head
         is drawn as `Generator.choice(k, p=exp(lp))` draws it, by one uniform's inverse CDF."""
-        obs, logits = self._actor(obs_vec)
+        obs, z = self._actor(obs_vec)
         value, _ = critic_forward(self.params.as_float64(), obs)
+        lp = log_softmax(z)
         heads = []
         log_prob = 0.0
-        for lg, u in zip(logits, self._sample_rng.random(len(logits))):
-            lp = log_softmax(lg)[0]
-            cdf = np.exp(lp).cumsum()
-            cdf /= cdf[-1]
-            idx = int(cdf.searchsorted(u, side="right"))
+        for k, lp_row, p_row, u in zip(HEAD_SIZES, lp.tolist(), np.exp(lp).tolist(),
+                                       self._sample_rng.random(len(HEAD_SIZES)).tolist()):
+            cdf = list(itertools.accumulate(p_row[:k]))
+            idx = bisect.bisect_right([c / cdf[-1] for c in cdf], u)
             heads.append(idx)
-            log_prob += float(lp[idx])
+            log_prob += lp_row[idx]
         return ActionTriple.from_heads(*heads), tuple(heads), log_prob, float(value[0])
 
     def greedy_action(self, obs_vec: np.ndarray) -> ActionTriple:
-        _, logits = self._actor(obs_vec)
-        return ActionTriple.from_heads(*(int(np.argmax(lg[0])) for lg in logits))
+        return ActionTriple.from_heads(*self._actor(obs_vec)[1].argmax(axis=1).tolist())
 
     # ---- learning ---------------------------------------------------------
 

@@ -165,7 +165,7 @@ def cmd_baseline(args) -> int:
             "gpu_throughput_rps": gpu["throughput_rps"],
             "cpu_throughput_rps": cpu["throughput_rps"],
             "throughput_ratio": (gpu["throughput_rps"] / cpu["throughput_rps"]
-                                 if cpu["throughput_rps"] > 0 else 0.0),
+                                 if cpu["throughput_rps"] > 0 else ""),
             "gpu_util_mean": gpu["gpu_util_mean"],
             "traffic_seed": gpu["traffic_seed"],
         })

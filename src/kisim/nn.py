@@ -7,11 +7,13 @@ the same forward and backward code, topped by three categorical heads and
 one value output respectively.
 
 `as_float64()` serves one float64 view of the tensors, built once. Only
-`Adam.step` changes weights; it rebinds each view to a fresh
-`astype(np.float64)` of the new float32 tensor and never updates one in
-place: a fresh copy has a fresh conversion's memory order (an orthogonal
-`*_w1` init is Fortran-ordered until its first step), and that order picks
-the forward's BLAS path, hence its last bits.
+`Adam.step` changes weights. Its moments `m` and `v`, like the trunks'
+activations and gradients, are updated in place, by the out-of-place
+formula's elementwise operations in its order, so to the same bits. The view
+is not: each step rebinds it to a fresh `astype(np.float64)` of the new
+float32 tensor, since a fresh copy has a fresh conversion's memory order (an
+orthogonal `*_w1` init is Fortran-ordered until its first step), and that
+order picks the forward's BLAS path, hence its last bits.
 """
 
 from __future__ import annotations
@@ -93,8 +95,10 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def _trunk(p: dict[str, np.ndarray], net: str, obs: np.ndarray):
     """Activation cache (obs, h1, h2) of the "a" or "c" trunk."""
-    h1 = np.tanh(obs @ p[f"{net}_w1"] + p[f"{net}_b1"])
-    h2 = np.tanh(h1 @ p[f"{net}_w2"] + p[f"{net}_b2"])
+    h1 = obs @ p[f"{net}_w1"]
+    np.tanh(np.add(h1, p[f"{net}_b1"], out=h1), out=h1)
+    h2 = h1 @ p[f"{net}_w2"]
+    np.tanh(np.add(h2, p[f"{net}_b2"], out=h2), out=h2)
     return obs, h1, h2
 
 
@@ -102,10 +106,12 @@ def _trunk_backward(p: dict[str, np.ndarray], net: str, cache, dh2: np.ndarray,
                     grads: dict[str, np.ndarray]) -> None:
     """Adds the trunk's four gradients to `grads`, given d loss / d h2."""
     x, h1, h2 = cache
-    dz2 = dh2 * (1.0 - h2 ** 2)
+    dz2 = np.square(h2)
+    np.multiply(dh2, np.subtract(1.0, dz2, out=dz2), out=dz2)   # dh2 * (1 - h2**2)
     grads[f"{net}_w2"] = h1.T @ dz2
     grads[f"{net}_b2"] = dz2.sum(axis=0)
-    dz1 = (dz2 @ p[f"{net}_w2"].T) * (1.0 - h1 ** 2)
+    dz1 = np.square(h1)                                          # (dz2 @ w2.T) * (1 - h1**2)
+    np.multiply(dz2 @ p[f"{net}_w2"].T, np.subtract(1.0, dz1, out=dz1), out=dz1)
     grads[f"{net}_w1"] = x.T @ dz1
     grads[f"{net}_b1"] = dz1.sum(axis=0)
 
@@ -199,8 +205,14 @@ class Adam:
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for name, g in grads.items():
-            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            new = params.tensors[name] = (params._f64[name] - update).astype(np.float32)
+            m, v = self.m[name], self.v[name]
+            step = np.multiply(g, 1.0 - self.beta1)
+            np.add(np.multiply(m, self.beta1, out=m), step, out=m)  # m = beta1*m + (1-beta1)*g
+            np.multiply(np.multiply(g, 1.0 - self.beta2, out=step), g, out=step)
+            np.add(np.multiply(v, self.beta2, out=v), step, out=v)  # v = beta2*v + ((1-beta2)*g)*g
+            np.add(np.sqrt(np.divide(v, bc2, out=step), out=step), self.eps, out=step)
+            update = np.divide(m, bc1)                  # lr*(m/bc1) / (sqrt(v/bc2) + eps)
+            np.divide(np.multiply(self.lr, update, out=update), step, out=update)
+            np.subtract(params._f64[name], update, out=update)
+            new = params.tensors[name] = update.astype(np.float32)
             params._f64[name] = new.astype(np.float64)   # rebound, see the module docstring

@@ -1,9 +1,11 @@
 import json
 import math
 from io import StringIO
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import kisim.agent
 from kisim.agent import (CHECKPOINT_STATE, MOVING_AVG_WINDOW, AgentError, CheckpointError,
@@ -11,7 +13,8 @@ from kisim.agent import (CHECKPOINT_STATE, MOVING_AVG_WINDOW, AgentError, Checkp
                          moving_average, run_episode, save_checkpoint)
 from kisim.config import ExperimentConfig
 from kisim.env import ActionTriple, ScalingEnv
-from kisim.nn import ActorCriticParams, Adam, NetDims, actor_forward, log_softmax, tensor_shapes
+from kisim.nn import (HEAD_SIZES, ActorCriticParams, Adam, NetDims, actor_forward, log_softmax,
+                      tensor_shapes)
 
 N_RETURNS = 100
 
@@ -100,6 +103,63 @@ def test_greedy_action_is_the_argmax_of_the_actor_alone(monkeypatch):
         assert agent.greedy_action(obs) == expected
         chosen.add(expected)
     assert len(chosen) > 1
+
+
+@given(scale=st.floats(1e-3, 1e2), kind=st.sampled_from(["spread", "ties", "dominant"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_padded_heads_give_each_heads_own_log_softmax_exp_and_argmax(scale, kind, seed):
+    """The padded (3, 5) array `_actor` returns, fed to log_softmax and exp once,
+    gives every head the bytes its own (1, k) array gives, and -inf/0 elsewhere."""
+    rng = np.random.default_rng(seed)
+    logits = []
+    for k in HEAD_SIZES:
+        if kind == "ties":
+            lg = rng.integers(-2, 3, k) * scale
+        else:
+            lg = rng.normal(0.0, scale, k)
+        if kind == "dominant":
+            lg[rng.integers(k)] += rng.choice([40.0, 800.0])
+        logits.append(lg.reshape(1, k))
+    agent = PpoAgent(NetDims(hidden1=8, hidden2=6), SHORT)
+    with mock.patch.object(kisim.agent, "actor_forward", lambda p, obs: (logits, None)):
+        _, z = agent._actor(np.zeros(10))
+    lp = log_softmax(z)
+    prob = np.exp(lp)
+    for i, (k, lg) in enumerate(zip(HEAD_SIZES, logits)):
+        own = log_softmax(lg)[0]
+        assert lp[i, :k].tobytes() == own.tobytes()
+        assert prob[i, :k].tobytes() == np.exp(own).tobytes()
+        assert (lp[i, k:] == -np.inf).all() and (prob[i, k:] == 0.0).all()
+        assert z.argmax(axis=1)[i] == np.argmax(lg[0])
+
+
+def _logits_with(head, slot, value):
+    logits = [np.linspace(-1.0, 1.0, k).reshape(1, k) for k in HEAD_SIZES]
+    logits[head][0, slot] = value
+    return logits
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("head, slot", [(h, s) for h, k in enumerate(HEAD_SIZES)
+                                        for s in range(k)])
+def test_a_non_finite_logit_in_any_head_is_an_agent_error(head, slot, value):
+    agent = PpoAgent(NetDims(hidden1=8, hidden2=6), SHORT, seed=5)
+    state = agent._sample_rng.bit_generator.state
+    with mock.patch.object(kisim.agent, "actor_forward",
+                           lambda p, obs: (_logits_with(head, slot, value), None)):
+        for act in (agent.sample_action, agent.greedy_action):
+            with pytest.raises(AgentError, match="non-finite policy logits"):
+                act(np.zeros(10))
+    assert agent._sample_rng.bit_generator.state == state
+
+
+def test_an_infinite_reward_is_a_non_finite_loss_error():
+    agent, steps = sampled_episode()
+    obs, heads, log_prob, value, _, done = steps[1]
+    steps[1] = (obs, heads, log_prob, value, math.inf, done)
+    with np.errstate(invalid="ignore", over="ignore"):   # the NaN is the point here
+        with pytest.raises(AgentError, match="non-finite PPO loss"):
+            agent.update(steps)
 
 
 def assert_view_is_a_fresh_conversion(params):

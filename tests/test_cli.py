@@ -290,3 +290,19 @@ def test_a_p95_of_none_ranks_below_any_p95(p95, flag, tmp_path, monkeypatch):
     rows = json.loads((tmp_path / "eval" / "comparison.json").read_text())
     assert [r["flag"] for r in rows] == [flag, "", "", ""]
     assert all(r["speedup_vs_fixed_gpu"] == r["speedup_vs_fixed_cpu"] == "" for r in rows)
+
+
+def test_a_throughput_ratio_over_a_cpu_run_that_served_nothing_is_empty(tmp_path, capsys):
+    out = tmp_path / "base"
+    assert main(["baseline", "--patterns", "ramp", "--set", "users_min=0", "--set",
+                 "users_max=0", "--set", "episode_s=30", "--out", str(out)]) == 0
+    [row] = json.loads((out / "baseline_report.json").read_text())
+    [cells] = _read_csv(out / "baseline_report.csv")
+    assert row["cpu_throughput_rps"] == 0.0
+    assert row["throughput_ratio"] == cells["throughput_ratio"] == ""
+    header, shown = capsys.readouterr().out.splitlines()[-2:]
+    start = header.index("throughput_ratio")
+    end = header.index("gpu_util_mean")
+    assert header[start:end].strip() == "throughput_ratio"
+    assert shown[start:end].strip() == ""
+    assert shown[header.index("cpu_throughput_rps"):start].strip() == "0.00"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from kisim.nn import (ActorCriticParams, NetDims, actor_forward, critic_forward,
-                      log_softmax, ppo_loss_and_grads)
+from kisim.nn import (ActorCriticParams, Adam, NetDims, _trunk, _trunk_backward, actor_forward,
+                      critic_forward, log_softmax, ppo_loss_and_grads, tensor_shapes)
 
 CLIP, VALUE_COEF, ENTROPY_COEF = 0.2, 0.5, 0.01
 
@@ -120,3 +120,79 @@ def test_a_tensor_of_the_wrong_shape_is_a_value_error():
     missing = {k: v for k, v in init.tensors.items() if k != "c_b3"}
     with pytest.raises(ValueError, match="tensor shapes"):
         ActorCriticParams(init.dims, missing)
+
+
+# ---- in place against out of place: the same elementwise operations, the same bits ----
+
+def reference_adam_step(opt: Adam, params: ActorCriticParams, grads: dict) -> None:
+    """Adam.step as one out-of-place expression per quantity."""
+    opt.t += 1
+    bc1 = 1.0 - opt.beta1 ** opt.t
+    bc2 = 1.0 - opt.beta2 ** opt.t
+    for name, g in grads.items():
+        m = opt.m[name] = opt.beta1 * opt.m[name] + (1.0 - opt.beta1) * g
+        v = opt.v[name] = opt.beta2 * opt.v[name] + (1.0 - opt.beta2) * g * g
+        update = opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        new = params.tensors[name] = (params._f64[name] - update).astype(np.float32)
+        params._f64[name] = new.astype(np.float64)
+
+
+def _order(a: np.ndarray) -> tuple[bool, bool]:
+    return a.flags.c_contiguous, a.flags.f_contiguous
+
+
+def test_in_place_adam_step_is_the_out_of_place_formula_bit_for_bit():
+    dims = NetDims(hidden1=16, hidden2=12)
+    params, ref_params = (ActorCriticParams.initialize(dims, np.random.default_rng(3))
+                          for _ in range(2))
+    assert not params.as_float64()["a_w1"].flags.c_contiguous   # Fortran-ordered init
+    opt, ref = Adam(params, lr=0.01), Adam(ref_params, lr=0.01)
+    rng = np.random.default_rng(8)
+    for _ in range(4):
+        grads = {name: rng.normal(0.0, 10.0 ** rng.uniform(-4, 1), shape)
+                 for name, shape in tensor_shapes(dims).items()}
+        opt.step(params, grads)
+        reference_adam_step(ref, ref_params, grads)
+        for name in grads:
+            for got, want in ((opt.m[name], ref.m[name]), (opt.v[name], ref.v[name]),
+                              (params.tensors[name], ref_params.tensors[name]),
+                              (params.as_float64()[name], ref_params.as_float64()[name])):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+                assert _order(got) == _order(want), name
+
+
+def reference_trunk(p, net, obs):
+    h1 = np.tanh(obs @ p[f"{net}_w1"] + p[f"{net}_b1"])
+    h2 = np.tanh(h1 @ p[f"{net}_w2"] + p[f"{net}_b2"])
+    return obs, h1, h2
+
+
+def reference_trunk_backward(p, net, cache, dh2, grads):
+    x, h1, h2 = cache
+    dz2 = dh2 * (1.0 - h2 ** 2)
+    grads[f"{net}_w2"] = h1.T @ dz2
+    grads[f"{net}_b2"] = dz2.sum(axis=0)
+    dz1 = (dz2 @ p[f"{net}_w2"].T) * (1.0 - h1 ** 2)
+    grads[f"{net}_w1"] = x.T @ dz1
+    grads[f"{net}_b1"] = dz1.sum(axis=0)
+
+
+@pytest.mark.parametrize("batch", [1, 64])
+@pytest.mark.parametrize("net", ["a", "c"])
+def test_in_place_trunk_is_the_out_of_place_trunk_bit_for_bit(batch, net):
+    rng = np.random.default_rng(batch)
+    params = ActorCriticParams.initialize(NetDims(), rng)
+    # one step leaves *_w1 C-ordered, as in training; the init is Fortran-ordered
+    for step in range(2):
+        p = params.as_float64()
+        obs = rng.uniform(-1.0, 3.0, (batch, p[f"{net}_w1"].shape[0]))
+        cache, ref_cache = _trunk(p, net, obs), reference_trunk(p, net, obs)
+        assert [a.tobytes() for a in cache] == [a.tobytes() for a in ref_cache]
+        dh2 = rng.normal(size=cache[2].shape)
+        grads, ref_grads = {}, {}
+        _trunk_backward(p, net, cache, dh2, grads)
+        reference_trunk_backward(p, net, ref_cache, dh2, ref_grads)
+        assert grads.keys() == ref_grads.keys()
+        assert all(grads[k].tobytes() == ref_grads[k].tobytes() for k in grads)
+        Adam(params, lr=0.01).step(params, {k: rng.normal(size=v.shape) * 0.1
+                                            for k, v in params.tensors.items()})
