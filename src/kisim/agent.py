@@ -116,6 +116,13 @@ class PpoAgent:
     def greedy_action(self, obs_vec: np.ndarray) -> ActionTriple:
         return ActionTriple.from_heads(*self._actor(obs_vec)[1].argmax(axis=1).tolist())
 
+    # a policy of env.run_policy_episode, on the config's init pods
+    name = "kiscaler"
+    pods = None
+
+    def act(self, obs_vec: np.ndarray, env: ScalingEnv) -> ActionTriple:
+        return self.greedy_action(obs_vec)
+
     # ---- learning ---------------------------------------------------------
 
     def update(self, steps: list) -> LossReport:

@@ -1,13 +1,14 @@
 """Reference autoscaling policies: HPA-style threshold controller and
-fixed CPU-only / GPU-only deployments."""
+fixed CPU-only / GPU-only deployments, each run by `env.run_policy_episode`."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from . import env as env_module
 from .config import ExperimentConfig
-from .env import SimStack
+from .env import ActionTriple
 from .metrics import mean_busy
 from .simcore import Pool, RoutePref
 
@@ -27,10 +28,14 @@ def hpa_decide(current_replicas: int, current_util: float, cfg: ExperimentConfig
 
 @dataclass
 class HpaController:
-    """Stateful wrapper adding the downscale stabilization window."""
+    """HPA as a policy: the threshold rule plus the downscale stabilization window, on
+    the config's init pods. It first syncs one period in, not at t=0, and each sync
+    sets the CPU count itself, since its ceil rule may move further than +-2."""
 
     cfg: ExperimentConfig
     _recommendations: list = field(default_factory=list)  # (t, desired)
+    name = "hpa"
+    pods = None
 
     def decide(self, now: float, current_replicas: int, current_util: float) -> int:
         raw = hpa_decide(current_replicas, current_util, self.cfg)
@@ -44,36 +49,41 @@ class HpaController:
         window_max = max(d for _, d in self._recommendations)
         return min(current_replicas, max(raw, window_max))
 
+    def act(self, obs, env) -> ActionTriple:
+        if env.step_index > 0:
+            cluster = env.stack.cluster
+            current = cluster.desired(Pool.CPU)
+            util = mean_busy(cluster, Pool.CPU)   # the HPA input signal
+            desired = self.decide(env.stack.engine.now, max(1, current), util)
+            if desired != current:
+                cluster.set_desired_replicas(Pool.CPU, desired)
+        return ActionTriple(0, 0, RoutePref.CPU_FIRST)
 
-def _policy_setup(policy: str, config: ExperimentConfig) -> tuple[int, int, RoutePref]:
-    if policy == "fixed_gpu":
-        return 0, config.fixed_gpu_replicas, RoutePref.GPU_FIRST
-    if policy == "fixed_cpu":
-        return config.fixed_cpu_replicas, 0, RoutePref.CPU_FIRST
-    if policy == "hpa":
-        return config.init_cpu, config.init_gpu, RoutePref.CPU_FIRST
-    raise ValueError(f"unknown baseline policy: {policy!r}")
+
+@dataclass(frozen=True)
+class FixedPolicy:
+    """A fixed deployment: its Ready pods at t=0, never scaled, its own pool preferred."""
+
+    name: str
+    pods: tuple[int, int]   # (CPU, GPU)
+    pref: RoutePref
+
+    def act(self, obs, env) -> ActionTriple:
+        return ActionTriple(0, 0, self.pref)
 
 
 def run_baseline(policy: str, pattern: str, config: ExperimentConfig,
                  traffic_seed: int, timeseries: list | None = None) -> dict:
-    """Simulate one (policy, pattern) run and return its metrics report."""
-    init_cpu, init_gpu, pref = _policy_setup(policy, config)
-    stack = SimStack(config, pattern, traffic_seed,
-                     init_cpu=init_cpu, init_gpu=init_gpu, routing_pref=pref)
-    controller = HpaController(config) if policy == "hpa" else None
-    interval = config.hpa_sync_period_s if policy == "hpa" else config.control_interval_s
-    k = 0
-    done = False
-    while not done:
-        k += 1
-        done = stack.advance(k, interval)
-        if controller is not None and not done:
-            current = stack.cluster.desired(Pool.CPU)
-            util = mean_busy(stack.cluster, Pool.CPU)   # the HPA input signal
-            desired = controller.decide(stack.engine.now, max(1, current), util)
-            if desired != current:
-                stack.cluster.set_desired_replicas(Pool.CPU, desired)
-        if timeseries is not None:
-            timeseries.append(stack.row())
-    return stack.report(policy)
+    """Simulate one (policy, pattern) run on `env.run_policy_episode` and return its
+    report. HPA acts every `hpa_sync_period_s`, a fixed policy every control interval."""
+    policies = {"fixed_gpu": FixedPolicy("fixed_gpu", (0, config.fixed_gpu_replicas),
+                                         RoutePref.GPU_FIRST),
+                "fixed_cpu": FixedPolicy("fixed_cpu", (config.fixed_cpu_replicas, 0),
+                                         RoutePref.CPU_FIRST),
+                "hpa": HpaController(config)}
+    if policy not in policies:
+        raise ValueError(f"unknown baseline policy: {policy!r}")
+    if policy == "hpa":
+        config = replace(config, control_interval_s=config.hpa_sync_period_s)
+    return env_module.run_policy_episode(policies[policy], pattern, config, traffic_seed,
+                                         timeseries)

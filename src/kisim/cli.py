@@ -21,7 +21,7 @@ from pathlib import Path
 from .agent import PpoAgent, load_checkpoint, moving_average, train
 from .baselines import POLICY_NAMES, run_baseline
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
-from .env import TIMESERIES_FIELDS, ScalingEnv, episode_traffic
+from .env import TIMESERIES_FIELDS, ScalingEnv, episode_traffic, run_policy_episode
 from .nn import NetDims
 from .traffic import PATTERN_NAMES
 
@@ -178,19 +178,6 @@ def cmd_baseline(args) -> int:
 
 
 # ---- evaluate ----------------------------------------------------------------
-
-def run_policy_episode(agent: PpoAgent, pattern: str, cfg: ExperimentConfig,
-                       traffic_seed: int, timeseries: list | None = None) -> dict:
-    """One greedy-policy run, reported like a baseline run."""
-    env = ScalingEnv(cfg)
-    obs = env.reset_to(pattern, traffic_seed)
-    done = False
-    while not done:
-        obs, _, done = env.step(agent.greedy_action(obs))
-        if timeseries is not None:
-            timeseries.append(env.row)
-    return env.stack.report("kiscaler")
-
 
 def cmd_evaluate(args) -> int:
     cfg = _load_effective_config(args)

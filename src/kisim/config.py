@@ -131,19 +131,23 @@ class ExperimentConfig:
         for key in ("episode_s", "control_interval_s", "monitor_interval_s", "window_s",
                     "hpa_sync_period_s", "periodic_period_s", "random_redraw_s",
                     "latency_cap_s", "throughput_cap_rps", "base_service_s",
-                    "node_millicores", "node_mem_bytes"):
+                    "node_millicores", "node_mem_bytes", "hpa_target_cpu_util"):
             if not 0 < getattr(self, key) < math.inf:     # NaN fails too
                 raise ConfigError(f"{key} must be positive and finite")
-        # below these: a think time in the past, a pod without a slot, NaN losses of no
-        # epoch, a fixed deployment that serves nothing and reports a p95 of 0
+        # below these: a think time or pod start in the past, a pod without a slot, NaN losses
+        # of no epoch, a fixed run that serves nothing (p95 0), an HPA window holding nothing
         for key, least in (("ppo_minibatch", 1), ("ppo_update_every_episodes", 1),
                            ("eval_every", 0), ("hpa_tolerance", 0), ("hold_s", 0),
                            ("cpu_concurrency", 1), ("gpu_concurrency", 1), ("ppo_epochs", 1),
-                           ("fixed_cpu_replicas", 1), ("fixed_gpu_replicas", 1)):
+                           ("fixed_cpu_replicas", 1), ("fixed_gpu_replicas", 1),
+                           ("cpu_startup_s", 0), ("gpu_startup_s", 0),
+                           ("hpa_stabilization_down_s", 0)):
             if not getattr(self, key) >= least:
                 raise ConfigError(f"{key} must be >= {least}")
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):  # NaN/inf exponents stall
+                raise ConfigError(f"{f.name} must be finite")
             if isinstance(value, str) and ("#" in value or value != value.strip()
                                            or len(value.splitlines()) > 1):
                 raise ConfigError(f"{f.name} = {value!r} cannot be written to a config "

@@ -53,7 +53,7 @@ class SimStack:
     """Engine + cluster + metrics + traffic for one simulated run."""
 
     def __init__(self, config: ExperimentConfig, pattern: str, traffic_seed: int,
-                 init_cpu: int, init_gpu: int, routing_pref: RoutePref) -> None:
+                 init_cpu: int, init_gpu: int) -> None:
         self.config = config
         self.engine = Engine()
         self.service = ServiceModel(
@@ -70,7 +70,6 @@ class SimStack:
             gpu_device_budget=config.gpu_device_budget,
             cpu_startup_s=config.cpu_startup_s,
             gpu_startup_s=config.gpu_startup_s,
-            routing_pref=routing_pref,
         )
         self.cluster.spawn_ready(Pool.CPU, init_cpu)
         self.cluster.spawn_ready(Pool.GPU, init_gpu)
@@ -84,17 +83,6 @@ class SimStack:
         self.generator.start()
         self.engine.schedule_periodic(0.0, config.monitor_interval_s, self._sample_util,
                                       until=config.episode_s)
-
-    def advance(self, k: int, interval: float) -> bool:
-        """Run to control instant min(k*interval, episode_s); True once it ends, when it
-        drops the events and listeners that point back at the stack, freeing it sooner."""
-        target = min(k * interval, self.config.episode_s)
-        self.engine.run_until(target)
-        if target < self.config.episode_s:
-            return False
-        self.engine.clear()
-        self.cluster.completion_listeners.clear()
-        return True
 
     def _sample_util(self, now: float) -> None:
         cpu, mem = self.util_model.cpu_mem_utilization(self.cluster)
@@ -168,15 +156,14 @@ class ScalingEnv:
 
     # ---- episode management ---------------------------------------------
 
-    def reset_to(self, pattern: str, traffic_seed: int,
-                 episode_index: int = 0) -> np.ndarray:
+    def reset_to(self, pattern: str, traffic_seed: int, episode_index: int = 0,
+                 pods: Optional[tuple[int, int]] = None) -> np.ndarray:
+        """A new episode on `pods` (CPU, GPU) Ready pods, else the config's init counts."""
         self.episode_index = episode_index
         self.step_index = 0
         self.row = {}   # so the first trends compare with 0.0
-        self.stack = SimStack(self.config, pattern, traffic_seed,
-                              init_cpu=self.config.init_cpu,
-                              init_gpu=self.config.init_gpu,
-                              routing_pref=RoutePref.CPU_FIRST)
+        init_cpu, init_gpu = pods or (self.config.init_cpu, self.config.init_gpu)
+        self.stack = SimStack(self.config, pattern, traffic_seed, init_cpu, init_gpu)
         return self.observe()
 
     # ---- observation -----------------------------------------------------
@@ -211,12 +198,13 @@ class ScalingEnv:
     # ---- action / reward ---------------------------------------------------
 
     def decode_and_apply(self, action: ActionTriple) -> None:
+        """Route by `pref`; move each pool by its delta into its bounds, a zero delta nowhere."""
         cluster = self.stack.cluster
         cluster.routing_pref = RoutePref(action.pref)
         for pool, delta in ((Pool.GPU, action.d_gpu), (Pool.CPU, action.d_cpu)):
             current = cluster.desired(pool)
             new = cluster.clamp_desired(pool, current + delta)
-            if new != current:
+            if delta and new != current:
                 cluster.set_desired_replicas(pool, new)
 
     def demand_estimate(self) -> int:
@@ -245,11 +233,19 @@ class ScalingEnv:
     # ---- stepping ----------------------------------------------------------
 
     def step(self, action: ActionTriple) -> tuple[np.ndarray, float, bool]:
-        if self.stack is None or self.stack.engine.now >= self.config.episode_s:
+        """Act, run to control instant min(k*interval, episode_s) and observe it. At the
+        end the stack drops the events and listeners that point back at it, freeing it sooner."""
+        stack, end = self.stack, self.config.episode_s
+        if stack is None or stack.engine.now >= end:
             raise EpisodeFinished("episode is finished; call reset_to() first")
         self.decode_and_apply(action)
         self.step_index += 1
-        done = self.stack.advance(self.step_index, self.config.control_interval_s)
+        target = min(self.step_index * self.config.control_interval_s, end)
+        stack.engine.run_until(target)
+        done = target >= end
+        if done:
+            stack.engine.clear()
+            stack.cluster.completion_listeners.clear()
         obs = self.observe()
         terms = self.reward(obs, action)
         if self.trace_sink is not None:
@@ -270,3 +266,18 @@ class ScalingEnv:
             "users": self.row["users"],
         }
         self.trace_sink.write(json.dumps(record, separators=(",", ":")) + "\n")
+
+
+def run_policy_episode(policy, pattern: str, cfg: ExperimentConfig, traffic_seed: int,
+                       timeseries: list | None = None) -> dict:
+    """One run of a policy, reported under its `name`: `act(obs, env) -> ActionTriple` at
+    every control instant from t=0, on its `pods` (see `reset_to`). A time-series row is
+    the state at its instant before the policy acts there (t=0's is not recorded)."""
+    env = ScalingEnv(cfg)
+    obs = env.reset_to(pattern, traffic_seed, pods=policy.pods)
+    done = False
+    while not done:
+        obs, _, done = env.step(policy.act(obs, env))
+        if timeseries is not None:
+            timeseries.append(env.row)
+    return env.stack.report(policy.name)

@@ -63,7 +63,7 @@ class Engine:
     def schedule(self, fire_at: float, action: Callable[..., None], *args) -> None:
         """Call action(*args) at fire_at."""
         clock = self.clock
-        if fire_at < clock.now:
+        if not fire_at >= clock.now:     # NaN fails too
             raise SimulationError(
                 f"event scheduled in the past: fire_at={fire_at} < now={clock.now}")
         clock.seq += 1
@@ -72,7 +72,7 @@ class Engine:
     def schedule_in_order(self, fire_at: float, action: Callable[..., None], *args) -> None:
         """Call action(*args) at fire_at, no earlier than any event in the lane."""
         clock, lane = self.clock, self._lane
-        if fire_at < clock.now or (lane and fire_at < lane[-1][0]):
+        if not fire_at >= clock.now or (lane and fire_at < lane[-1][0]):
             raise SimulationError(f"in-order event at fire_at={fire_at} is before "
                                   f"now={clock.now} or the lane's last event")
         clock.seq += 1
@@ -93,7 +93,7 @@ class Engine:
 
     def run_until(self, t_end: float) -> None:
         clock = self.clock
-        if t_end < clock.now:
+        if not t_end >= clock.now:
             raise SimulationError(f"run_until({t_end}) before now={clock.now}")
         heap, lane = self._heap, self._lane
         while True:

@@ -11,7 +11,7 @@ from kisim.cli import run_policy_episode
 from kisim.config import ConfigError, ExperimentConfig
 from kisim.env import SimStack
 from kisim.nn import NetDims
-from kisim.simcore import PodPhase, Pool
+from kisim.simcore import ClusterModel, PodPhase, Pool
 from kisim.traffic import PATTERN_NAMES
 
 
@@ -32,6 +32,36 @@ def test_hpa_scales_the_cpu_pool_within_its_bounds():
     rows: list[dict] = []
     run_baseline("hpa", "ramp", cfg, traffic_seed=3, timeseries=rows)
     assert max(row["cpu_replicas"] for row in rows) == 2
+
+
+def test_hpa_first_syncs_one_period_in_and_each_row_precedes_its_sync(monkeypatch):
+    """HPA leaves t=0 alone. Its t=15 row shows the three init pods that its first
+    sync then sheds, since a row is the state at its instant before the policy acts."""
+    synced = []
+    original = ClusterModel.set_desired_replicas
+
+    def set_desired_replicas(cluster, pool, count):
+        synced.append((cluster.engine.now, pool, count))
+        original(cluster, pool, count)
+
+    monkeypatch.setattr(ClusterModel, "set_desired_replicas", set_desired_replicas)
+    cfg = ExperimentConfig()
+    rows: list[dict] = []
+    run_baseline("hpa", "ramp", cfg, traffic_seed=3, timeseries=rows)
+    assert (rows[0]["t"], rows[0]["cpu_replicas"]) == (cfg.hpa_sync_period_s, cfg.init_cpu)
+    assert synced[0] == (cfg.hpa_sync_period_s, Pool.CPU, 1)     # the first call of all
+    assert rows[1]["cpu_replicas"] == 1
+
+
+def test_a_zero_delta_leaves_a_pool_outside_its_bounds():
+    """A fixed policy never moves a pool: fixed_cpu keeps 8 Ready pods above
+    cpu_max = 6, and fixed_gpu keeps no CPU pod under cpu_min = 1."""
+    cfg = ExperimentConfig(fixed_cpu_replicas=8)
+    assert (cfg.cpu_min, cfg.cpu_max) == (1, 6)
+    for policy, cpu_pods in (("fixed_cpu", 8), ("fixed_gpu", 0)):
+        rows: list[dict] = []
+        run_baseline(policy, "spike", cfg, traffic_seed=3, timeseries=rows)
+        assert [row["cpu_replicas"] for row in rows] == [cpu_pods] * 20
 
 
 def test_hpa_stabilization_window_delays_scale_down():
@@ -73,22 +103,17 @@ def checked_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("pattern", PATTERN_NAMES)
-@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("policy", ("kiscaler",) + POLICY_NAMES)
 def test_baseline_conserves_requests_within_gpu_budget(policy, pattern, checked_steps):
     cfg = ExperimentConfig()
-    report = run_baseline(policy, pattern, cfg, traffic_seed=3, timeseries=[])
+    if policy == "kiscaler":
+        agent = PpoAgent(NetDims(hidden1=16, hidden2=16), cfg, seed=0)
+        report = run_policy_episode(agent, pattern, cfg, traffic_seed=3, timeseries=[])
+    else:
+        report = run_baseline(policy, pattern, cfg, traffic_seed=3, timeseries=[])
     interval = cfg.hpa_sync_period_s if policy == "hpa" else cfg.control_interval_s
-    assert len(checked_steps) == round(cfg.episode_s / interval)
-    assert checked_steps[-1] == cfg.episode_s
-    assert report["requests_completed"] > 0
-
-
-def test_policy_episode_conserves_requests_within_gpu_budget(checked_steps):
-    cfg = ExperimentConfig()
-    agent = PpoAgent(NetDims(hidden1=16, hidden2=16), cfg, seed=0)
-    report = run_policy_episode(agent, "spike", cfg, traffic_seed=3, timeseries=[])
     # one row per observation: the reset at t=0, then one after every step
-    assert checked_steps == [k * cfg.control_interval_s for k in range(21)]
+    assert checked_steps == [k * interval for k in range(21)]
     assert report["requests_completed"] > 0
 
 
@@ -102,7 +127,7 @@ def test_baseline_runs_reproduce_their_pinned_bytes():
             report = run_baseline(policy, pattern, cfg, traffic_seed=42, timeseries=rows)
             runs += [report, rows]
     digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
-    assert digest[:16] == "db7dabe46f58da0f"
+    assert digest[:16] == "6de33ea162d8951c"
 
 
 def test_a_finished_run_is_freed_without_the_cyclic_gc(monkeypatch):

@@ -6,6 +6,7 @@ import math
 import pytest
 
 import kisim.cli
+import kisim.env
 from kisim.agent import (MOVING_AVG_WINDOW, PpoAgent, TrainState, load_checkpoint,
                          save_checkpoint)
 from kisim.baselines import POLICY_NAMES, run_baseline
@@ -206,6 +207,29 @@ def test_evaluate_rows_and_csv_cells_follow_the_grid(tmp_path):
     csv_rows = _read_csv(out / "timeseries_ramp_hpa.csv")
     assert list(csv_rows[0]) == list(TIMESERIES_FIELDS)
     _assert_cells_read_back(csv_rows, ts)
+
+
+def test_evaluate_runs_each_policy_once_through_one_runner(tmp_path, monkeypatch):
+    """perfbench times an episode at `kisim.cli.run_policy_episode` (KIScaler) and
+    `kisim.cli.run_baseline`: each run passes one of them once, then the one runner."""
+    assert kisim.cli.run_policy_episode is kisim.env.run_policy_episode
+    calls = []
+
+    def spy(name, original):
+        def call(*args, **kwargs):
+            calls.append((name, args[1]))       # every entry point takes the pattern second
+            return original(*args, **kwargs)
+        return call
+
+    runner = spy("runner", kisim.env.run_policy_episode)
+    monkeypatch.setattr(kisim.env, "run_policy_episode", runner)
+    monkeypatch.setattr(kisim.cli, "run_policy_episode", spy("cli.run_policy_episode", runner))
+    monkeypatch.setattr(kisim.cli, "run_baseline", spy("cli.run_baseline", run_baseline))
+    assert main(["evaluate", str(_fresh_checkpoint(tmp_path)), "--patterns", "spike", "ramp",
+                 "--set", "episode_s=30", "--out", str(tmp_path / "eval")]) == 0
+    assert calls == [call for p in ("spike", "ramp") for call in
+                     [("cli.run_policy_episode", p), ("runner", p)]
+                     + [("cli.run_baseline", p), ("runner", p)] * len(POLICY_NAMES)]
 
 
 def test_baseline_runs_every_pattern_through_run_baseline(tmp_path, monkeypatch):

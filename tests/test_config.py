@@ -69,7 +69,12 @@ def test_train_refuses_an_out_dir_its_config_file_would_misrecord(tmp_path, caps
     ("node_millicores", 0.0), ("node_mem_bytes", 0.0), ("node_mem_bytes", math.inf),
     ("ppo_epochs", 0),
     # a fixed deployment that completes no request and so reports the best p95, 0.0
-    ("fixed_cpu_replicas", 0), ("fixed_gpu_replicas", -2)])
+    ("fixed_cpu_replicas", 0), ("fixed_gpu_replicas", -2),
+    # a stalled pool reported as a result, an event order out of time, a pod ready in
+    # the past, an HPA that divides by zero or keeps no recommendation
+    ("cpu_contention_exp", float("nan")), ("gpu_contention_exp", math.inf),
+    ("gpu_startup_s", float("nan")), ("cpu_startup_s", -1.0), ("hpa_target_cpu_util", 0.0),
+    ("hpa_target_cpu_util", float("nan")), ("hpa_stabilization_down_s", float("nan"))])
 def test_values_that_hang_or_crash_a_run_are_config_errors(key, value):
     with pytest.raises(ConfigError, match=key):
         ExperimentConfig(**{key: value})
@@ -81,23 +86,34 @@ def test_a_cluster_without_replicas_is_a_config_error():
         ExperimentConfig(cpu_min=0, cpu_max=0, gpu_max=0, init_cpu=0, init_gpu=0)
 
 
-LEAST = {"hold_s": 0, "cpu_concurrency": 1, "gpu_concurrency": 1, "ppo_epochs": 1}
+RULE = {"hold_s": ">= 0", "cpu_concurrency": ">= 1", "gpu_concurrency": ">= 1",
+        "ppo_epochs": ">= 1", "cpu_startup_s": ">= 0", "hpa_stabilization_down_s": ">= 0",
+        "gpu_startup_s": ">= 0", "cpu_contention_exp": "finite",
+        "gpu_contention_exp": "finite"}
 
 
 @pytest.mark.parametrize("key, value", [("monitor_interval_s", "0"), ("episode_s", "inf"),
                                         ("latency_cap_s", "0"), ("throughput_cap_rps", "0"),
                                         ("hold_s", "-1"), ("base_service_s", "0"),
                                         ("cpu_concurrency", "0"), ("gpu_concurrency", "0"),
-                                        ("node_millicores", "0"), ("node_mem_bytes", "0")])
+                                        ("node_millicores", "0"), ("node_mem_bytes", "0"),
+                                        ("cpu_contention_exp", "nan"),
+                                        ("gpu_contention_exp", "inf"),
+                                        ("gpu_startup_s", "nan"), ("cpu_startup_s", "-1"),
+                                        ("hpa_target_cpu_util", "0"),
+                                        ("hpa_target_cpu_util", "nan"),
+                                        ("hpa_stabilization_down_s", "nan")])
 def test_baseline_refuses_a_zero_monitor_interval(key, value, tmp_path, capsys):
     """A zero monitor interval resamples at t=0 forever; an infinite episode never
     ends; a zero cap divides the observation by zero. A negative think time
     schedules into the past, a zero service time loops at one instant, and a zero
-    concurrency or node size divides by zero: each is refused before any output."""
+    concurrency or node size divides by zero. A NaN or infinite contention exponent
+    or start-up, a negative start-up, a zero or NaN HPA target and a NaN HPA window
+    stall or crash the run: each is refused before any output."""
     out = tmp_path / "base"
     assert main(["baseline", "--set", "episode_s=30", "--set", f"{key}={value}",
                  "--out", str(out)]) == 1
-    rule = f">= {LEAST[key]}" if key in LEAST else "positive and finite"
+    rule = RULE.get(key, "positive and finite")
     assert f"{key} must be {rule}" in capsys.readouterr().err
     assert not out.exists()
 

@@ -7,10 +7,9 @@ import pytest
 
 from kisim.agent import PpoAgent
 from kisim.baselines import run_baseline
-from kisim.cli import run_policy_episode
 from kisim.config import ExperimentConfig
 from kisim.env import (OBS_FIELDS, TIMESERIES_FIELDS, ActionTriple, EpisodeFinished,
-                       ScalingEnv, episode_traffic)
+                       ScalingEnv, episode_traffic, run_policy_episode)
 from kisim.nn import NetDims
 from kisim.traffic import PATTERN_NAMES
 
@@ -26,6 +25,21 @@ def test_policy_episode_runs_to_episode_end_like_a_baseline(interval):
     assert kis_rows[-1]["t"] == cfg.episode_s
     assert len(kis_rows) == len(base_rows)
     assert [r["t"] for r in kis_rows] == [r["t"] for r in base_rows]
+
+
+def test_a_policy_of_a_few_lines_runs_and_reports_under_its_own_name():
+    class Hold:
+        """Two CPU pods and one GPU pod from t=0, routed GPU-first."""
+        name, pods = "hold", (2, 1)
+
+        def act(self, obs, env):
+            return ActionTriple(d_gpu=0, d_cpu=0, pref=1)
+
+    rows: list[dict] = []
+    report = run_policy_episode(Hold(), "spike", ExperimentConfig(episode_s=60.0), 3, rows)
+    assert report["policy"] == "hold" and report["requests_completed"] > 0
+    assert [(r["t"], r["cpu_replicas"], r["gpu_replicas"]) for r in rows] == \
+        [(15.0, 2, 1), (30.0, 2, 1), (45.0, 2, 1), (60.0, 2, 1)]
 
 
 @pytest.mark.parametrize("interval", [11.0, 13.0, 15.0])
@@ -137,10 +151,13 @@ def test_env_trace_reproduces_its_pinned_bytes():
 class CyclingAgent:
     """Acts FIVE_ACTIONS in turn, whatever it observes."""
 
+    name = "kiscaler"
+    pods = None
+
     def __init__(self) -> None:
         self.actions = itertools.cycle(FIVE_ACTIONS)
 
-    def greedy_action(self, obs):
+    def act(self, obs, env):
         return next(self.actions)
 
 

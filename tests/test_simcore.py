@@ -1,5 +1,7 @@
 """Engine ordering, pod lifecycle, routing and the service-time model."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -44,6 +46,8 @@ def test_scheduling_into_the_past_is_an_error():
     engine.run_until(2.0)
     with pytest.raises(SimulationError):
         engine.schedule(1.0, lambda: None)
+    with pytest.raises(SimulationError):
+        engine.schedule(math.nan, lambda: None)
 
 
 def test_run_until_empty_queue_advances_clock_only():
@@ -58,6 +62,9 @@ def test_run_until_backwards_is_an_error():
     engine.run_until(5.0)
     with pytest.raises(SimulationError):
         engine.run_until(4.0)
+    with pytest.raises(SimulationError):
+        engine.run_until(math.nan)
+    assert engine.now == 5.0
 
 
 def test_clock_sequence_strictly_increases():
@@ -133,9 +140,12 @@ def test_the_lane_refuses_a_time_before_now_or_before_its_last_event():
     engine.run_until(2.0)
     with pytest.raises(SimulationError):
         engine.schedule_in_order(1.0, lambda: None)
-    engine.schedule_in_order(5.0, lambda: None)
     with pytest.raises(SimulationError):
-        engine.schedule_in_order(4.0, lambda: None)
+        engine.schedule_in_order(math.nan, lambda: None)
+    engine.schedule_in_order(5.0, lambda: None)
+    for fire_at in (4.0, math.nan):
+        with pytest.raises(SimulationError):
+            engine.schedule_in_order(fire_at, lambda: None)
     assert (engine.clock.seq, engine.pending_events()) == (1, 1)   # refusals leave no trace
     engine.schedule_in_order(5.0, lambda: None)     # an equal time keeps the order
     engine.schedule(3.0, lambda: None)              # the heap may still take an earlier one
