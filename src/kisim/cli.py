@@ -230,7 +230,7 @@ def cmd_replay(args) -> int:
                 raise ReplayError(f"malformed trace line {lineno}: {exc}") from exc
 
     returns: dict[int, float] = defaultdict(float)
-    histogram: Counter = Counter()
+    by_pattern: dict = defaultdict(Counter)     # pattern -> its action histogram
     rows = []
     for lineno, rec in records:
         if not isinstance(rec, dict):
@@ -253,12 +253,13 @@ def cmd_replay(args) -> int:
                 "users": rec["users"],
             }
             returns[row["episode"]] += row["reward_total"]
+            by_pattern[row["pattern"]][tuple(action)] += 1
         except KeyError as exc:
             raise ReplayError(f"trace line {lineno}: missing key {exc}") from None
-        except TypeError as exc:     # a "reward" that is not an object, a total not a number
+        except TypeError as exc:  # a "reward" not an object, a total not a number, a list pattern
             raise ReplayError(f"trace line {lineno}: {exc}") from None
         rows.append(row)
-        histogram[tuple(action)] += 1
+    histogram = sum(by_pattern.values(), Counter())
 
     out = Path(args.out) if args.out else path.parent
     out.mkdir(parents=True, exist_ok=True)
@@ -273,6 +274,9 @@ def cmd_replay(args) -> int:
     print(f"action histogram ({total_steps} steps):")
     for action, count in sorted(histogram.items()):
         print(f"  d_gpu={action[0]:+d} d_cpu={action[1]:+d} pref={action[2]}: {count}")
+    for pattern, counts in by_pattern.items():      # a constant policy: 1 action, 100.0%
+        print(f"pattern {pattern}: {sum(counts.values())} steps, {len(counts)} distinct "
+              f"action(s), the most common {max(counts.values()) / sum(counts.values()):.1%}")
     print(f"plot data written to {out / 'replay_summary.csv'}")
     return 0
 

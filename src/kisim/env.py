@@ -19,7 +19,8 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .metrics import MetricsWindow, UtilizationModel
-from .simcore import ClusterModel, Engine, Pool, PoolLimits, RoutePref, ServiceModel
+from .simcore import (ClusterModel, Engine, Pool, PoolLimits, RoutePref, ServiceModel,
+                      SimulationError)
 from .traffic import PATTERN_NAMES, LoadGenerator
 
 DELTAS = (-2, -1, 0, 1, 2)
@@ -81,8 +82,6 @@ class SimStack:
         self.generator = LoadGenerator(config, pattern, traffic_seed,
                                        self.engine, self.cluster)
         self.generator.start()
-        self.engine.schedule_periodic(0.0, config.monitor_interval_s, self._sample_util,
-                                      until=config.episode_s)
 
     def _sample_util(self, now: float) -> None:
         cpu, mem = self.util_model.cpu_mem_utilization(self.cluster)
@@ -107,8 +106,9 @@ class SimStack:
 
     def report(self, policy: str) -> dict:
         """Whole-run metrics of one (policy, pattern) run."""
-        cpu_util, mem_util, gpu_util = ([sum(col) / len(col) for col in zip(*self.util_samples)]
-                                        or (0.0, 0.0, 0.0))
+        if not self.util_samples:   # else every utilization mean would read 0.0
+            raise SimulationError("report() of a run that sampled no utilization")
+        cpu_util, mem_util, gpu_util = [sum(col) / len(col) for col in zip(*self.util_samples)]
         served = self.cluster.requests_completed > 0    # else no latency: p95, mean None
         return {
             "pattern": self.generator.kind,
@@ -275,9 +275,11 @@ def run_policy_episode(policy, pattern: str, cfg: ExperimentConfig, traffic_seed
     the state at its instant before the policy acts there (t=0's is not recorded)."""
     env = ScalingEnv(cfg)
     obs = env.reset_to(pattern, traffic_seed, pods=policy.pods)
+    stack = env.stack   # only a reported run samples utilization: the first event after reset
+    stack.engine.schedule_periodic(0.0, cfg.monitor_interval_s, stack._sample_util, cfg.episode_s)
     done = False
     while not done:
         obs, _, done = env.step(policy.act(obs, env))
         if timeseries is not None:
             timeseries.append(env.row)
-    return env.stack.report(policy.name)
+    return stack.report(policy.name)

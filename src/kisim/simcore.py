@@ -26,11 +26,14 @@ requests in service. Pre-warmed pods are born Ready, with no start-up event.
 Each pool also keeps a Ready index, its Ready pods in id order, changed only where
 a pod turns Ready or stops being Ready, so routing and utilization never filter
 pods; `ready_pods(pool)` returns the index itself, which callers must not change.
+The engine never rebinds `clock`, `heap` or `lane`: `ClusterModel` pushes its service
+starts, and `LoadGenerator` its wakes, straight onto them, each bumping `clock.seq`.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
@@ -39,7 +42,7 @@ from typing import Callable, Optional
 
 
 class SimulationError(RuntimeError):
-    """Engine driven inconsistently (scheduling into the past etc.)."""
+    """Simulation driven inconsistently (an event in the past, a report never sampled etc.)."""
 
 
 @dataclass(slots=True)
@@ -53,8 +56,8 @@ class Engine:
 
     def __init__(self) -> None:
         self.clock = SimClock()
-        self._heap: list[tuple] = []
-        self._lane: deque[tuple] = deque()     # due times never decrease
+        self.heap: list[tuple] = []
+        self.lane: deque[tuple] = deque()      # due times never decrease
 
     @property
     def now(self) -> float:
@@ -67,16 +70,7 @@ class Engine:
             raise SimulationError(
                 f"event scheduled in the past: fire_at={fire_at} < now={clock.now}")
         clock.seq += 1
-        heapq.heappush(self._heap, (fire_at, clock.seq, action, args))
-
-    def schedule_in_order(self, fire_at: float, action: Callable[..., None], *args) -> None:
-        """Call action(*args) at fire_at, no earlier than any event in the lane."""
-        clock, lane = self.clock, self._lane
-        if not fire_at >= clock.now or (lane and fire_at < lane[-1][0]):
-            raise SimulationError(f"in-order event at fire_at={fire_at} is before "
-                                  f"now={clock.now} or the lane's last event")
-        clock.seq += 1
-        lane.append((fire_at, clock.seq, action, args))
+        heapq.heappush(self.heap, (fire_at, clock.seq, action, args))
 
     def schedule_periodic(self, start: float, interval: float,
                           action: Callable[[float], None], until: float) -> None:
@@ -95,7 +89,7 @@ class Engine:
         clock = self.clock
         if not t_end >= clock.now:
             raise SimulationError(f"run_until({t_end}) before now={clock.now}")
-        heap, lane = self._heap, self._lane
+        heap, lane = self.heap, self.lane
         while True:
             if lane and not (heap and heap[0] < lane[0]):   # the earlier (fire_at, seq)
                 if lane[0][0] > t_end:
@@ -110,12 +104,12 @@ class Engine:
         clock.now = t_end
 
     def pending_events(self) -> int:
-        return len(self._heap) + len(self._lane)
+        return len(self.heap) + len(self.lane)
 
     def clear(self) -> None:
         """Drop every pending event."""
-        self._heap.clear()
-        self._lane.clear()
+        self.heap.clear()
+        self.lane.clear()
 
 
 class Pool(str, Enum):
@@ -219,6 +213,7 @@ class ClusterModel:
                  gpu_startup_s: float = 10.0,
                  routing_pref: RoutePref = RoutePref.CPU_FIRST) -> None:
         self.engine = engine
+        self._clock, self._heap = engine.clock, engine.heap
         self.service = service
         self.limits = limits
         self.gpu_device_budget = gpu_device_budget
@@ -229,6 +224,8 @@ class ClusterModel:
         self._service_times = {pool: tuple(service.service_time(pool, n)
                                            for n in range(1, service.cap(pool) + 1))
                                for pool in Pool}
+        if not all(0.0 <= t < math.inf for ts in self._service_times.values() for t in ts):
+            raise SimulationError(f"service times must be finite and >= 0: {self._service_times}")
 
         self.cpu_pods: list[Pod] = []
         self.gpu_pods: list[Pod] = []
@@ -363,11 +360,14 @@ class ClusterModel:
                 n = p.in_service
                 if n < p.concurrency_cap and (target is None or n < least):
                     target, least = p, n
-            if target is not None:     # _start_service, inlined on the hot path
+            if target is not None:     # start service, pushed unchecked: its time is >= 0
+                clock = self._clock
                 req.pod_id = target.id
-                req.service_started_at = now = self.engine.clock.now
+                req.service_started_at = now = clock.now
                 target.in_service = least + 1
-                self.engine.schedule(now + target.service_times[least], self._complete, target, req)
+                clock.seq += 1
+                heapq.heappush(self._heap, (now + target.service_times[least], clock.seq,
+                                            self._complete, (target, req)))
                 return
         target = None   # every Ready pod is full: the least (queue length, id) queues it
         for pods in order:
@@ -377,20 +377,18 @@ class ClusterModel:
                     target, least = p, n
         (self.backlog if target is None else target.queue).append(req)
 
-    def _start_service(self, pod: Pod, req: Request) -> None:
-        req.pod_id = pod.id
-        req.service_started_at = now = self.engine.clock.now
-        pod.in_service += 1
-        self.engine.schedule(now + pod.service_times[pod.in_service - 1], self._complete, pod, req)
-
     def _complete(self, pod: Pod, req: Request) -> None:
+        clock = self._clock
         pod.in_service -= 1
-        req.completed_at = self.engine.clock.now
+        req.completed_at = now = clock.now
         self.requests_completed += 1
         for listener in self.completion_listeners:
             listener(req)
-        if pod.phase is _READY:
-            if pod.queue:   # a slot just came free
-                self._start_service(pod, pod.queue.popleft())
+        if pod.phase is _READY and pod.queue:   # a slot came free: serve the head as _route does
+            nxt, n = pod.queue.popleft(), pod.in_service
+            nxt.pod_id, nxt.service_started_at, pod.in_service = pod.id, now, n + 1
+            clock.seq += 1
+            heapq.heappush(self._heap, (now + pod.service_times[n], clock.seq,
+                                        self._complete, (pod, nxt)))
         elif pod.phase is _TERMINATING and not pod.in_service:
             self._remove_pod(pod)

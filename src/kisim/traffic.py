@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .config import ExperimentConfig
-from .simcore import ClusterModel, Engine, Request
+from .simcore import ClusterModel, Engine, Request, SimulationError
 
 PATTERN_NAMES = ("ramp", "periodic", "random", "spike")
 SYNC_INTERVAL_S = 1.0   # how often the user count is brought to the curve
@@ -34,6 +34,9 @@ class LoadGenerator:
         self.seed = seed
         self.engine = engine
         self.cluster = cluster
+        if not 0.0 <= cfg.hold_s < math.inf:     # NaN fails too: a wake is never due before now
+            raise SimulationError(f"hold_s must be finite and >= 0, not {cfg.hold_s}")
+        self._hold_s, self._clock, self._lane = cfg.hold_s, engine.clock, engine.lane
         if kind == "random":
             # seeded piecewise-constant levels, one per redraw period
             n = int(math.ceil(cfg.episode_s / cfg.random_redraw_s))
@@ -96,15 +99,18 @@ class LoadGenerator:
         uid = req.user
         if uid not in self._active:     # a retired user, or no user at all
             return
-        now, cfg = self.engine.clock.now, self.cfg
-        if now >= cfg.episode_s:
+        clock, lane = self._clock, self._lane
+        if clock.now >= self.cfg.episode_s:
             self._active.remove(uid)
             return
-        # a wake is a constant delay after its completion: due times never decrease
-        self.engine.schedule_in_order(now + cfg.hold_s, self._wake, uid)
+        fire_at = clock.now + self._hold_s  # a constant delay: due times never decrease
+        if lane and fire_at < lane[-1][0]:
+            raise SimulationError(f"wake at {fire_at} before the lane's last event")
+        clock.seq += 1
+        lane.append((fire_at, clock.seq, self._wake, (uid,)))
 
     def _wake(self, uid: int) -> None:
-        now = self.engine.clock.now
+        now = self._clock.now
         if now < self.cfg.episode_s and uid in self._active:
             self._next_request_id += 1
             # Request(id, arrived_at, service_started_at, completed_at, pod_id, user)

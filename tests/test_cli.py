@@ -42,14 +42,33 @@ def test_train_evaluate_replay_smoke(tmp_path):
     ("3", "trace line 1: not a JSON object"),
     ('{"episode":0,"action":[1]}', "trace line 1: action [1] is not 3 ints"),
     ('{"episode":0,"step":1,"pattern":"ramp","action":[0,0,0],"reward":3,"desired_gpu":1,'
-     '"desired_cpu":3,"users":5}', "trace line 1: 'int' object is not subscriptable")],
-    ids=["no_keys", "not_an_object", "short_action", "reward_not_an_object"])
+     '"desired_cpu":3,"users":5}', "trace line 1: 'int' object is not subscriptable"),
+    ('{"episode":0,"step":1,"pattern":["ramp"],"action":[0,0,0],"reward":{"total":1},'
+     '"desired_gpu":1,"desired_cpu":3,"users":5}', "trace line 1: unhashable type: 'list'")],
+    ids=["no_keys", "not_an_object", "short_action", "reward_not_an_object", "list_pattern"])
 def test_replay_refuses_a_trace_record_it_cannot_read(line, message, tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     trace.write_text(line + "\n")
     assert main(["replay", str(trace), "--out", str(tmp_path / "replay")]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "replay").exists()
+
+
+def test_replay_prints_each_patterns_distinct_actions_and_most_common_share(tmp_path, capsys):
+    steps = [("ramp", [0, 0, 1])] * 3 + [("ramp", [1, -1, 1]), ("spike", [0, -2, 1])] * 2
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(
+        json.dumps({"episode": i // 3, "step": i, "pattern": pattern, "action": action,
+                    "reward": {"total": 0.25}, "desired_gpu": 1, "desired_cpu": 3,
+                    "users": 5}) + "\n"
+        for i, (pattern, action) in enumerate(steps)))
+    assert main(["replay", str(trace), "--out", str(tmp_path / "replay")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:-1] == ["pattern ramp: 5 steps, 2 distinct action(s), the most common 60.0%",
+                          "pattern spike: 2 steps, 1 distinct action(s), the most common 100.0%"]
+    assert "action histogram (7 steps):" in out
+    with (tmp_path / "replay" / "replay_summary.csv").open() as fh:
+        assert [row["pattern"] for row in csv.DictReader(fh)] == [p for p, _ in steps]
 
 
 def test_two_identical_train_runs_write_identical_files(tmp_path):

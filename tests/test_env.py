@@ -11,6 +11,7 @@ from kisim.config import ExperimentConfig
 from kisim.env import (OBS_FIELDS, TIMESERIES_FIELDS, ActionTriple, EpisodeFinished,
                        ScalingEnv, episode_traffic, run_policy_episode)
 from kisim.nn import NetDims
+from kisim.simcore import SimulationError
 from kisim.traffic import PATTERN_NAMES
 
 
@@ -172,3 +173,28 @@ def test_policy_episodes_reproduce_their_pinned_bytes():
         runs.append([run_policy_episode(agent, pattern, cfg, 42, timeseries=rows), rows])
     digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
     assert digest[:16] == "c484660a4c13a13d"
+
+
+def test_only_a_reported_run_samples_utilization():
+    """A training-style episode schedules no sampler, and its stack refuses to
+    report utilization means it never sampled; the policy runner samples every
+    monitor interval from t=0 to the episode's end."""
+    cfg = ExperimentConfig(episode_s=30.0)
+    env = ScalingEnv(cfg)
+    env.reset_to("ramp", 3)
+    done = False
+    while not done:
+        _, _, done = env.step(ActionTriple(0, 0, 1))
+    assert env.stack.util_samples == []
+    with pytest.raises(SimulationError, match="sampled no utilization"):
+        env.stack.report("kiscaler")
+
+    stacks = []
+
+    class Holder(CyclingAgent):
+        def act(self, obs, env):
+            stacks.append(env.stack)
+            return super().act(obs, env)
+
+    report = run_policy_episode(Holder(), "ramp", cfg, 3)
+    assert len(stacks[0].util_samples) == 31 and report["cpu_util_mean"] > 0.0

@@ -5,9 +5,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from kisim.config import ExperimentConfig
 from kisim.simcore import (ClusterModel, Engine, Pod, PodPhase, Pool,
                            PoolLimits, Request, RoutePref, ServiceModel,
                            SimulationError)
+from kisim.traffic import LoadGenerator
 
 
 def make_cluster(engine=None, pref=RoutePref.CPU_FIRST, budget=1,
@@ -105,6 +107,17 @@ def test_periodic_instants_are_start_plus_k_intervals():
     assert fired == [k * 0.3 for k in range(1001)]
 
 
+def schedule_in_order(engine, fire_at, action, *args):
+    """The lane push as the engine once offered it, checks included: the
+    reference for the producers that now push onto `engine.lane` themselves."""
+    clock, lane = engine.clock, engine.lane
+    if not fire_at >= clock.now or (lane and fire_at < lane[-1][0]):
+        raise SimulationError(f"in-order event at fire_at={fire_at} is before "
+                              f"now={clock.now} or the lane's last event")
+    clock.seq += 1
+    lane.append((fire_at, clock.seq, action, args))
+
+
 CHILD = st.tuples(st.booleans(), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
 
 
@@ -122,8 +135,11 @@ def test_the_lane_fires_like_a_single_heap(hold, steps, cuts):
         def fire(label):
             fired.append((engine.now, label, engine.clock.seq))
             for in_lane, delay in next(todo, []):
-                schedule = engine.schedule_in_order if in_lane and use_lane else engine.schedule
-                schedule(engine.now + (hold if in_lane else delay), fire, engine.clock.seq + 1)
+                at = engine.now + (hold if in_lane else delay)
+                if in_lane and use_lane:
+                    schedule_in_order(engine, at, fire, engine.clock.seq + 1)
+                else:
+                    engine.schedule(at, fire, engine.clock.seq + 1)
 
         fire(0)
         for t in sorted(cuts):
@@ -135,31 +151,12 @@ def test_the_lane_fires_like_a_single_heap(hold, steps, cuts):
     assert run(use_lane=True) == run(use_lane=False)
 
 
-def test_the_lane_refuses_a_time_before_now_or_before_its_last_event():
-    engine = Engine()
-    engine.run_until(2.0)
-    with pytest.raises(SimulationError):
-        engine.schedule_in_order(1.0, lambda: None)
-    with pytest.raises(SimulationError):
-        engine.schedule_in_order(math.nan, lambda: None)
-    engine.schedule_in_order(5.0, lambda: None)
-    for fire_at in (4.0, math.nan):
-        with pytest.raises(SimulationError):
-            engine.schedule_in_order(fire_at, lambda: None)
-    assert (engine.clock.seq, engine.pending_events()) == (1, 1)   # refusals leave no trace
-    engine.schedule_in_order(5.0, lambda: None)     # an equal time keeps the order
-    engine.schedule(3.0, lambda: None)              # the heap may still take an earlier one
-    engine.run_until(5.0)
-    engine.schedule_in_order(5.0, lambda: None)     # the lane drained: now bounds it alone
-    assert engine.pending_events() == 1
-
-
 def test_pending_events_and_clear_cover_the_heap_and_the_lane():
     engine = Engine()
     fired = []
     engine.schedule(1.0, fired.append, "heap")
-    engine.schedule_in_order(1.0, fired.append, "lane")
-    engine.schedule_in_order(2.0, fired.append, "lane")
+    schedule_in_order(engine, 1.0, fired.append, "lane")
+    schedule_in_order(engine, 2.0, fired.append, "lane")
     assert engine.pending_events() == 3
     engine.clear()
     assert engine.pending_events() == 0
@@ -581,3 +578,120 @@ def test_pods_compare_by_identity():
     pod = Pod(1, Pool.CPU, 2)
     assert pod == pod
     assert Pod(1, Pool.CPU, 2) != Pod(1, Pool.CPU, 2)
+
+
+# ---- the request cycle's pushes onto the engine's queues ---------------------
+
+class ReferenceCluster(ClusterModel):
+    """Service starts as they went through `Engine.schedule`, one call per start."""
+
+    def _route(self, req):
+        if self.routing_pref is RoutePref.GPU_FIRST:
+            order = (self.gpu_ready, self.cpu_ready)
+        else:
+            order = (self.cpu_ready, self.gpu_ready)
+        for pods in order:
+            target = None
+            for p in pods:
+                n = p.in_service
+                if n < p.concurrency_cap and (target is None or n < least):
+                    target, least = p, n
+            if target is not None:
+                req.pod_id = target.id
+                req.service_started_at = now = self.engine.clock.now
+                target.in_service = least + 1
+                self.engine.schedule(now + target.service_times[least], self._complete, target, req)
+                return
+        target = None
+        for pods in order:
+            for p in pods:
+                n = len(p.queue)
+                if target is None or n < least or (n == least and p.id < target.id):
+                    target, least = p, n
+        (self.backlog if target is None else target.queue).append(req)
+
+    def _start_service(self, pod, req):
+        req.pod_id = pod.id
+        req.service_started_at = now = self.engine.clock.now
+        pod.in_service += 1
+        self.engine.schedule(now + pod.service_times[pod.in_service - 1], self._complete, pod, req)
+
+    def _complete(self, pod, req):
+        pod.in_service -= 1
+        req.completed_at = self.engine.clock.now
+        self.requests_completed += 1
+        for listener in self.completion_listeners:
+            listener(req)
+        if pod.phase is PodPhase.READY:
+            if pod.queue:
+                self._start_service(pod, pod.queue.popleft())
+        elif pod.phase is PodPhase.TERMINATING and not pod.in_service:
+            self._remove_pod(pod)
+
+
+class ReferenceGenerator(LoadGenerator):
+    """Think-time wakes as they went through the checked lane push."""
+
+    def _on_complete(self, req):
+        uid = req.user
+        if uid not in self._active:
+            return
+        now, cfg = self.engine.clock.now, self.cfg
+        if now >= cfg.episode_s:
+            self._active.remove(uid)
+            return
+        schedule_in_order(self.engine, now + cfg.hold_s, self._wake, uid)
+
+
+def run_request_cycle(cluster_cls, generator_cls, hold_s):
+    """A queued run with scale-ups, standbys, a backlog and drains: every request's
+    (arrived_at, service_started_at, completed_at, pod_id, user) in completion
+    order, clock.seq after each submit and each completion, and the queues left."""
+    engine = Engine()
+    cluster = cluster_cls(engine, ServiceModel(), limits=PoolLimits(0, 8, 0, 8),
+                          routing_pref=RoutePref.GPU_FIRST)
+    cluster.spawn_ready(Pool.CPU, 2)
+    cluster.spawn_ready(Pool.GPU, 1)
+    cfg = ExperimentConfig(episode_s=300.0, users_min=4, users_max=40,
+                           periodic_period_s=60.0, hold_s=hold_s)
+    generator_cls(cfg, "periodic", 5, engine, cluster).start()
+    requests, seqs = [], []
+    submit = cluster.submit
+
+    def tracked_submit(req):
+        submit(req)
+        seqs.append(engine.clock.seq)
+
+    def on_complete(r):
+        requests.append((r.arrived_at, r.service_started_at, r.completed_at, r.pod_id, r.user))
+        seqs.append(engine.clock.seq)
+
+    cluster.submit = tracked_submit
+    cluster.completion_listeners.append(on_complete)
+    for t, pool, count in ((20.0, Pool.CPU, 5), (25.0, Pool.GPU, 3), (40.0, Pool.CPU, 0),
+                           (45.0, Pool.GPU, 0), (55.0, Pool.CPU, 3), (70.0, Pool.GPU, 1)):
+        engine.run_until(t)
+        cluster.set_desired_replicas(pool, count)
+    engine.run_until(120.0)
+    left = [(e[0], e[1], e[2].__name__) for e in sorted(engine.heap) + list(engine.lane)]
+    return requests, seqs, engine.clock.seq, left
+
+
+@pytest.mark.parametrize("hold_s", [0.0, 0.1, 3.0])
+def test_the_request_cycle_pushes_what_schedule_and_the_checked_lane_pushed(hold_s):
+    """Service starts, direct and queued, and think-time wakes pushed straight
+    onto the engine's queues: the same requests, the same seq, the same order."""
+    new = run_request_cycle(ClusterModel, LoadGenerator, hold_s)
+    ref = run_request_cycle(ReferenceCluster, ReferenceGenerator, hold_s)
+    requests = new[0]
+    waited = sum(r[1] > r[0] for r in requests)
+    assert 10 < waited < len(requests) - 10     # queued starts and direct ones
+    assert len({r[3] for r in requests}) > 3    # pods came and went
+    assert new == ref
+
+
+@pytest.mark.parametrize("base_s", [-0.05, math.nan, math.inf])
+def test_a_service_time_table_not_finite_and_non_negative_is_refused(base_s):
+    """A service start is pushed unchecked, so its time must be a finite one from now."""
+    with pytest.raises(SimulationError, match="service times must be finite and >= 0"):
+        ClusterModel(Engine(), ServiceModel(base_s=base_s))
