@@ -11,7 +11,6 @@ the agent's config and returns a `TrainState`, the one record of the run.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -27,6 +26,9 @@ from .traffic import PATTERN_NAMES
 
 CHECKPOINT_MAGIC = b"KISC1"
 CHECKPOINT_STATE = struct.Struct("<IIddi")  # episode_index, n_returns, moving_avg, best, converged_at
+# `_actor` pads each head to a row of max(HEAD_SIZES) with -inf; every head but the last
+# is that wide already, so one block after the last fills its row
+_PAD = np.full((1, len(HEAD_SIZES) * max(HEAD_SIZES) - sum(HEAD_SIZES)), -np.inf)
 MOVING_AVG_WINDOW = 10   # episodes in the reported moving-average return
 CONVERGENCE_WINDOW = 20          # detect_convergence compares two such windows,
 CONVERGENCE_STD_FRAC = 0.05      # wants the last one's std under 5% of its mean
@@ -90,25 +92,23 @@ class PpoAgent:
         """(obs row, logits): head i's fill row i, and -inf the slots past its size."""
         obs = np.asarray(obs_vec, dtype=np.float64).reshape(1, -1)
         logits, _ = actor_forward(self.params.as_float64(), obs)
-        z = np.full((len(HEAD_SIZES), max(HEAD_SIZES)), -np.inf)
-        for row, lg in zip(z, logits):
-            row[:lg.shape[1]] = lg[0]
+        z = np.concatenate((*logits, _PAD), axis=1).reshape(len(HEAD_SIZES), -1)
         if np.count_nonzero(np.isfinite(z)) != sum(HEAD_SIZES):
             raise AgentError("non-finite policy logits (training diverged)")
         return obs, z
 
     def sample_action(self, obs_vec: np.ndarray) -> tuple[ActionTriple, tuple, float, float]:
         """(action, drawn head indices, their joint log-probability, value). Each head
-        is drawn as `Generator.choice(k, p=exp(lp))` draws it, by one uniform's inverse CDF."""
+        is drawn as `Generator.choice(k, p=exp(lp))` draws it, by one uniform's inverse
+        CDF. A -inf slot adds 0 to its row's CDF, which so stays at 1 > u past the head."""
         obs, z = self._actor(obs_vec)
         value, _ = critic_forward(self.params.as_float64(), obs)
         lp = log_softmax(z)
         heads = []
         log_prob = 0.0
-        for k, lp_row, p_row, u in zip(HEAD_SIZES, lp.tolist(), np.exp(lp).tolist(),
-                                       self._sample_rng.random(len(HEAD_SIZES)).tolist()):
-            cdf = list(itertools.accumulate(p_row[:k]))
-            idx = bisect.bisect_right([c / cdf[-1] for c in cdf], u)
+        for lp_row, cdf, u in zip(lp.tolist(), np.add.accumulate(np.exp(lp), axis=1).tolist(),
+                                  self._sample_rng.random(len(HEAD_SIZES)).tolist()):
+            idx = bisect.bisect_right(cdf, u, key=cdf[-1].__rtruediv__)    # cdf / cdf[-1]
             heads.append(idx)
             log_prob += lp_row[idx]
         return ActionTriple.from_heads(*heads), tuple(heads), log_prob, float(value[0])

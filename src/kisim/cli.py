@@ -82,6 +82,29 @@ def _prepare_out(cfg: ExperimentConfig) -> Path:
     return out
 
 
+def action_diversity(counts: Counter) -> tuple[int, int, float | None]:
+    """(steps, distinct actions, the most common one's share) of an action histogram; a
+    constant policy has 1 action at 1.0, and a histogram of no step no share."""
+    steps = sum(counts.values())
+    return steps, len(counts), max(counts.values()) / steps if steps else None
+
+
+class _Counted:
+    """The policy it wraps (its `name`, `pods` and the rest), counting its actions per pattern."""
+
+    def __init__(self, policy) -> None:
+        self.policy = policy
+        self.actions: dict[str, Counter] = defaultdict(Counter)
+
+    def __getattr__(self, name):
+        return getattr(self.policy, name)
+
+    def act(self, obs, env):
+        action = self.policy.act(obs, env)
+        self.actions[env.pattern][action.d_gpu, action.d_cpu, action.pref] += 1
+        return action
+
+
 def _select_patterns(args) -> list[str]:
     patterns = list(args.patterns or PATTERN_NAMES)
     for name in patterns:
@@ -182,7 +205,7 @@ def cmd_baseline(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _load_effective_config(args)
     patterns = _select_patterns(args)
-    agent = PpoAgent(load_checkpoint(args.checkpoint)[0], cfg, seed=cfg.seed)
+    agent = _Counted(PpoAgent(load_checkpoint(args.checkpoint)[0], cfg, seed=cfg.seed))
     out = _prepare_out(cfg)
 
     rows = []
@@ -209,6 +232,10 @@ def cmd_evaluate(args) -> int:
     _write_report(out, "comparison", fields, rows,
                   ("pattern", "policy", "p95_ms", "throughput_rps", "gpu_util_mean",
                    "speedup_vs_fixed_gpu", "speedup_vs_fixed_cpu", "flag"))
+    diversity_fields = ("pattern", "steps", "distinct_actions", "most_common_share")
+    _write_csv(out / "kiscaler_actions.csv", diversity_fields,
+               [dict(zip(diversity_fields, (p, *action_diversity(agent.actions[p]))))
+                for p in grid])
     return 0
 
 
@@ -274,9 +301,10 @@ def cmd_replay(args) -> int:
     print(f"action histogram ({total_steps} steps):")
     for action, count in sorted(histogram.items()):
         print(f"  d_gpu={action[0]:+d} d_cpu={action[1]:+d} pref={action[2]}: {count}")
-    for pattern, counts in by_pattern.items():      # a constant policy: 1 action, 100.0%
-        print(f"pattern {pattern}: {sum(counts.values())} steps, {len(counts)} distinct "
-              f"action(s), the most common {max(counts.values()) / sum(counts.values()):.1%}")
+    for pattern, counts in by_pattern.items():
+        steps, distinct, share = action_diversity(counts)
+        print(f"pattern {pattern}: {steps} steps, {distinct} distinct action(s), "
+              f"the most common {share:.1%}")
     print(f"plot data written to {out / 'replay_summary.csv'}")
     return 0
 

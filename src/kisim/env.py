@@ -3,14 +3,14 @@
 One episode = one pattern, 300 simulated seconds, one decision every 15 s.
 Each control step takes one `SimStack.row()` snapshot, kept as `ScalingEnv.row`;
 the observation, the reward, the trace record and the evaluation time series
-all read it. Observations are float64 vectors in `OBS_FIELDS` order (all
-components in [0, 1]); actions are (GPU delta, CPU delta, placement
-preference) triples over a 5x5x2 space.
+all read it, and the reward and the trace record share one (GPU, CPU) replica
+count. Observations are float64 vectors in `OBS_FIELDS` order (all components
+in [0, 1]); actions are (GPU delta, CPU delta, placement preference) triples
+over a 5x5x2 space.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import IO, Optional
@@ -27,6 +27,8 @@ DELTAS = (-2, -1, 0, 1, 2)
 OBS_FIELDS = ("n_replicas", "u_gpu", "l_p95", "theta_req", "u_cpu", "u_mem",
               "delta_l", "delta_theta", "t_norm", "p_id")
 
+_BOOLS = (bool, np.bool_)
+
 
 @dataclass(frozen=True)
 class ActionTriple:
@@ -35,6 +37,10 @@ class ActionTriple:
     pref: int  # 0 = CPU-first, 1 = GPU-first
 
     def __post_init__(self) -> None:
+        # True == 1 passes the membership tests below, but a bool is no int to a trace
+        if (isinstance(self.d_gpu, _BOOLS) or isinstance(self.d_cpu, _BOOLS)
+                or isinstance(self.pref, _BOOLS)):
+            raise ValueError(f"an action holds ints, not bools: {self}")
         if self.d_gpu not in DELTAS or self.d_cpu not in DELTAS:
             raise ValueError(f"deltas must be in {DELTAS}")
         if self.pref not in (0, 1):
@@ -43,6 +49,30 @@ class ActionTriple:
     @classmethod
     def from_heads(cls, g_idx: int, c_idx: int, pref: int) -> "ActionTriple":
         return cls(d_gpu=DELTAS[g_idx], d_cpu=DELTAS[c_idx], pref=pref)
+
+
+_ROUTE_PREFS = tuple(RoutePref)    # indexed by ActionTriple.pref
+
+# One trace.jsonl line: for finite values, the bytes of json.dumps(record, separators=(",",
+# ":")). Ints by %d, floats by %r (float.__repr__, as json writes them); the pattern is one
+# of PATTERN_NAMES, which need no escaping.
+REWARD_TERMS = ("latency", "gpu_util", "overhead", "smoothness", "total")
+TRACE_LINE = ('{"episode":%d,"step":%d,"pattern":"%s","obs":['
+              + ",".join(["%r"] * len(OBS_FIELDS)) + '],"action":[%d,%d,%d],"reward":{'
+              + ",".join(f'"{k}":%r' for k in REWARD_TERMS)
+              + '},"desired_gpu":%d,"desired_cpu":%d,"users":%d}\n')
+
+
+def trace_line(episode: int, step: int, pattern: str, obs: list, action: ActionTriple,
+               terms: dict, desired: tuple[int, int], users: int) -> str:
+    """One trace record, each obs value and reward term as `round(x, 9)`. A
+    non-finite one is a SimulationError: json would write NaN, which is not JSON."""
+    values = [round(x, 9) for x in (*obs, *terms.values())]
+    if not all(map(math.isfinite, values)):
+        raise SimulationError(f"episode {episode} step {step}: non-finite observation or "
+                              f"reward term in {values}")
+    return TRACE_LINE % (episode, step, pattern, *values[:len(obs)], action.d_gpu, action.d_cpu,
+                         action.pref, *values[len(obs):], *desired, users)
 
 
 # the keys of SimStack.row(), in order: the columns of every time-series CSV
@@ -164,6 +194,9 @@ class ScalingEnv:
         self.row = {}   # so the first trends compare with 0.0
         init_cpu, init_gpu = pods or (self.config.init_cpu, self.config.init_gpu)
         self.stack = SimStack(self.config, pattern, traffic_seed, init_cpu, init_gpu)
+        # facts fixed for the episode: the observation's p_id, demand_estimate's rate
+        self._p_id = PATTERN_NAMES.index(pattern) / (len(PATTERN_NAMES) - 1)
+        self._cpu_rps = self.stack.service.sustainable_rps(Pool.CPU)
         return self.observe()
 
     # ---- observation -----------------------------------------------------
@@ -181,7 +214,7 @@ class ScalingEnv:
             v = max(-1.0, min(1.0, (cur - prev) / cap))
             return (v + 1.0) / 2.0
 
-        obs = np.array([
+        return np.array([
             min(1.0, (row["gpu_replicas"] + row["cpu_replicas"]) / n_max),
             row["gpu_util"],
             min(p95 / cfg.latency_cap_s, 1.0),
@@ -191,35 +224,33 @@ class ScalingEnv:
             trend(p95, prev.get("p95_s", 0.0), cfg.latency_cap_s),
             trend(tput, prev.get("throughput_rps", 0.0), cfg.throughput_cap_rps),
             row["t"] / cfg.episode_s,
-            PATTERN_NAMES.index(self.pattern) / (len(PATTERN_NAMES) - 1),
+            self._p_id,
         ], dtype=np.float64)
-        return obs
 
     # ---- action / reward ---------------------------------------------------
 
     def decode_and_apply(self, action: ActionTriple) -> None:
         """Route by `pref`; move each pool by its delta into its bounds, a zero delta nowhere."""
         cluster = self.stack.cluster
-        cluster.routing_pref = RoutePref(action.pref)
+        cluster.routing_pref = _ROUTE_PREFS[action.pref]
         for pool, delta in ((Pool.GPU, action.d_gpu), (Pool.CPU, action.d_cpu)):
-            current = cluster.desired(pool)
-            new = cluster.clamp_desired(pool, current + delta)
-            if delta and new != current:
-                cluster.set_desired_replicas(pool, new)
+            if delta:
+                current = cluster.desired(pool)
+                new = cluster.clamp_desired(pool, current + delta)
+                if new != current:
+                    cluster.set_desired_replicas(pool, new)
 
     def demand_estimate(self) -> int:
         cycle = self.config.hold_s + self.config.base_service_s     # > 0 by the config
         offered_rps = self.row["users"] / cycle
         # every replica is rated at a CPU pod's saturated completion rate
-        return int(math.ceil(offered_rps / self.stack.service.sustainable_rps(Pool.CPU)))
+        return int(math.ceil(offered_rps / self._cpu_rps))
 
-    def reward(self, obs: np.ndarray, action: ActionTriple) -> dict:
-        """The four reward terms and their weighted `total`."""
+    def reward(self, obs: np.ndarray, action: ActionTriple, desired: tuple[int, int]) -> dict:
+        """The REWARD_TERMS at `desired` (GPU, CPU) replicas: four terms, then their weighting."""
         cfg = self.config
-        cluster = self.stack.cluster
         n_max = cfg.gpu_max + cfg.cpu_max
-        over = max(0, cluster.desired(Pool.GPU) + cluster.desired(Pool.CPU)
-                   - self.demand_estimate())
+        over = max(0, desired[0] + desired[1] - self.demand_estimate())
         # l_p95 and u_gpu as Python floats, so the trace and training log write plain reprs
         terms = {"latency": float(obs[2]), "gpu_util": float(obs[1]),
                  "overhead": min(1.0, over / n_max),
@@ -246,26 +277,14 @@ class ScalingEnv:
         if done:
             stack.engine.clear()
             stack.cluster.completion_listeners.clear()
+        desired = (stack.cluster.desired(Pool.GPU), stack.cluster.desired(Pool.CPU))
         obs = self.observe()
-        terms = self.reward(obs, action)
+        terms = self.reward(obs, action, desired)
         if self.trace_sink is not None:
-            self._write_trace(obs, action, terms)
+            self.trace_sink.write(trace_line(self.episode_index, self.step_index, self.pattern,
+                                             obs.tolist(), action, terms, desired,
+                                             self.row["users"]))
         return obs, terms["total"], done
-
-    def _write_trace(self, obs: np.ndarray, action: ActionTriple, terms: dict) -> None:
-        cluster = self.stack.cluster
-        record = {
-            "episode": self.episode_index,
-            "step": self.step_index,
-            "pattern": self.pattern,
-            "obs": [round(float(x), 9) for x in obs],
-            "action": [action.d_gpu, action.d_cpu, action.pref],
-            "reward": {k: round(v, 9) for k, v in terms.items()},
-            "desired_gpu": cluster.desired(Pool.GPU),
-            "desired_cpu": cluster.desired(Pool.CPU),
-            "users": self.row["users"],
-        }
-        self.trace_sink.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
 def run_policy_episode(policy, pattern: str, cfg: ExperimentConfig, traffic_seed: int,

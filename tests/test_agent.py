@@ -1,5 +1,8 @@
+import bisect
+import itertools
 import json
 import math
+import struct
 from io import StringIO
 from unittest import mock
 
@@ -105,21 +108,24 @@ def test_greedy_action_is_the_argmax_of_the_actor_alone(monkeypatch):
     assert len(chosen) > 1
 
 
+def _drawn_logits(scale, kind, seed):
+    """Three heads' (1, k) logits: spread at `scale`, in ties, or with one dominant."""
+    rng = np.random.default_rng(seed)
+    logits = []
+    for k in HEAD_SIZES:
+        lg = rng.integers(-2, 3, k) * scale if kind == "ties" else rng.normal(0.0, scale, k)
+        if kind == "dominant":
+            lg[rng.integers(k)] += rng.choice([40.0, 800.0])
+        logits.append(lg.reshape(1, k))
+    return logits
+
+
 @given(scale=st.floats(1e-3, 1e2), kind=st.sampled_from(["spread", "ties", "dominant"]),
        seed=st.integers(0, 2**32 - 1))
 def test_padded_heads_give_each_heads_own_log_softmax_exp_and_argmax(scale, kind, seed):
     """The padded (3, 5) array `_actor` returns, fed to log_softmax and exp once,
     gives every head the bytes its own (1, k) array gives, and -inf/0 elsewhere."""
-    rng = np.random.default_rng(seed)
-    logits = []
-    for k in HEAD_SIZES:
-        if kind == "ties":
-            lg = rng.integers(-2, 3, k) * scale
-        else:
-            lg = rng.normal(0.0, scale, k)
-        if kind == "dominant":
-            lg[rng.integers(k)] += rng.choice([40.0, 800.0])
-        logits.append(lg.reshape(1, k))
+    logits = _drawn_logits(scale, kind, seed)
     agent = PpoAgent(NetDims(hidden1=8, hidden2=6), SHORT)
     with mock.patch.object(kisim.agent, "actor_forward", lambda p, obs: (logits, None)):
         _, z = agent._actor(np.zeros(10))
@@ -131,6 +137,38 @@ def test_padded_heads_give_each_heads_own_log_softmax_exp_and_argmax(scale, kind
         assert prob[i, :k].tobytes() == np.exp(own).tobytes()
         assert (lp[i, k:] == -np.inf).all() and (prob[i, k:] == 0.0).all()
         assert z.argmax(axis=1)[i] == np.argmax(lg[0])
+
+
+def _reference_actor_and_draw(logits, rng):
+    """The padded array and the draw as per-call np.full padding and per-head lists made
+    them before the concatenation and the one accumulate: (z, heads, log_prob)."""
+    z = np.full((len(HEAD_SIZES), max(HEAD_SIZES)), -np.inf)
+    for row, lg in zip(z, logits):
+        row[:lg.shape[1]] = lg[0]
+    lp = log_softmax(z)
+    heads, log_prob = [], 0.0
+    for k, lp_row, p_row, u in zip(HEAD_SIZES, lp.tolist(), np.exp(lp).tolist(),
+                                   rng.random(len(HEAD_SIZES)).tolist()):
+        cdf = list(itertools.accumulate(p_row[:k]))
+        idx = bisect.bisect_right([c / cdf[-1] for c in cdf], u)
+        heads.append(idx)
+        log_prob += lp_row[idx]
+    return z, tuple(heads), log_prob
+
+
+@given(scale=st.floats(1e-3, 1e2), kind=st.sampled_from(["spread", "ties", "dominant"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_acting_keeps_the_bytes_of_per_call_padding_and_per_head_lists(scale, kind, seed):
+    logits = _drawn_logits(scale, kind, seed)
+    agent = PpoAgent(NetDims(hidden1=8, hidden2=6), SHORT)
+    agent._sample_rng = np.random.default_rng(seed)
+    z_ref, heads_ref, log_prob_ref = _reference_actor_and_draw(logits, np.random.default_rng(seed))
+    with mock.patch.object(kisim.agent, "actor_forward", lambda p, obs: (logits, None)):
+        _, z = agent._actor(np.zeros(10))
+        action, heads, log_prob, _ = agent.sample_action(np.zeros(10))
+    assert z.tobytes() == z_ref.tobytes() and z.shape == z_ref.shape
+    assert heads == heads_ref and action == ActionTriple.from_heads(*heads_ref)
+    assert struct.pack("<d", log_prob) == struct.pack("<d", log_prob_ref)
 
 
 def _logits_with(head, slot, value):

@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,7 @@ import kisim.env
 from kisim.agent import (MOVING_AVG_WINDOW, PpoAgent, TrainState, load_checkpoint,
                          save_checkpoint)
 from kisim.baselines import POLICY_NAMES, run_baseline
-from kisim.cli import EVAL_SEED_BASE, main
+from kisim.cli import EVAL_SEED_BASE, action_diversity, main
 from kisim.config import ExperimentConfig
 from kisim.env import TIMESERIES_FIELDS, episode_traffic
 from kisim.nn import ActorCriticParams, NetDims
@@ -69,6 +70,29 @@ def test_replay_prints_each_patterns_distinct_actions_and_most_common_share(tmp_
     assert "action histogram (7 steps):" in out
     with (tmp_path / "replay" / "replay_summary.csv").open() as fh:
         assert [row["pattern"] for row in csv.DictReader(fh)] == [p for p, _ in steps]
+
+
+def test_action_diversity_counts_steps_distinct_actions_and_the_top_share():
+    assert action_diversity(Counter({(0, 0, 1): 3, (1, -1, 1): 1})) == (4, 2, 0.75)
+    assert action_diversity(Counter({(0, -2, 1): 5})) == (5, 1, 1.0)
+    assert action_diversity(Counter()) == (0, 0, None)
+
+
+def test_evaluate_writes_a_constant_policys_actions_as_one_at_full_share(tmp_path):
+    """Zero head weights leave only the biases: greedy play is (0, -1, GPU-first)
+    whatever it observes."""
+    params = PpoAgent(NetDims(hidden1=8, hidden2=8), seed=5).params
+    for i, best in enumerate((2, 1, 1)):
+        params.tensors[f"h{i}_w"][:] = 0.0
+        params.tensors[f"h{i}_b"][:] = 0.0
+        params.tensors[f"h{i}_b"][best] = 1.0
+    checkpoint = tmp_path / "constant.kisc"
+    save_checkpoint(params, TrainState(), checkpoint)
+    out = tmp_path / "eval"
+    assert main(["evaluate", str(checkpoint), "--patterns", "spike", "ramp",
+                 "--set", "episode_s=60", "--out", str(out)]) == 0
+    assert (out / "kiscaler_actions.csv").read_text().splitlines() == [
+        "pattern,steps,distinct_actions,most_common_share", "spike,4,1,1.0", "ramp,4,1,1.0"]
 
 
 def test_two_identical_train_runs_write_identical_files(tmp_path):

@@ -1,17 +1,21 @@
 import hashlib
 import itertools
 import json
+import math
 from io import StringIO
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kisim.agent import PpoAgent
 from kisim.baselines import run_baseline
 from kisim.config import ExperimentConfig
-from kisim.env import (OBS_FIELDS, TIMESERIES_FIELDS, ActionTriple, EpisodeFinished,
-                       ScalingEnv, episode_traffic, run_policy_episode)
+from kisim.env import (DELTAS, OBS_FIELDS, REWARD_TERMS, TIMESERIES_FIELDS, ActionTriple,
+                       EpisodeFinished, ScalingEnv, SimStack, episode_traffic,
+                       run_policy_episode, trace_line)
 from kisim.nn import NetDims
-from kisim.simcore import SimulationError
+from kisim.simcore import RoutePref, SimulationError
 from kisim.traffic import PATTERN_NAMES
 
 
@@ -198,3 +202,77 @@ def test_only_a_reported_run_samples_utilization():
 
     report = run_policy_episode(Holder(), "ramp", cfg, 3)
     assert len(stacks[0].util_samples) == 31 and report["cpu_util_mean"] > 0.0
+
+
+def json_trace_line(episode, step, pattern, obs, action, terms, desired, users):
+    """A trace line as json.dumps wrote it before the template: the reference."""
+    record = {
+        "episode": episode,
+        "step": step,
+        "pattern": pattern,
+        "obs": [round(float(x), 9) for x in obs],
+        "action": [action.d_gpu, action.d_cpu, action.pref],
+        "reward": {k: round(v, 9) for k, v in terms.items()},
+        "desired_gpu": desired[0],
+        "desired_cpu": desired[1],
+        "users": users,
+    }
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+# finite floats, and the values whose repr is special: an exponent, a sign, a bare 0 or 1
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([1e-05, -1e-05, 1.5e-07, 1e16, -0.0, 0.0, 1.0, 0.1]),
+                   st.floats(-1e-8, 1e-8))
+COUNT = st.integers(0, 2**63)
+
+
+@given(episode=COUNT, step=COUNT, pattern=st.sampled_from(PATTERN_NAMES),
+       obs=st.lists(FINITE, min_size=len(OBS_FIELDS), max_size=len(OBS_FIELDS)),
+       action=st.builds(ActionTriple, st.sampled_from(DELTAS), st.sampled_from(DELTAS),
+                        st.sampled_from([0, 1, RoutePref.CPU_FIRST, RoutePref.GPU_FIRST])),
+       terms=st.lists(FINITE, min_size=len(REWARD_TERMS), max_size=len(REWARD_TERMS)),
+       desired=st.tuples(COUNT, COUNT), users=COUNT)
+def test_the_trace_template_writes_the_bytes_json_dumps_writes(episode, step, pattern, obs,
+                                                               action, terms, desired, users):
+    terms = dict(zip(REWARD_TERMS, terms))
+    line = trace_line(episode, step, pattern, obs, action, terms, desired, users)
+    assert line == json_trace_line(episode, step, pattern, obs, action, terms, desired, users)
+    assert json.loads(line)["reward"]["total"] == round(terms["total"], 9)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("slot", range(len(OBS_FIELDS) + len(REWARD_TERMS)))
+def test_a_non_finite_trace_value_is_a_simulation_error_naming_its_step(slot, value):
+    values = [0.5] * (len(OBS_FIELDS) + len(REWARD_TERMS))
+    values[slot] = value
+    obs, terms = values[:len(OBS_FIELDS)], dict(zip(REWARD_TERMS, values[len(OBS_FIELDS):]))
+    with pytest.raises(SimulationError, match="episode 12 step 34: non-finite"):
+        trace_line(12, 34, "ramp", obs, ActionTriple(0, 0, 0), terms, (1, 2), 5)
+
+
+def test_a_stepped_non_finite_observation_is_refused_before_it_is_written(monkeypatch):
+    row = SimStack.row
+
+    def nan_gpu_util(stack):
+        return {**row(stack), "gpu_util": math.nan}
+
+    sink = StringIO()
+    env = ScalingEnv(ExperimentConfig(episode_s=30.0), trace_sink=sink)
+    env.reset_to("ramp", 3, episode_index=5)
+    monkeypatch.setattr(SimStack, "row", nan_gpu_util)
+    with pytest.raises(SimulationError, match="episode 5 step 1: non-finite"):
+        env.step(ActionTriple(0, 0, 1))
+    assert sink.getvalue() == ""
+
+
+@pytest.mark.parametrize("fields", [(True, 0, 0), (0, False, 0), (0, 0, True), (0, 0, False),
+                                    (np.True_, 0, 1), (0, 0, np.False_)])
+def test_an_action_of_bools_is_refused(fields):
+    with pytest.raises(ValueError, match="ints, not bools"):
+        ActionTriple(*fields)
+
+
+def test_route_pref_members_and_numpy_ints_are_actions():
+    assert [ActionTriple(0, 0, pref).pref for pref in RoutePref] == [0, 1]
+    assert ActionTriple(np.int64(-2), np.int64(2), np.int64(1)) == ActionTriple(-2, 2, 1)
