@@ -73,14 +73,15 @@ def gae(rewards, values, dones, gamma: float, lam: float) -> tuple[np.ndarray, n
 class PpoAgent:
     """Actor-critic policy with multi-discrete heads."""
 
-    def __init__(self, net: NetDims | ActorCriticParams = NetDims(),
+    def __init__(self, net: NetDims | ActorCriticParams | None = None,
                  cfg: ExperimentConfig = ExperimentConfig(), seed: int = 0) -> None:
-        """`net` is the shape of freshly initialized weights, or trained weights."""
+        """`net` is trained weights, or the shape of fresh ones (by default the config's)."""
         if isinstance(net, ActorCriticParams):
             self.params = net
         else:
             init_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-            self.params = ActorCriticParams.initialize(net, init_rng)
+            self.params = ActorCriticParams.initialize(
+                net or NetDims(hidden1=cfg.hidden1, hidden2=cfg.hidden2), init_rng)
         self.cfg = cfg
         self.optimizer = Adam(self.params, lr=cfg.ppo_lr)
         self._sample_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))

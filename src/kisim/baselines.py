@@ -33,7 +33,7 @@ class HpaController:
     sets the CPU count itself, since its ceil rule may move further than +-2."""
 
     cfg: ExperimentConfig
-    _recommendations: list = field(default_factory=list)  # (t, desired)
+    _recommendations: list = field(default_factory=list, init=False)  # (t, desired)
     name = "hpa"
     pods = None
 

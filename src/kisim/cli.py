@@ -22,7 +22,6 @@ from .agent import PpoAgent, load_checkpoint, moving_average, train
 from .baselines import POLICY_NAMES, run_baseline
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
 from .env import TIMESERIES_FIELDS, ScalingEnv, episode_traffic, run_policy_episode
-from .nn import NetDims
 from .traffic import PATTERN_NAMES
 
 EVAL_SEED_BASE = 2_000_000
@@ -137,7 +136,7 @@ def _run_grid(cfg: ExperimentConfig, out: Path, patterns, index_base: int, polic
 def cmd_train(args) -> int:
     cfg = _load_effective_config(args)
     out = _prepare_out(cfg)
-    agent = PpoAgent(NetDims(hidden1=cfg.hidden1, hidden2=cfg.hidden2), cfg, seed=cfg.seed)
+    agent = PpoAgent(cfg=cfg, seed=cfg.seed)
 
     with (out / "trace.jsonl").open("w") as trace:
         state = train(ScalingEnv(cfg, trace_sink=trace), agent, out)

@@ -1,8 +1,10 @@
 """Experiment configuration: a flat key=value file with CLI overrides.
 
 Every knob of the simulator, traffic generator, reward, PPO agent and HPA
-baseline lives here so that a run can be reproduced from the effective
-config written next to its outputs.
+baseline lives here, each default written once, so that a run can be
+reproduced from the effective config written next to its outputs. A config
+is frozen once validated: `apply_overrides` and `dataclasses.replace` build
+a new one, which is validated in turn.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ class ConfigError(ValueError):
     """Bad config key or value; the message names the offender."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     # Reproducibility
     seed: int = 42
@@ -123,8 +125,8 @@ class ExperimentConfig:
             raise ConfigError("init_cpu must lie in cpu_min..cpu_max")
         if not self.gpu_min <= self.init_gpu <= self.gpu_max:
             raise ConfigError("init_gpu must lie in gpu_min..gpu_max")
-        if self.users_min < 0 or self.users_min > self.users_max:
-            raise ConfigError("users_min must satisfy 0 <= users_min <= users_max")
+        if self.users_min > self.users_max:
+            raise ConfigError("users_min exceeds users_max")
         # a zero period reschedules its event at the same instant forever, a zero cap or
         # node size divides by zero and a zero service time lets a user loop at one
         # instant; an infinite period never ends the episode, an infinite cap zeroes its feature
@@ -135,17 +137,24 @@ class ExperimentConfig:
             if not 0 < getattr(self, key) < math.inf:     # NaN fails too
                 raise ConfigError(f"{key} must be positive and finite")
         # below these: a think time or pod start in the past, a pod without a slot, NaN losses
-        # of no epoch, a fixed run that serves nothing (p95 0), an HPA window holding nothing
+        # of no epoch, a fixed run that serves nothing (p95 0), an HPA window holding nothing,
+        # a network of no unit, a utilization below 0
         for key, least in (("ppo_minibatch", 1), ("ppo_update_every_episodes", 1),
-                           ("eval_every", 0), ("hpa_tolerance", 0), ("hold_s", 0),
+                           ("hpa_tolerance", 0), ("hold_s", 0),
                            ("cpu_concurrency", 1), ("gpu_concurrency", 1), ("ppo_epochs", 1),
                            ("fixed_cpu_replicas", 1), ("fixed_gpu_replicas", 1),
                            ("cpu_startup_s", 0), ("gpu_startup_s", 0),
-                           ("hpa_stabilization_down_s", 0)):
+                           ("hpa_stabilization_down_s", 0), ("hidden1", 1), ("hidden2", 1),
+                           ("cpu_pod_idle_millicores", 0), ("cpu_pod_busy_millicores", 0),
+                           ("cpu_pod_mem_bytes", 0), ("gpu_pod_idle_millicores", 0),
+                           ("gpu_pod_busy_millicores", 0), ("gpu_pod_mem_bytes", 0),
+                           ("memory_pod_millicores", 0), ("memory_pod_mem_bytes", 0)):
             if not getattr(self, key) >= least:
                 raise ConfigError(f"{key} must be >= {least}")
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.type == "int" and value < 0:   # a negative count, seed or pool bound
+                raise ConfigError(f"{f.name} must be >= 0")
             if isinstance(value, float) and not math.isfinite(value):  # NaN/inf exponents stall
                 raise ConfigError(f"{f.name} must be finite")
             if isinstance(value, str) and ("#" in value or value != value.strip()

@@ -295,7 +295,7 @@ def run_policy_episode(policy, pattern: str, cfg: ExperimentConfig, traffic_seed
     env = ScalingEnv(cfg)
     obs = env.reset_to(pattern, traffic_seed, pods=policy.pods)
     stack = env.stack   # only a reported run samples utilization: the first event after reset
-    stack.engine.schedule_periodic(0.0, cfg.monitor_interval_s, stack._sample_util, cfg.episode_s)
+    stack.engine.schedule_periodic(cfg.monitor_interval_s, stack._sample_util, cfg.episode_s)
     done = False
     while not done:
         obs, _, done = env.step(policy.act(obs, env))

@@ -31,7 +31,7 @@ class MetricsWindow:
     Completions and queries come at nondecreasing engine time, so the window
     at `now` is the suffix of the log completed after `now - window_len_s`."""
 
-    def __init__(self, window_len_s: float = 30.0) -> None:
+    def __init__(self, window_len_s: float) -> None:
         self.window_len_s = window_len_s
         self._times: list[float] = []
         self._latencies: list[float] = []
@@ -74,7 +74,7 @@ def mean_busy(cluster: ClusterModel, pool: Pool) -> float:
 class UtilizationModel:
     """Node-level utilization from the config's per-pod idle/busy constants."""
 
-    def __init__(self, cfg: ExperimentConfig = ExperimentConfig()) -> None:
+    def __init__(self, cfg: ExperimentConfig) -> None:
         self.cfg = cfg
 
     def cpu_mem_utilization(self, cluster: ClusterModel) -> tuple[float, float]:

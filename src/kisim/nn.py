@@ -27,9 +27,9 @@ HEAD_SIZES = (5, 5, 2)
 
 @dataclass(frozen=True)
 class NetDims:
+    hidden1: int
+    hidden2: int
     obs_dim: int = 10
-    hidden1: int = 256
-    hidden2: int = 250
     heads: tuple[int, ...] = HEAD_SIZES
 
 
@@ -190,12 +190,10 @@ def ppo_loss_and_grads(p: dict[str, np.ndarray], batch: dict, clip_eps: float,
 class Adam:
     """Standard first-order adaptive-moment optimizer."""
 
-    def __init__(self, params: ActorCriticParams, lr: float = 3e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: ActorCriticParams, lr: float) -> None:
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros(v.shape, dtype=np.float64) for k, v in params.tensors.items()}
         self.v = {k: np.zeros(v.shape, dtype=np.float64) for k, v in params.tensors.items()}

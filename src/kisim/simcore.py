@@ -13,8 +13,8 @@ scheduling order. An event waits in the heap, or in the in-order lane, a FIFO
 for events whose due times never decrease (wakes a constant delay after their
 scheduling instant). `run_until` fires the earlier (fire_at, seq) of the two
 heads, so an event fires in the same place, with the same seq, in either queue.
-Repeated instants are computed as start + k*interval, never as a running sum,
-so every loop over the same interval sees the same times.
+Repeated instants are computed as k*interval, never as a running sum, so
+every loop over the same interval sees the same times.
 
 A pod serves each request from its pool's table of service_time(pool, n),
 n = 1..cap (the same floats), and `Request.user` names the virtual user
@@ -39,6 +39,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Callable, Optional
+
+from .config import ExperimentConfig
 
 
 class SimulationError(RuntimeError):
@@ -72,18 +74,18 @@ class Engine:
         clock.seq += 1
         heapq.heappush(self.heap, (fire_at, clock.seq, action, args))
 
-    def schedule_periodic(self, start: float, interval: float,
-                          action: Callable[[float], None], until: float) -> None:
-        """Fire action(now) at start + k*interval, k = 0, 1, ..., while <= until."""
-        self.schedule(start, self._tick, start, interval, action, until, 0)
+    def schedule_periodic(self, interval: float, action: Callable[[float], None],
+                          until: float) -> None:
+        """Fire action(now) at k*interval, k = 0, 1, ..., while <= until."""
+        self.schedule(0.0, self._tick, interval, action, until, 0)
 
-    def _tick(self, start: float, interval: float, action: Callable[[float], None],
-              until: float, k: int) -> None:
+    def _tick(self, interval: float, action: Callable[[float], None], until: float,
+              k: int) -> None:
         # a method, since a closure that schedules itself lives on until the cyclic GC
         action(self.clock.now)
-        nxt = start + (k + 1) * interval
+        nxt = (k + 1) * interval
         if nxt <= until:
-            self.schedule(nxt, self._tick, start, interval, action, until, k + 1)
+            self.schedule(nxt, self._tick, interval, action, until, k + 1)
 
     def run_until(self, t_end: float) -> None:
         clock = self.clock
@@ -166,14 +168,14 @@ class ServiceModel:
 
     The factor is 1 for a lone request and grows polynomially with the number
     of requests in service; the GPU exponent is smaller so GPU pods degrade
-    more gracefully under load.
+    more gracefully under load. The defaults are the config's.
     """
 
-    base_s: float = 0.0816
-    cpu_cap: int = 2
-    gpu_cap: int = 8
-    cpu_exponent: float = 0.9
-    gpu_exponent: float = 0.35
+    base_s: float = ExperimentConfig.base_service_s
+    cpu_cap: int = ExperimentConfig.cpu_concurrency
+    gpu_cap: int = ExperimentConfig.gpu_concurrency
+    cpu_exponent: float = ExperimentConfig.cpu_contention_exp
+    gpu_exponent: float = ExperimentConfig.gpu_contention_exp
 
     def cap(self, pool: Pool) -> int:
         return self.cpu_cap if pool is Pool.CPU else self.gpu_cap
@@ -197,20 +199,19 @@ class ServiceModel:
 
 @dataclass(frozen=True)
 class PoolLimits:
-    cpu_min: int = 1
-    cpu_max: int = 6
-    gpu_min: int = 0
-    gpu_max: int = 3
+    cpu_min: int
+    cpu_max: int
+    gpu_min: int
+    gpu_max: int
 
 
 class ClusterModel:
     """Pods, pools, routing and lifecycle on top of an Engine."""
 
-    def __init__(self, engine: Engine, service: ServiceModel,
-                 limits: PoolLimits = PoolLimits(),
-                 gpu_device_budget: int = 1,
-                 cpu_startup_s: float = 5.0,
-                 gpu_startup_s: float = 10.0,
+    def __init__(self, engine: Engine, service: ServiceModel, limits: PoolLimits,
+                 gpu_device_budget: int = ExperimentConfig.gpu_device_budget,
+                 cpu_startup_s: float = ExperimentConfig.cpu_startup_s,
+                 gpu_startup_s: float = ExperimentConfig.gpu_startup_s,
                  routing_pref: RoutePref = RoutePref.CPU_FIRST) -> None:
         self.engine = engine
         self._clock, self._heap = engine.clock, engine.heap

@@ -34,8 +34,6 @@ class LoadGenerator:
         self.seed = seed
         self.engine = engine
         self.cluster = cluster
-        if not 0.0 <= cfg.hold_s < math.inf:     # NaN fails too: a wake is never due before now
-            raise SimulationError(f"hold_s must be finite and >= 0, not {cfg.hold_s}")
         self._hold_s, self._clock, self._lane = cfg.hold_s, engine.clock, engine.lane
         if kind == "random":
             # seeded piecewise-constant levels, one per redraw period
@@ -70,8 +68,7 @@ class LoadGenerator:
     # ---- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        self.engine.schedule_periodic(0.0, SYNC_INTERVAL_S, self._sync,
-                                      until=self.cfg.episode_s)
+        self.engine.schedule_periodic(SYNC_INTERVAL_S, self._sync, until=self.cfg.episode_s)
 
     def active_users(self) -> int:
         return len(self._active)
@@ -103,7 +100,7 @@ class LoadGenerator:
         if clock.now >= self.cfg.episode_s:
             self._active.remove(uid)
             return
-        fire_at = clock.now + self._hold_s  # a constant delay: due times never decrease
+        fire_at = clock.now + self._hold_s  # a constant delay >= 0: due times never decrease
         if lane and fire_at < lane[-1][0]:
             raise SimulationError(f"wake at {fire_at} before the lane's last event")
         clock.seq += 1

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given
@@ -74,7 +74,17 @@ def test_train_refuses_an_out_dir_its_config_file_would_misrecord(tmp_path, caps
     # the past, an HPA that divides by zero or keeps no recommendation
     ("cpu_contention_exp", float("nan")), ("gpu_contention_exp", math.inf),
     ("gpu_startup_s", float("nan")), ("cpu_startup_s", -1.0), ("hpa_target_cpu_util", 0.0),
-    ("hpa_target_cpu_util", float("nan")), ("hpa_stabilization_down_s", float("nan"))])
+    ("hpa_target_cpu_util", float("nan")), ("hpa_stabilization_down_s", float("nan")),
+    # a wake never due; a negative pod count, seed, episode count or pool bound; a network
+    # of no unit; a per-pod load that drives a utilization below 0
+    ("hold_s", math.inf),
+    *((f.name, -1) for f in fields(ExperimentConfig)
+      if f.type == "int" and f.name not in ("eval_every", "init_gpu")),    # -1 above
+    ("cpu_min", -2), ("memory_pods", -100000), ("hidden1", 0), ("hidden2", 0),
+    *((key, -1.0) for key in ("cpu_pod_idle_millicores", "cpu_pod_busy_millicores",
+                              "cpu_pod_mem_bytes", "gpu_pod_idle_millicores",
+                              "gpu_pod_busy_millicores", "gpu_pod_mem_bytes",
+                              "memory_pod_millicores", "memory_pod_mem_bytes"))])
 def test_values_that_hang_or_crash_a_run_are_config_errors(key, value):
     with pytest.raises(ConfigError, match=key):
         ExperimentConfig(**{key: value})
@@ -89,7 +99,9 @@ def test_a_cluster_without_replicas_is_a_config_error():
 RULE = {"hold_s": ">= 0", "cpu_concurrency": ">= 1", "gpu_concurrency": ">= 1",
         "ppo_epochs": ">= 1", "cpu_startup_s": ">= 0", "hpa_stabilization_down_s": ">= 0",
         "gpu_startup_s": ">= 0", "cpu_contention_exp": "finite",
-        "gpu_contention_exp": "finite"}
+        "gpu_contention_exp": "finite", "cpu_min": ">= 0", "gpu_min": ">= 0",
+        "seed": ">= 0", "episodes": ">= 0", "memory_pods": ">= 0", "hidden1": ">= 1",
+        "cpu_pod_busy_millicores": ">= 0", "memory_pod_mem_bytes": ">= 0"}
 
 
 @pytest.mark.parametrize("key, value", [("monitor_interval_s", "0"), ("episode_s", "inf"),
@@ -102,14 +114,21 @@ RULE = {"hold_s": ">= 0", "cpu_concurrency": ">= 1", "gpu_concurrency": ">= 1",
                                         ("gpu_startup_s", "nan"), ("cpu_startup_s", "-1"),
                                         ("hpa_target_cpu_util", "0"),
                                         ("hpa_target_cpu_util", "nan"),
-                                        ("hpa_stabilization_down_s", "nan")])
+                                        ("hpa_stabilization_down_s", "nan"),
+                                        ("cpu_min", "-2"), ("gpu_min", "-1"), ("seed", "-1"),
+                                        ("episodes", "-3"), ("memory_pods", "-100000"),
+                                        ("hidden1", "-4"), ("cpu_pod_busy_millicores", "-1"),
+                                        ("memory_pod_mem_bytes", "-1e9")])
 def test_baseline_refuses_a_zero_monitor_interval(key, value, tmp_path, capsys):
     """A zero monitor interval resamples at t=0 forever; an infinite episode never
     ends; a zero cap divides the observation by zero. A negative think time
     schedules into the past, a zero service time loops at one instant, and a zero
     concurrency or node size divides by zero. A NaN or infinite contention exponent
     or start-up, a negative start-up, a zero or NaN HPA target and a NaN HPA window
-    stall or crash the run: each is refused before any output."""
+    stall or crash the run. A negative pool bound asks for a negative replica count,
+    a negative seed or network size fails in numpy, a negative episode count trains
+    none, and a negative per-pod load drives a utilization below 0: each is refused
+    before any output."""
     out = tmp_path / "base"
     assert main(["baseline", "--set", "episode_s=30", "--set", f"{key}={value}",
                  "--out", str(out)]) == 1
@@ -125,3 +144,18 @@ def test_train_refuses_zero_ppo_epochs_before_any_output(tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert "ppo_epochs must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_built_config_cannot_change():
+    """Every component may keep the config it was given: no field of it changes later."""
+    cfg = ExperimentConfig()
+    for f in fields(cfg):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, f.name, getattr(cfg, f.name))
+
+
+def test_a_derived_config_is_validated_like_a_built_one():
+    """A config changes only into a new one, refused as a built one would be: a think
+    time in the past cannot reach the load generator, which pushes its wakes unchecked."""
+    with pytest.raises(ConfigError, match="hold_s must be >= 0"):
+        replace(ExperimentConfig(), hold_s=-0.1)

@@ -118,7 +118,7 @@ def test_a_row_holds_the_time_series_fields_in_order():
 
 def test_each_observation_reads_the_row_of_its_step():
     cfg = ExperimentConfig(episode_s=90.0)
-    assert len(OBS_FIELDS) == NetDims().obs_dim
+    assert len(OBS_FIELDS) == NetDims(hidden1=cfg.hidden1, hidden2=cfg.hidden2).obs_dim
     env = ScalingEnv(cfg)
     obs = env.reset_to("periodic", 7)
     done = False
@@ -131,6 +131,52 @@ def test_each_observation_reads_the_row_of_its_step():
         if done:
             break
         obs, _, done = env.step(ActionTriple(d_gpu=1, d_cpu=-1, pref=1))
+
+
+# every weight off its default, the smoothness term (off by default) switched on
+REWARD_CFG = ExperimentConfig(reward_alpha=0.7, reward_beta=0.3, reward_gamma=0.45,
+                              reward_delta=0.2, hold_s=0.25, episode_s=120.0)
+
+
+@pytest.mark.parametrize("desired, overhead", [((0, 1), 0.0), ((2, 6), 4 / 9), ((3, 12), 1.0)])
+def test_each_reward_term_is_its_formula_at_non_default_weights(desired, overhead):
+    """A characterization of the reward as it stands. At t=30 the ramp holds 16 users,
+    a demand of 4 replicas: no excess, 4 of 9, and more than the pools' 9."""
+    cfg = REWARD_CFG
+    env = ScalingEnv(cfg)
+    env.reset_to("ramp", 3)
+    for _ in range(2):
+        env.step(ActionTriple(0, 1, 0))
+    assert (env.row["users"], env.demand_estimate()) == (16, 4)
+    obs = np.linspace(0.05, 0.95, len(OBS_FIELDS))
+    terms = env.reward(obs, ActionTriple(d_gpu=-1, d_cpu=2, pref=1), desired)
+    assert tuple(terms) == REWARD_TERMS
+    assert terms["latency"] == obs[OBS_FIELDS.index("l_p95")]
+    assert terms["gpu_util"] == obs[OBS_FIELDS.index("u_gpu")]
+    assert terms["overhead"] == min(1.0, max(0, sum(desired) - 4) / (cfg.gpu_max + cfg.cpu_max))
+    assert terms["overhead"] == pytest.approx(overhead)
+    assert terms["smoothness"] == (1 + 2) / 4.0
+    assert terms["total"] == (-0.7 * terms["latency"] + 0.3 * terms["gpu_util"]
+                              - 0.45 * terms["overhead"] - 0.2 * terms["smoothness"])
+
+
+def test_demand_estimate_rates_every_replica_at_a_cpu_pods_rate():
+    """A characterization: the offered rate of the row's users over the CPU pod's saturated
+    completion rate, whatever GPU pods run."""
+    cfg = REWARD_CFG
+    cpu_rps = cfg.cpu_concurrency / (cfg.base_service_s
+                                     * cfg.cpu_concurrency ** cfg.cpu_contention_exp)
+    env = ScalingEnv(cfg)
+    env.reset_to("ramp", 3)
+    demands = []
+    done = False
+    while not done:
+        _, _, done = env.step(ActionTriple(d_gpu=1, d_cpu=0, pref=1))
+        demands.append(env.demand_estimate())
+        assert demands[-1] == math.ceil(env.row["users"] / (cfg.hold_s + cfg.base_service_s)
+                                        / cpu_rps)
+    assert env.row["gpu_replicas"] > 0
+    assert demands == [3, 4, 5, 7, 8, 9, 11, 12]
 
 
 FIVE_ACTIONS = (ActionTriple(1, 1, 1), ActionTriple(2, -1, 0), ActionTriple(-1, 2, 1),

@@ -135,7 +135,7 @@ def test_mean_busy_averages_the_ready_pods_of_one_pool():
 
 def test_gpu_utilization_levels():
     engine, cluster = make_cluster()
-    model = UtilizationModel()
+    model = UtilizationModel(ExperimentConfig())
     assert model.gpu_utilization(cluster) == 0.0
     cluster.spawn_ready(Pool.GPU, 1)
     occupy(cluster, Pool.GPU, 8)
@@ -146,7 +146,7 @@ def test_gpu_utilization_half_busy():
     engine, cluster = make_cluster()
     cluster.spawn_ready(Pool.GPU, 1)
     occupy(cluster, Pool.GPU, 4)
-    assert UtilizationModel().gpu_utilization(cluster) == pytest.approx(0.5)
+    assert UtilizationModel(ExperimentConfig()).gpu_utilization(cluster) == pytest.approx(0.5)
 
 
 def test_cpu_utilization_idle_and_busy_endpoints():
@@ -163,7 +163,7 @@ def test_cpu_utilization_idle_and_busy_endpoints():
 
 
 def test_no_pods_reports_only_memory_pod_constants():
-    model = UtilizationModel()
+    model = UtilizationModel(ExperimentConfig())
     engine, cluster = make_cluster()
     cpu, mem = model.cpu_mem_utilization(cluster)
     assert cpu == pytest.approx(3 * 3.0 / 16000)

@@ -181,7 +181,7 @@ def reference_trunk_backward(p, net, cache, dh2, grads):
 @pytest.mark.parametrize("net", ["a", "c"])
 def test_in_place_trunk_is_the_out_of_place_trunk_bit_for_bit(batch, net):
     rng = np.random.default_rng(batch)
-    params = ActorCriticParams.initialize(NetDims(), rng)
+    params = ActorCriticParams.initialize(NetDims(hidden1=256, hidden2=250), rng)
     # one step leaves *_w1 C-ordered, as in training; the init is Fortran-ordered
     for step in range(2):
         p = params.as_float64()

@@ -90,7 +90,7 @@ def test_schedule_passes_its_arguments_to_the_action():
 def test_clock_sequence_counts_every_scheduled_event():
     engine = Engine()
     engine.schedule(1.0, lambda: engine.schedule(3.0, lambda: None))
-    engine.schedule_periodic(0.0, 1.0, lambda now: None, until=2.0)
+    engine.schedule_periodic(1.0, lambda now: None, until=2.0)
     assert engine.clock.seq == 2
     engine.run_until(5.0)
     assert engine.clock.seq == 5      # + the nested event and two more ticks
@@ -100,7 +100,7 @@ def test_clock_sequence_counts_every_scheduled_event():
 def test_periodic_instants_are_start_plus_k_intervals():
     engine = Engine()
     fired = []
-    engine.schedule_periodic(0.0, 0.3, fired.append, until=300.0)
+    engine.schedule_periodic(0.3, fired.append, until=300.0)
     engine.run_until(300.0)
     assert len(fired) == 1001
     assert fired[-1] == 300.0
@@ -694,4 +694,4 @@ def test_the_request_cycle_pushes_what_schedule_and_the_checked_lane_pushed(hold
 def test_a_service_time_table_not_finite_and_non_negative_is_refused(base_s):
     """A service start is pushed unchecked, so its time must be a finite one from now."""
     with pytest.raises(SimulationError, match="service times must be finite and >= 0"):
-        ClusterModel(Engine(), ServiceModel(base_s=base_s))
+        ClusterModel(Engine(), ServiceModel(base_s=base_s), limits=PoolLimits(0, 8, 0, 8))
