@@ -19,12 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .env import ActionTriple, ScalingEnv, episode_traffic
-from .nn import (HEAD_SIZES, ActorCriticParams, Adam, NetDims, actor_forward, critic_forward,
-                 log_softmax, ppo_loss_and_grads, tensor_shapes)
+from .env import ACTIONS, HEAD_SIZES, OBS_FIELDS, ActionTriple, ScalingEnv, episode_traffic
+from .nn import (ActorCriticParams, Adam, NetDims, actor_forward, critic_forward, log_softmax,
+                 ppo_loss_and_grads, tensor_shapes)
 from .traffic import PATTERN_NAMES
 
 CHECKPOINT_MAGIC = b"KISC1"
+CHECKPOINT_HEADER = struct.Struct("<6I")    # inputs, hidden1, hidden2, the three head sizes
 CHECKPOINT_STATE = struct.Struct("<IIddi")  # episode_index, n_returns, moving_avg, best, converged_at
 # `_actor` pads each head to a row of max(HEAD_SIZES) with -inf; every head but the last
 # is that wide already, so one block after the last fills its row
@@ -112,10 +113,11 @@ class PpoAgent:
             idx = bisect.bisect_right(cdf, u, key=cdf[-1].__rtruediv__)    # cdf / cdf[-1]
             heads.append(idx)
             log_prob += lp_row[idx]
-        return ActionTriple.from_heads(*heads), tuple(heads), log_prob, float(value[0])
+        heads = tuple(heads)
+        return ACTIONS[heads], heads, log_prob, float(value[0])
 
     def greedy_action(self, obs_vec: np.ndarray) -> ActionTriple:
-        return ActionTriple.from_heads(*self._actor(obs_vec)[1].argmax(axis=1).tolist())
+        return ACTIONS[tuple(self._actor(obs_vec)[1].argmax(axis=1).tolist())]
 
     # a policy of env.run_policy_episode, on the config's init pods
     name = "kiscaler"
@@ -212,8 +214,7 @@ def save_checkpoint(params: ActorCriticParams, state: TrainState,
                     path: str | Path) -> None:
     dims = params.dims
     blob = bytearray(CHECKPOINT_MAGIC)
-    blob += struct.pack("<6I", dims.obs_dim, dims.hidden1, dims.hidden2,
-                        *dims.heads)
+    blob += CHECKPOINT_HEADER.pack(len(OBS_FIELDS), dims.hidden1, dims.hidden2, *HEAD_SIZES)
     for name in tensor_shapes(dims):
         arr = np.ascontiguousarray(params.tensors[name], dtype="<f4")
         blob += arr.tobytes()
@@ -227,19 +228,21 @@ def save_checkpoint(params: ActorCriticParams, state: TrainState,
 
 
 def load_checkpoint(path: str | Path) -> tuple[ActorCriticParams, TrainState]:
-    """Read a KISC1 file; any wrong length or inconsistent state is a CheckpointError."""
+    """Read a KISC1 file; a wrong shape or length or an inconsistent state is a CheckpointError."""
     raw = Path(path).read_bytes()
-    if len(raw) < len(CHECKPOINT_MAGIC) + 24:
+    if len(raw) < len(CHECKPOINT_MAGIC) + CHECKPOINT_HEADER.size:
         raise CheckpointError(f"checkpoint {path} is truncated")
     if raw[:4] == CHECKPOINT_MAGIC[:4] and raw[:5] != CHECKPOINT_MAGIC:
         raise CheckpointError(
             f"checkpoint version mismatch: {raw[:5]!r} != {CHECKPOINT_MAGIC!r}")
     if raw[:5] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"not a checkpoint file (bad magic {raw[:5]!r})")
-    off = 5
-    obs_dim, h1, h2, k0, k1, k2 = struct.unpack_from("<6I", raw, off)
-    off += struct.calcsize("<6I")
-    dims = NetDims(obs_dim=obs_dim, hidden1=h1, hidden2=h2, heads=(k0, k1, k2))
+    n_inputs, h1, h2, *heads = CHECKPOINT_HEADER.unpack_from(raw, len(CHECKPOINT_MAGIC))
+    if (n_inputs, tuple(heads)) != (len(OBS_FIELDS), HEAD_SIZES):
+        raise CheckpointError(f"checkpoint {path} has {n_inputs} inputs and heads {tuple(heads)}, "
+                              f"not the env's {len(OBS_FIELDS)} and {HEAD_SIZES}")
+    off = len(CHECKPOINT_MAGIC) + CHECKPOINT_HEADER.size
+    dims = NetDims(hidden1=h1, hidden2=h2)
     shapes = tensor_shapes(dims)
     state_off = off + 4 * sum(math.prod(shape) for shape in shapes.values())
     if len(raw) < state_off + CHECKPOINT_STATE.size:

@@ -21,7 +21,7 @@ from pathlib import Path
 from .agent import PpoAgent, load_checkpoint, moving_average, train
 from .baselines import POLICY_NAMES, run_baseline
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
-from .env import TIMESERIES_FIELDS, ScalingEnv, episode_traffic, run_policy_episode
+from .env import TIMESERIES_FIELDS, ActionTriple, ScalingEnv, episode_traffic, run_policy_episode
 from .traffic import PATTERN_NAMES
 
 EVAL_SEED_BASE = 2_000_000
@@ -266,6 +266,7 @@ def cmd_replay(args) -> int:
             if not (isinstance(action, list) and len(action) == 3
                     and all(type(a) is int for a in action)):
                 raise ReplayError(f"trace line {lineno}: action {action!r} is not 3 ints")
+            ActionTriple(*action)   # refuses an action outside the space
             row = {
                 "episode": rec["episode"],
                 "step": rec["step"],
@@ -284,6 +285,8 @@ def cmd_replay(args) -> int:
             raise ReplayError(f"trace line {lineno}: missing key {exc}") from None
         except TypeError as exc:  # a "reward" not an object, a total not a number, a list pattern
             raise ReplayError(f"trace line {lineno}: {exc}") from None
+        except ValueError as exc:   # from ActionTriple alone
+            raise ReplayError(f"trace line {lineno}: action {action!r}: {exc}") from None
         rows.append(row)
     histogram = sum(by_pattern.values(), Counter())
 

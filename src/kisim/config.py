@@ -138,9 +138,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be positive and finite")
         # below these: a think time or pod start in the past, a pod without a slot, NaN losses
         # of no epoch, a fixed run that serves nothing (p95 0), an HPA window holding nothing,
-        # a network of no unit, a utilization below 0
+        # a network of no unit, a utilization below 0, a run that trains no episode
         for key, least in (("ppo_minibatch", 1), ("ppo_update_every_episodes", 1),
-                           ("hpa_tolerance", 0), ("hold_s", 0),
+                           ("hpa_tolerance", 0), ("hold_s", 0), ("episodes", 1),
                            ("cpu_concurrency", 1), ("gpu_concurrency", 1), ("ppo_epochs", 1),
                            ("fixed_cpu_replicas", 1), ("fixed_gpu_replicas", 1),
                            ("cpu_startup_s", 0), ("gpu_startup_s", 0),

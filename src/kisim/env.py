@@ -5,12 +5,13 @@ Each control step takes one `SimStack.row()` snapshot, kept as `ScalingEnv.row`;
 the observation, the reward, the trace record and the evaluation time series
 all read it, and the reward and the trace record share one (GPU, CPU) replica
 count. Observations are float64 vectors in `OBS_FIELDS` order (all components
-in [0, 1]); actions are (GPU delta, CPU delta, placement preference) triples
-over a 5x5x2 space.
+in [0, 1]); actions are (GPU delta, CPU delta, placement preference) triples,
+the `ACTIONS` of the policy's `HEAD_SIZES`, which no other module restates.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import IO, Optional
@@ -34,7 +35,7 @@ _BOOLS = (bool, np.bool_)
 class ActionTriple:
     d_gpu: int
     d_cpu: int
-    pref: int  # 0 = CPU-first, 1 = GPU-first
+    pref: RoutePref     # given as a member or its int; stored as the member
 
     def __post_init__(self) -> None:
         # True == 1 passes the membership tests below, but a bool is no int to a trace
@@ -43,15 +44,13 @@ class ActionTriple:
             raise ValueError(f"an action holds ints, not bools: {self}")
         if self.d_gpu not in DELTAS or self.d_cpu not in DELTAS:
             raise ValueError(f"deltas must be in {DELTAS}")
-        if self.pref not in (0, 1):
-            raise ValueError("pref must be 0 or 1")
-
-    @classmethod
-    def from_heads(cls, g_idx: int, c_idx: int, pref: int) -> "ActionTriple":
-        return cls(d_gpu=DELTAS[g_idx], d_cpu=DELTAS[c_idx], pref=pref)
+        object.__setattr__(self, "pref", RoutePref(self.pref))    # ValueError past its members
 
 
-_ROUTE_PREFS = tuple(RoutePref)    # indexed by ActionTriple.pref
+HEAD_SIZES = (len(DELTAS), len(DELTAS), len(RoutePref))    # the policy's heads, in field order
+# every action by its head indices (g, c, p), in head order
+ACTIONS = {(g, c, p): ActionTriple(DELTAS[g], DELTAS[c], p)
+           for g, c, p in itertools.product(*map(range, HEAD_SIZES))}
 
 # One trace.jsonl line: for finite values, the bytes of json.dumps(record, separators=(",",
 # ":")). Ints by %d, floats by %r (float.__repr__, as json writes them); the pattern is one
@@ -232,7 +231,7 @@ class ScalingEnv:
     def decode_and_apply(self, action: ActionTriple) -> None:
         """Route by `pref`; move each pool by its delta into its bounds, a zero delta nowhere."""
         cluster = self.stack.cluster
-        cluster.routing_pref = _ROUTE_PREFS[action.pref]
+        cluster.routing_pref = action.pref
         for pool, delta in ((Pool.GPU, action.d_gpu), (Pool.CPU, action.d_cpu)):
             if delta:
                 current = cluster.desired(pool)

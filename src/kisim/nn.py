@@ -3,8 +3,8 @@
 Weights are stored float32; all math runs in float64 so the analytic
 gradients survive a central finite-difference check. No autograd framework:
 the actor ("a") and the critic ("c") are one two-layer tanh trunk each, with
-the same forward and backward code, topped by three categorical heads and
-one value output respectively.
+the same forward and backward code, topped by categorical heads of the env's
+`HEAD_SIZES` and one value output respectively, both fed its `OBS_FIELDS`.
 
 `as_float64()` serves one float64 view of the tensors, built once. Only
 `Adam.step` changes weights. Its moments `m` and `v`, like the trunks'
@@ -22,25 +22,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HEAD_SIZES = (5, 5, 2)
+from .env import HEAD_SIZES, OBS_FIELDS
 
 
 @dataclass(frozen=True)
 class NetDims:
     hidden1: int
     hidden2: int
-    obs_dim: int = 10
-    heads: tuple[int, ...] = HEAD_SIZES
 
 
 def tensor_shapes(dims: NetDims) -> dict[str, tuple[int, ...]]:
     """Canonical tensor order; checkpoints and Adam state follow it."""
     def trunk(net: str) -> dict[str, tuple[int, ...]]:
-        return {f"{net}_w1": (dims.obs_dim, dims.hidden1), f"{net}_b1": (dims.hidden1,),
+        return {f"{net}_w1": (len(OBS_FIELDS), dims.hidden1), f"{net}_b1": (dims.hidden1,),
                 f"{net}_w2": (dims.hidden1, dims.hidden2), f"{net}_b2": (dims.hidden2,)}
 
     shapes = trunk("a")
-    for i, k in enumerate(dims.heads):
+    for i, k in enumerate(HEAD_SIZES):
         shapes[f"h{i}_w"] = (dims.hidden2, k)
         shapes[f"h{i}_b"] = (k,)
     shapes.update(trunk("c"), c_w3=(dims.hidden2, 1), c_b3=(1,))

@@ -2,6 +2,7 @@ import bisect
 import itertools
 import json
 import math
+import re
 import struct
 from io import StringIO
 from unittest import mock
@@ -11,13 +12,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import kisim.agent
-from kisim.agent import (CHECKPOINT_STATE, MOVING_AVG_WINDOW, AgentError, CheckpointError,
-                         PpoAgent, TrainState, detect_convergence, gae, load_checkpoint,
-                         moving_average, run_episode, save_checkpoint)
+from kisim.agent import (CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_STATE,
+                         MOVING_AVG_WINDOW, AgentError, CheckpointError, PpoAgent, TrainState,
+                         detect_convergence, gae, load_checkpoint, moving_average, run_episode,
+                         save_checkpoint)
 from kisim.config import ExperimentConfig
-from kisim.env import ActionTriple, ScalingEnv
-from kisim.nn import (HEAD_SIZES, ActorCriticParams, Adam, NetDims, actor_forward, log_softmax,
-                      tensor_shapes)
+from kisim.env import ACTIONS, HEAD_SIZES, OBS_FIELDS, ScalingEnv
+from kisim.nn import ActorCriticParams, Adam, NetDims, actor_forward, log_softmax, tensor_shapes
 
 N_RETURNS = 100
 
@@ -63,7 +64,7 @@ def test_recorded_heads_decode_to_the_traced_action():
     sink = StringIO()
     _, steps = sampled_episode(trace_sink=sink)
     traced = [json.loads(line)["action"] for line in sink.getvalue().splitlines()]
-    decoded = [ActionTriple.from_heads(*heads) for _, heads, *_ in steps]
+    decoded = [ACTIONS[heads] for _, heads, *_ in steps]
     assert [[a.d_gpu, a.d_cpu, a.pref] for a in decoded] == traced
 
 
@@ -71,7 +72,7 @@ def test_sampled_heads_are_the_draws_of_generator_choice(monkeypatch):
     """sample_action's inverse CDF draws what Generator.choice(k, p) draws from
     a twin generator, and leaves the generator in the same state."""
     rng = np.random.default_rng(11)
-    logit_sets = [[rng.normal(0.0, scale, (1, k)) for k in (5, 5, 2)]
+    logit_sets = [[rng.normal(0.0, scale, (1, k)) for k in HEAD_SIZES]
                   for scale in rng.choice([0.1, 3.0, 30.0], size=200)]
     fed = iter(logit_sets)
     monkeypatch.setattr(kisim.agent, "actor_forward", lambda p, obs: (next(fed), None))
@@ -79,7 +80,7 @@ def test_sampled_heads_are_the_draws_of_generator_choice(monkeypatch):
     agent._sample_rng = np.random.default_rng(2024)
     twin = np.random.default_rng(2024)
     for logits in logit_sets:
-        _, heads, log_prob, _ = agent.sample_action(np.zeros(10))
+        _, heads, log_prob, _ = agent.sample_action(np.zeros(len(OBS_FIELDS)))
         lps = [log_softmax(lg)[0] for lg in logits]
         expected = tuple(int(twin.choice(len(lp), p=np.exp(lp))) for lp in lps)
         assert heads == expected
@@ -100,9 +101,9 @@ def test_greedy_action_is_the_argmax_of_the_actor_alone(monkeypatch):
 
     monkeypatch.setattr(kisim.agent, "critic_forward", no_critic)
     chosen = set()
-    for obs in rng.uniform(0.0, 1.0, (50, 10)):
+    for obs in rng.uniform(0.0, 1.0, (50, len(OBS_FIELDS))):
         logits, _ = actor_forward(agent.params.as_float64(), obs.reshape(1, -1))
-        expected = ActionTriple.from_heads(*(int(np.argmax(lg[0])) for lg in logits))
+        expected = ACTIONS[tuple(int(np.argmax(lg[0])) for lg in logits)]
         assert agent.greedy_action(obs) == expected
         chosen.add(expected)
     assert len(chosen) > 1
@@ -128,7 +129,7 @@ def test_padded_heads_give_each_heads_own_log_softmax_exp_and_argmax(scale, kind
     logits = _drawn_logits(scale, kind, seed)
     agent = PpoAgent(NetDims(hidden1=8, hidden2=6), SHORT)
     with mock.patch.object(kisim.agent, "actor_forward", lambda p, obs: (logits, None)):
-        _, z = agent._actor(np.zeros(10))
+        _, z = agent._actor(np.zeros(len(OBS_FIELDS)))
     lp = log_softmax(z)
     prob = np.exp(lp)
     for i, (k, lg) in enumerate(zip(HEAD_SIZES, logits)):
@@ -164,10 +165,10 @@ def test_acting_keeps_the_bytes_of_per_call_padding_and_per_head_lists(scale, ki
     agent._sample_rng = np.random.default_rng(seed)
     z_ref, heads_ref, log_prob_ref = _reference_actor_and_draw(logits, np.random.default_rng(seed))
     with mock.patch.object(kisim.agent, "actor_forward", lambda p, obs: (logits, None)):
-        _, z = agent._actor(np.zeros(10))
-        action, heads, log_prob, _ = agent.sample_action(np.zeros(10))
+        _, z = agent._actor(np.zeros(len(OBS_FIELDS)))
+        action, heads, log_prob, _ = agent.sample_action(np.zeros(len(OBS_FIELDS)))
     assert z.tobytes() == z_ref.tobytes() and z.shape == z_ref.shape
-    assert heads == heads_ref and action == ActionTriple.from_heads(*heads_ref)
+    assert heads == heads_ref and action is ACTIONS[heads_ref]
     assert struct.pack("<d", log_prob) == struct.pack("<d", log_prob_ref)
 
 
@@ -187,7 +188,7 @@ def test_a_non_finite_logit_in_any_head_is_an_agent_error(head, slot, value):
                            lambda p, obs: (_logits_with(head, slot, value), None)):
         for act in (agent.sample_action, agent.greedy_action):
             with pytest.raises(AgentError, match="non-finite policy logits"):
-                act(np.zeros(10))
+                act(np.zeros(len(OBS_FIELDS)))
     assert agent._sample_rng.bit_generator.state == state
 
 
@@ -322,3 +323,19 @@ def test_stored_index_or_average_that_the_returns_contradict_is_an_error(saved):
                          + raw[state_off + CHECKPOINT_STATE.size:])
         with pytest.raises(CheckpointError, match="contradict"):
             load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header, shape", [
+    ((11, 8, 6, 5, 5, 2), "11 inputs and heads (5, 5, 2)"),
+    ((10, 8, 6, 5, 5, 3), "10 inputs and heads (5, 5, 3)"),
+    ((10, 8, 6, 4, 4, 4), "10 inputs and heads (4, 4, 4)"),
+    ((10, 8, 6, 6, 5, 1), "10 inputs and heads (6, 5, 1)")])
+def test_a_network_of_other_inputs_or_heads_than_the_envs_is_a_checkpoint_error(saved, header,
+                                                                                  shape):
+    path, raw, _, _, _ = saved
+    magic = len(CHECKPOINT_MAGIC)
+    path.write_bytes(raw[:magic] + CHECKPOINT_HEADER.pack(*header)
+                     + raw[magic + CHECKPOINT_HEADER.size:])
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"has {shape}, not the env's 10 and (5, 5, 2)")):
+        load_checkpoint(path)

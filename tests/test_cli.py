@@ -8,8 +8,8 @@ import pytest
 
 import kisim.cli
 import kisim.env
-from kisim.agent import (MOVING_AVG_WINDOW, PpoAgent, TrainState, load_checkpoint,
-                         save_checkpoint)
+from kisim.agent import (CHECKPOINT_HEADER, CHECKPOINT_MAGIC, MOVING_AVG_WINDOW, PpoAgent,
+                         TrainState, load_checkpoint, save_checkpoint)
 from kisim.baselines import POLICY_NAMES, run_baseline
 from kisim.cli import EVAL_SEED_BASE, action_diversity, main
 from kisim.config import ExperimentConfig
@@ -45,8 +45,12 @@ def test_train_evaluate_replay_smoke(tmp_path):
     ('{"episode":0,"step":1,"pattern":"ramp","action":[0,0,0],"reward":3,"desired_gpu":1,'
      '"desired_cpu":3,"users":5}', "trace line 1: 'int' object is not subscriptable"),
     ('{"episode":0,"step":1,"pattern":["ramp"],"action":[0,0,0],"reward":{"total":1},'
-     '"desired_gpu":1,"desired_cpu":3,"users":5}', "trace line 1: unhashable type: 'list'")],
-    ids=["no_keys", "not_an_object", "short_action", "reward_not_an_object", "list_pattern"])
+     '"desired_gpu":1,"desired_cpu":3,"users":5}', "trace line 1: unhashable type: 'list'"),
+    ('{"episode":0,"action":[7,9,3]}', "trace line 1: action [7, 9, 3]: deltas must be in"),
+    ('{"episode":0,"action":[0,0,2]}',
+     "trace line 1: action [0, 0, 2]: 2 is not a valid RoutePref")],
+    ids=["no_keys", "not_an_object", "short_action", "reward_not_an_object", "list_pattern",
+         "action_outside_the_deltas", "action_outside_the_prefs"])
 def test_replay_refuses_a_trace_record_it_cannot_read(line, message, tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     trace.write_text(line + "\n")
@@ -198,9 +202,14 @@ def test_evaluate_acts_with_the_checkpoint_weights_without_initializing_any(
     assert all((loaded.tensors[k] == v).all() for k, v in params.tensors.items())
 
 
-def _fresh_checkpoint(tmp_path):
+def _fresh_checkpoint(tmp_path, header=None):
+    """Untrained weights of 8x8 hidden units; `header` packed over its six header ints."""
     checkpoint = tmp_path / "fresh.kisc"
     save_checkpoint(PpoAgent(NetDims(hidden1=8, hidden2=8)).params, TrainState(), checkpoint)
+    if header:
+        raw = bytearray(checkpoint.read_bytes())
+        CHECKPOINT_HEADER.pack_into(raw, len(CHECKPOINT_MAGIC), *header)
+        checkpoint.write_bytes(raw)
     return checkpoint
 
 
@@ -209,12 +218,20 @@ def _fresh_checkpoint(tmp_path):
     (["evaluate", "missing.kisc"], "missing.kisc"),
     (["baseline", "--patterns", "ramp", "spike", "ramp"],
      "pattern name 'ramp' is given more than once"),
-    (["evaluate", "CHECKPOINT", "--patterns", "spike", "spike"],
-     "pattern name 'spike' is given more than once")],
+    (["evaluate", (10, 8, 8, 5, 5, 2), "--patterns", "spike", "spike"],
+     "pattern name 'spike' is given more than once"),
+    *((["evaluate", header], f"has {shape}, not the env's 10 and (5, 5, 2)")
+      for header, shape in (((11, 8, 8, 5, 5, 2), "11 inputs and heads (5, 5, 2)"),
+                            ((10, 8, 8, 5, 5, 3), "10 inputs and heads (5, 5, 3)"),
+                            ((10, 8, 8, 4, 4, 4), "10 inputs and heads (4, 4, 4)"),
+                            ((10, 8, 8, 6, 5, 1), "10 inputs and heads (6, 5, 1)")))],
     ids=["baseline_unknown_pattern", "evaluate_missing_checkpoint",
-         "baseline_repeated_pattern", "evaluate_repeated_pattern"])
+         "baseline_repeated_pattern", "evaluate_repeated_pattern", "evaluate_11_inputs",
+         "evaluate_heads_553", "evaluate_heads_444", "evaluate_heads_651"])
 def test_a_refused_comparison_writes_nothing(argv, message, tmp_path, capsys):
-    argv = [str(_fresh_checkpoint(tmp_path)) if a == "CHECKPOINT" else a for a in argv]
+    """A tuple in `argv` is a fresh checkpoint with that header; one of other inputs or
+    heads than the env's (10 and (5, 5, 2)) is refused before --out exists."""
+    argv = [str(_fresh_checkpoint(tmp_path, a)) if isinstance(a, tuple) else a for a in argv]
     out = tmp_path / "out"
     assert main(argv + ["--set", "episode_s=15", "--out", str(out)]) == 1
     assert message in capsys.readouterr().err

@@ -60,6 +60,8 @@ def test_train_refuses_an_out_dir_its_config_file_would_misrecord(tmp_path, caps
                                   "window_s", "hpa_sync_period_s", "periodic_period_s",
                                   "random_redraw_s", "latency_cap_s", "throughput_cap_rps")),
     ("ppo_minibatch", 0), ("ppo_update_every_episodes", 0), ("eval_every", -1),
+    # a training run of no episode: a moving average of none beside a best of -inf
+    ("episodes", 0),
     # outside its pool's bounds: more (or fewer) ready pods than a policy may ask for
     ("init_cpu", 0), ("init_cpu", 7), ("init_gpu", -1), ("init_gpu", 4),
     # a think time in the past, a user looping at one instant, a pod without a slot,
@@ -100,7 +102,7 @@ RULE = {"hold_s": ">= 0", "cpu_concurrency": ">= 1", "gpu_concurrency": ">= 1",
         "ppo_epochs": ">= 1", "cpu_startup_s": ">= 0", "hpa_stabilization_down_s": ">= 0",
         "gpu_startup_s": ">= 0", "cpu_contention_exp": "finite",
         "gpu_contention_exp": "finite", "cpu_min": ">= 0", "gpu_min": ">= 0",
-        "seed": ">= 0", "episodes": ">= 0", "memory_pods": ">= 0", "hidden1": ">= 1",
+        "seed": ">= 0", "episodes": ">= 1", "memory_pods": ">= 0", "hidden1": ">= 1",
         "cpu_pod_busy_millicores": ">= 0", "memory_pod_mem_bytes": ">= 0"}
 
 

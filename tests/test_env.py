@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 from kisim.agent import PpoAgent
 from kisim.baselines import run_baseline
 from kisim.config import ExperimentConfig
-from kisim.env import (DELTAS, OBS_FIELDS, REWARD_TERMS, TIMESERIES_FIELDS, ActionTriple,
-                       EpisodeFinished, ScalingEnv, SimStack, episode_traffic,
+from kisim.env import (ACTIONS, DELTAS, OBS_FIELDS, REWARD_TERMS, TIMESERIES_FIELDS,
+                       ActionTriple, EpisodeFinished, ScalingEnv, SimStack, episode_traffic,
                        run_policy_episode, trace_line)
 from kisim.nn import NetDims
 from kisim.simcore import RoutePref, SimulationError
@@ -118,7 +118,6 @@ def test_a_row_holds_the_time_series_fields_in_order():
 
 def test_each_observation_reads_the_row_of_its_step():
     cfg = ExperimentConfig(episode_s=90.0)
-    assert len(OBS_FIELDS) == NetDims(hidden1=cfg.hidden1, hidden2=cfg.hidden2).obs_dim
     env = ScalingEnv(cfg)
     obs = env.reset_to("periodic", 7)
     done = False
@@ -322,3 +321,13 @@ def test_an_action_of_bools_is_refused(fields):
 def test_route_pref_members_and_numpy_ints_are_actions():
     assert [ActionTriple(0, 0, pref).pref for pref in RoutePref] == [0, 1]
     assert ActionTriple(np.int64(-2), np.int64(2), np.int64(1)) == ActionTriple(-2, 2, 1)
+    for pref in (1, np.int64(1), RoutePref.GPU_FIRST):
+        assert ActionTriple(0, 0, pref).pref is RoutePref.GPU_FIRST
+
+
+def test_the_action_table_holds_every_action_once_by_its_head_indices():
+    assert len(set(ACTIONS.values())) == len(ACTIONS) == 50
+    assert list(ACTIONS) == sorted(ACTIONS)
+    for (g, c, p), action in ACTIONS.items():
+        assert action == ActionTriple(DELTAS[g], DELTAS[c], p)
+        assert action.pref is RoutePref(p)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kisim.env import HEAD_SIZES, OBS_FIELDS
 from kisim.nn import (ActorCriticParams, Adam, NetDims, _trunk, _trunk_backward, actor_forward,
                       critic_forward, log_softmax, ppo_loss_and_grads, tensor_shapes)
 
@@ -59,8 +60,8 @@ def problem():
     for name in params:
         params[name] = params[name] + 0.3 * rng.standard_normal(params[name].shape)
     n = 12
-    obs = rng.uniform(0.0, 1.0, size=(n, dims.obs_dim))
-    actions = np.stack([rng.integers(0, k, size=n) for k in dims.heads], axis=1)
+    obs = rng.uniform(0.0, 1.0, size=(n, len(OBS_FIELDS)))
+    actions = np.stack([rng.integers(0, k, size=n) for k in HEAD_SIZES], axis=1)
     logits, _ = actor_forward(params, obs)
     new_logp = joint_log_prob(logits, actions)
     # Ratios inside the clip band, and well outside it on both sides, with
