@@ -241,6 +241,9 @@ def load_checkpoint(path: str | Path) -> tuple[ActorCriticParams, TrainState]:
     if (n_inputs, tuple(heads)) != (len(OBS_FIELDS), HEAD_SIZES):
         raise CheckpointError(f"checkpoint {path} has {n_inputs} inputs and heads {tuple(heads)}, "
                               f"not the env's {len(OBS_FIELDS)} and {HEAD_SIZES}")
+    if min(h1, h2) < 1:     # the config's rule: a network of no unit is refused
+        raise CheckpointError(f"checkpoint {path} has hidden sizes {(h1, h2)}, but the "
+                              "config's rule is hidden1 >= 1 and hidden2 >= 1")
     off = len(CHECKPOINT_MAGIC) + CHECKPOINT_HEADER.size
     dims = NetDims(hidden1=h1, hidden2=h2)
     shapes = tensor_shapes(dims)

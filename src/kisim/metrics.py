@@ -72,31 +72,34 @@ def mean_busy(cluster: ClusterModel, pool: Pool) -> float:
 
 
 class UtilizationModel:
-    """Node-level utilization from the config's per-pod idle/busy constants."""
+    """Node-level utilization from the config's per-pod idle/busy constants, read once."""
 
     def __init__(self, cfg: ExperimentConfig) -> None:
         self.cfg = cfg
+        self._base = (cfg.memory_pods * cfg.memory_pod_millicores,
+                      cfg.memory_pods * cfg.memory_pod_mem_bytes)
+        # per pool: its Ready pods' idle millicores, busy minus idle, and memory
+        self._pools = ((Pool.CPU, cfg.cpu_pod_idle_millicores,
+                        cfg.cpu_pod_busy_millicores - cfg.cpu_pod_idle_millicores,
+                        cfg.cpu_pod_mem_bytes),
+                       (Pool.GPU, cfg.gpu_pod_idle_millicores,
+                        cfg.gpu_pod_busy_millicores - cfg.gpu_pod_idle_millicores,
+                        cfg.gpu_pod_mem_bytes))
 
     def cpu_mem_utilization(self, cluster: ClusterModel) -> tuple[float, float]:
-        cfg = self.cfg
-        millicores = cfg.memory_pods * cfg.memory_pod_millicores
-        mem = cfg.memory_pods * cfg.memory_pod_mem_bytes
+        millicores, mem = self._base
         # summed pod by pod: a pool's mean busy fraction times its pod count
         # can round differently
-        for pool, idle, busy, pod_mem in (
-                (Pool.CPU, cfg.cpu_pod_idle_millicores, cfg.cpu_pod_busy_millicores,
-                 cfg.cpu_pod_mem_bytes),
-                (Pool.GPU, cfg.gpu_pod_idle_millicores, cfg.gpu_pod_busy_millicores,
-                 cfg.gpu_pod_mem_bytes)):
+        for pool, idle, swing, pod_mem in self._pools:
             for pod in cluster.ready_pods(pool):
-                millicores += idle + pod.in_service / pod.concurrency_cap * (busy - idle)
+                millicores += idle + pod.in_service / pod.concurrency_cap * swing
                 mem += pod_mem
-        cpu_util = min(1.0, millicores / cfg.node_millicores)
-        mem_util = min(1.0, mem / cfg.node_mem_bytes)
-        return (cpu_util, mem_util)
+        cfg = self.cfg
+        return (min(1.0, millicores / cfg.node_millicores), min(1.0, mem / cfg.node_mem_bytes))
 
     def gpu_utilization(self, cluster: ClusterModel) -> float:
-        ready = len(cluster.ready_pods(Pool.GPU))
+        ready = cluster.gpu_ready   # mean_busy of the GPU pool, its index read once
         if not ready:
             return 0.0
-        return min(1.0, mean_busy(cluster, Pool.GPU) * (ready / cluster.gpu_device_budget))
+        busy = sum(p.in_service / p.concurrency_cap for p in ready) / len(ready)
+        return min(1.0, busy * (len(ready) / cluster.gpu_device_budget))

@@ -10,8 +10,8 @@ loop, so a (seed, config) pair always replays the same trace.
 An event is a (fire_at, seq, action, args) tuple: at fire_at the engine calls
 action(*args), and seq, the count of events scheduled so far, breaks ties in
 scheduling order. An event waits in the heap, or in the in-order lane, a FIFO
-for events whose due times never decrease (wakes a constant delay after their
-scheduling instant). `run_until` fires the earlier (fire_at, seq) of the two
+for events whose due times never decrease (arrivals, a constant delay after
+their scheduling instant). `run_until` fires the earlier (fire_at, seq) of the two
 heads, so an event fires in the same place, with the same seq, in either queue.
 Repeated instants are computed as k*interval, never as a running sum, so
 every loop over the same interval sees the same times.
@@ -27,7 +27,7 @@ Each pool also keeps a Ready index, its Ready pods in id order, changed only whe
 a pod turns Ready or stops being Ready, so routing and utilization never filter
 pods; `ready_pods(pool)` returns the index itself, which callers must not change.
 The engine never rebinds `clock`, `heap` or `lane`: `ClusterModel` pushes its service
-starts, and `LoadGenerator` its wakes, straight onto them, each bumping `clock.seq`.
+starts, and `LoadGenerator` its arrivals, straight onto them, each bumping `clock.seq`.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class RoutePref(IntEnum):
 
 
 # bound once: reading a member off its Enum class is a slow lookup in Python 3.11
-_READY, _TERMINATING, _GPU_FIRST = PodPhase.READY, PodPhase.TERMINATING, RoutePref.GPU_FIRST
+_READY, _TERMINATING = PodPhase.READY, PodPhase.TERMINATING
 
 
 @dataclass(slots=True)
@@ -232,6 +232,8 @@ class ClusterModel:
         self.gpu_pods: list[Pod] = []
         self.cpu_ready: list[Pod] = []     # the Ready index, one per pool
         self.gpu_ready: list[Pod] = []
+        # _route's pool order by routing_pref: the Ready indexes are never rebound
+        self._orders = ((self.cpu_ready, self.gpu_ready), (self.gpu_ready, self.cpu_ready))
         self.backlog: deque[Request] = deque()
 
         self._next_pod_id = 0
@@ -350,10 +352,7 @@ class ClusterModel:
         self._route(req)
 
     def _route(self, req: Request) -> None:
-        if self.routing_pref is _GPU_FIRST:
-            order = (self.gpu_ready, self.cpu_ready)
-        else:
-            order = (self.cpu_ready, self.gpu_ready)
+        order = self._orders[self.routing_pref]
         for pods in order:
             # pods are in id order, so the first strict minimum is the (count, id) one
             target = None

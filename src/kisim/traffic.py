@@ -4,9 +4,10 @@ Each virtual user issues one request, waits for its completion, sleeps the
 think time `hold_s`, then repeats (Locust-style). The target number of
 concurrent users follows a deterministic curve per pattern, shaped by the
 config's `users_*`, `periodic_period_s`, `spike_*` and `random_redraw_s`;
-surplus users retire once their in-flight request completes. The episode ends
-at `episode_s`, a time rather than an event: from then on no user is spawned,
-woken or sent back to think, so the generator issues no further request.
+surplus users retire at once, though a request in flight still completes. A
+user's next request waits on the engine's lane, due `hold_s` after its last one
+completes, for `ClusterModel.submit`; retiring the user withdraws it. The episode
+ends at `episode_s`, a time rather than an event: no request arrives from then on.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ class LoadGenerator:
         self.seed = seed
         self.engine = engine
         self.cluster = cluster
-        self._hold_s, self._clock, self._lane = cfg.hold_s, engine.clock, engine.lane
+        self._hold_s, self._episode_s = cfg.hold_s, cfg.episode_s
+        self._clock, self._lane = engine.clock, engine.lane
         if kind == "random":
             # seeded piecewise-constant levels, one per redraw period
             n = int(math.ceil(cfg.episode_s / cfg.random_redraw_s))
@@ -76,39 +78,42 @@ class LoadGenerator:
     # ---- internals ---------------------------------------------------------
 
     def _sync(self, now: float) -> None:
-        if now >= self.cfg.episode_s:
+        if now >= self._episode_s:
             return
         target = self.target(now)
         while len(self._active) < target:
             self._spawn_user()
         if len(self._active) > target:
-            # Retire the newest users first; the completion or wake-up that a
-            # retired user still has pending finds its uid gone and ends there.
-            for uid in sorted(self._active, reverse=True)[:len(self._active) - target]:
-                self._active.remove(uid)
+            # Retire the newest users first. A retired user's pending arrival is
+            # withdrawn from the lane; a completion still in flight finds its uid gone.
+            retired = set(sorted(self._active, reverse=True)[:len(self._active) - target])
+            self._active -= retired
+            kept = [e for e in self._lane if e[3][0].user not in retired]
+            self._lane.clear()
+            self._lane.extend(kept)
 
     def _spawn_user(self) -> None:
         self._next_user_id += 1
         self._active.add(self._next_user_id)
-        self._wake(self._next_user_id)      # issues its first request now
+        self._next_request_id += 1      # its first request arrives now
+        self.cluster.submit(Request(self._next_request_id, self._clock.now,
+                                    None, None, None, self._next_user_id))
 
     def _on_complete(self, req: Request) -> None:
         uid = req.user
         if uid not in self._active:     # a retired user, or no user at all
             return
         clock, lane = self._clock, self._lane
-        if clock.now >= self.cfg.episode_s:
+        if clock.now >= self._episode_s:
             self._active.remove(uid)
             return
-        fire_at = clock.now + self._hold_s  # a constant delay >= 0: due times never decrease
-        if lane and fire_at < lane[-1][0]:
-            raise SimulationError(f"wake at {fire_at} before the lane's last event")
+        due = clock.now + self._hold_s  # a constant delay >= 0: due times never decrease
+        if due >= self._episode_s:      # the episode ends while the user thinks
+            return
+        if lane and due < lane[-1][0]:
+            raise SimulationError(f"arrival at {due} before the lane's last event")
+        self._next_request_id += 1
         clock.seq += 1
-        lane.append((fire_at, clock.seq, self._wake, (uid,)))
-
-    def _wake(self, uid: int) -> None:
-        now = self._clock.now
-        if now < self.cfg.episode_s and uid in self._active:
-            self._next_request_id += 1
-            # Request(id, arrived_at, service_started_at, completed_at, pod_id, user)
-            self.cluster.submit(Request(self._next_request_id, now, None, None, None, uid))
+        # Request(id, arrived_at, service_started_at, completed_at, pod_id, user)
+        lane.append((due, clock.seq, self.cluster.submit,
+                     (Request(self._next_request_id, due, None, None, None, uid),)))

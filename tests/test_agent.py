@@ -339,3 +339,14 @@ def test_a_network_of_other_inputs_or_heads_than_the_envs_is_a_checkpoint_error(
     with pytest.raises(CheckpointError,
                        match=re.escape(f"has {shape}, not the env's 10 and (5, 5, 2)")):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("hidden", [(0, 0), (1, 0)])
+def test_a_network_of_no_hidden_unit_is_a_checkpoint_error(tmp_path, hidden):
+    """The config refuses hidden sizes below 1; a KISC1 file saved from them loads as
+    a constant policy of the head biases unless load_checkpoint refuses it too."""
+    path = tmp_path / "hollow.kisc"
+    save_checkpoint(PpoAgent(NetDims(*hidden)).params, TrainState(), path)
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"has hidden sizes {hidden}, but the config's rule is hidden1 >= 1 and hidden2 >= 1")):
+        load_checkpoint(path)

@@ -238,6 +238,16 @@ def test_a_refused_comparison_writes_nothing(argv, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("hidden", [(0, 0), (1, 0)])
+def test_evaluate_refuses_a_checkpoint_of_no_hidden_unit(hidden, tmp_path, capsys):
+    checkpoint = tmp_path / "hollow.kisc"
+    save_checkpoint(PpoAgent(NetDims(*hidden)).params, TrainState(), checkpoint)
+    out = tmp_path / "out"
+    assert main(["evaluate", str(checkpoint), "--set", "episode_s=15", "--out", str(out)]) == 1
+    assert "the config's rule is hidden1 >= 1 and hidden2 >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _assert_cells_read_back(csv_rows, rows):
     """Every cell is its value's text; a float's parses back to the same float."""
     assert len(csv_rows) == len(rows)

@@ -158,6 +158,6 @@ def test_a_built_config_cannot_change():
 
 def test_a_derived_config_is_validated_like_a_built_one():
     """A config changes only into a new one, refused as a built one would be: a think
-    time in the past cannot reach the load generator, which pushes its wakes unchecked."""
+    time in the past cannot reach the load generator, which pushes its arrivals unchecked."""
     with pytest.raises(ConfigError, match="hold_s must be >= 0"):
         replace(ExperimentConfig(), hold_s=-0.1)

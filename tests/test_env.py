@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -11,7 +12,7 @@ from hypothesis import given, strategies as st
 from kisim.agent import PpoAgent
 from kisim.baselines import run_baseline
 from kisim.config import ExperimentConfig
-from kisim.env import (ACTIONS, DELTAS, OBS_FIELDS, REWARD_TERMS, TIMESERIES_FIELDS,
+from kisim.env import (ACTIONS, DELTAS, HEAD_SIZES, OBS_FIELDS, REWARD_TERMS, TIMESERIES_FIELDS,
                        ActionTriple, EpisodeFinished, ScalingEnv, SimStack, episode_traffic,
                        run_policy_episode, trace_line)
 from kisim.nn import NetDims
@@ -331,3 +332,28 @@ def test_the_action_table_holds_every_action_once_by_its_head_indices():
     for (g, c, p), action in ACTIONS.items():
         assert action == ActionTriple(DELTAS[g], DELTAS[c], p)
         assert action.pref is RoutePref(p)
+
+
+def test_a_deep_copy_of_an_untraced_env_mid_episode_steps_like_its_source():
+    """A fork for planning: `copy.deepcopy` of a ScalingEnv mid-episode, whose lane holds
+    each thinking user's next Request beside its cluster's bound `submit`, replays the
+    source's rows, observations, rewards and event count step for step to the end."""
+    env = ScalingEnv(ExperimentConfig())
+    env.reset_to("periodic", traffic_seed=11)
+    plan = [ACTIONS[g, c, p] for g, c, p in
+            np.random.default_rng(5).integers(0, HEAD_SIZES, size=(20, 3)).tolist()]
+    for action in plan[:7]:
+        env.step(action)
+    fork = copy.deepcopy(env)
+    lane = fork.stack.engine.lane
+    assert lane and all(e[2].__self__ is fork.stack.cluster and e[3][0].user for e in lane)
+    assert lane[0][3][0] is not env.stack.engine.lane[0][3][0]
+    done = False
+    for action in plan[7:]:
+        assert not done
+        results = [sim.step(action) for sim in (env, fork)]
+        (obs, reward, done), (fork_obs, fork_reward, fork_done) = results
+        assert (fork.row, fork_obs.tobytes(), fork_reward, fork_done) == \
+            (env.row, obs.tobytes(), reward, done)
+        assert fork.stack.engine.clock.seq == env.stack.engine.clock.seq
+    assert done

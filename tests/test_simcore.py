@@ -630,7 +630,19 @@ class ReferenceCluster(ClusterModel):
 
 
 class ReferenceGenerator(LoadGenerator):
-    """Think-time wakes as they went through the checked lane push."""
+    """Think-time wakes as they went through the checked lane push: each wake
+    checks its user and the episode's end, then builds and submits the request."""
+
+    def _sync(self, now):
+        if now >= self.cfg.episode_s:
+            return
+        target = self.target(now)
+        while len(self._active) < target:
+            self._next_user_id += 1
+            self._active.add(self._next_user_id)
+            self._wake(self._next_user_id)
+        for uid in sorted(self._active, reverse=True)[:len(self._active) - target]:
+            self._active.remove(uid)
 
     def _on_complete(self, req):
         uid = req.user
@@ -641,6 +653,12 @@ class ReferenceGenerator(LoadGenerator):
             self._active.remove(uid)
             return
         schedule_in_order(self.engine, now + cfg.hold_s, self._wake, uid)
+
+    def _wake(self, uid):
+        now = self.engine.clock.now
+        if now < self.cfg.episode_s and uid in self._active:
+            self._next_request_id += 1
+            self.cluster.submit(Request(self._next_request_id, now, user=uid))
 
 
 def run_request_cycle(cluster_cls, generator_cls, hold_s):
@@ -673,7 +691,9 @@ def run_request_cycle(cluster_cls, generator_cls, hold_s):
         engine.run_until(t)
         cluster.set_desired_replicas(pool, count)
     engine.run_until(120.0)
-    left = [(e[0], e[1], e[2].__name__) for e in sorted(engine.heap) + list(engine.lane)]
+    # a lane event is a user's next arrival: its wake's uid, or its request's user
+    left = ([(e[0], e[1], e[2].__name__) for e in sorted(engine.heap)]
+            + [(e[0], e[1], getattr(e[3][0], "user", e[3][0])) for e in engine.lane])
     return requests, seqs, engine.clock.seq, left
 
 

@@ -236,3 +236,55 @@ def test_a_wake_due_before_the_lanes_last_event_is_refused_and_leaves_no_trace()
     with pytest.raises(SimulationError, match="before the lane's last event"):
         engine.run_until(1.0)               # the completion at 0.0816 wakes user 1 at 0.5816
     assert engine.clock.seq == scheduled and len(engine.lane) == 1
+
+
+def test_a_thinking_user_retired_by_sync_is_never_submitted():
+    """A user's next request waits in the lane while the user thinks; the sync that
+    retires the user withdraws it, leaving the rest of the lane in order."""
+    engine, cluster = make_cluster()
+    cluster.spawn_ready(Pool.CPU, 2)
+    cluster.spawn_ready(Pool.GPU, 1)
+    gen = LoadGenerator(config(users_min=4, users_max=40, periodic_period_s=60.0, hold_s=3.0),
+                        "periodic", 5, engine, cluster)
+    submit, sync = cluster.submit, gen._sync
+    retired_thinking = set()
+
+    def tracked_submit(req):
+        assert req.user in gen._active and req.arrived_at == engine.now
+        submit(req)
+
+    def tracked_sync(now):
+        active, thinking = set(gen._active), {e[3][0].user for e in engine.lane}
+        sync(now)
+        retired_thinking.update((active - gen._active) & thinking)
+        assert {e[3][0].user for e in engine.lane} <= gen._active
+        due = [e[0] for e in engine.lane]
+        assert due == sorted(due)
+
+    cluster.submit, gen._sync = tracked_submit, tracked_sync
+    gen.start()
+    engine.run_until(120.0)
+    assert len(retired_thinking) > 10
+
+
+@pytest.mark.parametrize("hold_s", [0.0, 0.5, 3.0])
+def test_no_request_is_injected_at_or_after_the_episode_end(hold_s):
+    """A user whose think time ends at or after `episode_s` sends nothing more, so
+    nothing waits in the lane for it either."""
+    engine, cluster, gen = run_generator("ramp", init_cpu=2, users_min=4, users_max=40,
+                                         episode_s=20.0, hold_s=hold_s)
+    submit, arrivals = cluster.submit, []
+
+    def tracked_submit(req):
+        arrivals.append(req.arrived_at)
+        submit(req)
+
+    def after_the_generator(req):
+        assert all(e[0] < 20.0 for e in engine.lane)
+
+    cluster.submit = tracked_submit
+    cluster.completion_listeners.append(after_the_generator)
+    engine.run_until(40.0)
+    assert arrivals and max(arrivals) < 20.0
+    assert not engine.lane and cluster.requests_injected == len(arrivals)
+    assert cluster.requests_completed == cluster.requests_injected
