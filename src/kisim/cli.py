@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -240,6 +241,18 @@ def cmd_evaluate(args) -> int:
 
 # ---- replay ---------------------------------------------------------------
 
+_COUNT_FIELDS = ("episode", "step", "desired_gpu", "desired_cpu", "users")
+_PATTERNS = frozenset(PATTERN_NAMES)
+
+
+def _finite_number(v) -> bool:
+    """An int or float (not a bool) that a float holds, and not NaN or an infinity."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:   # an int past any float
+        return False
+
+
 def cmd_replay(args) -> int:
     path = Path(args.trace)
     if not path.exists():
@@ -279,6 +292,16 @@ def cmd_replay(args) -> int:
                 "desired_cpu": rec["desired_cpu"],
                 "users": rec["users"],
             }
+            for key in _COUNT_FIELDS:
+                if type(row[key]) is not int or row[key] < 0:     # a bool is no count either
+                    raise ReplayError(f"trace line {lineno}: {key} {row[key]!r} is not a "
+                                      f"non-negative int")
+            if row["pattern"] not in _PATTERNS:   # a set: an unhashable pattern is a TypeError
+                raise ReplayError(f"trace line {lineno}: pattern {row['pattern']!r} is not one "
+                                  f"of {PATTERN_NAMES}")
+            if not _finite_number(row["reward_total"]):
+                raise ReplayError(f"trace line {lineno}: reward.total {row['reward_total']!r} "
+                                  f"is not a finite number")
             returns[row["episode"]] += row["reward_total"]
             by_pattern[row["pattern"]][tuple(action)] += 1
         except KeyError as exc:

@@ -7,6 +7,12 @@ all read it, and the reward and the trace record share one (GPU, CPU) replica
 count. Observations are float64 vectors in `OBS_FIELDS` order (all components
 in [0, 1]); actions are (GPU delta, CPU delta, placement preference) triples,
 the `ACTIONS` of the policy's `HEAD_SIZES`, which no other module restates.
+
+A traced step writes one `TRACE_LINE`, the bytes `json.dumps` writes for its record,
+each value as the text `repr(round(x, 9))`. The texts of non-zero floats come from a memo
+of at most 4,096 entries; an int never reads a float's text (`1` is not `1.0`), and a zero
+skips the memo, since `0.0` and `-0.0` are one key with two texts. The bytes must not move:
+the determinism digest and the tests' pinned hashes read them.
 """
 
 from __future__ import annotations
@@ -53,25 +59,47 @@ ACTIONS = {(g, c, p): ActionTriple(DELTAS[g], DELTAS[c], p)
            for g, c, p in itertools.product(*map(range, HEAD_SIZES))}
 
 # One trace.jsonl line: for finite values, the bytes of json.dumps(record, separators=(",",
-# ":")). Ints by %d, floats by %r (float.__repr__, as json writes them); the pattern is one
-# of PATTERN_NAMES, which need no escaping.
+# ":")). Ints by %d; each float by %s of its text repr(round(x, 9)) (float.__repr__, as json
+# writes it), remembered for a float by _value_text; the pattern is one of PATTERN_NAMES,
+# which need no escaping.
 REWARD_TERMS = ("latency", "gpu_util", "overhead", "smoothness", "total")
 TRACE_LINE = ('{"episode":%d,"step":%d,"pattern":"%s","obs":['
-              + ",".join(["%r"] * len(OBS_FIELDS)) + '],"action":[%d,%d,%d],"reward":{'
-              + ",".join(f'"{k}":%r' for k in REWARD_TERMS)
+              + ",".join(["%s"] * len(OBS_FIELDS)) + '],"action":[%d,%d,%d],"reward":{'
+              + ",".join(f'"{k}":%s' for k in REWARD_TERMS)
               + '},"desired_gpu":%d,"desired_cpu":%d,"users":%d}\n')
+
+
+_TEXTS: dict[float, str] = {}     # the memo of _value_text, at most _TEXTS_MAX entries
+_TEXTS_MAX = 4096
+
+
+def _value_text(x: float) -> str:
+    """repr(round(x, 9)), remembered in _TEXTS for a float: a control step's values repeat
+    from step to step. Full, the memo starts again empty, so it holds at most _TEXTS_MAX."""
+    text = repr(round(x, 9))
+    if type(x) is float:
+        if len(_TEXTS) >= _TEXTS_MAX:
+            _TEXTS.clear()
+        _TEXTS[x] = text
+    return text
 
 
 def trace_line(episode: int, step: int, pattern: str, obs: list, action: ActionTriple,
                terms: dict, desired: tuple[int, int], users: int) -> str:
     """One trace record, each obs value and reward term as `round(x, 9)`. A
     non-finite one is a SimulationError: json would write NaN, which is not JSON."""
-    values = [round(x, 9) for x in (*obs, *terms.values())]
+    values = (*obs, *terms.values())
     if not all(map(math.isfinite, values)):
         raise SimulationError(f"episode {episode} step {step}: non-finite observation or "
-                              f"reward term in {values}")
-    return TRACE_LINE % (episode, step, pattern, *values[:len(obs)], action.d_gpu, action.d_cpu,
-                         action.pref, *values[len(obs):], *desired, users)
+                              f"reward term in {[round(x, 9) for x in values]}")
+    # Only a non-zero float reads the memo: an int's text is never an equal float's (1 is
+    # not 1.0), and 0.0 and -0.0, one key with two texts, are their own repr (round keeps
+    # the sign). A text is never empty, so `or` falls through on a miss alone.
+    remembered = _TEXTS.get
+    texts = [(type(x) is float and (remembered(x) if x else repr(x))) or _value_text(x)
+             for x in values]
+    return TRACE_LINE % (episode, step, pattern, *texts[:len(obs)], action.d_gpu, action.d_cpu,
+                         action.pref, *texts[len(obs):], *desired, users)
 
 
 # the keys of SimStack.row(), in order: the columns of every time-series CSV

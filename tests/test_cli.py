@@ -38,6 +38,14 @@ def test_train_evaluate_replay_smoke(tmp_path):
         assert (eval_dir / f"timeseries_{pattern}_{policy}.csv").exists()
 
 
+def replay_record(episode=0, step=1, pattern="ramp", total=0.25, desired_gpu=1, desired_cpu=3,
+                  users=5) -> str:
+    """One trace line of a valid record but for the fields given."""
+    return json.dumps({"episode": episode, "step": step, "pattern": pattern, "action": [0, 0, 1],
+                       "reward": {"total": total}, "desired_gpu": desired_gpu,
+                       "desired_cpu": desired_cpu, "users": users})
+
+
 @pytest.mark.parametrize("line, message", [
     ("{}", "trace line 1: missing key 'action'"),
     ("3", "trace line 1: not a JSON object"),
@@ -48,9 +56,27 @@ def test_train_evaluate_replay_smoke(tmp_path):
      '"desired_gpu":1,"desired_cpu":3,"users":5}', "trace line 1: unhashable type: 'list'"),
     ('{"episode":0,"action":[7,9,3]}', "trace line 1: action [7, 9, 3]: deltas must be in"),
     ('{"episode":0,"action":[0,0,2]}',
-     "trace line 1: action [0, 0, 2]: 2 is not a valid RoutePref")],
+     "trace line 1: action [0, 0, 2]: 2 is not a valid RoutePref"),
+    (replay_record() + "\n" + replay_record(episode="x"),
+     "trace line 2: episode 'x' is not a non-negative int"),
+    (replay_record(episode=2.5), "trace line 1: episode 2.5 is not a non-negative int"),
+    (replay_record(episode=True), "trace line 1: episode True is not a non-negative int"),
+    (replay_record(step=-1), "trace line 1: step -1 is not a non-negative int"),
+    (replay_record(pattern="nope"), "trace line 1: pattern 'nope' is not one of ("),
+    (replay_record(total=True), "trace line 1: reward.total True is not a finite number"),
+    (replay_record(total="1"), "trace line 1: reward.total '1' is not a finite number"),
+    (replay_record(total=math.nan), "trace line 1: reward.total nan is not a finite number"),
+    (replay_record(total=-math.inf), "trace line 1: reward.total -inf is not a finite number"),
+    (replay_record(total=10**400), "trace line 1: reward.total 1000"),
+    (replay_record(desired_gpu=-1), "trace line 1: desired_gpu -1 is not a non-negative int"),
+    (replay_record(desired_cpu=3.0), "trace line 1: desired_cpu 3.0 is not a non-negative int"),
+    (replay_record(users="many"), "trace line 1: users 'many' is not a non-negative int")],
     ids=["no_keys", "not_an_object", "short_action", "reward_not_an_object", "list_pattern",
-         "action_outside_the_deltas", "action_outside_the_prefs"])
+         "action_outside_the_deltas", "action_outside_the_prefs", "episode_a_string_after_an_int",
+         "episode_a_float", "episode_a_bool", "step_negative", "pattern_unknown",
+         "reward_total_a_bool", "reward_total_a_string", "reward_total_nan", "reward_total_inf",
+         "reward_total_past_any_float", "desired_gpu_negative", "desired_cpu_a_float",
+         "users_a_string"])
 def test_replay_refuses_a_trace_record_it_cannot_read(line, message, tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     trace.write_text(line + "\n")

@@ -14,7 +14,7 @@ from kisim.baselines import run_baseline
 from kisim.config import ExperimentConfig
 from kisim.env import (ACTIONS, DELTAS, HEAD_SIZES, OBS_FIELDS, REWARD_TERMS, TIMESERIES_FIELDS,
                        ActionTriple, EpisodeFinished, ScalingEnv, SimStack, episode_traffic,
-                       run_policy_episode, trace_line)
+                       _TEXTS, _TEXTS_MAX, run_policy_episode, trace_line)
 from kisim.nn import NetDims
 from kisim.simcore import RoutePref, SimulationError
 from kisim.traffic import PATTERN_NAMES
@@ -285,6 +285,73 @@ def test_the_trace_template_writes_the_bytes_json_dumps_writes(episode, step, pa
     line = trace_line(episode, step, pattern, obs, action, terms, desired, users)
     assert line == json_trace_line(episode, step, pattern, obs, action, terms, desired, users)
     assert json.loads(line)["reward"]["total"] == round(terms["total"], 9)
+
+
+N_TRACE_VALUES = len(OBS_FIELDS) + len(REWARD_TERMS)
+
+
+def trace_lines_of(*rows):
+    """(trace_line, json_trace_line) of each row of N_TRACE_VALUES values, in order: the
+    first len(OBS_FIELDS) are the observation, the rest the reward terms."""
+    lines = []
+    for values in rows:
+        obs, terms = list(values[:len(OBS_FIELDS)]), dict(zip(REWARD_TERMS,
+                                                              values[len(OBS_FIELDS):]))
+        args = (3, 4, "spike", obs, ActionTriple(1, -1, 0), terms, (1, 2), 7)
+        lines.append((trace_line(*args), json_trace_line(*args)))
+    return lines
+
+
+@pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)], ids=["plus_first", "minus_first"])
+def test_each_signed_zero_writes_its_own_text_whichever_came_first(zeros):
+    _TEXTS.clear()
+    rows = [[zeros[0]] * N_TRACE_VALUES, [zeros[1]] * N_TRACE_VALUES,
+            [zeros[i % 2] for i in range(N_TRACE_VALUES)]]
+    for line, reference in trace_lines_of(*rows):
+        assert line == reference
+
+
+@pytest.mark.parametrize("int_first", [True, False])
+def test_an_int_and_an_equal_float_keep_their_own_texts(int_first):
+    """An int among the reward terms (the reference writes obs values as floats)."""
+    _TEXTS.clear()
+    ints = [0.5] * len(OBS_FIELDS) + [1, 2, 1, 2, 1]
+    floats = [1.0] * len(OBS_FIELDS) + [1.0, 2.0, 1.0, 2.0, 1.0]
+    for line, reference in trace_lines_of(*([ints, floats] if int_first else [floats, ints])):
+        assert line == reference
+    assert trace_lines_of(ints)[0][0].endswith(
+        '"reward":{"latency":1,"gpu_util":2,"overhead":1,"smoothness":2,"total":1},'
+        '"desired_gpu":1,"desired_cpu":2,"users":7}\n')
+
+
+def test_a_value_evicted_from_the_memo_writes_the_same_bytes_again():
+    _TEXTS.clear()
+    row = [0.123456789123] * N_TRACE_VALUES
+    before = trace_lines_of(row)
+    trace_lines_of(*([k + 0.5 for k in range(i, i + N_TRACE_VALUES)]     # > _TEXTS_MAX others
+                     for i in range(0, _TEXTS_MAX + N_TRACE_VALUES, N_TRACE_VALUES)))
+    assert row[0] not in _TEXTS
+    after = trace_lines_of(row)
+    assert row[0] in _TEXTS
+    assert after == before and after[0][0] == after[0][1]
+
+
+def test_the_memo_stays_within_its_bound_over_100000_distinct_values():
+    values = [k / 7.0 + 1.0 for k in range(100_000)]
+    for i in range(0, len(values), N_TRACE_VALUES):
+        trace_lines_of((values[i:i + N_TRACE_VALUES] * 2)[:N_TRACE_VALUES])
+        assert len(_TEXTS) <= _TEXTS_MAX == 4096
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+def test_a_non_finite_value_raises_its_old_message_and_is_never_remembered(value):
+    trace_lines_of([0.5] * N_TRACE_VALUES)
+    memo = dict(_TEXTS)
+    with pytest.raises(SimulationError) as info:
+        trace_lines_of([0.5] * (N_TRACE_VALUES - 1) + [value])
+    assert str(info.value) == ("episode 3 step 4: non-finite observation or reward term in ["
+                               + "0.5, " * (N_TRACE_VALUES - 1) + repr(value) + "]")
+    assert _TEXTS == memo
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])

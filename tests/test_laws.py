@@ -1,0 +1,105 @@
+"""Operational laws of the whole stack, exact to float rounding.
+
+A bare `SimStack` is stepped from event instant to event instant, each the earlier
+head of the engine's heap and lane, so the cluster's state is constant between two
+instants and its time integrals are sums over those segments:
+
+- Little's law: the time integral of `outstanding()` over [0, T] is the time the
+  submitted requests spent in the system up to T;
+- the utilization law, per pool: the time integral of the requests in service on the
+  pool's pods is the service time its requests received up to T.
+"""
+
+import itertools
+import math
+
+import pytest
+
+from kisim.config import ExperimentConfig
+from kisim.env import SimStack
+from kisim.simcore import PodPhase, Pool
+from kisim.traffic import PATTERN_NAMES
+
+REL = 1e-9
+
+
+def run_to_the_end(stack):
+    """Step `stack` to `episode_s` instant by instant. Returns every request submitted,
+    the integrals of outstanding() and of each pool's requests in service, the pool of
+    every pod seen, every (pod id, phase) seen and the longest backlog seen."""
+    cluster, engine, end = stack.cluster, stack.engine, stack.config.episode_s
+    submitted = []
+    submit = cluster.submit
+
+    def collect(request):
+        submitted.append(request)
+        submit(request)
+
+    cluster.submit = collect     # the generator and the lane look submit up on the instance
+    outstanding, in_service = 0.0, dict.fromkeys(Pool, 0.0)
+    pool_of, phases_seen, backlog = {}, set(), 0
+    now = engine.now
+    while now < end:
+        heads = [queue[0][0] for queue in (engine.heap, engine.lane) if queue]
+        nxt = min(heads + [end])
+        span = nxt - now
+        outstanding += cluster.outstanding() * span
+        backlog = max(backlog, len(cluster.backlog))
+        for pool in Pool:
+            pods = cluster.pods(pool)
+            in_service[pool] += sum(p.in_service for p in pods) * span
+            for p in pods:
+                pool_of[p.id] = pool
+                phases_seen.add((p.id, p.phase))
+        engine.run_until(nxt)
+        now = nxt
+    return submitted, outstanding, in_service, pool_of, phases_seen, backlog
+
+
+def assert_the_laws_hold(stack):
+    """Run `stack` to its end, check both laws; returns what `run_to_the_end` saw."""
+    submitted, outstanding, in_service, *seen = run_to_the_end(stack)
+    end = stack.config.episode_s
+    assert submitted and stack.cluster.requests_completed > 0
+    assert len(submitted) == stack.cluster.requests_injected
+
+    def until_end(t):
+        return end if t is None else min(t, end)
+
+    in_system = math.fsum(until_end(r.completed_at) - r.arrived_at for r in submitted)
+    assert outstanding == pytest.approx(in_system, rel=REL)
+    for pool in Pool:
+        served = math.fsum(until_end(r.completed_at) - r.service_started_at for r in submitted
+                           if r.service_started_at is not None and seen[0][r.pod_id] is pool)
+        assert in_service[pool] == pytest.approx(served, rel=REL, abs=0.0)
+    return submitted, *seen
+
+
+@pytest.mark.parametrize("pattern, pods", itertools.product(PATTERN_NAMES,
+                                                            [(3, 0), (0, 1), (6, 1)]))
+def test_littles_law_and_the_utilization_law_hold_over_an_episode(pattern, pods):
+    submitted, pool_of, _, _ = assert_the_laws_hold(
+        SimStack(ExperimentConfig(), pattern, traffic_seed=11, init_cpu=pods[0],
+                 init_gpu=pods[1]))
+    assert {pool_of[r.pod_id] for r in submitted if r.pod_id is not None} == \
+        {pool for pool, n in zip((Pool.CPU, Pool.GPU), pods) if n}
+
+
+def test_the_laws_hold_through_drains_and_a_promoted_standby():
+    stack = SimStack(ExperimentConfig(), "spike", traffic_seed=11, init_cpu=6, init_gpu=1)
+    cluster, schedule = stack.cluster, stack.engine.schedule
+    first_gpu = cluster.gpu_pods[0].id
+    schedule(110.0, cluster.set_desired_replicas, Pool.CPU, 0)   # the CPU pods drain
+    schedule(115.0, cluster.set_desired_replicas, Pool.GPU, 0)   # the GPU pod drains ...
+    schedule(115.0, cluster.set_desired_replicas, Pool.GPU, 1)   # ... its successor waits
+    schedule(150.0, cluster.set_desired_replicas, Pool.CPU, 5)
+    submitted, pool_of, phases, backlog = assert_the_laws_hold(stack)
+
+    standby = max(i for i, pool in pool_of.items() if pool is Pool.GPU)
+    assert standby != first_gpu
+    assert {(standby, PodPhase.PENDING), (standby, PodPhase.READY)} <= phases
+    assert (first_gpu, PodPhase.TERMINATING) in phases
+    assert any(r.pod_id == standby for r in submitted)
+    assert sum(phase is PodPhase.TERMINATING and pool_of[i] is Pool.CPU
+               for i, phase in phases) == 6
+    assert backlog > 0      # no pod was Ready from the GPU drain to the standby's start-up
