@@ -267,10 +267,13 @@ def cmd_replay(args) -> int:
                 records.append((lineno, json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise ReplayError(f"malformed trace line {lineno}: {exc}") from exc
+    if not records:
+        raise ReplayError(f"{path}: no trace record")
 
     returns: dict[int, float] = defaultdict(float)
     by_pattern: dict = defaultdict(Counter)     # pattern -> its action histogram
     rows = []
+    first_line: dict[tuple[int, int], int] = {}     # (episode, step) -> the line it is on
     for lineno, rec in records:
         if not isinstance(rec, dict):
             raise ReplayError(f"trace line {lineno}: not a JSON object")
@@ -302,6 +305,10 @@ def cmd_replay(args) -> int:
             if not _finite_number(row["reward_total"]):
                 raise ReplayError(f"trace line {lineno}: reward.total {row['reward_total']!r} "
                                   f"is not a finite number")
+            first = first_line.setdefault((row["episode"], row["step"]), lineno)
+            if first != lineno:
+                raise ReplayError(f"trace line {lineno}: episode {row['episode']} step "
+                                  f"{row['step']} repeats line {first}")
             returns[row["episode"]] += row["reward_total"]
             by_pattern[row["pattern"]][tuple(action)] += 1
         except KeyError as exc:

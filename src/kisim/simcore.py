@@ -1,11 +1,8 @@
 """Deterministic discrete-event engine and the simulated inference cluster.
 
 The cluster is a single node logically split into a CPU pool and a GPU pool
-of pods. Each pod is a finite-concurrency server with a FIFO queue; a device
-budget caps how many GPU pods can actually run, extra GPU pods stay Pending
-as standbys. Every GPU pod that is not Pending holds a device, a terminating
-one too until its last request drains. Everything is driven by one event
-loop, so a (seed, config) pair always replays the same trace.
+of pods. Each pod is a finite-concurrency server with a FIFO queue. Everything
+is driven by one event loop, so a (seed, config) pair always replays the same trace.
 
 An event is a (fire_at, seq, action, args) tuple: at fire_at the engine calls
 action(*args), and seq, the count of events scheduled so far, breaks ties in
@@ -22,10 +19,13 @@ waiting on the request: None for one whose completion wakes no one.
 
 The pod lists are the only record of replicas and load: a pool's desired
 replica count is its number of non-terminating pods, and a pod counts its
-requests in service. Pre-warmed pods are born Ready, with no start-up event.
-Each pool also keeps a Ready index, its Ready pods in id order, changed only where
-a pod turns Ready or stops being Ready, so routing and utilization never filter
-pods; `ready_pods(pool)` returns the index itself, which callers must not change.
+requests in service. A pod changes phase only in `_set_phase`, which also keeps its
+pool's Ready index, its Ready pods in id order, so routing and utilization never filter
+pods; `ready_pods(pool)` returns the index itself, which callers must not change. The
+device rule is `_admit`'s alone: a CPU pod always runs, a GPU pod while a device is free,
+else it waits Pending as a standby. A GPU pod not Pending holds a device, a terminating
+one until its last request drains, and a freed device goes to the oldest standby, so no
+GPU pod is Pending while a device is free (tests/test_simcore.py checks it under churn).
 The engine never rebinds `clock`, `heap` or `lane`: `ClusterModel` pushes its service
 starts, and `LoadGenerator` its arrivals, straight onto them, each bumping `clock.seq`.
 """
@@ -133,6 +133,8 @@ class RoutePref(IntEnum):
 
 # bound once: reading a member off its Enum class is a slow lookup in Python 3.11
 _READY, _TERMINATING = PodPhase.READY, PodPhase.TERMINATING
+# scale-down drops pods that carry no work first; within a phase, newest first
+_DROP_ORDER = {PodPhase.PENDING: 0, PodPhase.STARTING: 1, _READY: 2}
 
 
 @dataclass(slots=True)
@@ -273,13 +275,13 @@ class ClusterModel:
     def set_desired_replicas(self, pool: Pool, count: int) -> None:
         if count < 0:
             raise ValueError("replica count must be non-negative")
-        pods = self.pods(pool)
-        alive = [p for p in pods if p.phase is not PodPhase.TERMINATING]
+        alive = [p for p in self.pods(pool) if p.phase is not PodPhase.TERMINATING]
         if count > len(alive):
             for _ in range(count - len(alive)):
                 self._create_pod(pool)
         elif count < len(alive):
-            for victim in self._pick_victims(alive, len(alive) - count):
+            alive.sort(key=lambda p: (_DROP_ORDER[p.phase], -p.id))
+            for victim in alive[:len(alive) - count]:
                 self._terminate_pod(victim)
 
     def spawn_ready(self, pool: Pool, count: int) -> None:
@@ -287,63 +289,53 @@ class ClusterModel:
         for _ in range(count):
             self._create_pod(pool, ready=True)
 
-    @staticmethod
-    def _pick_victims(alive: list[Pod], n: int) -> list[Pod]:
-        # Drop pods that carry no work first; within a phase, newest first.
-        order = {PodPhase.PENDING: 0, PodPhase.STARTING: 1, PodPhase.READY: 2}
-        ranked = sorted(alive, key=lambda p: (order[p.phase], -p.id))
-        return ranked[:n]
-
     def _create_pod(self, pool: Pool, ready: bool = False) -> None:
         self._next_pod_id += 1
         pod = Pod(id=self._next_pod_id, pool=pool, concurrency_cap=self.service.cap(pool),
                   service_times=self._service_times[pool])
         self.pods(pool).append(pod)
-        # CPU pods start immediately; GPU pods only while a device is free,
-        # otherwise they sit Pending as standbys. A pre-warmed pod skips start-up.
-        if pool is Pool.CPU or self.active_gpu_count() < self.gpu_device_budget:
-            if ready:
-                pod.phase = PodPhase.READY
-                self.ready_pods(pool).append(pod)   # the newest id, so last
-            else:
-                self._start_pod(pod)
+        self._admit(pod, ready)
 
-    def _start_pod(self, pod: Pod) -> None:
-        pod.phase = PodPhase.STARTING
-        delay = self.cpu_startup_s if pod.pool is Pool.CPU else self.gpu_startup_s
-        self.engine.schedule(self.engine.now + delay, self._make_ready, pod)
+    def _set_phase(self, pod: Pod, phase: PodPhase) -> None:
+        """The one phase change, and so the one edit of the pod's Ready index."""
+        if pod.phase is _READY:
+            self.ready_pods(pod.pool).remove(pod)
+        pod.phase = phase
+        if phase is _READY:
+            insort(self.ready_pods(pod.pool), pod, key=lambda p: p.id)
+
+    def _admit(self, pod: Pod, ready: bool = False) -> bool:
+        """Start a Pending pod if the device rule lets it (pre-warmed: Ready at once)."""
+        if pod.pool is Pool.GPU and self.active_gpu_count() >= self.gpu_device_budget:
+            return False
+        self._set_phase(pod, _READY if ready else PodPhase.STARTING)
+        if not ready:
+            delay = self.cpu_startup_s if pod.pool is Pool.CPU else self.gpu_startup_s
+            self.engine.schedule(self.engine.now + delay, self._make_ready, pod)
+        return True
 
     def _make_ready(self, pod: Pod) -> None:
         if pod.phase is not PodPhase.STARTING:
             return  # terminated while starting
-        pod.phase = PodPhase.READY
-        insort(self.ready_pods(pod.pool), pod, key=lambda p: p.id)
+        self._set_phase(pod, _READY)
         # a pod is Ready now, so every backlogged request finds a home
         while self.backlog:
             self._route(self.backlog.popleft())
 
     def _terminate_pod(self, pod: Pod) -> None:
-        if pod.phase is PodPhase.READY:
-            self.ready_pods(pod.pool).remove(pod)
-        pod.phase = PodPhase.TERMINATING
+        self._set_phase(pod, _TERMINATING)
         while pod.queue:    # out of the Ready index, the pod takes none of them back
             self._route(pod.queue.popleft())
-        if not pod.in_service:
+        if not pod.in_service:      # else it drains, and _complete removes it
             self._remove_pod(pod)
-        # else: drain; in-service requests finish, removal happens in _complete
 
     def _remove_pod(self, pod: Pod) -> None:
         self.pods(pod.pool).remove(pod)
         if pod.pool is Pool.GPU:
-            self._promote_pending_gpu()
-
-    def _promote_pending_gpu(self) -> None:
-        # gpu_pods is in id order, so the oldest standby takes a freed device first
-        for pod in self.gpu_pods:
-            if self.active_gpu_count() >= self.gpu_device_budget:
-                return
-            if pod.phase is PodPhase.PENDING:
-                self._start_pod(pod)
+            # gpu_pods is in id order, so the oldest standby takes a freed device first
+            for standby in [p for p in self.gpu_pods if p.phase is PodPhase.PENDING]:
+                if not self._admit(standby):
+                    break
 
     # ---- request flow ----------------------------------------------------
 

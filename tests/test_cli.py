@@ -70,13 +70,17 @@ def replay_record(episode=0, step=1, pattern="ramp", total=0.25, desired_gpu=1, 
     (replay_record(total=10**400), "trace line 1: reward.total 1000"),
     (replay_record(desired_gpu=-1), "trace line 1: desired_gpu -1 is not a non-negative int"),
     (replay_record(desired_cpu=3.0), "trace line 1: desired_cpu 3.0 is not a non-negative int"),
-    (replay_record(users="many"), "trace line 1: users 'many' is not a non-negative int")],
+    (replay_record(users="many"), "trace line 1: users 'many' is not a non-negative int"),
+    (replay_record() + "\n" + replay_record(step=2) + "\n\n" + replay_record(),
+     "trace line 4: episode 0 step 1 repeats line 1"),
+    ("", "trace.jsonl: no trace record"),
+    (" \n\n", "trace.jsonl: no trace record")],
     ids=["no_keys", "not_an_object", "short_action", "reward_not_an_object", "list_pattern",
          "action_outside_the_deltas", "action_outside_the_prefs", "episode_a_string_after_an_int",
          "episode_a_float", "episode_a_bool", "step_negative", "pattern_unknown",
          "reward_total_a_bool", "reward_total_a_string", "reward_total_nan", "reward_total_inf",
          "reward_total_past_any_float", "desired_gpu_negative", "desired_cpu_a_float",
-         "users_a_string"])
+         "users_a_string", "step_repeated", "empty", "blank_lines"])
 def test_replay_refuses_a_trace_record_it_cannot_read(line, message, tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     trace.write_text(line + "\n")

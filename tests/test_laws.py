@@ -13,10 +13,11 @@ instants and its time integrals are sums over those segments:
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from kisim.config import ExperimentConfig
-from kisim.env import SimStack
+from kisim.env import ACTIONS, ScalingEnv, SimStack
 from kisim.simcore import PodPhase, Pool
 from kisim.traffic import PATTERN_NAMES
 
@@ -103,3 +104,18 @@ def test_the_laws_hold_through_drains_and_a_promoted_standby():
     assert sum(phase is PodPhase.TERMINATING and pool_of[i] is Pool.CPU
                for i, phase in phases) == 6
     assert backlog > 0      # no pod was Ready from the GPU drain to the standby's start-up
+
+
+@pytest.mark.parametrize("pattern", PATTERN_NAMES)
+def test_the_laws_hold_under_a_seeded_policy_plan(pattern):
+    env = ScalingEnv(ExperimentConfig())
+    env.reset_to(pattern, traffic_seed=11)
+    actions = list(ACTIONS.values())
+    plan = [actions[i] for i in np.random.default_rng(6).integers(len(actions), size=20)]
+    for k, action in enumerate(plan):
+        env.stack.engine.schedule(k * env.config.control_interval_s, env.decode_and_apply,
+                                  action)
+    _, pool_of, phases, _ = assert_the_laws_hold(env.stack)
+    for pool in Pool:
+        assert {PodPhase.STARTING, PodPhase.TERMINATING} <= \
+            {phase for i, phase in phases if pool_of[i] is pool}

@@ -520,28 +520,37 @@ def assert_ready_index_is_the_scan(cluster):
         assert [p.id for p in index] == sorted(p.id for p in index)
 
 
+def assert_the_device_rule_holds(cluster):
+    active = cluster.active_gpu_count()
+    assert active <= cluster.gpu_device_budget
+    if active < cluster.gpu_device_budget:      # a free device leaves no standby waiting
+        assert all(p.phase is not PodPhase.PENDING for p in cluster.gpu_pods)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("pref", list(RoutePref))
 def test_ready_index_follows_every_phase_change_under_churn(seed, pref):
     import random
-    rng = random.Random(seed)
-    engine, cluster = make_cluster(pref=pref, budget=2)
-    next_id = 0
-    for _ in range(400):
-        roll = rng.random()
-        if roll < 0.4:
-            next_id += 1
-            cluster.submit(Request(id=next_id, arrived_at=engine.now))
-        elif roll < 0.55:
-            cluster.set_desired_replicas(Pool.CPU, rng.randint(0, 5))
-        elif roll < 0.7:
-            cluster.set_desired_replicas(Pool.GPU, rng.randint(0, 3))
-        elif roll < 0.75:
-            cluster.spawn_ready(rng.choice(list(Pool)), 1)
-        else:
-            engine.run_until(engine.now + rng.random() * 6.0)
-        assert_ready_index_is_the_scan(cluster)
-    assert cluster.requests_injected == cluster.requests_completed + cluster.outstanding()
+    for budget in (2, 1):
+        rng = random.Random(seed)
+        engine, cluster = make_cluster(pref=pref, budget=budget)
+        next_id = 0
+        for _ in range(400):
+            roll = rng.random()
+            if roll < 0.4:
+                next_id += 1
+                cluster.submit(Request(id=next_id, arrived_at=engine.now))
+            elif roll < 0.55:
+                cluster.set_desired_replicas(Pool.CPU, rng.randint(0, 5))
+            elif roll < 0.7:
+                cluster.set_desired_replicas(Pool.GPU, rng.randint(0, 3))
+            elif roll < 0.75:
+                cluster.spawn_ready(rng.choice(list(Pool)), 1)
+            else:
+                engine.run_until(engine.now + rng.random() * 6.0)
+            assert_ready_index_is_the_scan(cluster)
+            assert_the_device_rule_holds(cluster)
+        assert cluster.requests_injected == cluster.requests_completed + cluster.outstanding()
 
 
 def test_an_older_pod_ready_after_a_newer_pre_warmed_one_ranks_by_id():
