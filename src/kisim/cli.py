@@ -48,8 +48,6 @@ def _write_report(out: Path, stem: str, fields, rows: list[dict], shown) -> None
 
 
 def _render_table(rows: list[dict], columns) -> str:
-    if not rows:
-        return "(empty)\n"
     cells = [[_format_cell(r.get(c, "")) for c in columns] for r in rows]
     widths = [max(len(c), max(len(row[i]) for row in cells)) for i, c in enumerate(columns)]
     out = ["  ".join(c.ljust(w) for c, w in zip(columns, widths))]
@@ -65,9 +63,7 @@ def _format_cell(v) -> str:
 
 
 def _load_effective_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if args.config:
-        cfg = load_config(args.config, base=cfg)
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.set:
         cfg = apply_overrides(cfg, args.set)
     flags = {"seed": args.seed, "episodes": getattr(args, "episodes", None),
@@ -89,22 +85,6 @@ def action_diversity(counts: Counter) -> tuple[int, int, float | None]:
     return steps, len(counts), max(counts.values()) / steps if steps else None
 
 
-class _Counted:
-    """The policy it wraps (its `name`, `pods` and the rest), counting its actions per pattern."""
-
-    def __init__(self, policy) -> None:
-        self.policy = policy
-        self.actions: dict[str, Counter] = defaultdict(Counter)
-
-    def __getattr__(self, name):
-        return getattr(self.policy, name)
-
-    def act(self, obs, env):
-        action = self.policy.act(obs, env)
-        self.actions[env.pattern][action.d_gpu, action.d_cpu, action.pref] += 1
-        return action
-
-
 def _select_patterns(args) -> list[str]:
     patterns = list(args.patterns or PATTERN_NAMES)
     for name in patterns:
@@ -117,8 +97,9 @@ def _select_patterns(args) -> list[str]:
 
 
 def _run_grid(cfg: ExperimentConfig, out: Path, patterns, index_base: int, policies,
-              agent: PpoAgent | None = None) -> dict[str, dict[str, dict]]:
-    """Each policy on each pattern's traffic (`"kiscaler"` is `agent`), time series written."""
+              agent: PpoAgent | None = None, actions=None) -> dict[str, dict[str, dict]]:
+    """Each policy on each pattern's traffic (`"kiscaler"` is `agent`, which plays into the
+    list `actions[pattern]`), time series written."""
     grid: dict[str, dict[str, dict]] = {}
     for pattern in patterns:
         _, seed = episode_traffic(cfg.seed, index_base + PATTERN_NAMES.index(pattern))
@@ -126,7 +107,8 @@ def _run_grid(cfg: ExperimentConfig, out: Path, patterns, index_base: int, polic
         for policy in policies:
             ts: list[dict] = []
             reports[policy] = (
-                run_policy_episode(agent, pattern, cfg, seed, timeseries=ts) if policy == "kiscaler"
+                run_policy_episode(agent, pattern, cfg, seed, timeseries=ts,
+                                   actions=actions[pattern]) if policy == "kiscaler"
                 else run_baseline(policy, pattern, cfg, traffic_seed=seed, timeseries=ts))
             _write_csv(out / f"timeseries_{pattern}_{policy}.csv", TIMESERIES_FIELDS, ts)
     return grid
@@ -205,11 +187,13 @@ def cmd_baseline(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _load_effective_config(args)
     patterns = _select_patterns(args)
-    agent = _Counted(PpoAgent(load_checkpoint(args.checkpoint)[0], cfg, seed=cfg.seed))
+    agent = PpoAgent(load_checkpoint(args.checkpoint)[0], cfg, seed=cfg.seed)
     out = _prepare_out(cfg)
 
     rows = []
-    grid = _run_grid(cfg, out, patterns, EVAL_SEED_BASE, ("kiscaler",) + POLICY_NAMES, agent)
+    actions: dict[str, list] = {p: [] for p in patterns}
+    grid = _run_grid(cfg, out, patterns, EVAL_SEED_BASE, ("kiscaler",) + POLICY_NAMES, agent,
+                     actions)
     for reports in grid.values():
         kis_p95 = reports["kiscaler"]["p95_ms"]
         # a p95 of None (no request completed) is no result: it ranks below any p95
@@ -234,8 +218,8 @@ def cmd_evaluate(args) -> int:
                    "speedup_vs_fixed_gpu", "speedup_vs_fixed_cpu", "flag"))
     diversity_fields = ("pattern", "steps", "distinct_actions", "most_common_share")
     _write_csv(out / "kiscaler_actions.csv", diversity_fields,
-               [dict(zip(diversity_fields, (p, *action_diversity(agent.actions[p]))))
-                for p in grid])
+               [dict(zip(diversity_fields, (p, *action_diversity(Counter(played)))))
+                for p, played in actions.items()])
     return 0
 
 

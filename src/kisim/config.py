@@ -186,7 +186,7 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"invalid value for config key {key!r}: {raw!r}") from exc
 
 
-def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
+def parse_config_text(text: str) -> ExperimentConfig:
     """Parse `key = value` lines; '#' starts a comment; unknown keys are fatal."""
     pairs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -196,11 +196,11 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         pairs.append(stripped)
-    return apply_overrides(base or ExperimentConfig(), pairs)
+    return apply_overrides(ExperimentConfig(), pairs)
 
 
-def load_config(path: str | Path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text(), base=base)
+def load_config(path: str | Path) -> ExperimentConfig:
+    return parse_config_text(Path(path).read_text())
 
 
 def apply_overrides(cfg: ExperimentConfig, pairs: list[str]) -> ExperimentConfig:

@@ -315,17 +315,21 @@ class ScalingEnv:
 
 
 def run_policy_episode(policy, pattern: str, cfg: ExperimentConfig, traffic_seed: int,
-                       timeseries: list | None = None) -> dict:
+                       timeseries: list | None = None, actions: list | None = None) -> dict:
     """One run of a policy, reported under its `name`: `act(obs, env) -> ActionTriple` at
     every control instant from t=0, on its `pods` (see `reset_to`). A time-series row is
-    the state at its instant before the policy acts there (t=0's is not recorded)."""
+    the state at its instant before the policy acts there (t=0's is not recorded); the
+    `actions` list, if given, gets each action in the order played."""
     env = ScalingEnv(cfg)
     obs = env.reset_to(pattern, traffic_seed, pods=policy.pods)
     stack = env.stack   # only a reported run samples utilization: the first event after reset
     stack.engine.schedule_periodic(cfg.monitor_interval_s, stack._sample_util, cfg.episode_s)
     done = False
     while not done:
-        obs, _, done = env.step(policy.act(obs, env))
+        action = policy.act(obs, env)
+        if actions is not None:
+            actions.append(action)
+        obs, _, done = env.step(action)
         if timeseries is not None:
             timeseries.append(env.row)
     return stack.report(policy.name)

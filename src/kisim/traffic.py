@@ -104,11 +104,8 @@ class LoadGenerator:
         if uid not in self._active:     # a retired user, or no user at all
             return
         clock, lane = self._clock, self._lane
-        if clock.now >= self._episode_s:
-            self._active.remove(uid)
-            return
         due = clock.now + self._hold_s  # a constant delay >= 0: due times never decrease
-        if due >= self._episode_s:      # the episode ends while the user thinks
+        if due >= self._episode_s:      # the episode has ended, or ends while the user thinks
             return
         if lane and due < lane[-1][0]:
             raise SimulationError(f"arrival at {due} before the lane's last event")

@@ -117,6 +117,19 @@ def test_baseline_conserves_requests_within_gpu_budget(policy, pattern, checked_
     assert report["requests_completed"] > 0
 
 
+@pytest.mark.parametrize("pattern", PATTERN_NAMES)
+def test_the_traffic_seed_moves_only_the_random_pattern(pattern):
+    """Only `random` draws from the traffic seed; no other part of the stack reads it."""
+    runs = []
+    for seed in (3, 4):
+        rows: list[dict] = []
+        report = run_baseline("hpa", pattern, ExperimentConfig(episode_s=60.0),
+                              traffic_seed=seed, timeseries=rows)
+        assert report.pop("traffic_seed") == seed
+        runs.append((report, rows))
+    assert (runs[0] == runs[1]) == (pattern != "random")
+
+
 def test_baseline_runs_reproduce_their_pinned_bytes():
     """Any change to event order, timing or metrics moves this digest."""
     cfg = ExperimentConfig(episode_s=60.0)

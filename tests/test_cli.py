@@ -12,7 +12,7 @@ from kisim.agent import (CHECKPOINT_HEADER, CHECKPOINT_MAGIC, MOVING_AVG_WINDOW,
                          TrainState, load_checkpoint, save_checkpoint)
 from kisim.baselines import POLICY_NAMES, run_baseline
 from kisim.cli import EVAL_SEED_BASE, action_diversity, main
-from kisim.config import ExperimentConfig
+from kisim.config import ExperimentConfig, parse_config_text
 from kisim.env import TIMESERIES_FIELDS, episode_traffic
 from kisim.nn import ActorCriticParams, NetDims
 from kisim.traffic import PATTERN_NAMES
@@ -148,6 +148,23 @@ def test_removed_config_key_is_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_a_config_file_sits_under_set_and_the_flags(tmp_path, capsys):
+    """`--config` is read first, `--set` overrides it, then `--out` overrides both."""
+    config = tmp_path / "kisim.cfg"
+    config.write_text(ExperimentConfig(episode_s=30.0, users_max=9, seed=7).to_text())
+    out = tmp_path / "base"
+    assert main(["baseline", "--config", str(config), "--set", "users_max=8",
+                 "--patterns", "ramp", "--out", str(out)]) == 0
+    cfg = parse_config_text((out / "effective_config.txt").read_text())
+    assert (cfg.episode_s, cfg.seed, cfg.users_max, cfg.out_dir) == (30.0, 7, 8, str(out))
+
+    config.write_text("nope = 1\n")
+    refused = tmp_path / "refused"
+    assert main(["baseline", "--config", str(config), "--out", str(refused)]) == 1
+    assert "unknown config key: 'nope'" in capsys.readouterr().err
+    assert not refused.exists()
+
+
 def _report(pattern, policy, p95_ms):
     return {"pattern": pattern, "policy": policy, "p95_ms": p95_ms,
             "mean_ms": p95_ms / 2, "throughput_rps": 10.0, "gpu_util_mean": 0.5,
@@ -160,7 +177,7 @@ def test_baselines_ahead_flag_counts_hpa(tmp_path, monkeypatch):
            "spike": {"kiscaler": 100.0, "fixed_gpu": 500.0, "fixed_cpu": 700.0, "hpa": 150.0}}
     monkeypatch.setattr(
         kisim.cli, "run_policy_episode",
-        lambda agent, pattern, cfg, seed, timeseries=None:
+        lambda agent, pattern, cfg, seed, timeseries=None, actions=None:
             _report(pattern, "kiscaler", p95[pattern]["kiscaler"]))
     monkeypatch.setattr(
         kisim.cli, "run_baseline",
@@ -220,7 +237,7 @@ def test_evaluate_acts_with_the_checkpoint_weights_without_initializing_any(
     save_checkpoint(params, TrainState(), checkpoint)
     acted_with = []
 
-    def run_policy_episode(agent, pattern, cfg, seed, timeseries=None):
+    def run_policy_episode(agent, pattern, cfg, seed, timeseries=None, actions=None):
         acted_with.append(agent.params)
         return _report(pattern, "kiscaler", 1.0)
 
@@ -404,7 +421,7 @@ def test_a_p95_of_none_ranks_below_any_p95(p95, flag, tmp_path, monkeypatch):
         return {**_report(pattern, policy, 1.0), "p95_ms": p95[policy], "mean_ms": p95[policy]}
 
     monkeypatch.setattr(kisim.cli, "run_policy_episode",
-                        lambda agent, pattern, cfg, seed, timeseries=None:
+                        lambda agent, pattern, cfg, seed, timeseries=None, actions=None:
                             report(pattern, "kiscaler"))
     monkeypatch.setattr(kisim.cli, "run_baseline",
                         lambda policy, pattern, cfg, traffic_seed, timeseries=None:

@@ -42,10 +42,13 @@ def test_a_policy_of_a_few_lines_runs_and_reports_under_its_own_name():
             return ActionTriple(d_gpu=0, d_cpu=0, pref=1)
 
     rows: list[dict] = []
-    report = run_policy_episode(Hold(), "spike", ExperimentConfig(episode_s=60.0), 3, rows)
+    played: list[ActionTriple] = []
+    report = run_policy_episode(Hold(), "spike", ExperimentConfig(episode_s=60.0), 3, rows,
+                                actions=played)
     assert report["policy"] == "hold" and report["requests_completed"] > 0
     assert [(r["t"], r["cpu_replicas"], r["gpu_replicas"]) for r in rows] == \
         [(15.0, 2, 1), (30.0, 2, 1), (45.0, 2, 1), (60.0, 2, 1)]
+    assert played == [ActionTriple(0, 0, RoutePref.GPU_FIRST)] * 4   # one per step, t=0 on
 
 
 @pytest.mark.parametrize("interval", [11.0, 13.0, 15.0])

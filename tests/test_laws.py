@@ -12,10 +12,13 @@ instants and its time integrals are sums over those segments:
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from kisim.agent import PpoAgent
+from kisim.baselines import HpaController
 from kisim.config import ExperimentConfig
 from kisim.env import ACTIONS, ScalingEnv, SimStack
 from kisim.simcore import PodPhase, Pool
@@ -119,3 +122,40 @@ def test_the_laws_hold_under_a_seeded_policy_plan(pattern):
     for pool in Pool:
         assert {PodPhase.STARTING, PodPhase.TERMINATING} <= \
             {phase for i, phase in phases if pool_of[i] is pool}
+
+
+@pytest.mark.parametrize("pattern", PATTERN_NAMES)
+def test_the_laws_hold_under_hpa_syncs(pattern):
+    """HPA syncs as `run_baseline` runs it, one controller keeping its stabilization
+    window. On each pattern it starts 5 CPU pods and drains none, since its 300 s
+    stabilization window spans the whole episode."""
+    cfg = ExperimentConfig()
+    env = ScalingEnv(replace(cfg, control_interval_s=cfg.hpa_sync_period_s))
+    env.reset_to(pattern, traffic_seed=11)
+    hpa = HpaController(env.config)
+
+    def sync(k):
+        env.step_index = k
+        hpa.act(None, env)
+
+    interval = env.config.control_interval_s
+    for k in range(1, 20):
+        env.stack.engine.schedule(k * interval, sync, k)
+    _, pool_of, phases, _ = assert_the_laws_hold(env.stack)
+    assert PodPhase.STARTING in {phase for i, phase in phases if pool_of[i] is Pool.CPU}
+
+
+@pytest.mark.parametrize("pattern", PATTERN_NAMES)
+def test_the_laws_hold_under_a_greedy_kiscaler(pattern):
+    env = ScalingEnv(ExperimentConfig())
+    env.reset_to(pattern, traffic_seed=11)
+    agent = PpoAgent(seed=0)
+
+    def act():
+        env.decode_and_apply(agent.greedy_action(env.observe()))
+
+    for k in range(20):
+        env.stack.engine.schedule(k * env.config.control_interval_s, act)
+    _, pool_of, phases, _ = assert_the_laws_hold(env.stack)
+    assert PodPhase.STARTING in {phase for i, phase in phases if pool_of[i] is Pool.CPU}
+    assert PodPhase.PENDING in {phase for i, phase in phases if pool_of[i] is Pool.GPU}
