@@ -2,10 +2,10 @@
 
 The actor emits three categorical heads (GPU delta, CPU delta, placement
 preference); the critic is an independent value network. Updates run once
-per episode by default over minibatches with normalized advantages. A
-rollout is a plain list of `(obs, heads, log_prob, value, reward, done)`
-steps, `heads` being the drawn head indices. `train` runs the schedule in
-the agent's config and returns a `TrainState`, the one record of the run.
+per episode by default over minibatches with normalized advantages. Acting runs
+the actor alone: a rollout is a list of `(obs, heads, log_prob, reward, done)`
+steps, `heads` the drawn head indices, that `update` values in one stacked critic
+pass. `train` runs the config's schedule and returns a `TrainState`, the run's record.
 """
 
 from __future__ import annotations
@@ -90,22 +90,20 @@ class PpoAgent:
 
     # ---- acting ---------------------------------------------------------
 
-    def _actor(self, obs_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(obs row, logits): head i's fill row i, and -inf the slots past its size."""
+    def _actor(self, obs_vec: np.ndarray) -> np.ndarray:
+        """The logits: head i's fill row i, and -inf the slots past its size."""
         obs = np.asarray(obs_vec, dtype=np.float64).reshape(1, -1)
         logits, _ = actor_forward(self.params.as_float64(), obs)
         z = np.concatenate((*logits, _PAD), axis=1).reshape(len(HEAD_SIZES), -1)
         if np.count_nonzero(np.isfinite(z)) != sum(HEAD_SIZES):
             raise AgentError("non-finite policy logits (training diverged)")
-        return obs, z
+        return z
 
-    def sample_action(self, obs_vec: np.ndarray) -> tuple[ActionTriple, tuple, float, float]:
-        """(action, drawn head indices, their joint log-probability, value). Each head
-        is drawn as `Generator.choice(k, p=exp(lp))` draws it, by one uniform's inverse
+    def sample_action(self, obs_vec: np.ndarray) -> tuple[ActionTriple, tuple, float]:
+        """(action, drawn head indices, their joint log-probability). Each head is
+        drawn as `Generator.choice(k, p=exp(lp))` draws it, by one uniform's inverse
         CDF. A -inf slot adds 0 to its row's CDF, which so stays at 1 > u past the head."""
-        obs, z = self._actor(obs_vec)
-        value, _ = critic_forward(self.params.as_float64(), obs)
-        lp = log_softmax(z)
+        lp = log_softmax(self._actor(obs_vec))
         heads = []
         log_prob = 0.0
         for lp_row, cdf, u in zip(lp.tolist(), np.add.accumulate(np.exp(lp), axis=1).tolist(),
@@ -114,10 +112,10 @@ class PpoAgent:
             heads.append(idx)
             log_prob += lp_row[idx]
         heads = tuple(heads)
-        return ACTIONS[heads], heads, log_prob, float(value[0])
+        return ACTIONS[heads], heads, log_prob
 
     def greedy_action(self, obs_vec: np.ndarray) -> ActionTriple:
-        return ACTIONS[tuple(self._actor(obs_vec)[1].argmax(axis=1).tolist())]
+        return ACTIONS[tuple(self._actor(obs_vec).argmax(axis=1).tolist())]
 
     # a policy of env.run_policy_episode, on the config's init pods
     name = "kiscaler"
@@ -133,9 +131,14 @@ class PpoAgent:
         if not steps:
             raise AgentError("cannot update from an empty rollout")
         cfg = self.cfg
-        obs, heads, log_probs, values, rewards, dones = zip(*steps)
+        obs, heads, log_probs, rewards, dones = zip(*steps)
+        obs = np.stack(obs)
+        # each step's value under the weights that acted it (only update writes weights, and it
+        # empties `steps`); matmul over the (n, 1, k) stack runs each row's own gemv (a dot at
+        # the value head), so each keeps a one-row forward's bits; an (n, k) gemm would move them
+        values = critic_forward(self.params.as_float64(), obs[:, None, :])[0][:, 0]
         adv, returns = gae(rewards, values, dones, cfg.ppo_discount, cfg.ppo_gae_lambda)
-        batch = {"obs": np.stack(obs),
+        batch = {"obs": obs,
                  "actions": np.asarray(heads, dtype=np.int64),
                  "old_logp": np.asarray(log_probs, dtype=np.float64),
                  "advantages": (adv - adv.mean()) / (adv.std() + 1e-8),
@@ -288,11 +291,11 @@ def run_episode(env: ScalingEnv, agent: PpoAgent, episode_index: int,
         if steps is None:
             action = agent.greedy_action(obs)
         else:
-            action, heads, log_prob, value = agent.sample_action(obs)
+            action, heads, log_prob = agent.sample_action(obs)
         next_obs, reward, done = env.step(action)
         episode_return += reward
         if steps is not None:
-            steps.append((obs, heads, log_prob, value, reward, done))
+            steps.append((obs, heads, log_prob, reward, done))
         obs = next_obs
     return episode_return
 

@@ -4,21 +4,23 @@ import json
 import math
 import re
 import struct
+from dataclasses import replace
 from io import StringIO
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import kisim.agent
 from kisim.agent import (CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_STATE,
                          MOVING_AVG_WINDOW, AgentError, CheckpointError, PpoAgent, TrainState,
                          detect_convergence, gae, load_checkpoint, moving_average, run_episode,
-                         save_checkpoint)
+                         save_checkpoint, train)
 from kisim.config import ExperimentConfig
 from kisim.env import ACTIONS, HEAD_SIZES, OBS_FIELDS, ScalingEnv
-from kisim.nn import ActorCriticParams, Adam, NetDims, actor_forward, log_softmax, tensor_shapes
+from kisim.nn import (ActorCriticParams, Adam, NetDims, actor_forward, critic_forward, log_softmax,
+                      tensor_shapes)
 
 N_RETURNS = 100
 
@@ -80,7 +82,7 @@ def test_sampled_heads_are_the_draws_of_generator_choice(monkeypatch):
     agent._sample_rng = np.random.default_rng(2024)
     twin = np.random.default_rng(2024)
     for logits in logit_sets:
-        _, heads, log_prob, _ = agent.sample_action(np.zeros(len(OBS_FIELDS)))
+        _, heads, log_prob = agent.sample_action(np.zeros(len(OBS_FIELDS)))
         lps = [log_softmax(lg)[0] for lg in logits]
         expected = tuple(int(twin.choice(len(lp), p=np.exp(lp))) for lp in lps)
         assert heads == expected
@@ -109,6 +111,89 @@ def test_greedy_action_is_the_argmax_of_the_actor_alone(monkeypatch):
     assert len(chosen) > 1
 
 
+def test_sampled_acting_runs_the_actor_alone(monkeypatch):
+    def no_critic(*args):
+        raise AssertionError("sample_action ran the critic")
+
+    monkeypatch.setattr(kisim.agent, "critic_forward", no_critic)
+    agent, steps = sampled_episode()
+    assert [len(step) for step in steps] == [5] * 4     # (obs, heads, log_prob, reward, done)
+    with pytest.raises(AssertionError, match="ran the critic"):
+        agent.update(list(steps))                       # the update alone values the steps
+    monkeypatch.undo()
+    agent.update(steps)
+    assert steps == []
+
+
+class _Valued(Exception):
+    """Carries the values `update` handed `gae` out of the update."""
+
+
+def values_fed_to_gae(agent, obs):
+    """The values `agent.update` hands `gae` for a rollout of the rows of `obs`."""
+    def stop(rewards, values, dones, gamma, lam):
+        raise _Valued(np.asarray(values))
+
+    steps = [(row, (0, 0, 0), 0.0, 0.0, False) for row in obs]
+    with mock.patch.object(kisim.agent, "gae", stop), pytest.raises(_Valued) as valued:
+        agent.update(steps)
+    return valued.value.args[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 64, 300, 301])
+@pytest.mark.parametrize("stepped", [False, True], ids=["fresh", "after_one_adam_step"])
+@settings(max_examples=10, deadline=None)
+@given(scale=st.one_of(st.just(0.0), st.floats(1e-3, 1e2)), seed=st.integers(0, 2**32 - 1))
+def test_update_values_each_step_with_the_bits_of_its_own_one_row_forward(stepped, n, scale,
+                                                                          seed):
+    """The stacked pass gives every row the bytes of its own one-row forward, on a
+    fresh agent's Fortran-ordered c_w1 and on a stepped, C-ordered one."""
+    rng = np.random.default_rng(seed)
+    agent = PpoAgent(seed=seed % 6)
+    if stepped:
+        agent.optimizer.step(agent.params, {name: rng.normal(size=shape) for name, shape
+                                            in tensor_shapes(agent.params.dims).items()})
+    p = agent.params.as_float64()
+    assert p["c_w1"].flags.c_contiguous == stepped
+    obs = rng.uniform(-1.0, 1.0, (n, len(OBS_FIELDS))) * scale
+    values = values_fed_to_gae(agent, obs)
+    assert values.shape == (n,) and values.dtype == np.float64
+    for row, value in zip(obs, values):
+        assert value.tobytes() == critic_forward(p, row.reshape(1, -1))[0][0].tobytes()
+
+
+def test_a_rollout_of_three_episodes_gets_the_advantages_of_per_step_values(tmp_path):
+    """One update every 3 episodes: the rollout holds two episode ends mid-buffer, and
+    its advantages and returns are the bytes of values taken one step at a time."""
+    cfg = replace(SHORT, episodes=3, eval_every=0, ppo_update_every_episodes=3)
+    agent = PpoAgent(cfg=cfg, seed=6)
+    real_update, real_gae = agent.update, gae
+    rollouts, gae_outputs = [], []
+
+    def update(steps):
+        # the reference: each step valued alone by a one-row forward, with the weights
+        # that acted it (the update has not stepped them yet)
+        p = agent.params.as_float64()
+        rollouts.append([(float(critic_forward(p, obs.reshape(1, -1))[0][0]), reward, done)
+                         for obs, _, _, reward, done in steps])
+        return real_update(steps)
+
+    def recorded_gae(*args):
+        gae_outputs.append(real_gae(*args))
+        return gae_outputs[-1]
+
+    with mock.patch.object(agent, "update", update), \
+            mock.patch.object(kisim.agent, "gae", recorded_gae):
+        train(ScalingEnv(cfg), agent, tmp_path)
+    [rollout], [(adv, returns)] = rollouts, gae_outputs
+    values, rewards, dones = zip(*rollout)
+    assert list(dones) == [False, False, False, True] * 3
+    ref_adv, ref_returns = real_gae(rewards, values, dones, cfg.ppo_discount,
+                                    cfg.ppo_gae_lambda)
+    assert adv.tobytes() == ref_adv.tobytes()
+    assert returns.tobytes() == ref_returns.tobytes()
+
+
 def _drawn_logits(scale, kind, seed):
     """Three heads' (1, k) logits: spread at `scale`, in ties, or with one dominant."""
     rng = np.random.default_rng(seed)
@@ -129,7 +214,7 @@ def test_padded_heads_give_each_heads_own_log_softmax_exp_and_argmax(scale, kind
     logits = _drawn_logits(scale, kind, seed)
     agent = PpoAgent(NetDims(hidden1=8, hidden2=6), SHORT)
     with mock.patch.object(kisim.agent, "actor_forward", lambda p, obs: (logits, None)):
-        _, z = agent._actor(np.zeros(len(OBS_FIELDS)))
+        z = agent._actor(np.zeros(len(OBS_FIELDS)))
     lp = log_softmax(z)
     prob = np.exp(lp)
     for i, (k, lg) in enumerate(zip(HEAD_SIZES, logits)):
@@ -165,8 +250,8 @@ def test_acting_keeps_the_bytes_of_per_call_padding_and_per_head_lists(scale, ki
     agent._sample_rng = np.random.default_rng(seed)
     z_ref, heads_ref, log_prob_ref = _reference_actor_and_draw(logits, np.random.default_rng(seed))
     with mock.patch.object(kisim.agent, "actor_forward", lambda p, obs: (logits, None)):
-        _, z = agent._actor(np.zeros(len(OBS_FIELDS)))
-        action, heads, log_prob, _ = agent.sample_action(np.zeros(len(OBS_FIELDS)))
+        z = agent._actor(np.zeros(len(OBS_FIELDS)))
+        action, heads, log_prob = agent.sample_action(np.zeros(len(OBS_FIELDS)))
     assert z.tobytes() == z_ref.tobytes() and z.shape == z_ref.shape
     assert heads == heads_ref and action is ACTIONS[heads_ref]
     assert struct.pack("<d", log_prob) == struct.pack("<d", log_prob_ref)
@@ -194,8 +279,8 @@ def test_a_non_finite_logit_in_any_head_is_an_agent_error(head, slot, value):
 
 def test_an_infinite_reward_is_a_non_finite_loss_error():
     agent, steps = sampled_episode()
-    obs, heads, log_prob, value, _, done = steps[1]
-    steps[1] = (obs, heads, log_prob, value, math.inf, done)
+    obs, heads, log_prob, _, done = steps[1]
+    steps[1] = (obs, heads, log_prob, math.inf, done)
     with np.errstate(invalid="ignore", over="ignore"):   # the NaN is the point here
         with pytest.raises(AgentError, match="non-finite PPO loss"):
             agent.update(steps)

@@ -7,7 +7,9 @@ instants and its time integrals are sums over those segments:
 - Little's law: the time integral of `outstanding()` over [0, T] is the time the
   submitted requests spent in the system up to T;
 - the utilization law, per pool: the time integral of the requests in service on the
-  pool's pods is the service time its requests received up to T.
+  pool's pods is the service time its requests received up to T;
+- the interactive response-time law, for users who never retire: each user spends
+  [0, T] in its requests' residence or in think time, so N users spend N * T.
 """
 
 import itertools
@@ -159,3 +161,36 @@ def test_the_laws_hold_under_a_greedy_kiscaler(pattern):
     _, pool_of, phases, _ = assert_the_laws_hold(env.stack)
     assert PodPhase.STARTING in {phase for i, phase in phases if pool_of[i] is Pool.CPU}
     assert PodPhase.PENDING in {phase for i, phase in phases if pool_of[i] is Pool.GPU}
+
+
+RESPONSE_TIME_CASES = [
+    (pattern, pods, users, hold_s) for (pods, users, hold_s), pattern in zip(
+        itertools.product([(3, 0), (0, 1), (6, 1)], [1, 5, 50], [0.5, 3.0]),
+        itertools.cycle(PATTERN_NAMES))]
+
+
+@pytest.mark.parametrize("pattern, pods, users, hold_s", RESPONSE_TIME_CASES, ids=[
+    f"{pattern}-{cpu}cpu{gpu}gpu-{users}users-hold{hold_s}"
+    for pattern, (cpu, gpu), users, hold_s in RESPONSE_TIME_CASES])
+def test_the_interactive_response_time_law_holds_for_users_who_never_retire(
+        pattern, pods, users, hold_s):
+    """With users_min = users_max = N every pattern holds N users from t = 0 and none
+    retires. A user's next request arrives `hold_s` after its last one completes, or
+    none does before T, so its requests' residence and its think times tile [0, T]."""
+    cfg = replace(ExperimentConfig(), users_min=users, users_max=users, hold_s=hold_s)
+    stack = SimStack(cfg, pattern, traffic_seed=11, init_cpu=pods[0], init_gpu=pods[1])
+    submitted = run_to_the_end(stack)[0]
+    end = cfg.episode_s
+    assert stack.generator.active_users() == users
+    assert {r.user for r in submitted if r.arrived_at == 0.0} == set(range(1, users + 1))
+
+    def until_end(t):
+        return end if t is None else min(t, end)
+
+    spent = {uid: [] for uid in range(1, users + 1)}    # residence and think times
+    for r in submitted:
+        spent[r.user].append(until_end(r.completed_at) - r.arrived_at)
+        if r.completed_at is not None and r.completed_at < end:
+            spent[r.user].append(min(r.completed_at + hold_s, end) - r.completed_at)
+    assert users * end == pytest.approx(math.fsum(map(math.fsum, spent.values())), rel=REL)
+    assert all(math.fsum(times) == pytest.approx(end, rel=REL) for times in spent.values())
