@@ -5,7 +5,7 @@ preference); the critic is an independent value network. Updates run once
 per episode by default over minibatches with normalized advantages. Acting runs
 the actor alone: a rollout is a list of `(obs, heads, log_prob, reward, done)`
 steps, `heads` the drawn head indices, that `update` values in one stacked critic
-pass. `train` runs the config's schedule and returns a `TrainState`, the run's record.
+pass. `train(agent, out)` writes out/trace.jsonl and returns a `TrainState`, the run's record.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .env import ACTIONS, HEAD_SIZES, OBS_FIELDS, ActionTriple, ScalingEnv, episode_traffic
+from .env import (ACTIONS, HEAD_SIZES, OBS_FIELDS, ActionTriple, ScalingEnv, episode_traffic,
+                  trace_line)
 from .nn import (ActorCriticParams, Adam, NetDims, actor_forward, critic_forward, log_softmax,
                  ppo_loss_and_grads, tensor_shapes)
 from .traffic import PATTERN_NAMES
@@ -27,6 +28,7 @@ from .traffic import PATTERN_NAMES
 CHECKPOINT_MAGIC = b"KISC1"
 CHECKPOINT_HEADER = struct.Struct("<6I")    # inputs, hidden1, hidden2, the three head sizes
 CHECKPOINT_STATE = struct.Struct("<IIddi")  # episode_index, n_returns, moving_avg, best, converged_at
+EVAL_INDEX_BASE = 1_000_000     # the episode index of train's first greedy evaluation
 # `_actor` pads each head to a row of max(HEAD_SIZES) with -inf; every head but the last
 # is that wide already, so one block after the last fills its row
 _PAD = np.full((1, len(HEAD_SIZES) * max(HEAD_SIZES) - sum(HEAD_SIZES)), -np.inf)
@@ -278,13 +280,12 @@ def load_checkpoint(path: str | Path) -> tuple[ActorCriticParams, TrainState]:
 # ---- training loop -------------------------------------------------------
 
 def run_episode(env: ScalingEnv, agent: PpoAgent, episode_index: int,
-                steps: list | None = None) -> float:
+                steps: list | None = None, trace=None) -> float:
     """Play one episode; returns the undiscounted episode return.
 
-    With a `steps` list the agent samples its actions and each step is
-    appended to it; without one it acts greedily."""
-    obs = env.reset_to(*episode_traffic(env.config.seed, episode_index),
-                       episode_index=episode_index)
+    With a `steps` list the agent samples its actions and appends each step to it;
+    without one it acts greedily. A `trace` file gets each step's `trace_line`."""
+    obs = env.reset_to(*episode_traffic(env.config.seed, episode_index))
     episode_return = 0.0
     done = False
     while not done:
@@ -293,6 +294,9 @@ def run_episode(env: ScalingEnv, agent: PpoAgent, episode_index: int,
         else:
             action, heads, log_prob = agent.sample_action(obs)
         next_obs, reward, done = env.step(action)
+        if trace is not None:
+            trace.write(trace_line(episode_index, env.step_index, env.pattern, next_obs.tolist(),
+                                   action, env.terms, env.desired, env.row["users"]))
         episode_return += reward
         if steps is not None:
             steps.append((obs, heads, log_prob, reward, done))
@@ -300,31 +304,32 @@ def run_episode(env: ScalingEnv, agent: PpoAgent, episode_index: int,
     return episode_return
 
 
-def train(env: ScalingEnv, agent: PpoAgent, out: str | Path) -> TrainState:
-    """Train `cfg.episodes` episodes over rotating patterns, updating every
-    `cfg.ppo_update_every_episodes`, and play one greedy episode per pattern
-    on an untraced env every `cfg.eval_every`. Writes out/checkpoint_best.kisc
-    whenever the moving average improves and out/checkpoint.kisc at the end."""
+def train(agent: PpoAgent, out: str | Path) -> TrainState:
+    """Train `cfg.episodes` traced episodes over rotating patterns, updating every
+    `cfg.ppo_update_every_episodes`, and play one untraced greedy episode per pattern
+    every `cfg.eval_every`. Writes out/trace.jsonl, out/checkpoint_best.kisc whenever
+    the moving average improves and out/checkpoint.kisc at the end."""
     cfg = agent.cfg
-    eval_env = ScalingEnv(cfg)
+    env = ScalingEnv(cfg)
     state = TrainState()
     steps: list = []
-    for ep in range(cfg.episodes):
-        state.returns.append(run_episode(env, agent, ep, steps=steps))
-        update_due = (ep + 1) % cfg.ppo_update_every_episodes == 0
-        losses = agent.update(steps) if update_due else None
-        state.log.append((env.pattern, state.moving_avg, losses))
-        if state.converged_at < 0 and detect_convergence(state):
-            state.converged_at = state.episode_index
-        if state.moving_avg > state.best_moving_avg:
-            state.best_moving_avg = state.moving_avg
-            save_checkpoint(agent.params, state, Path(out) / "checkpoint_best.kisc")
-        if cfg.eval_every and (ep + 1) % cfg.eval_every == 0:
-            eval_round = (ep + 1) // cfg.eval_every
-            for p_idx, pattern in enumerate(PATTERN_NAMES):
-                # a multiple of len(PATTERN_NAMES) plus p_idx: episode_traffic picks `pattern`
-                eval_index = ScalingEnv.EVAL_INDEX_BASE + eval_round * len(PATTERN_NAMES) + p_idx
-                state.evals.append(
-                    (ep, eval_round, pattern, run_episode(eval_env, agent, eval_index)))
+    with (Path(out) / "trace.jsonl").open("w") as trace:
+        for ep in range(cfg.episodes):
+            state.returns.append(run_episode(env, agent, ep, steps=steps, trace=trace))
+            update_due = (ep + 1) % cfg.ppo_update_every_episodes == 0
+            losses = agent.update(steps) if update_due else None
+            state.log.append((env.pattern, state.moving_avg, losses))
+            if state.converged_at < 0 and detect_convergence(state):
+                state.converged_at = state.episode_index
+            if state.moving_avg > state.best_moving_avg:
+                state.best_moving_avg = state.moving_avg
+                save_checkpoint(agent.params, state, Path(out) / "checkpoint_best.kisc")
+            if cfg.eval_every and (ep + 1) % cfg.eval_every == 0:
+                eval_round = (ep + 1) // cfg.eval_every
+                for p_idx, pattern in enumerate(PATTERN_NAMES):
+                    # a multiple of len(PATTERN_NAMES) plus p_idx: episode_traffic picks `pattern`
+                    eval_index = EVAL_INDEX_BASE + eval_round * len(PATTERN_NAMES) + p_idx
+                    state.evals.append(
+                        (ep, eval_round, pattern, run_episode(env, agent, eval_index)))
     save_checkpoint(agent.params, state, Path(out) / "checkpoint.kisc")
     return state

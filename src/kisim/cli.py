@@ -22,7 +22,7 @@ from pathlib import Path
 from .agent import PpoAgent, load_checkpoint, moving_average, train
 from .baselines import POLICY_NAMES, run_baseline
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
-from .env import TIMESERIES_FIELDS, ActionTriple, ScalingEnv, episode_traffic, run_policy_episode
+from .env import TIMESERIES_FIELDS, ActionTriple, episode_traffic, run_policy_episode
 from .traffic import PATTERN_NAMES
 
 EVAL_SEED_BASE = 2_000_000
@@ -119,10 +119,7 @@ def _run_grid(cfg: ExperimentConfig, out: Path, patterns, index_base: int, polic
 def cmd_train(args) -> int:
     cfg = _load_effective_config(args)
     out = _prepare_out(cfg)
-    agent = PpoAgent(cfg=cfg, seed=cfg.seed)
-
-    with (out / "trace.jsonl").open("w") as trace:
-        state = train(ScalingEnv(cfg, trace_sink=trace), agent, out)
+    state = train(PpoAgent(cfg=cfg, seed=cfg.seed), out)
 
     rows: list[dict] = []     # one per episode, for training_log and pattern_rewards
     pattern_returns: dict[str, list[float]] = defaultdict(list)

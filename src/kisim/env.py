@@ -1,18 +1,19 @@
 """RL environment over the simulator: observations, actions, reward, episodes.
 
-One episode = one pattern, 300 simulated seconds, one decision every 15 s.
-Each control step takes one `SimStack.row()` snapshot, kept as `ScalingEnv.row`;
-the observation, the reward, the trace record and the evaluation time series
-all read it, and the reward and the trace record share one (GPU, CPU) replica
-count. Observations are float64 vectors in `OBS_FIELDS` order (all components
-in [0, 1]); actions are (GPU delta, CPU delta, placement preference) triples,
+One episode = one pattern, 300 simulated seconds, one decision every 15 s. Each control
+step takes one `SimStack.row()` snapshot, kept as `ScalingEnv.row`; the observation, the
+reward, the trace record and the evaluation time series all read it, and the reward terms
+and the trace record share one (GPU, CPU) replica count, kept as `ScalingEnv.terms` and
+`ScalingEnv.desired`. Observations are float64 vectors in `OBS_FIELDS` order (all
+components in [0, 1]); actions are (GPU delta, CPU delta, placement preference) triples,
 the `ACTIONS` of the policy's `HEAD_SIZES`, which no other module restates.
 
-A traced step writes one `TRACE_LINE`, the bytes `json.dumps` writes for its record,
-each value as the text `repr(round(x, 9))`. The texts of non-zero floats come from a memo
-of at most 4,096 entries; an int never reads a float's text (`1` is not `1.0`), and a zero
-skips the memo, since `0.0` and `-0.0` are one key with two texts. The bytes must not move:
-the determinism digest and the tests' pinned hashes read them.
+The env writes nothing: `agent.run_episode` writes a traced step as one `TRACE_LINE`,
+the bytes `json.dumps` writes for its record, each value as the text `repr(round(x, 9))`.
+The texts of non-zero floats come from a memo of at most 4,096 entries; an int never
+reads a float's text (`1` is not `1.0`), and a zero skips the memo, since `0.0` and
+`-0.0` are one key with two texts. The bytes must not move: the determinism digest and
+the tests' pinned hashes read them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import IO, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -183,7 +184,10 @@ class SimStack:
 
 
 def episode_traffic(base_seed: int, index: int) -> tuple[str, int]:
-    """The (pattern, traffic seed) of episode `index`: patterns rotate with the index."""
+    """The (pattern, traffic seed) of episode `index`: patterns rotate with the index.
+    Training uses 0 ... episodes - 1, `train`'s greedy evaluations `agent.EVAL_INDEX_BASE`
+    (1,000,000) on, `evaluate` `cli.EVAL_SEED_BASE` (2,000,000) on, and `baseline` 0-3,
+    the traffic of training episodes 0-3."""
     return (PATTERN_NAMES[index % len(PATTERN_NAMES)],
             int(np.random.SeedSequence([base_seed, index]).generate_state(1)[0]))
 
@@ -195,15 +199,11 @@ class EpisodeFinished(RuntimeError):
 class ScalingEnv:
     """Gym-style facade: reset_to(pattern, seed) -> obs; step(action) -> (obs, reward, done)."""
 
-    EVAL_INDEX_BASE = 1_000_000
-
-    def __init__(self, config: ExperimentConfig,
-                 trace_sink: Optional[IO[str]] = None) -> None:
+    def __init__(self, config: ExperimentConfig) -> None:
         self.config = config
-        self.trace_sink = trace_sink
         self.stack: Optional[SimStack] = None
         self.row: dict = {}     # the SimStack.row() snapshot of the last observe()
-        self.episode_index = -1
+        self.terms, self.desired = {}, (0, 0)   # the last step's REWARD_TERMS, (GPU, CPU) replicas
         self.step_index = 0
 
     @property
@@ -213,10 +213,9 @@ class ScalingEnv:
 
     # ---- episode management ---------------------------------------------
 
-    def reset_to(self, pattern: str, traffic_seed: int, episode_index: int = 0,
+    def reset_to(self, pattern: str, traffic_seed: int,
                  pods: Optional[tuple[int, int]] = None) -> np.ndarray:
         """A new episode on `pods` (CPU, GPU) Ready pods, else the config's init counts."""
-        self.episode_index = episode_index
         self.step_index = 0
         self.row = {}   # so the first trends compare with 0.0
         init_cpu, init_gpu = pods or (self.config.init_cpu, self.config.init_gpu)
@@ -304,14 +303,10 @@ class ScalingEnv:
         if done:
             stack.engine.clear()
             stack.cluster.completion_listeners.clear()
-        desired = (stack.cluster.desired(Pool.GPU), stack.cluster.desired(Pool.CPU))
+        self.desired = (stack.cluster.desired(Pool.GPU), stack.cluster.desired(Pool.CPU))
         obs = self.observe()
-        terms = self.reward(obs, action, desired)
-        if self.trace_sink is not None:
-            self.trace_sink.write(trace_line(self.episode_index, self.step_index, self.pattern,
-                                             obs.tolist(), action, terms, desired,
-                                             self.row["users"]))
-        return obs, terms["total"], done
+        self.terms = self.reward(obs, action, self.desired)
+        return obs, self.terms["total"], done
 
 
 def run_policy_episode(policy, pattern: str, cfg: ExperimentConfig, traffic_seed: int,

@@ -38,11 +38,11 @@ def test_gae_matches_a_hand_worked_case_with_a_mid_buffer_done():
 SHORT = ExperimentConfig(episode_s=60.0)
 
 
-def sampled_episode(trace_sink=None):
+def sampled_episode(trace=None):
     """(agent, steps) after one sampled 4-step episode of a small network."""
     agent = PpoAgent(NetDims(hidden1=8, hidden2=6), SHORT, seed=1)
     steps: list = []
-    run_episode(ScalingEnv(SHORT, trace_sink=trace_sink), agent, 0, steps=steps)
+    run_episode(ScalingEnv(SHORT), agent, 0, steps=steps, trace=trace)
     return agent, steps
 
 
@@ -64,7 +64,7 @@ def test_update_learns_from_its_steps_and_empties_them():
 
 def test_recorded_heads_decode_to_the_traced_action():
     sink = StringIO()
-    _, steps = sampled_episode(trace_sink=sink)
+    _, steps = sampled_episode(trace=sink)
     traced = [json.loads(line)["action"] for line in sink.getvalue().splitlines()]
     decoded = [ACTIONS[heads] for _, heads, *_ in steps]
     assert [[a.d_gpu, a.d_cpu, a.pref] for a in decoded] == traced
@@ -184,7 +184,7 @@ def test_a_rollout_of_three_episodes_gets_the_advantages_of_per_step_values(tmp_
 
     with mock.patch.object(agent, "update", update), \
             mock.patch.object(kisim.agent, "gae", recorded_gae):
-        train(ScalingEnv(cfg), agent, tmp_path)
+        train(agent, tmp_path)
     [rollout], [(adv, returns)] = rollouts, gae_outputs
     values, rewards, dones = zip(*rollout)
     assert list(dones) == [False, False, False, True] * 3
@@ -435,3 +435,14 @@ def test_a_network_of_no_hidden_unit_is_a_checkpoint_error(tmp_path, hidden):
     with pytest.raises(CheckpointError, match=re.escape(
             f"has hidden sizes {hidden}, but the config's rule is hidden1 >= 1 and hidden2 >= 1")):
         load_checkpoint(path)
+
+
+def test_train_traces_each_training_step_once_and_no_greedy_evaluation(tmp_path):
+    """Four training episodes of 20 steps write 80 lines, one per (episode, step) in
+    order; the 8 greedy evaluation episodes of two rounds write none."""
+    cfg = replace(ExperimentConfig(), episodes=4, eval_every=2)
+    state = train(PpoAgent(NetDims(hidden1=8, hidden2=6), cfg, seed=0), tmp_path)
+    records = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
+    assert [(r["episode"], r["step"]) for r in records] == \
+        [(ep, step) for ep in range(4) for step in range(1, 21)]
+    assert len(state.evals) == 8

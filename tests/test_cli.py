@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import kisim.agent
 import kisim.cli
 import kisim.env
 from kisim.agent import (CHECKPOINT_HEADER, CHECKPOINT_MAGIC, MOVING_AVG_WINDOW, PpoAgent,
@@ -367,6 +368,25 @@ def test_baseline_runs_every_pattern_through_run_baseline(tmp_path, monkeypatch)
     rows = json.loads((out / "baseline_report.json").read_text())
     assert [(r["pattern"], r["traffic_seed"], r["speedup"]) for r in rows] == \
         [("spike", seeds["spike"], 3.0), ("ramp", seeds["ramp"], 3.0)]
+
+
+
+def test_baseline_runs_on_the_traffic_of_training_episodes_0_to_3(tmp_path, monkeypatch):
+    """The traffic index space of `env.episode_traffic`: `baseline` starts at index 0, so each
+    pattern's baseline runs on the traffic seed of the training episode of that pattern."""
+    trained = {}
+
+    def recorded(base_seed, index):
+        trained[index] = traffic = episode_traffic(base_seed, index)
+        return traffic
+
+    monkeypatch.setattr(kisim.agent, "episode_traffic", recorded)
+    sets = ["--seed", "5", "--set", "episode_s=15", "--set", "eval_every=0"]
+    assert main(["train", "--episodes", "4", *sets, "--out", str(tmp_path / "train")]) == 0
+    assert main(["baseline", *sets, "--out", str(tmp_path / "base")]) == 0
+    rows = json.loads((tmp_path / "base" / "baseline_report.json").read_text())
+    assert sorted(trained) == [0, 1, 2, 3]
+    assert [(r["pattern"], r["traffic_seed"]) for r in rows] == list(trained.values())
 
 
 def test_baseline_report_cells_read_back(tmp_path):

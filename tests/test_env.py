@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kisim.agent import PpoAgent
+from kisim.agent import EVAL_INDEX_BASE, PpoAgent, run_episode
 from kisim.baselines import run_baseline
 from kisim.config import ExperimentConfig
 from kisim.env import (ACTIONS, DELTAS, HEAD_SIZES, OBS_FIELDS, REWARD_TERMS, TIMESERIES_FIELDS,
@@ -83,7 +83,7 @@ def test_step_count_for_default_and_dense_control(interval, steps):
 @pytest.mark.parametrize("p_idx", range(len(PATTERN_NAMES)))
 def test_eval_index_reset_picks_the_pattern_at_its_offset(p_idx):
     cfg = ExperimentConfig(episode_s=5.0)
-    index = ScalingEnv.EVAL_INDEX_BASE + len(PATTERN_NAMES) * 3 + p_idx
+    index = EVAL_INDEX_BASE + len(PATTERN_NAMES) * 3 + p_idx
     env = ScalingEnv(cfg)
     env.reset_to(*episode_traffic(cfg.seed, index))
     assert env.pattern == PATTERN_NAMES[p_idx]
@@ -186,24 +186,9 @@ FIVE_ACTIONS = (ActionTriple(1, 1, 1), ActionTriple(2, -1, 0), ActionTriple(-1, 
                 ActionTriple(0, -2, 0), ActionTriple(-2, 0, 1))
 
 
-def test_env_trace_reproduces_its_pinned_bytes():
-    """Observations, rewards and trace records of four episodes under a fixed
-    action cycle; any change to the simulator, the metrics window or the load
-    generator as ScalingEnv reads them moves this digest."""
-    sink = StringIO()
-    env = ScalingEnv(ExperimentConfig(episode_s=60.0), trace_sink=sink)
-    actions = itertools.cycle(FIVE_ACTIONS)
-    for i in range(4):
-        env.reset_to(*episode_traffic(env.config.seed, i), episode_index=i)
-        done = False
-        while not done:
-            _, _, done = env.step(next(actions))
-    digest = hashlib.sha256(sink.getvalue().encode()).hexdigest()
-    assert digest[:16] == "9b3f9802bb552b19"
-
-
 class CyclingAgent:
-    """Acts FIVE_ACTIONS in turn, whatever it observes."""
+    """Acts FIVE_ACTIONS in turn, whatever it observes: as a policy of
+    `run_policy_episode` and greedily in `agent.run_episode`."""
 
     name = "kiscaler"
     pods = None
@@ -211,8 +196,23 @@ class CyclingAgent:
     def __init__(self) -> None:
         self.actions = itertools.cycle(FIVE_ACTIONS)
 
-    def act(self, obs, env):
+    def greedy_action(self, obs):
         return next(self.actions)
+
+    def act(self, obs, env):
+        return self.greedy_action(obs)
+
+
+def test_env_trace_reproduces_its_pinned_bytes():
+    """Observations, rewards and trace records of four episodes under a fixed
+    action cycle, as `run_episode` traces them; any change to the simulator, the
+    metrics window or the load generator as ScalingEnv reads them moves this digest."""
+    sink = StringIO()
+    env, agent = ScalingEnv(ExperimentConfig(episode_s=60.0)), CyclingAgent()
+    for i in range(4):
+        run_episode(env, agent, i, trace=sink)
+    digest = hashlib.sha256(sink.getvalue().encode()).hexdigest()
+    assert digest[:16] == "9b3f9802bb552b19"
 
 
 def test_policy_episodes_reproduce_their_pinned_bytes():
@@ -374,11 +374,9 @@ def test_a_stepped_non_finite_observation_is_refused_before_it_is_written(monkey
         return {**row(stack), "gpu_util": math.nan}
 
     sink = StringIO()
-    env = ScalingEnv(ExperimentConfig(episode_s=30.0), trace_sink=sink)
-    env.reset_to("ramp", 3, episode_index=5)
     monkeypatch.setattr(SimStack, "row", nan_gpu_util)
     with pytest.raises(SimulationError, match="episode 5 step 1: non-finite"):
-        env.step(ActionTriple(0, 0, 1))
+        run_episode(ScalingEnv(ExperimentConfig(episode_s=30.0)), CyclingAgent(), 5, trace=sink)
     assert sink.getvalue() == ""
 
 
@@ -404,7 +402,7 @@ def test_the_action_table_holds_every_action_once_by_its_head_indices():
         assert action.pref is RoutePref(p)
 
 
-def test_a_deep_copy_of_an_untraced_env_mid_episode_steps_like_its_source():
+def test_a_deep_copy_of_an_env_mid_episode_steps_like_its_source():
     """A fork for planning: `copy.deepcopy` of a ScalingEnv mid-episode, whose lane holds
     each thinking user's next Request beside its cluster's bound `submit`, replays the
     source's rows, observations, rewards and event count step for step to the end."""
@@ -427,3 +425,52 @@ def test_a_deep_copy_of_an_untraced_env_mid_episode_steps_like_its_source():
             (env.row, obs.tobytes(), reward, done)
         assert fork.stack.engine.clock.seq == env.stack.engine.clock.seq
     assert done
+
+
+class ForkingAgent(CyclingAgent):
+    """A `CyclingAgent` that, at step `fork_at` of the episode `run_episode` traces, forks
+    `env` once per action in `ACTIONS` and steps each fork to the episode end under that
+    action, as a rollout planner does, before it acts. It keeps every observation it saw."""
+
+    def __init__(self, env, sink, fork_at) -> None:
+        super().__init__()
+        self.env, self.sink, self.fork_at = env, sink, fork_at
+        self.seen, self.forks = [], []
+
+    def greedy_action(self, obs):
+        self.seen.append(obs.tobytes())
+        env = self.env
+        if env.step_index == self.fork_at:
+            row, seq, written = dict(env.row), env.stack.engine.clock.seq, self.sink.tell()
+            for action in ACTIONS.values():
+                fork = copy.deepcopy(env)
+                done = False
+                while not done:
+                    _, _, done = fork.step(action)
+                self.forks.append(fork)
+            assert (env.row, env.stack.engine.clock.seq) == (row, seq)
+            assert self.sink.tell() == written      # the forks wrote nothing
+        return super().greedy_action(obs)
+
+
+def test_an_env_forked_mid_episode_while_it_is_traced_leaves_the_source_and_its_trace_alone(
+        tmp_path):
+    """The rollout planner's fork: `run_episode` traces an env into a file, as `train` does,
+    and its agent forks that env mid-episode and plays every action on a fork to the end.
+    The source steps on as if unforked: the same row, event sequence and next observation,
+    and the trace bytes of an unforked run. An env holds no file (an open one would make
+    `deepcopy` raise), so no fork can write to the source's trace."""
+    cfg = ExperimentConfig(episode_s=90.0)
+    plain_sink = StringIO()
+    plain = ForkingAgent(ScalingEnv(cfg), plain_sink, fork_at=-1)
+    run_episode(plain.env, plain, 2, trace=plain_sink)
+    with (tmp_path / "trace.jsonl").open("w") as sink:
+        forking = ForkingAgent(ScalingEnv(cfg), sink, fork_at=3)
+        run_episode(forking.env, forking, 2, trace=sink)
+    assert len(forking.forks) == len(ACTIONS) and plain.forks == []
+    assert all(fork.step_index == 6 and fork.stack.engine.now == cfg.episode_s
+               for fork in forking.forks)
+    assert len({fork.stack.engine.clock.seq for fork in forking.forks}) > 1
+    assert forking.seen == plain.seen
+    traced = (tmp_path / "trace.jsonl").read_text()
+    assert traced == plain_sink.getvalue() and len(traced.splitlines()) == 6

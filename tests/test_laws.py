@@ -10,6 +10,21 @@ instants and its time integrals are sums over those segments:
   pool's pods is the service time its requests received up to T;
 - the interactive response-time law, for users who never retire: each user spends
   [0, T] in its requests' residence or in think time, so N users spend N * T.
+
+The same runs check the asymptotic bounds of operational analysis (Denning and Buzen,
+1978; Lazowska et al., 1984, ch. 5), which hold for any queueing discipline, with
+s_min = `base_service_s`, the service time of a request that starts alone on its pod:
+
+- every response time is at least s_min;
+- on a fixed deployment, the C completions in [0, T] satisfy C * s_min <= T * the slots
+  of the Ready pods, since busy slot-seconds never exceed the slots' time;
+- for N users who never retire, with think time Z = `hold_s`, C * (Z + s_min) <= N * (T + Z):
+  each completion but a user's last is followed by a think of Z, clipped at T.
+
+Each bound is asserted within the relative `REL` of the laws, not strictly: a response
+time, `completed_at - arrived_at`, is a difference of two clock readings, so a request
+served alone in exactly s_min can read below it by an ulp of the clock (near T = 300 s,
+about 6e-14 s). Each of the twelve fixed deployments below has such a response time.
 """
 
 import itertools
@@ -62,6 +77,19 @@ def run_to_the_end(stack):
     return submitted, outstanding, in_service, pool_of, phases_seen, backlog
 
 
+def assert_every_response_takes_s_min(stack, submitted):
+    s_min = stack.config.base_service_s
+    assert min(r.completed_at - r.arrived_at for r in submitted
+               if r.completed_at is not None) >= s_min * (1 - REL)
+
+
+def assert_the_fixed_deployment_bound_holds(stack):
+    """C * s_min <= T * the slots of the Ready pods, on a deployment no policy moved."""
+    cluster, cfg = stack.cluster, stack.config
+    slots = sum(p.concurrency_cap for pool in Pool for p in cluster.ready_pods(pool))
+    assert cluster.requests_completed * cfg.base_service_s <= cfg.episode_s * slots * (1 + REL)
+
+
 def assert_the_laws_hold(stack):
     """Run `stack` to its end, check both laws; returns what `run_to_the_end` saw."""
     submitted, outstanding, in_service, *seen = run_to_the_end(stack)
@@ -73,6 +101,7 @@ def assert_the_laws_hold(stack):
         return end if t is None else min(t, end)
 
     in_system = math.fsum(until_end(r.completed_at) - r.arrived_at for r in submitted)
+    assert_every_response_takes_s_min(stack, submitted)
     assert outstanding == pytest.approx(in_system, rel=REL)
     for pool in Pool:
         served = math.fsum(until_end(r.completed_at) - r.service_started_at for r in submitted
@@ -84,9 +113,10 @@ def assert_the_laws_hold(stack):
 @pytest.mark.parametrize("pattern, pods", itertools.product(PATTERN_NAMES,
                                                             [(3, 0), (0, 1), (6, 1)]))
 def test_littles_law_and_the_utilization_law_hold_over_an_episode(pattern, pods):
-    submitted, pool_of, _, _ = assert_the_laws_hold(
-        SimStack(ExperimentConfig(), pattern, traffic_seed=11, init_cpu=pods[0],
-                 init_gpu=pods[1]))
+    stack = SimStack(ExperimentConfig(), pattern, traffic_seed=11, init_cpu=pods[0],
+                     init_gpu=pods[1])
+    submitted, pool_of, _, _ = assert_the_laws_hold(stack)
+    assert_the_fixed_deployment_bound_holds(stack)
     assert {pool_of[r.pod_id] for r in submitted if r.pod_id is not None} == \
         {pool for pool, n in zip((Pool.CPU, Pool.GPU), pods) if n}
 
@@ -194,3 +224,7 @@ def test_the_interactive_response_time_law_holds_for_users_who_never_retire(
             spent[r.user].append(min(r.completed_at + hold_s, end) - r.completed_at)
     assert users * end == pytest.approx(math.fsum(map(math.fsum, spent.values())), rel=REL)
     assert all(math.fsum(times) == pytest.approx(end, rel=REL) for times in spent.values())
+    assert_every_response_takes_s_min(stack, submitted)
+    assert_the_fixed_deployment_bound_holds(stack)
+    completed = stack.cluster.requests_completed
+    assert completed * (hold_s + cfg.base_service_s) <= users * (end + hold_s) * (1 + REL)
