@@ -281,12 +281,11 @@ def load_checkpoint(path: str | Path) -> tuple[ActorCriticParams, TrainState]:
 
 def run_episode(env: ScalingEnv, agent: PpoAgent, episode_index: int,
                 steps: list | None = None, trace=None) -> float:
-    """Play one episode; returns the undiscounted episode return.
+    """Play one episode; returns the undiscounted episode return, `env.episode_return`.
 
     With a `steps` list the agent samples its actions and appends each step to it;
     without one it acts greedily. A `trace` file gets each step's `trace_line`."""
     obs = env.reset_to(*episode_traffic(env.config.seed, episode_index))
-    episode_return = 0.0
     done = False
     while not done:
         if steps is None:
@@ -297,11 +296,10 @@ def run_episode(env: ScalingEnv, agent: PpoAgent, episode_index: int,
         if trace is not None:
             trace.write(trace_line(episode_index, env.step_index, env.pattern, next_obs.tolist(),
                                    action, env.terms, env.desired, env.row["users"]))
-        episode_return += reward
         if steps is not None:
             steps.append((obs, heads, log_prob, reward, done))
         obs = next_obs
-    return episode_return
+    return env.episode_return
 
 
 def train(agent: PpoAgent, out: str | Path) -> TrainState:

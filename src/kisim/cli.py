@@ -14,7 +14,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -22,7 +21,7 @@ from pathlib import Path
 from .agent import PpoAgent, load_checkpoint, moving_average, train
 from .baselines import POLICY_NAMES, run_baseline
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
-from .env import TIMESERIES_FIELDS, ActionTriple, episode_traffic, run_policy_episode
+from .env import TIMESERIES_FIELDS, episode_traffic, read_trace_line, run_policy_episode
 from .traffic import PATTERN_NAMES
 
 EVAL_SEED_BASE = 2_000_000
@@ -222,83 +221,33 @@ def cmd_evaluate(args) -> int:
 
 # ---- replay ---------------------------------------------------------------
 
-_COUNT_FIELDS = ("episode", "step", "desired_gpu", "desired_cpu", "users")
-_PATTERNS = frozenset(PATTERN_NAMES)
-
-
-def _finite_number(v) -> bool:
-    """An int or float (not a bool) that a float holds, and not NaN or an infinity."""
-    try:
-        return type(v) in (int, float) and math.isfinite(v)
-    except OverflowError:   # an int past any float
-        return False
-
-
 def cmd_replay(args) -> int:
     path = Path(args.trace)
     if not path.exists():
         raise ReplayError(f"trace file not found: {path}")
-    records = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append((lineno, json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ReplayError(f"malformed trace line {lineno}: {exc}") from exc
-    if not records:
-        raise ReplayError(f"{path}: no trace record")
-
     returns: dict[int, float] = defaultdict(float)
     by_pattern: dict = defaultdict(Counter)     # pattern -> its action histogram
     rows = []
     first_line: dict[tuple[int, int], int] = {}     # (episode, step) -> the line it is on
-    for lineno, rec in records:
-        if not isinstance(rec, dict):
-            raise ReplayError(f"trace line {lineno}: not a JSON object")
-        try:
-            action = rec["action"]
-            if not (isinstance(action, list) and len(action) == 3
-                    and all(type(a) is int for a in action)):
-                raise ReplayError(f"trace line {lineno}: action {action!r} is not 3 ints")
-            ActionTriple(*action)   # refuses an action outside the space
-            row = {
-                "episode": rec["episode"],
-                "step": rec["step"],
-                "pattern": rec["pattern"],
-                "reward_total": rec["reward"]["total"],
-                "d_gpu": action[0],
-                "d_cpu": action[1],
-                "pref": action[2],
-                "desired_gpu": rec["desired_gpu"],
-                "desired_cpu": rec["desired_cpu"],
-                "users": rec["users"],
-            }
-            for key in _COUNT_FIELDS:
-                if type(row[key]) is not int or row[key] < 0:     # a bool is no count either
-                    raise ReplayError(f"trace line {lineno}: {key} {row[key]!r} is not a "
-                                      f"non-negative int")
-            if row["pattern"] not in _PATTERNS:   # a set: an unhashable pattern is a TypeError
-                raise ReplayError(f"trace line {lineno}: pattern {row['pattern']!r} is not one "
-                                  f"of {PATTERN_NAMES}")
-            if not _finite_number(row["reward_total"]):
-                raise ReplayError(f"trace line {lineno}: reward.total {row['reward_total']!r} "
-                                  f"is not a finite number")
-            first = first_line.setdefault((row["episode"], row["step"]), lineno)
+    with path.open() as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = read_trace_line(line)
+            except ValueError as exc:
+                raise ReplayError(f"trace line {lineno}: {exc}") from None
+            episode, step, action = rec["episode"], rec["step"], rec["action"]
+            first = first_line.setdefault((episode, step), lineno)
             if first != lineno:
-                raise ReplayError(f"trace line {lineno}: episode {row['episode']} step "
-                                  f"{row['step']} repeats line {first}")
-            returns[row["episode"]] += row["reward_total"]
-            by_pattern[row["pattern"]][tuple(action)] += 1
-        except KeyError as exc:
-            raise ReplayError(f"trace line {lineno}: missing key {exc}") from None
-        except TypeError as exc:  # a "reward" not an object, a total not a number, a list pattern
-            raise ReplayError(f"trace line {lineno}: {exc}") from None
-        except ValueError as exc:   # from ActionTriple alone
-            raise ReplayError(f"trace line {lineno}: action {action!r}: {exc}") from None
-        rows.append(row)
+                raise ReplayError(f"trace line {lineno}: episode {episode} step {step} "
+                                  f"repeats line {first}")
+            returns[episode] += rec["reward"]["total"]
+            by_pattern[rec["pattern"]][tuple(action)] += 1
+            rows.append(dict(rec, reward_total=rec["reward"]["total"], d_gpu=action[0],
+                             d_cpu=action[1], pref=action[2]))
+    if not rows:
+        raise ReplayError(f"{path}: no trace record")
     histogram = sum(by_pattern.values(), Counter())
 
     out = Path(args.out) if args.out else path.parent
@@ -307,11 +256,10 @@ def cmd_replay(args) -> int:
                ("episode", "step", "pattern", "reward_total", "d_gpu", "d_cpu",
                 "pref", "desired_gpu", "desired_cpu", "users"), rows)
 
-    print(f"trace: {len(records)} steps over {len(returns)} episodes")
+    print(f"trace: {len(rows)} steps over {len(returns)} episodes")
     for ep in sorted(returns):
         print(f"episode {ep}: return {returns[ep]:.4f}")
-    total_steps = sum(histogram.values())
-    print(f"action histogram ({total_steps} steps):")
+    print(f"action histogram ({len(rows)} steps):")
     for action, count in sorted(histogram.items()):
         print(f"  d_gpu={action[0]:+d} d_cpu={action[1]:+d} pref={action[2]}: {count}")
     for pattern, counts in by_pattern.items():

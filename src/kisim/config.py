@@ -204,8 +204,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def apply_overrides(cfg: ExperimentConfig, pairs: list[str]) -> ExperimentConfig:
-    """Apply key=value pairs (--set overrides, config file lines) on top of a config."""
-    values = dataclasses.asdict(cfg)
+    """Apply key=value pairs (--set overrides, config file lines), each key once, to a config."""
+    given: dict = {}
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"override must look like key=value, got {pair!r}")
@@ -213,5 +213,7 @@ def apply_overrides(cfg: ExperimentConfig, pairs: list[str]) -> ExperimentConfig
         key = key.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key: {key!r}")
-        values[key] = _parse_value(key, raw)
-    return ExperimentConfig(**values)
+        if key in given:
+            raise ConfigError(f"config key {key!r} is given more than once")
+        given[key] = _parse_value(key, raw)
+    return dataclasses.replace(cfg, **given)

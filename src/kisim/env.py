@@ -4,22 +4,25 @@ One episode = one pattern, 300 simulated seconds, one decision every 15 s. Each 
 step takes one `SimStack.row()` snapshot, kept as `ScalingEnv.row`; the observation, the
 reward, the trace record and the evaluation time series all read it, and the reward terms
 and the trace record share one (GPU, CPU) replica count, kept as `ScalingEnv.terms` and
-`ScalingEnv.desired`. Observations are float64 vectors in `OBS_FIELDS` order (all
-components in [0, 1]); actions are (GPU delta, CPU delta, placement preference) triples,
-the `ACTIONS` of the policy's `HEAD_SIZES`, which no other module restates.
+`ScalingEnv.desired`, and their totals sum to `ScalingEnv.episode_return`. Observations are
+float64 vectors in `OBS_FIELDS` order (all components in [0, 1]); actions are (GPU delta,
+CPU delta, placement preference) triples, the `ACTIONS` of the policy's `HEAD_SIZES`, which
+no other module restates.
 
 The env writes nothing: `agent.run_episode` writes a traced step as one `TRACE_LINE`,
 the bytes `json.dumps` writes for its record, each value as the text `repr(round(x, 9))`.
 The texts of non-zero floats come from a memo of at most 4,096 entries; an int never
 reads a float's text (`1` is not `1.0`), and a zero skips the memo, since `0.0` and
 `-0.0` are one key with two texts. The bytes must not move: the determinism digest and
-the tests' pinned hashes read them.
+the tests' pinned hashes read them, and `read_trace_line` reads only the lines it writes.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -101,6 +104,34 @@ def trace_line(episode: int, step: int, pattern: str, obs: list, action: ActionT
              for x in values]
     return TRACE_LINE % (episode, step, pattern, *texts[:len(obs)], action.d_gpu, action.d_cpu,
                          action.pref, *texts[len(obs):], *desired, users)
+
+
+def read_trace_line(line: str) -> dict:
+    """The record of a trace line, newline included, if `trace_line` writes it back byte for
+    byte; else a ValueError that names the missing key, the field at fault or the column."""
+    rec = json.loads(line)
+    if not isinstance(rec, dict):
+        raise ValueError("not a JSON object")
+    try:
+        for key in ("episode", "step", "desired_gpu", "desired_cpu", "users"):
+            if type(rec[key]) is not int or rec[key] < 0:
+                raise ValueError(f"{key} {rec[key]!r} is not a non-negative int")
+        if rec["pattern"] not in PATTERN_NAMES:
+            raise ValueError(f"pattern {rec['pattern']!r} is not one of {PATTERN_NAMES}")
+        try:
+            action = ActionTriple(*rec["action"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"action {rec['action']!r}: {exc}") from None
+        written = trace_line(rec["episode"], rec["step"], rec["pattern"], rec["obs"], action,
+                             rec["reward"], (rec["desired_gpu"], rec["desired_cpu"]), rec["users"])
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc}") from None
+    except (TypeError, AttributeError, OverflowError, SimulationError) as exc:
+        raise ValueError(f"trace_line cannot write its obs and reward back: {exc}") from None
+    if written != line:
+        at = len(os.path.commonprefix((line, written)))
+        raise ValueError(f"column {at + 1}: {line[at:at + 12]!r}, written {written[at:at + 12]!r}")
+    return rec
 
 
 # the keys of SimStack.row(), in order: the columns of every time-series CSV
@@ -205,6 +236,7 @@ class ScalingEnv:
         self.row: dict = {}     # the SimStack.row() snapshot of the last observe()
         self.terms, self.desired = {}, (0, 0)   # the last step's REWARD_TERMS, (GPU, CPU) replicas
         self.step_index = 0
+        self.episode_return = 0.0   # the sum of this episode's terms["total"], in step order
 
     @property
     def pattern(self) -> str:
@@ -217,6 +249,7 @@ class ScalingEnv:
                  pods: Optional[tuple[int, int]] = None) -> np.ndarray:
         """A new episode on `pods` (CPU, GPU) Ready pods, else the config's init counts."""
         self.step_index = 0
+        self.episode_return = 0.0
         self.row = {}   # so the first trends compare with 0.0
         init_cpu, init_gpu = pods or (self.config.init_cpu, self.config.init_gpu)
         self.stack = SimStack(self.config, pattern, traffic_seed, init_cpu, init_gpu)
@@ -306,6 +339,7 @@ class ScalingEnv:
         self.desired = (stack.cluster.desired(Pool.GPU), stack.cluster.desired(Pool.CPU))
         obs = self.observe()
         self.terms = self.reward(obs, action, self.desired)
+        self.episode_return += self.terms["total"]
         return obs, self.terms["total"], done
 
 

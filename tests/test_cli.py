@@ -14,7 +14,8 @@ from kisim.agent import (CHECKPOINT_HEADER, CHECKPOINT_MAGIC, MOVING_AVG_WINDOW,
 from kisim.baselines import POLICY_NAMES, run_baseline
 from kisim.cli import EVAL_SEED_BASE, action_diversity, main
 from kisim.config import ExperimentConfig, parse_config_text
-from kisim.env import TIMESERIES_FIELDS, episode_traffic
+from kisim.env import (REWARD_TERMS, TIMESERIES_FIELDS, ActionTriple, episode_traffic,
+                       read_trace_line, trace_line)
 from kisim.nn import ActorCriticParams, NetDims
 from kisim.traffic import PATTERN_NAMES
 
@@ -39,41 +40,80 @@ def test_train_evaluate_replay_smoke(tmp_path):
         assert (eval_dir / f"timeseries_{pattern}_{policy}.csv").exists()
 
 
-def replay_record(episode=0, step=1, pattern="ramp", total=0.25, desired_gpu=1, desired_cpu=3,
-                  users=5) -> str:
-    """One trace line of a valid record but for the fields given."""
-    return json.dumps({"episode": episode, "step": step, "pattern": pattern, "action": [0, 0, 1],
-                       "reward": {"total": total}, "desired_gpu": desired_gpu,
-                       "desired_cpu": desired_cpu, "users": users})
+# line 1 of the default `kisim train` trace, by its fields
+LINE_ONE = (0, 1, "ramp", [0.333333333, 0.0, 0.015227098, 0.048666667, 0.0925625, 0.055717455,
+                           0.507613549, 0.524333333, 0.05, 0.0],
+            ActionTriple(1, -1, 0), dict(zip(REWARD_TERMS, (0.015227098, 0.0, 0.333333333, 0.5,
+                                                            -0.098560432))), (2, 2), 7)
+
+
+def replay_record(total=-0.098560432, drop=(), **fields) -> str:
+    """`trace_line`'s line of LINE_ONE, less its newline, re-dumped as compact JSON with
+    `reward.total` set to `total`, the keys in `drop` dropped and the `fields` given set."""
+    rec = json.loads(trace_line(*LINE_ONE))
+    rec["reward"]["total"] = total
+    rec.update(fields)
+    for key in drop:
+        del rec[key]
+    return json.dumps(rec, separators=(",", ":"))
+
+
+def test_replay_record_is_the_writers_line_but_for_the_fields_it_sets():
+    assert replay_record() + "\n" == trace_line(*LINE_ONE)
+    assert read_trace_line(replay_record() + "\n") == json.loads(replay_record())
+
+
+OBS = LINE_ONE[3]
+WRITER = "trace line 1: trace_line cannot write its obs and reward back: "
+
+
+def column(line: str, text: str) -> str:
+    """The start of the refusal of a line that first differs from the writer's where `text`
+    begins in it."""
+    return f"trace line 1: column {line.index(text) + 1}: "
 
 
 @pytest.mark.parametrize("line, message", [
-    ("{}", "trace line 1: missing key 'action'"),
+    ("{}", "trace line 1: missing key 'episode'"),
     ("3", "trace line 1: not a JSON object"),
-    ('{"episode":0,"action":[1]}', "trace line 1: action [1] is not 3 ints"),
-    ('{"episode":0,"step":1,"pattern":"ramp","action":[0,0,0],"reward":3,"desired_gpu":1,'
-     '"desired_cpu":3,"users":5}', "trace line 1: 'int' object is not subscriptable"),
-    ('{"episode":0,"step":1,"pattern":["ramp"],"action":[0,0,0],"reward":{"total":1},'
-     '"desired_gpu":1,"desired_cpu":3,"users":5}', "trace line 1: unhashable type: 'list'"),
-    ('{"episode":0,"action":[7,9,3]}', "trace line 1: action [7, 9, 3]: deltas must be in"),
-    ('{"episode":0,"action":[0,0,2]}',
-     "trace line 1: action [0, 0, 2]: 2 is not a valid RoutePref"),
+    (replay_record(action=[1]), "trace line 1: action [1]: ActionTriple.__init__() missing 2"),
+    (replay_record(reward=3), WRITER + "'int' object has no attribute 'values'"),
+    (replay_record(pattern=["ramp"]), "trace line 1: pattern ['ramp'] is not one of ("),
+    (replay_record(action=[7, 9, 3]), "trace line 1: action [7, 9, 3]: deltas must be in"),
+    (replay_record(action=[0, 0, 2]), "trace line 1: action [0, 0, 2]: 2 is not a valid RoutePref"),
     (replay_record() + "\n" + replay_record(episode="x"),
      "trace line 2: episode 'x' is not a non-negative int"),
     (replay_record(episode=2.5), "trace line 1: episode 2.5 is not a non-negative int"),
     (replay_record(episode=True), "trace line 1: episode True is not a non-negative int"),
     (replay_record(step=-1), "trace line 1: step -1 is not a non-negative int"),
     (replay_record(pattern="nope"), "trace line 1: pattern 'nope' is not one of ("),
-    (replay_record(total=True), "trace line 1: reward.total True is not a finite number"),
-    (replay_record(total="1"), "trace line 1: reward.total '1' is not a finite number"),
-    (replay_record(total=math.nan), "trace line 1: reward.total nan is not a finite number"),
-    (replay_record(total=-math.inf), "trace line 1: reward.total -inf is not a finite number"),
-    (replay_record(total=10**400), "trace line 1: reward.total 1000"),
+    (replay_record(total=True), column(replay_record(total=True), "true")
+     + "'true},\"desir', written '1},\"desired_'"),
+    (replay_record(total="1"), WRITER + "must be real number, not str"),
+    (replay_record(total=math.nan), WRITER + "episode 0 step 1: non-finite observation or "
+     "reward term in [0.333333333, 0.0, 0.015227098, 0.048666667, 0.0925625, 0.055717455, "
+     "0.507613549, 0.524333333, 0.05, 0.0, 0.015227098, 0.0, 0.333333333, 0.5, nan]"),
+    (replay_record(total=-math.inf), WRITER + "episode 0 step 1: non-finite observation"),
+    (replay_record(total=10**400), WRITER + "int too large to convert to float"),
     (replay_record(desired_gpu=-1), "trace line 1: desired_gpu -1 is not a non-negative int"),
     (replay_record(desired_cpu=3.0), "trace line 1: desired_cpu 3.0 is not a non-negative int"),
     (replay_record(users="many"), "trace line 1: users 'many' is not a non-negative int"),
     (replay_record() + "\n" + replay_record(step=2) + "\n\n" + replay_record(),
      "trace line 4: episode 0 step 1 repeats line 1"),
+    # a record the writer can never produce, each made from line 1 of a real trace
+    (replay_record(obs=[math.nan, *OBS[1:]]), WRITER + "episode 0 step 1: non-finite observation"),
+    (replay_record(drop=("obs",)), "trace line 1: missing key 'obs'"),
+    (replay_record(obs=OBS[:3]), WRITER + "%d format: a real number is required, not str"),
+    (replay_record(reward=dict(LINE_ONE[5], gpu_util="0.0")),
+     WRITER + "must be real number, not str"),
+    (replay_record(reward=dict(LINE_ONE[5], overhead=math.inf)),
+     WRITER + "episode 0 step 1: non-finite observation"),
+    (replay_record(reward={"total": -0.098560432}),
+     WRITER + "not enough arguments for format string"),
+    (replay_record(x=1), column(replay_record(x=1), ',"x"') + "',\"x\":1}\\n', written '}\\n'"),
+    (json.dumps(json.loads(replay_record())), "trace line 1: column 12: ' 0, \"step\": ', "
+     "written '0,\"step\":1,\"'"),
+    ("{nope", "trace line 1: Expecting property name enclosed in double quotes"),
     ("", "trace.jsonl: no trace record"),
     (" \n\n", "trace.jsonl: no trace record")],
     ids=["no_keys", "not_an_object", "short_action", "reward_not_an_object", "list_pattern",
@@ -81,7 +121,9 @@ def replay_record(episode=0, step=1, pattern="ramp", total=0.25, desired_gpu=1, 
          "episode_a_float", "episode_a_bool", "step_negative", "pattern_unknown",
          "reward_total_a_bool", "reward_total_a_string", "reward_total_nan", "reward_total_inf",
          "reward_total_past_any_float", "desired_gpu_negative", "desired_cpu_a_float",
-         "users_a_string", "step_repeated", "empty", "blank_lines"])
+         "users_a_string", "step_repeated", "obs_nan", "obs_missing", "obs_three_values",
+         "reward_term_a_string", "reward_term_inf", "reward_total_alone", "extra_key",
+         "default_separators", "not_json", "empty", "blank_lines"])
 def test_replay_refuses_a_trace_record_it_cannot_read(line, message, tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     trace.write_text(line + "\n")
@@ -90,13 +132,17 @@ def test_replay_refuses_a_trace_record_it_cannot_read(line, message, tmp_path, c
     assert not (tmp_path / "replay").exists()
 
 
+def test_a_trace_line_without_its_newline_is_not_the_writers():
+    line = trace_line(*LINE_ONE)
+    with pytest.raises(ValueError, match=rf"^column {len(line)}: '', written '\\n'$"):
+        read_trace_line(line[:-1])
+
+
 def test_replay_prints_each_patterns_distinct_actions_and_most_common_share(tmp_path, capsys):
     steps = [("ramp", [0, 0, 1])] * 3 + [("ramp", [1, -1, 1]), ("spike", [0, -2, 1])] * 2
     trace = tmp_path / "trace.jsonl"
     trace.write_text("".join(
-        json.dumps({"episode": i // 3, "step": i, "pattern": pattern, "action": action,
-                    "reward": {"total": 0.25}, "desired_gpu": 1, "desired_cpu": 3,
-                    "users": 5}) + "\n"
+        replay_record(episode=i // 3, step=i, pattern=pattern, action=action) + "\n"
         for i, (pattern, action) in enumerate(steps)))
     assert main(["replay", str(trace), "--out", str(tmp_path / "replay")]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -132,8 +132,8 @@ def test_baseline_refuses_a_zero_monitor_interval(key, value, tmp_path, capsys):
     none, and a negative per-pod load drives a utilization below 0: each is refused
     before any output."""
     out = tmp_path / "base"
-    assert main(["baseline", "--set", "episode_s=30", "--set", f"{key}={value}",
-                 "--out", str(out)]) == 1
+    short = [] if key == "episode_s" else ["--set", "episode_s=30"]     # a key is set once
+    assert main(["baseline", *short, "--set", f"{key}={value}", "--out", str(out)]) == 1
     rule = RULE.get(key, "positive and finite")
     assert f"{key} must be {rule}" in capsys.readouterr().err
     assert not out.exists()
@@ -145,6 +145,26 @@ def test_train_refuses_zero_ppo_epochs_before_any_output(tmp_path, capsys):
     assert main(["train", "--episodes", "1", "--set", "ppo_epochs=0",
                  "--out", str(out)]) == 1
     assert "ppo_epochs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_key_given_twice_in_a_config_file_is_refused(tmp_path, capsys):
+    """Else the file's second `seed` would win silently over its first."""
+    config = tmp_path / "kisim.cfg"
+    config.write_text("seed = 1\nepisode_s = 30\nseed = 2\n")
+    out = tmp_path / "train"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+    assert "config key 'seed' is given more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_key_given_twice_in_the_set_list_is_refused(tmp_path, capsys):
+    """Each source is checked on its own: a `--set` of a key the config file sets stays
+    legal (`tests/test_cli.py`), two `--set`s of one key are not."""
+    out = tmp_path / "base"
+    assert main(["baseline", "--set", "episode_s=30", "--set", " episode_s = 60",
+                 "--out", str(out)]) == 1
+    assert "config key 'episode_s' is given more than once" in capsys.readouterr().err
     assert not out.exists()
 
 

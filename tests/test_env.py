@@ -14,7 +14,7 @@ from kisim.baselines import run_baseline
 from kisim.config import ExperimentConfig
 from kisim.env import (ACTIONS, DELTAS, HEAD_SIZES, OBS_FIELDS, REWARD_TERMS, TIMESERIES_FIELDS,
                        ActionTriple, EpisodeFinished, ScalingEnv, SimStack, episode_traffic,
-                       _TEXTS, _TEXTS_MAX, run_policy_episode, trace_line)
+                       _TEXTS, _TEXTS_MAX, read_trace_line, run_policy_episode, trace_line)
 from kisim.nn import NetDims
 from kisim.simcore import RoutePref, SimulationError
 from kisim.traffic import PATTERN_NAMES
@@ -288,6 +288,7 @@ def test_the_trace_template_writes_the_bytes_json_dumps_writes(episode, step, pa
     line = trace_line(episode, step, pattern, obs, action, terms, desired, users)
     assert line == json_trace_line(episode, step, pattern, obs, action, terms, desired, users)
     assert json.loads(line)["reward"]["total"] == round(terms["total"], 9)
+    assert read_trace_line(line) == json.loads(line)
 
 
 N_TRACE_VALUES = len(OBS_FIELDS) + len(REWARD_TERMS)
@@ -405,7 +406,8 @@ def test_the_action_table_holds_every_action_once_by_its_head_indices():
 def test_a_deep_copy_of_an_env_mid_episode_steps_like_its_source():
     """A fork for planning: `copy.deepcopy` of a ScalingEnv mid-episode, whose lane holds
     each thinking user's next Request beside its cluster's bound `submit`, replays the
-    source's rows, observations, rewards and event count step for step to the end."""
+    source's rows, observations, rewards and event count step for step to the end, where
+    the return it carried from the source has summed to the source's, bit for bit."""
     env = ScalingEnv(ExperimentConfig())
     env.reset_to("periodic", traffic_seed=11)
     plan = [ACTIONS[g, c, p] for g, c, p in
@@ -425,6 +427,7 @@ def test_a_deep_copy_of_an_env_mid_episode_steps_like_its_source():
             (env.row, obs.tobytes(), reward, done)
         assert fork.stack.engine.clock.seq == env.stack.engine.clock.seq
     assert done
+    assert fork.episode_return.hex() == env.episode_return.hex()
 
 
 class ForkingAgent(CyclingAgent):
