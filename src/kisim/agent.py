@@ -5,7 +5,8 @@ preference); the critic is an independent value network. Updates run once
 per episode by default over minibatches with normalized advantages. Acting runs
 the actor alone: a rollout is a list of `(obs, heads, log_prob, reward, done)`
 steps, `heads` the drawn head indices, that `update` values in one stacked critic
-pass. `train(agent, out)` writes out/trace.jsonl and returns a `TrainState`, the run's record.
+pass. Both compute in float32, the weights' dtype, on the env's observations cast once.
+`train(agent, out)` writes out/trace.jsonl and returns a `TrainState`, the run's record.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ CHECKPOINT_STATE = struct.Struct("<IIddi")  # episode_index, n_returns, moving_a
 EVAL_INDEX_BASE = 1_000_000     # the episode index of train's first greedy evaluation
 # `_actor` pads each head to a row of max(HEAD_SIZES) with -inf; every head but the last
 # is that wide already, so one block after the last fills its row
-_PAD = np.full((1, len(HEAD_SIZES) * max(HEAD_SIZES) - sum(HEAD_SIZES)), -np.inf)
+_PAD = np.full((1, len(HEAD_SIZES) * max(HEAD_SIZES) - sum(HEAD_SIZES)), -np.inf, np.float32)
 MOVING_AVG_WINDOW = 10   # episodes in the reported moving-average return
 CONVERGENCE_WINDOW = 20          # detect_convergence compares two such windows,
 CONVERGENCE_STD_FRAC = 0.05      # wants the last one's std under 5% of its mean
@@ -94,8 +95,8 @@ class PpoAgent:
 
     def _actor(self, obs_vec: np.ndarray) -> np.ndarray:
         """The logits: head i's fill row i, and -inf the slots past its size."""
-        obs = np.asarray(obs_vec, dtype=np.float64).reshape(1, -1)
-        logits, _ = actor_forward(self.params.as_float64(), obs)
+        obs = np.asarray(obs_vec, dtype=np.float32).reshape(1, -1)
+        logits, _ = actor_forward(self.params.tensors, obs)
         z = np.concatenate((*logits, _PAD), axis=1).reshape(len(HEAD_SIZES), -1)
         if np.count_nonzero(np.isfinite(z)) != sum(HEAD_SIZES):
             raise AgentError("non-finite policy logits (training diverged)")
@@ -134,17 +135,17 @@ class PpoAgent:
             raise AgentError("cannot update from an empty rollout")
         cfg = self.cfg
         obs, heads, log_probs, rewards, dones = zip(*steps)
-        obs = np.stack(obs)
+        obs = np.array(obs, dtype=np.float32)
         # each step's value under the weights that acted it (only update writes weights, and it
         # empties `steps`); matmul over the (n, 1, k) stack runs each row's own gemv (a dot at
         # the value head), so each keeps a one-row forward's bits; an (n, k) gemm would move them
-        values = critic_forward(self.params.as_float64(), obs[:, None, :])[0][:, 0]
+        values = critic_forward(self.params.tensors, obs[:, None, :])[0][:, 0]
         adv, returns = gae(rewards, values, dones, cfg.ppo_discount, cfg.ppo_gae_lambda)
         batch = {"obs": obs,
                  "actions": np.asarray(heads, dtype=np.int64),
-                 "old_logp": np.asarray(log_probs, dtype=np.float64),
-                 "advantages": (adv - adv.mean()) / (adv.std() + 1e-8),
-                 "returns": returns}
+                 "old_logp": np.asarray(log_probs, dtype=np.float32),
+                 "advantages": ((adv - adv.mean()) / (adv.std() + 1e-8)).astype(np.float32),
+                 "returns": returns.astype(np.float32)}
 
         n = len(steps)
         reports: list[dict] = []
@@ -153,9 +154,8 @@ class PpoAgent:
             for start in range(0, n, cfg.ppo_minibatch):
                 idx = order[start:start + cfg.ppo_minibatch]
                 mini = {k: v[idx] for k, v in batch.items()}
-                p64 = self.params.as_float64()
                 total, parts, grads = ppo_loss_and_grads(
-                    p64, mini, cfg.ppo_clip, cfg.ppo_value_coef,
+                    self.params.tensors, mini, cfg.ppo_clip, cfg.ppo_value_coef,
                     cfg.ppo_entropy_coef)
                 if not math.isfinite(total):
                     raise AgentError(

@@ -228,7 +228,7 @@ def cmd_replay(args) -> int:
     returns: dict[int, float] = defaultdict(float)
     by_pattern: dict = defaultdict(Counter)     # pattern -> its action histogram
     rows = []
-    first_line: dict[tuple[int, int], int] = {}     # (episode, step) -> the line it is on
+    last = None     # the record read before, whose episode the next one continues or ends
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -238,10 +238,17 @@ def cmd_replay(args) -> int:
             except ValueError as exc:
                 raise ReplayError(f"trace line {lineno}: {exc}") from None
             episode, step, action = rec["episode"], rec["step"], rec["action"]
-            first = first_line.setdefault((episode, step), lineno)
-            if first != lineno:
-                raise ReplayError(f"trace line {lineno}: episode {episode} step {step} "
-                                  f"repeats line {first}")
+            # an episode's steps run 1, 2, ... on contiguous lines, under one pattern
+            same = last is not None and last["episode"] == episode
+            expected = last["step"] + 1 if same else 1
+            where = f"trace line {lineno}: episode {episode}"
+            if not same and episode in returns:
+                raise ReplayError(f"{where} resumes after episode {last['episode']}")
+            if step != expected:
+                raise ReplayError(f"{where} step {step}, expected step {expected}")
+            if same and rec["pattern"] != last["pattern"]:
+                raise ReplayError(f"{where} pattern {rec['pattern']} after {last['pattern']}")
+            last = rec
             returns[episode] += rec["reward"]["total"]
             by_pattern[rec["pattern"]][tuple(action)] += 1
             rows.append(dict(rec, reward_total=rec["reward"]["total"], d_gpu=action[0],

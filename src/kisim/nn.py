@@ -1,19 +1,17 @@
-"""Minimal dense actor-critic networks with hand-written backprop.
+"""Minimal dense actor-critic networks with hand-written backprop, in float32.
 
-Weights are stored float32; all math runs in float64 so the analytic
-gradients survive a central finite-difference check. No autograd framework:
-the actor ("a") and the critic ("c") are one two-layer tanh trunk each, with
-the same forward and backward code, topped by categorical heads of the env's
-`HEAD_SIZES` and one value output respectively, both fed its `OBS_FIELDS`.
+No autograd framework: the actor ("a") and the critic ("c") are one two-layer
+tanh trunk each, with the same forward and backward code, topped by categorical
+heads of the env's `HEAD_SIZES` and one value output respectively, both fed its
+`OBS_FIELDS`. The weights are C-contiguous float32 tensors, as checkpoints store
+them. The forward, backward and loss compute in the dtype of the tensors they are
+handed, so a float64 copy of the weights gets gradients exact enough for a
+central finite-difference check.
 
-`as_float64()` serves one float64 view of the tensors, built once. Only
-`Adam.step` changes weights. Its moments `m` and `v`, like the trunks'
-activations and gradients, are updated in place, by the out-of-place
-formula's elementwise operations in its order, so to the same bits. The view
-is not: each step rebinds it to a fresh `astype(np.float64)` of the new
-float32 tensor, since a fresh copy has a fresh conversion's memory order (an
-orthogonal `*_w1` init is Fortran-ordered until its first step), and that
-order picks the forward's BLAS path, hence its last bits.
+Only `Adam.step` changes weights. Like the trunks with their activations and
+gradients, it updates its float32 moments `m` and `v` and the tensors in place,
+by the out-of-place formula's elementwise operations in its order, so to the
+same bits.
 """
 
 from __future__ import annotations
@@ -51,26 +49,25 @@ def _orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float) -> 
     q = q * np.sign(np.diag(r))
     if rows < cols:
         q = q.T
-    return (gain * q[:rows, :cols]).astype(np.float32)
+    return gain * q[:rows, :cols]
 
 
 class ActorCriticParams:
-    """Float32 parameter store for the actor-critic pair, with its float64 view."""
+    """The actor-critic pair's weights, C-contiguous float32 tensors."""
 
     def __init__(self, dims: NetDims, tensors: dict[str, np.ndarray]) -> None:
         self.dims = dims
-        self.tensors = tensors
-        shapes = {name: t.shape for name, t in tensors.items()}
+        self.tensors = {k: np.ascontiguousarray(v, dtype=np.float32) for k, v in tensors.items()}
+        shapes = {name: t.shape for name, t in self.tensors.items()}
         if shapes != tensor_shapes(dims):
             raise ValueError(f"tensor shapes {shapes} do not match the layout of {dims}")
-        self._f64 = {k: v.astype(np.float64) for k, v in tensors.items()}
 
     @classmethod
     def initialize(cls, dims: NetDims, rng: np.random.Generator) -> "ActorCriticParams":
         tensors: dict[str, np.ndarray] = {}
         for name, shape in tensor_shapes(dims).items():
             if name.endswith("_b") or len(shape) == 1:
-                tensors[name] = np.zeros(shape, dtype=np.float32)
+                tensors[name] = np.zeros(shape)
                 continue
             if name.startswith("h"):
                 gain = 0.01     # near-uniform initial policy
@@ -80,10 +77,6 @@ class ActorCriticParams:
                 gain = np.sqrt(2.0)
             tensors[name] = _orthogonal(rng, shape[0], shape[1], gain)
         return cls(dims, tensors)
-
-    def as_float64(self) -> dict[str, np.ndarray]:
-        """The float64 view of `tensors`; read it, never write it."""
-        return self._f64
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -140,7 +133,7 @@ def ppo_loss_and_grads(p: dict[str, np.ndarray], batch: dict, clip_eps: float,
     h2 = cache[2]
     log_probs = [log_softmax(lg) for lg in logits]
     probs = [np.exp(lp) for lp in log_probs]
-    new_logp = np.zeros(n, dtype=np.float64)
+    new_logp = np.zeros(n, dtype=h2.dtype)
     for i, lp in enumerate(log_probs):
         new_logp += lp[np.arange(n), actions[:, i]]
     ratio = np.exp(new_logp - batch["old_logp"])
@@ -193,8 +186,8 @@ class Adam:
     def __init__(self, params: ActorCriticParams, lr: float) -> None:
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros(v.shape, dtype=np.float64) for k, v in params.tensors.items()}
-        self.v = {k: np.zeros(v.shape, dtype=np.float64) for k, v in params.tensors.items()}
+        self.m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.tensors.items()}
 
     def step(self, params: ActorCriticParams, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
@@ -209,6 +202,4 @@ class Adam:
             np.add(np.sqrt(np.divide(v, bc2, out=step), out=step), self.eps, out=step)
             update = np.divide(m, bc1)                  # lr*(m/bc1) / (sqrt(v/bc2) + eps)
             np.divide(np.multiply(self.lr, update, out=update), step, out=update)
-            np.subtract(params._f64[name], update, out=update)
-            new = params.tensors[name] = update.astype(np.float32)
-            params._f64[name] = new.astype(np.float64)   # rebound, see the module docstring
+            np.subtract(params.tensors[name], update, out=params.tensors[name])

@@ -19,8 +19,8 @@ from kisim.agent import (CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_STATE,
                          save_checkpoint, train)
 from kisim.config import ExperimentConfig
 from kisim.env import ACTIONS, HEAD_SIZES, OBS_FIELDS, ScalingEnv
-from kisim.nn import (ActorCriticParams, Adam, NetDims, actor_forward, critic_forward, log_softmax,
-                      tensor_shapes)
+from kisim.nn import (ActorCriticParams, NetDims, actor_forward, critic_forward, log_softmax,
+                      ppo_loss_and_grads, tensor_shapes)
 
 N_RETURNS = 100
 
@@ -104,7 +104,7 @@ def test_greedy_action_is_the_argmax_of_the_actor_alone(monkeypatch):
     monkeypatch.setattr(kisim.agent, "critic_forward", no_critic)
     chosen = set()
     for obs in rng.uniform(0.0, 1.0, (50, len(OBS_FIELDS))):
-        logits, _ = actor_forward(agent.params.as_float64(), obs.reshape(1, -1))
+        logits, _ = actor_forward(agent.params.tensors, obs.reshape(1, -1).astype(np.float32))
         expected = ACTIONS[tuple(int(np.argmax(lg[0])) for lg in logits)]
         assert agent.greedy_action(obs) == expected
         chosen.add(expected)
@@ -146,19 +146,19 @@ def values_fed_to_gae(agent, obs):
 @given(scale=st.one_of(st.just(0.0), st.floats(1e-3, 1e2)), seed=st.integers(0, 2**32 - 1))
 def test_update_values_each_step_with_the_bits_of_its_own_one_row_forward(stepped, n, scale,
                                                                           seed):
-    """The stacked pass gives every row the bytes of its own one-row forward, on a
-    fresh agent's Fortran-ordered c_w1 and on a stepped, C-ordered one."""
+    """The stacked float32 pass gives every row the bytes of its own one-row forward
+    of the row cast to float32, on a fresh agent's weights and on stepped ones."""
     rng = np.random.default_rng(seed)
     agent = PpoAgent(seed=seed % 6)
     if stepped:
-        agent.optimizer.step(agent.params, {name: rng.normal(size=shape) for name, shape
+        agent.optimizer.step(agent.params, {name: rng.normal(size=shape).astype(np.float32)
+                                            for name, shape
                                             in tensor_shapes(agent.params.dims).items()})
-    p = agent.params.as_float64()
-    assert p["c_w1"].flags.c_contiguous == stepped
+    p = agent.params.tensors
     obs = rng.uniform(-1.0, 1.0, (n, len(OBS_FIELDS))) * scale
     values = values_fed_to_gae(agent, obs)
-    assert values.shape == (n,) and values.dtype == np.float64
-    for row, value in zip(obs, values):
+    assert values.shape == (n,) and values.dtype == np.float32
+    for row, value in zip(obs.astype(np.float32), values):
         assert value.tobytes() == critic_forward(p, row.reshape(1, -1))[0][0].tobytes()
 
 
@@ -173,9 +173,9 @@ def test_a_rollout_of_three_episodes_gets_the_advantages_of_per_step_values(tmp_
     def update(steps):
         # the reference: each step valued alone by a one-row forward, with the weights
         # that acted it (the update has not stepped them yet)
-        p = agent.params.as_float64()
-        rollouts.append([(float(critic_forward(p, obs.reshape(1, -1))[0][0]), reward, done)
-                         for obs, _, _, reward, done in steps])
+        p = agent.params.tensors
+        rollouts.append([(float(critic_forward(p, obs.reshape(1, -1).astype(np.float32))[0][0]),
+                          reward, done) for obs, _, _, reward, done in steps])
         return real_update(steps)
 
     def recorded_gae(*args):
@@ -286,31 +286,57 @@ def test_an_infinite_reward_is_a_non_finite_loss_error():
             agent.update(steps)
 
 
-def assert_view_is_a_fresh_conversion(params):
-    view = params.as_float64()
-    assert list(view) == list(params.tensors)
-    for name, tensor in params.tensors.items():
-        fresh = tensor.astype(np.float64)
-        assert np.array_equal(view[name], fresh), name
-        assert (view[name].flags.c_contiguous, view[name].flags.f_contiguous) == \
-            (fresh.flags.c_contiguous, fresh.flags.f_contiguous), name
-
-
-def test_float64_view_follows_the_weights_value_and_memory_order(tmp_path):
-    """The memory order picks the BLAS path, so the last bits of every forward."""
-    params = PpoAgent(NetDims(hidden1=16, hidden2=12), seed=4).params
-    assert_view_is_a_fresh_conversion(params)
-    # the orthogonal init of a wide *_w1 is Fortran-ordered until its first step
-    assert not params.as_float64()["a_w1"].flags.c_contiguous
-    optimizer = Adam(params, lr=0.01)
+def test_a_loaded_checkpoint_acts_like_the_agent_that_saved_it(tmp_path):
+    """After a few Adam steps, the saved and the loaded weights give the same logits,
+    greedy actions and sampled draws, bit for bit, on every corner of the obs box."""
+    agent = PpoAgent(NetDims(hidden1=16, hidden2=12), SHORT, seed=4)
     rng = np.random.default_rng(5)
     for _ in range(3):
-        optimizer.step(params, {name: rng.normal(size=shape)
-                                for name, shape in tensor_shapes(params.dims).items()})
-        assert_view_is_a_fresh_conversion(params)
-    save_checkpoint(params, TrainState(), tmp_path / "p.kisc")
-    loaded, _ = load_checkpoint(tmp_path / "p.kisc")
-    assert_view_is_a_fresh_conversion(loaded)
+        agent.optimizer.step(agent.params, {
+            name: rng.normal(size=shape).astype(np.float32)
+            for name, shape in tensor_shapes(agent.params.dims).items()})
+    save_checkpoint(agent.params, TrainState(), tmp_path / "p.kisc")
+    loaded = PpoAgent(load_checkpoint(tmp_path / "p.kisc")[0], SHORT)
+    for params in (agent.params, loaded.params):
+        assert list(params.tensors) == list(tensor_shapes(params.dims))
+        assert all(t.dtype == np.float32 and t.flags.c_contiguous
+                   for t in params.tensors.values())
+    agent._sample_rng, loaded._sample_rng = np.random.default_rng(9), np.random.default_rng(9)
+    chosen = set()
+    for obs in itertools.product((0.0, 1.0), repeat=len(OBS_FIELDS)):
+        obs = np.array(obs)
+        assert agent._actor(obs).tobytes() == loaded._actor(obs).tobytes()
+        greedy = agent.greedy_action(obs)
+        assert loaded.greedy_action(obs) == greedy
+        chosen.add(greedy)
+        (action, heads, log_prob), drawn = agent.sample_action(obs), loaded.sample_action(obs)
+        assert (action, heads) == drawn[:2]
+        assert struct.pack("<d", log_prob) == struct.pack("<d", drawn[2])
+    assert len(chosen) > 1
+
+
+def test_one_update_keeps_every_tensor_moment_and_gradient_float32(monkeypatch):
+    """A stray float64 temporary would double the learner's cost and pass the rest."""
+    agent, steps = sampled_episode()
+    seen = []
+
+    def recorded(p, batch, *coefs):
+        seen.append((batch, ppo_loss_and_grads(p, batch, *coefs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(kisim.agent, "ppo_loss_and_grads", recorded)
+    agent.update(steps)
+    assert seen
+    names = list(tensor_shapes(agent.params.dims))
+    for batch, (total, _, grads) in seen:
+        assert total.dtype == np.float32
+        assert [batch[k].dtype for k in ("obs", "old_logp", "advantages", "returns")] == \
+            [np.float32] * 4
+        assert sorted(grads) == sorted(names)
+        assert all(g.dtype == np.float32 for g in grads.values())
+    for store in (agent.params.tensors, agent.optimizer.m, agent.optimizer.v):
+        assert list(store) == names
+        assert all(t.dtype == np.float32 and t.flags.c_contiguous for t in store.values())
 
 
 def test_flat_returns_converge_after_two_windows():

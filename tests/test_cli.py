@@ -99,7 +99,15 @@ def column(line: str, text: str) -> str:
     (replay_record(desired_cpu=3.0), "trace line 1: desired_cpu 3.0 is not a non-negative int"),
     (replay_record(users="many"), "trace line 1: users 'many' is not a non-negative int"),
     (replay_record() + "\n" + replay_record(step=2) + "\n\n" + replay_record(),
-     "trace line 4: episode 0 step 1 repeats line 1"),
+     "trace line 4: episode 0 step 1, expected step 3"),
+    # an episode's steps run 1, 2, ..., k on contiguous lines, under one pattern
+    (replay_record() + "\n" + replay_record(step=3), "trace line 2: episode 0 step 3, "
+     "expected step 2"),
+    (replay_record(step=2), "trace line 1: episode 0 step 2, expected step 1"),
+    (replay_record() + "\n" + replay_record(step=2, pattern="spike"),
+     "trace line 2: episode 0 pattern spike after ramp"),
+    (replay_record() + "\n" + replay_record(episode=1) + "\n" + replay_record(step=2),
+     "trace line 3: episode 0 resumes after episode 1"),
     # a record the writer can never produce, each made from line 1 of a real trace
     (replay_record(obs=[math.nan, *OBS[1:]]), WRITER + "episode 0 step 1: non-finite observation"),
     (replay_record(drop=("obs",)), "trace line 1: missing key 'obs'"),
@@ -121,9 +129,10 @@ def column(line: str, text: str) -> str:
          "episode_a_float", "episode_a_bool", "step_negative", "pattern_unknown",
          "reward_total_a_bool", "reward_total_a_string", "reward_total_nan", "reward_total_inf",
          "reward_total_past_any_float", "desired_gpu_negative", "desired_cpu_a_float",
-         "users_a_string", "step_repeated", "obs_nan", "obs_missing", "obs_three_values",
-         "reward_term_a_string", "reward_term_inf", "reward_total_alone", "extra_key",
-         "default_separators", "not_json", "empty", "blank_lines"])
+         "users_a_string", "step_repeated", "step_missing", "episode_starts_past_step_1",
+         "pattern_changes_mid_episode", "episode_resumes", "obs_nan", "obs_missing",
+         "obs_three_values", "reward_term_a_string", "reward_term_inf", "reward_total_alone",
+         "extra_key", "default_separators", "not_json", "empty", "blank_lines"])
 def test_replay_refuses_a_trace_record_it_cannot_read(line, message, tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     trace.write_text(line + "\n")
@@ -139,11 +148,14 @@ def test_a_trace_line_without_its_newline_is_not_the_writers():
 
 
 def test_replay_prints_each_patterns_distinct_actions_and_most_common_share(tmp_path, capsys):
-    steps = [("ramp", [0, 0, 1])] * 3 + [("ramp", [1, -1, 1]), ("spike", [0, -2, 1])] * 2
+    episodes = [("ramp", [[0, 0, 1]] * 3), ("spike", [[0, -2, 1]] * 2),
+                ("ramp", [[1, -1, 1]] * 2)]
+    steps = [(pattern, action) for pattern, actions in episodes for action in actions]
     trace = tmp_path / "trace.jsonl"
     trace.write_text("".join(
-        replay_record(episode=i // 3, step=i, pattern=pattern, action=action) + "\n"
-        for i, (pattern, action) in enumerate(steps)))
+        replay_record(episode=episode, step=step, pattern=pattern, action=action) + "\n"
+        for episode, (pattern, actions) in enumerate(episodes)
+        for step, action in enumerate(actions, start=1)))
     assert main(["replay", str(trace), "--out", str(tmp_path / "replay")]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-3:-1] == ["pattern ramp: 5 steps, 2 distinct action(s), the most common 60.0%",
@@ -151,6 +163,23 @@ def test_replay_prints_each_patterns_distinct_actions_and_most_common_share(tmp_
     assert "action histogram (7 steps):" in out
     with (tmp_path / "replay" / "replay_summary.csv").open() as fh:
         assert [row["pattern"] for row in csv.DictReader(fh)] == [p for p, _ in steps]
+
+
+def test_replay_refuses_a_trace_missing_steps_and_reads_a_truncated_one(tmp_path, capsys):
+    """The first 10 lines of the default `train` trace plus its lines 25-27 (episode 1,
+    steps 5-7) once replayed as 13 steps of 2 episodes with partial returns; its first
+    27 lines, a run cut short mid-episode, replay."""
+    assert main(["train", "--episodes", "2", "--out", str(tmp_path / "train")]) == 0
+    lines = (tmp_path / "train" / "trace.jsonl").read_text().splitlines(keepends=True)
+    assert len(lines) == 40     # a default run's first two episodes, line for line
+    gapped, truncated = tmp_path / "gapped.jsonl", tmp_path / "truncated.jsonl"
+    gapped.write_text("".join(lines[:10] + lines[24:27]))
+    truncated.write_text("".join(lines[:27]))
+    assert main(["replay", str(gapped), "--out", str(tmp_path / "replay_gapped")]) == 1
+    assert capsys.readouterr().err == "error: trace line 11: episode 1 step 5, expected step 1\n"
+    assert not (tmp_path / "replay_gapped").exists()
+    assert main(["replay", str(truncated), "--out", str(tmp_path / "replay")]) == 0
+    assert capsys.readouterr().out.startswith("trace: 27 steps over 2 episodes\n")
 
 
 def test_action_diversity_counts_steps_distinct_actions_and_the_top_share():

@@ -52,10 +52,12 @@ def ppo_loss(p: dict[str, np.ndarray], batch: dict, clip_eps: float,
 
 @pytest.fixture
 def problem():
-    """Small float64 network and a batch whose ratios sit off the clip kinks."""
+    """An explicit float64 copy of a small network, and a float64 batch whose ratios
+    sit off the clip kinks: the loss computes in the dtype it is handed."""
     dims = NetDims(hidden1=6, hidden2=5)
     rng = np.random.default_rng(7)
-    params = ActorCriticParams.initialize(dims, rng).as_float64()
+    params = {name: tensor.astype(np.float64)
+              for name, tensor in ActorCriticParams.initialize(dims, rng).tensors.items()}
     # Perturb the near-zero head init so every head carries real gradient.
     for name in params:
         params[name] = params[name] + 0.3 * rng.standard_normal(params[name].shape)
@@ -126,7 +128,7 @@ def test_a_tensor_of_the_wrong_shape_is_a_value_error():
 # ---- in place against out of place: the same elementwise operations, the same bits ----
 
 def reference_adam_step(opt: Adam, params: ActorCriticParams, grads: dict) -> None:
-    """Adam.step as one out-of-place expression per quantity."""
+    """Adam.step as one out-of-place expression per quantity, in float32."""
     opt.t += 1
     bc1 = 1.0 - opt.beta1 ** opt.t
     bc2 = 1.0 - opt.beta2 ** opt.t
@@ -134,8 +136,7 @@ def reference_adam_step(opt: Adam, params: ActorCriticParams, grads: dict) -> No
         m = opt.m[name] = opt.beta1 * opt.m[name] + (1.0 - opt.beta1) * g
         v = opt.v[name] = opt.beta2 * opt.v[name] + (1.0 - opt.beta2) * g * g
         update = opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
-        new = params.tensors[name] = (params._f64[name] - update).astype(np.float32)
-        params._f64[name] = new.astype(np.float64)
+        params.tensors[name] = params.tensors[name] - update
 
 
 def _order(a: np.ndarray) -> tuple[bool, bool]:
@@ -146,19 +147,18 @@ def test_in_place_adam_step_is_the_out_of_place_formula_bit_for_bit():
     dims = NetDims(hidden1=16, hidden2=12)
     params, ref_params = (ActorCriticParams.initialize(dims, np.random.default_rng(3))
                           for _ in range(2))
-    assert not params.as_float64()["a_w1"].flags.c_contiguous   # Fortran-ordered init
     opt, ref = Adam(params, lr=0.01), Adam(ref_params, lr=0.01)
     rng = np.random.default_rng(8)
     for _ in range(4):
-        grads = {name: rng.normal(0.0, 10.0 ** rng.uniform(-4, 1), shape)
+        grads = {name: rng.normal(0.0, 10.0 ** rng.uniform(-4, 1), shape).astype(np.float32)
                  for name, shape in tensor_shapes(dims).items()}
         opt.step(params, grads)
         reference_adam_step(ref, ref_params, grads)
         for name in grads:
             for got, want in ((opt.m[name], ref.m[name]), (opt.v[name], ref.v[name]),
-                              (params.tensors[name], ref_params.tensors[name]),
-                              (params.as_float64()[name], ref_params.as_float64()[name])):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+                              (params.tensors[name], ref_params.tensors[name])):
+                assert got.dtype == want.dtype == np.float32, name
+                assert got.tobytes() == want.tobytes(), name
                 assert _order(got) == _order(want), name
 
 
@@ -183,17 +183,18 @@ def reference_trunk_backward(p, net, cache, dh2, grads):
 def test_in_place_trunk_is_the_out_of_place_trunk_bit_for_bit(batch, net):
     rng = np.random.default_rng(batch)
     params = ActorCriticParams.initialize(NetDims(hidden1=256, hidden2=250), rng)
-    # one step leaves *_w1 C-ordered, as in training; the init is Fortran-ordered
+    # the float32 weights of the init and of one Adam step after it, as in training
     for step in range(2):
-        p = params.as_float64()
-        obs = rng.uniform(-1.0, 3.0, (batch, p[f"{net}_w1"].shape[0]))
+        p = params.tensors
+        obs = rng.uniform(-1.0, 3.0, (batch, p[f"{net}_w1"].shape[0])).astype(np.float32)
         cache, ref_cache = _trunk(p, net, obs), reference_trunk(p, net, obs)
+        assert all(a.dtype == np.float32 for a in cache)
         assert [a.tobytes() for a in cache] == [a.tobytes() for a in ref_cache]
-        dh2 = rng.normal(size=cache[2].shape)
+        dh2 = rng.normal(size=cache[2].shape).astype(np.float32)
         grads, ref_grads = {}, {}
         _trunk_backward(p, net, cache, dh2, grads)
         reference_trunk_backward(p, net, ref_cache, dh2, ref_grads)
         assert grads.keys() == ref_grads.keys()
         assert all(grads[k].tobytes() == ref_grads[k].tobytes() for k in grads)
-        Adam(params, lr=0.01).step(params, {k: rng.normal(size=v.shape) * 0.1
+        Adam(params, lr=0.01).step(params, {k: (rng.normal(size=v.shape) * 0.1).astype(np.float32)
                                             for k, v in params.tensors.items()})
