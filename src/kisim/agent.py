@@ -6,15 +6,17 @@ per episode by default over minibatches with normalized advantages. Acting runs
 the actor alone: a rollout is a list of `(obs, heads, log_prob, reward, done)`
 steps, `heads` the drawn head indices, that `update` values in one stacked critic
 pass. Both compute in float32, the weights' dtype, on the env's observations cast once.
-`train(agent, out)` writes out/trace.jsonl and returns a `TrainState`, the run's record.
+`train(agent, out)` is a training run's one writer: each episode's trace lines and CSV
+rows as it ends, both checkpoints; it returns the `TrainState` its last checkpoint stores.
 """
 
 from __future__ import annotations
 
 import bisect
+import csv
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -174,14 +176,11 @@ class PpoAgent:
 
 @dataclass
 class TrainState:
-    """What a training run produced. `log` holds (pattern, moving_avg, losses
-    or None) per episode and `evals` (episode, round, pattern, return) per
-    greedy episode; checkpoints keep neither."""
+    """A training run's state, exactly what a checkpoint stores: each episode's return,
+    the best moving average so far and the episode convergence was detected at (-1)."""
     returns: list = field(default_factory=list)
     best_moving_avg: float = -math.inf
     converged_at: int = -1
-    log: list = field(default_factory=list)
-    evals: list = field(default_factory=list)
 
     @property
     def episode_index(self) -> int:
@@ -305,29 +304,46 @@ def run_episode(env: ScalingEnv, agent: PpoAgent, episode_index: int,
 def train(agent: PpoAgent, out: str | Path) -> TrainState:
     """Train `cfg.episodes` traced episodes over rotating patterns, updating every
     `cfg.ppo_update_every_episodes`, and play one untraced greedy episode per pattern
-    every `cfg.eval_every`. Writes out/trace.jsonl, out/checkpoint_best.kisc whenever
-    the moving average improves and out/checkpoint.kisc at the end."""
+    every `cfg.eval_every`. Writes each episode's out/trace.jsonl lines and its row of
+    out/training_log.csv and pattern_rewards.csv, or eval_log.csv, as it ends, so an
+    interrupted run keeps them; out/checkpoint_best.kisc whenever the moving average
+    improves and out/checkpoint.kisc at the end."""
     cfg = agent.cfg
+    out = Path(out)
     env = ScalingEnv(cfg)
     state = TrainState()
     steps: list = []
-    with (Path(out) / "trace.jsonl").open("w") as trace:
+    pattern_returns: dict[str, list] = {pattern: [] for pattern in PATTERN_NAMES}
+    with ((out / "trace.jsonl").open("w") as trace,
+          (out / "training_log.csv").open("w", newline="") as log_file,
+          (out / "pattern_rewards.csv").open("w", newline="") as pattern_file,
+          (out / "eval_log.csv").open("w", newline="") as eval_file):
+        # csv writes a float as its repr and any other value as its str
+        log, by_pattern, evals = map(csv.writer, (log_file, pattern_file, eval_file))
+        log.writerow(("episode", "pattern", "return", "moving_avg",
+                      "policy_loss", "value_loss", "entropy"))
+        by_pattern.writerow(("episode", "pattern", "return", "pattern_moving_avg"))
+        evals.writerow(("train_episode", "eval_round", "pattern", "return"))
         for ep in range(cfg.episodes):
-            state.returns.append(run_episode(env, agent, ep, steps=steps, trace=trace))
+            ret = run_episode(env, agent, ep, steps=steps, trace=trace)
+            state.returns.append(ret)
+            pattern_returns[env.pattern].append(ret)
             update_due = (ep + 1) % cfg.ppo_update_every_episodes == 0
             losses = agent.update(steps) if update_due else None
-            state.log.append((env.pattern, state.moving_avg, losses))
+            log.writerow((ep, env.pattern, ret, state.moving_avg,
+                          *(astuple(losses) if losses else ("", "", ""))))
+            by_pattern.writerow((ep, env.pattern, ret,
+                                 moving_average(pattern_returns[env.pattern])))
             if state.converged_at < 0 and detect_convergence(state):
                 state.converged_at = state.episode_index
             if state.moving_avg > state.best_moving_avg:
                 state.best_moving_avg = state.moving_avg
-                save_checkpoint(agent.params, state, Path(out) / "checkpoint_best.kisc")
+                save_checkpoint(agent.params, state, out / "checkpoint_best.kisc")
             if cfg.eval_every and (ep + 1) % cfg.eval_every == 0:
                 eval_round = (ep + 1) // cfg.eval_every
                 for p_idx, pattern in enumerate(PATTERN_NAMES):
                     # a multiple of len(PATTERN_NAMES) plus p_idx: episode_traffic picks `pattern`
                     eval_index = EVAL_INDEX_BASE + eval_round * len(PATTERN_NAMES) + p_idx
-                    state.evals.append(
-                        (ep, eval_round, pattern, run_episode(env, agent, eval_index)))
-    save_checkpoint(agent.params, state, Path(out) / "checkpoint.kisc")
+                    evals.writerow((ep, eval_round, pattern, run_episode(env, agent, eval_index)))
+    save_checkpoint(agent.params, state, out / "checkpoint.kisc")
     return state

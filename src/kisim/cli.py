@@ -18,7 +18,7 @@ import sys
 from collections import Counter, defaultdict
 from pathlib import Path
 
-from .agent import PpoAgent, load_checkpoint, moving_average, train
+from .agent import PpoAgent, load_checkpoint, train
 from .baselines import POLICY_NAMES, run_baseline
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
 from .env import TIMESERIES_FIELDS, episode_traffic, read_trace_line, run_policy_episode
@@ -119,26 +119,6 @@ def cmd_train(args) -> int:
     cfg = _load_effective_config(args)
     out = _prepare_out(cfg)
     state = train(PpoAgent(cfg=cfg, seed=cfg.seed), out)
-
-    rows: list[dict] = []     # one per episode, for training_log and pattern_rewards
-    pattern_returns: dict[str, list[float]] = defaultdict(list)
-    for ep, (ret, (pattern, moving_avg, losses)) in enumerate(zip(state.returns, state.log)):
-        pattern_returns[pattern].append(ret)
-        rows.append({
-            "episode": ep, "pattern": pattern, "return": ret, "moving_avg": moving_avg,
-            "pattern_moving_avg": moving_average(pattern_returns[pattern]),
-            "policy_loss": losses.policy_loss if losses else "",
-            "value_loss": losses.value_loss if losses else "",
-            "entropy": losses.entropy if losses else ""})
-    eval_fields = ("train_episode", "eval_round", "pattern", "return")
-
-    _write_csv(out / "training_log.csv",
-               ("episode", "pattern", "return", "moving_avg",
-                "policy_loss", "value_loss", "entropy"), rows)
-    _write_csv(out / "eval_log.csv", eval_fields,
-               [dict(zip(eval_fields, row)) for row in state.evals])
-    _write_csv(out / "pattern_rewards.csv",
-               ("episode", "pattern", "return", "pattern_moving_avg"), rows)
     print(f"trained {cfg.episodes} episodes; "
           f"moving average reward {state.moving_avg:.3f} "
           f"(best {state.best_moving_avg:.3f})")
@@ -255,6 +235,12 @@ def cmd_replay(args) -> int:
                              d_cpu=action[1], pref=action[2]))
     if not rows:
         raise ReplayError(f"{path}: no trace record")
+    # one train writes every episode with one step count, so only the last may be short
+    (first, full), *rest = Counter(row["episode"] for row in rows).items()
+    for k, (ep, n) in enumerate(rest, start=1):
+        if n > full or (n < full and k < len(rest)):
+            raise ReplayError(f"{path}: episode {ep} has {n} steps and episode {first} {full}, "
+                              "but only the last episode may have fewer")
     histogram = sum(by_pattern.values(), Counter())
 
     out = Path(args.out) if args.out else path.parent

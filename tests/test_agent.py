@@ -21,6 +21,7 @@ from kisim.config import ExperimentConfig
 from kisim.env import ACTIONS, HEAD_SIZES, OBS_FIELDS, ScalingEnv
 from kisim.nn import (ActorCriticParams, NetDims, actor_forward, critic_forward, log_softmax,
                       ppo_loss_and_grads, tensor_shapes)
+from kisim.traffic import PATTERN_NAMES
 
 N_RETURNS = 100
 
@@ -465,10 +466,52 @@ def test_a_network_of_no_hidden_unit_is_a_checkpoint_error(tmp_path, hidden):
 
 def test_train_traces_each_training_step_once_and_no_greedy_evaluation(tmp_path):
     """Four training episodes of 20 steps write 80 lines, one per (episode, step) in
-    order; the 8 greedy evaluation episodes of two rounds write none."""
+    order; the 8 greedy evaluation episodes of two rounds write none, and a row each
+    of eval_log.csv."""
     cfg = replace(ExperimentConfig(), episodes=4, eval_every=2)
-    state = train(PpoAgent(NetDims(hidden1=8, hidden2=6), cfg, seed=0), tmp_path)
+    train(PpoAgent(NetDims(hidden1=8, hidden2=6), cfg, seed=0), tmp_path)
     records = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
     assert [(r["episode"], r["step"]) for r in records] == \
         [(ep, step) for ep in range(4) for step in range(1, 21)]
-    assert len(state.evals) == 8
+    assert len((tmp_path / "eval_log.csv").read_text().splitlines()) == 1 + 8
+
+
+def test_the_state_train_returns_is_the_state_its_last_checkpoint_stores(tmp_path):
+    cfg = replace(ExperimentConfig(), episodes=4, eval_every=2, episode_s=60.0)
+    state = train(PpoAgent(NetDims(hidden1=8, hidden2=6), cfg, seed=0), tmp_path)
+    assert load_checkpoint(tmp_path / "checkpoint.kisc")[1] == state
+    assert state.episode_index == 4
+
+
+class Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_an_interrupted_run_keeps_the_rows_of_every_episode_it_finished(k, tmp_path,
+                                                                          monkeypatch):
+    """Training episode k raises. The CSVs then hold the rows an uninterrupted run at the
+    same seed writes for episodes 0 to k - 1, byte for byte, and eval_log.csv those of
+    every evaluation round (one per 2 episodes, a row per pattern) finished before k."""
+    cfg = replace(ExperimentConfig(), episodes=6, eval_every=2, episode_s=60.0)
+    whole, cut = tmp_path / "whole", tmp_path / "cut"
+    whole.mkdir()
+    cut.mkdir()
+    train(PpoAgent(NetDims(hidden1=8, hidden2=6), cfg, seed=0), whole)
+
+    played = itertools.count()
+    run = kisim.agent.run_episode
+
+    def interrupted(env, agent, episode_index, steps=None, trace=None):
+        # a greedy evaluation episode runs without `steps`; count only training episodes
+        if steps is not None and next(played) == k:
+            raise Interrupted
+        return run(env, agent, episode_index, steps=steps, trace=trace)
+
+    monkeypatch.setattr(kisim.agent, "run_episode", interrupted)
+    with pytest.raises(Interrupted):
+        train(PpoAgent(NetDims(hidden1=8, hidden2=6), cfg, seed=0), cut)
+    for name, rows in [("training_log.csv", k), ("pattern_rewards.csv", k),
+                       ("eval_log.csv", len(PATTERN_NAMES) * (k // 2))]:
+        lines = (whole / name).read_bytes().splitlines(keepends=True)
+        assert (cut / name).read_bytes() == b"".join(lines[:1 + rows])

@@ -148,8 +148,8 @@ def test_a_trace_line_without_its_newline_is_not_the_writers():
 
 
 def test_replay_prints_each_patterns_distinct_actions_and_most_common_share(tmp_path, capsys):
-    episodes = [("ramp", [[0, 0, 1]] * 3), ("spike", [[0, -2, 1]] * 2),
-                ("ramp", [[1, -1, 1]] * 2)]
+    episodes = [("ramp", [[0, 0, 1]] * 2), ("spike", [[0, -2, 1]] * 2),
+                ("ramp", [[0, 0, 1], [1, -1, 1]])]
     steps = [(pattern, action) for pattern, actions in episodes for action in actions]
     trace = tmp_path / "trace.jsonl"
     trace.write_text("".join(
@@ -158,9 +158,9 @@ def test_replay_prints_each_patterns_distinct_actions_and_most_common_share(tmp_
         for step, action in enumerate(actions, start=1)))
     assert main(["replay", str(trace), "--out", str(tmp_path / "replay")]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[-3:-1] == ["pattern ramp: 5 steps, 2 distinct action(s), the most common 60.0%",
+    assert out[-3:-1] == ["pattern ramp: 4 steps, 2 distinct action(s), the most common 75.0%",
                           "pattern spike: 2 steps, 1 distinct action(s), the most common 100.0%"]
-    assert "action histogram (7 steps):" in out
+    assert "action histogram (6 steps):" in out
     with (tmp_path / "replay" / "replay_summary.csv").open() as fh:
         assert [row["pattern"] for row in csv.DictReader(fh)] == [p for p, _ in steps]
 
@@ -180,6 +180,28 @@ def test_replay_refuses_a_trace_missing_steps_and_reads_a_truncated_one(tmp_path
     assert not (tmp_path / "replay_gapped").exists()
     assert main(["replay", str(truncated), "--out", str(tmp_path / "replay")]) == 0
     assert capsys.readouterr().out.startswith("trace: 27 steps over 2 episodes\n")
+
+
+def test_replay_refuses_an_episode_cut_short_before_the_last(tmp_path, capsys):
+    """The first 10 lines of the default `train` trace plus its lines 21-40 (all of
+    episode 1) once replayed as 30 steps of 2 episodes, each step in sequence: one train
+    writes every episode with one step count, so only the last may have fewer. The rule
+    cannot see every episode before the last cut to one length."""
+    assert main(["train", "--episodes", "3", "--out", str(tmp_path / "train")]) == 0
+    lines = (tmp_path / "train" / "trace.jsonl").read_text().splitlines(keepends=True)
+    assert len(lines) == 60
+    cases = {"short_first": (lines[:10] + lines[20:40], "episode 1 has 20 steps and episode 0 10"),
+             "short_middle": (lines[:20] + lines[20:30] + lines[40:],
+                              "episode 1 has 10 steps and episode 0 20"),
+             "longer_last": (lines[:10] + lines[20:30] + lines[40:],
+                             "episode 2 has 20 steps and episode 0 10")}
+    for name, (kept, counts) in cases.items():
+        trace = tmp_path / f"{name}.jsonl"
+        trace.write_text("".join(kept))
+        assert main(["replay", str(trace), "--out", str(tmp_path / name)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {trace}: {counts}, but only the last episode may have fewer\n"
+        assert not (tmp_path / name).exists()
 
 
 def test_action_diversity_counts_steps_distinct_actions_and_the_top_share():

@@ -8,8 +8,9 @@ instants and its time integrals are sums over those segments:
   submitted requests spent in the system up to T;
 - the utilization law, per pool: the time integral of the requests in service on the
   pool's pods is the service time its requests received up to T;
-- the interactive response-time law, for users who never retire: each user spends
-  [0, T] in its requests' residence or in think time, so N users spend N * T.
+- the interactive response-time law: each user spends the time from its spawn to T, or
+  to its retirement instant if it retires first, in its requests' residence or in think
+  time, each cut at that end, so N users who never retire spend N * T.
 
 The same runs check the asymptotic bounds of operational analysis (Denning and Buzen,
 1978; Lazowska et al., 1984, ch. 5), which hold for any queueing discipline, with
@@ -44,11 +45,13 @@ from kisim.traffic import PATTERN_NAMES
 REL = 1e-9
 
 
-def run_to_the_end(stack):
+def run_to_the_end(stack, retired_at=None):
     """Step `stack` to `episode_s` instant by instant. Returns every request submitted,
     the integrals of outstanding() and of each pool's requests in service, the pool of
-    every pod seen, every (pod id, phase) seen and the longest backlog seen."""
+    every pod seen, every (pod id, phase) seen and the longest backlog seen. A dict
+    `retired_at` gets the instant each user that retires leaves the generator's users."""
     cluster, engine, end = stack.cluster, stack.engine, stack.config.episode_s
+    users, active = stack.generator._active, set()
     submitted = []
     submit = cluster.submit
 
@@ -74,6 +77,9 @@ def run_to_the_end(stack):
                 phases_seen.add((p.id, p.phase))
         engine.run_until(nxt)
         now = nxt
+        if retired_at is not None and users != active:
+            retired_at.update(dict.fromkeys(active - users, now))
+            active = set(users)
     return submitted, outstanding, in_service, pool_of, phases_seen, backlog
 
 
@@ -228,3 +234,37 @@ def test_the_interactive_response_time_law_holds_for_users_who_never_retire(
     assert_the_fixed_deployment_bound_holds(stack)
     completed = stack.cluster.requests_completed
     assert completed * (hold_s + cfg.base_service_s) <= users * (end + hold_s) * (1 + REL)
+
+
+@pytest.mark.parametrize("pattern", ["periodic", "random", "spike"])
+def test_the_interactive_response_time_law_holds_for_users_who_retire(pattern):
+    """Surplus users retire, one with a request in flight among them, and a retired
+    user's pending arrival is withdrawn. So each user's requests' residence and its
+    think times, each cut at the end of its time min(retirement instant, T), tile the
+    time from its spawn, its first request's arrival, to that end."""
+    stack = SimStack(ExperimentConfig(), pattern, traffic_seed=11, init_cpu=3, init_gpu=1)
+    retired_at: dict[int, float] = {}
+    submitted = run_to_the_end(stack, retired_at)[0]
+    hold_s, end = stack.config.hold_s, stack.config.episode_s
+    users: dict[int, list] = {}
+    for r in submitted:
+        users.setdefault(r.user, []).append(r)
+    ends = {uid: min(retired_at.get(uid, end), end) for uid in users}
+    assert retired_at and set(retired_at) <= set(users)
+    assert any(r.arrived_at < retired_at[r.user] < (r.completed_at or math.inf)
+               for r in submitted if r.user in retired_at)    # retired in flight
+
+    def cut(uid, t):
+        return ends[uid] if t is None else min(t, ends[uid])
+
+    spawned, spent = {}, {}
+    for uid, requests in users.items():
+        spawned[uid] = requests[0].arrived_at
+        spent[uid] = [cut(uid, r.completed_at) - r.arrived_at for r in requests]
+        spent[uid] += [cut(uid, r.completed_at + hold_s) - r.completed_at for r in requests
+                       if r.completed_at is not None and r.completed_at < ends[uid]]
+    assert all(r.arrived_at <= ends[r.user] for r in submitted)
+    assert all(math.fsum(spent[uid]) == pytest.approx(ends[uid] - spawned[uid], rel=REL)
+               for uid in users)
+    assert math.fsum(map(math.fsum, spent.values())) == \
+        pytest.approx(math.fsum(ends[uid] - spawned[uid] for uid in users), rel=REL)
