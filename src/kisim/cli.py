@@ -21,10 +21,11 @@ from pathlib import Path
 from .agent import PpoAgent, load_checkpoint, train
 from .baselines import POLICY_NAMES, run_baseline
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
-from .env import TIMESERIES_FIELDS, episode_traffic, read_trace_line, run_policy_episode
+from .env import OBS_FIELDS, TIMESERIES_FIELDS, episode_traffic, read_trace_line, run_policy_episode
 from .traffic import PATTERN_NAMES
 
 EVAL_SEED_BASE = 2_000_000
+T_NORM = OBS_FIELDS.index("t_norm")   # t / episode_s: exactly 1.0 on an episode's last step
 
 
 class ReplayError(RuntimeError):
@@ -218,16 +219,16 @@ def cmd_replay(args) -> int:
             except ValueError as exc:
                 raise ReplayError(f"trace line {lineno}: {exc}") from None
             episode, step, action = rec["episode"], rec["step"], rec["action"]
-            # an episode's steps run 1, 2, ... on contiguous lines, under one pattern
-            same = last is not None and last["episode"] == episode
-            expected = last["step"] + 1 if same else 1
-            where = f"trace line {lineno}: episode {episode}"
-            if not same and episode in returns:
-                raise ReplayError(f"{where} resumes after episode {last['episode']}")
-            if step != expected:
-                raise ReplayError(f"{where} step {step}, expected step {expected}")
-            if same and rec["pattern"] != last["pattern"]:
-                raise ReplayError(f"{where} pattern {rec['pattern']} after {last['pattern']}")
+            # run_episode's order: steps 1, 2, ... of one pattern until t_norm reads 1.0, then
+            # step 1 of the next episode; the first line may start any episode, the last stop short
+            goes_on = last is not None and last["obs"][T_NORM] != 1.0
+            expected = ((last["episode"], last["step"] + 1) if goes_on
+                        else (episode if last is None else last["episode"] + 1, 1))
+            if (episode, step) != expected or (goes_on and rec["pattern"] != last["pattern"]):
+                raise ReplayError(
+                    f"trace line {lineno}: episode {episode} step {step} ({rec['pattern']}), "
+                    f"expected episode {expected[0]} step {expected[1]}"
+                    + (f" ({last['pattern']})" if goes_on else ""))
             last = rec
             returns[episode] += rec["reward"]["total"]
             by_pattern[rec["pattern"]][tuple(action)] += 1
@@ -235,12 +236,6 @@ def cmd_replay(args) -> int:
                              d_cpu=action[1], pref=action[2]))
     if not rows:
         raise ReplayError(f"{path}: no trace record")
-    # one train writes every episode with one step count, so only the last may be short
-    (first, full), *rest = Counter(row["episode"] for row in rows).items()
-    for k, (ep, n) in enumerate(rest, start=1):
-        if n > full or (n < full and k < len(rest)):
-            raise ReplayError(f"{path}: episode {ep} has {n} steps and episode {first} {full}, "
-                              "but only the last episode may have fewer")
     histogram = sum(by_pattern.values(), Counter())
 
     out = Path(args.out) if args.out else path.parent

@@ -14,8 +14,8 @@ from kisim.agent import (CHECKPOINT_HEADER, CHECKPOINT_MAGIC, MOVING_AVG_WINDOW,
 from kisim.baselines import POLICY_NAMES, run_baseline
 from kisim.cli import EVAL_SEED_BASE, action_diversity, main
 from kisim.config import ExperimentConfig, parse_config_text
-from kisim.env import (REWARD_TERMS, TIMESERIES_FIELDS, ActionTriple, episode_traffic,
-                       read_trace_line, trace_line)
+from kisim.env import (OBS_FIELDS, REWARD_TERMS, TIMESERIES_FIELDS, ActionTriple,
+                       episode_traffic, read_trace_line, trace_line)
 from kisim.nn import ActorCriticParams, NetDims
 from kisim.traffic import PATTERN_NAMES
 
@@ -64,6 +64,8 @@ def test_replay_record_is_the_writers_line_but_for_the_fields_it_sets():
 
 
 OBS = LINE_ONE[3]
+T_NORM = OBS_FIELDS.index("t_norm")
+ENDS = [*OBS[:T_NORM], 1.0, *OBS[T_NORM + 1:]]     # LINE_ONE's obs at its episode's last step
 WRITER = "trace line 1: trace_line cannot write its obs and reward back: "
 
 
@@ -99,15 +101,16 @@ def column(line: str, text: str) -> str:
     (replay_record(desired_cpu=3.0), "trace line 1: desired_cpu 3.0 is not a non-negative int"),
     (replay_record(users="many"), "trace line 1: users 'many' is not a non-negative int"),
     (replay_record() + "\n" + replay_record(step=2) + "\n\n" + replay_record(),
-     "trace line 4: episode 0 step 1, expected step 3"),
-    # an episode's steps run 1, 2, ..., k on contiguous lines, under one pattern
-    (replay_record() + "\n" + replay_record(step=3), "trace line 2: episode 0 step 3, "
-     "expected step 2"),
-    (replay_record(step=2), "trace line 1: episode 0 step 2, expected step 1"),
+     "trace line 4: episode 0 step 1 (ramp), expected episode 0 step 3 (ramp)\n"),
+    # a line continues the one before, in episode, pattern and step, until t_norm reads 1.0,
+    # and then starts the next episode at step 1
+    (replay_record() + "\n" + replay_record(step=3),
+     "trace line 2: episode 0 step 3 (ramp), expected episode 0 step 2 (ramp)\n"),
+    (replay_record(step=2), "trace line 1: episode 0 step 2 (ramp), expected episode 0 step 1\n"),
     (replay_record() + "\n" + replay_record(step=2, pattern="spike"),
-     "trace line 2: episode 0 pattern spike after ramp"),
-    (replay_record() + "\n" + replay_record(episode=1) + "\n" + replay_record(step=2),
-     "trace line 3: episode 0 resumes after episode 1"),
+     "trace line 2: episode 0 step 2 (spike), expected episode 0 step 2 (ramp)\n"),
+    (replay_record(obs=ENDS) + "\n" + replay_record(episode=1) + "\n" + replay_record(step=2),
+     "trace line 3: episode 0 step 2 (ramp), expected episode 1 step 2 (ramp)\n"),
     # a record the writer can never produce, each made from line 1 of a real trace
     (replay_record(obs=[math.nan, *OBS[1:]]), WRITER + "episode 0 step 1: non-finite observation"),
     (replay_record(drop=("obs",)), "trace line 1: missing key 'obs'"),
@@ -153,7 +156,8 @@ def test_replay_prints_each_patterns_distinct_actions_and_most_common_share(tmp_
     steps = [(pattern, action) for pattern, actions in episodes for action in actions]
     trace = tmp_path / "trace.jsonl"
     trace.write_text("".join(
-        replay_record(episode=episode, step=step, pattern=pattern, action=action) + "\n"
+        replay_record(episode=episode, step=step, pattern=pattern, action=action,
+                      obs=ENDS if step == len(actions) else OBS) + "\n"
         for episode, (pattern, actions) in enumerate(episodes)
         for step, action in enumerate(actions, start=1)))
     assert main(["replay", str(trace), "--out", str(tmp_path / "replay")]) == 0
@@ -167,8 +171,9 @@ def test_replay_prints_each_patterns_distinct_actions_and_most_common_share(tmp_
 
 def test_replay_refuses_a_trace_missing_steps_and_reads_a_truncated_one(tmp_path, capsys):
     """The first 10 lines of the default `train` trace plus its lines 25-27 (episode 1,
-    steps 5-7) once replayed as 13 steps of 2 episodes with partial returns; its first
-    27 lines, a run cut short mid-episode, replay."""
+    steps 5-7) once replayed as 13 steps of 2 episodes with partial returns: line 11 starts
+    episode 1 where episode 0, not yet at its end, must go on. Its first 27 lines, a run
+    cut short mid-episode, replay."""
     assert main(["train", "--episodes", "2", "--out", str(tmp_path / "train")]) == 0
     lines = (tmp_path / "train" / "trace.jsonl").read_text().splitlines(keepends=True)
     assert len(lines) == 40     # a default run's first two episodes, line for line
@@ -176,32 +181,54 @@ def test_replay_refuses_a_trace_missing_steps_and_reads_a_truncated_one(tmp_path
     gapped.write_text("".join(lines[:10] + lines[24:27]))
     truncated.write_text("".join(lines[:27]))
     assert main(["replay", str(gapped), "--out", str(tmp_path / "replay_gapped")]) == 1
-    assert capsys.readouterr().err == "error: trace line 11: episode 1 step 5, expected step 1\n"
+    assert capsys.readouterr().err == ("error: trace line 11: episode 1 step 5 (periodic), "
+                                       "expected episode 0 step 11 (ramp)\n")
     assert not (tmp_path / "replay_gapped").exists()
     assert main(["replay", str(truncated), "--out", str(tmp_path / "replay")]) == 0
     assert capsys.readouterr().out.startswith("trace: 27 steps over 2 episodes\n")
 
 
-def test_replay_refuses_an_episode_cut_short_before_the_last(tmp_path, capsys):
-    """The first 10 lines of the default `train` trace plus its lines 21-40 (all of
-    episode 1) once replayed as 30 steps of 2 episodes, each step in sequence: one train
-    writes every episode with one step count, so only the last may have fewer. The rule
-    cannot see every episode before the last cut to one length."""
+def test_replay_refuses_each_trace_out_of_the_order_run_episode_writes(tmp_path, capsys):
+    """Cuts of the default 3-episode `train` trace, each refused at the first line out of
+    order. An episode ends only on the line whose t_norm reads 1.0, so a line that starts
+    an episode before the one it follows has ended is refused: the first 10 lines plus
+    lines 21-40 once replayed as 30 steps of 2 episodes, and lines 1-10, 21-30 and 41-45,
+    every episode cut to one length, as 25 steps of 3. After that line comes step 1 of the
+    next episode number: not episode 0 again, as in the trace written twice into one file,
+    nor step 21 of an only episode, which once replayed as 21 steps of 1 episode."""
     assert main(["train", "--episodes", "3", "--out", str(tmp_path / "train")]) == 0
     lines = (tmp_path / "train" / "trace.jsonl").read_text().splitlines(keepends=True)
     assert len(lines) == 60
-    cases = {"short_first": (lines[:10] + lines[20:40], "episode 1 has 20 steps and episode 0 10"),
-             "short_middle": (lines[:20] + lines[20:30] + lines[40:],
-                              "episode 1 has 10 steps and episode 0 20"),
-             "longer_last": (lines[:10] + lines[20:30] + lines[40:],
-                             "episode 2 has 20 steps and episode 0 10")}
-    for name, (kept, counts) in cases.items():
+    after_ten = "trace line 11: episode 1 step 1 (periodic), expected episode 0 step 11 (ramp)"
+    past = lines[0].replace('"step":1,', '"step":21,', 1)
+    cases = {"short_first": (lines[:10] + lines[20:40], after_ten),
+             "short_middle": (lines[:20] + lines[20:30] + lines[40:], "trace line 31: episode 2 "
+                              "step 1 (random), expected episode 1 step 11 (periodic)"),
+             "longer_last": (lines[:10] + lines[20:30] + lines[40:], after_ten),
+             "all_cut_short": (lines[:10] + lines[20:30] + lines[40:45], after_ten),
+             "twice": (lines + lines, "trace line 61: episode 0 step 1 (ramp), "
+                       "expected episode 3 step 1"),
+             "past_its_end": (lines[:20] + [past], "trace line 21: episode 0 step 21 (ramp), "
+                              "expected episode 1 step 1")}
+    for name, (kept, message) in cases.items():
         trace = tmp_path / f"{name}.jsonl"
         trace.write_text("".join(kept))
         assert main(["replay", str(trace), "--out", str(tmp_path / name)]) == 1
-        assert capsys.readouterr().err == \
-            f"error: {trace}: {counts}, but only the last episode may have fewer\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / name).exists()
+
+
+def test_replay_reads_a_trace_whose_interval_does_not_divide_the_episode(tmp_path, capsys):
+    """At 7 s in a 100 s episode each episode's 15th step is 2 s long and ends it, at
+    t_norm 1.0: both episodes replay in full."""
+    assert main(["train", "--episodes", "2", "--set", "episode_s=100",
+                 "--set", "control_interval_s=7", "--out", str(tmp_path / "train")]) == 0
+    capsys.readouterr()
+    trace = tmp_path / "train" / "trace.jsonl"
+    ends = [json.loads(line)["obs"][T_NORM] == 1.0 for line in trace.read_text().splitlines()]
+    assert [i + 1 for i, end in enumerate(ends) if end] == [15, 30]
+    assert main(["replay", str(trace), "--out", str(tmp_path / "replay")]) == 0
+    assert capsys.readouterr().out.startswith("trace: 30 steps over 2 episodes\n")
 
 
 def test_action_diversity_counts_steps_distinct_actions_and_the_top_share():

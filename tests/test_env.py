@@ -51,8 +51,12 @@ def test_a_policy_of_a_few_lines_runs_and_reports_under_its_own_name():
     assert played == [ActionTriple(0, 0, RoutePref.GPU_FIRST)] * 4   # one per step, t=0 on
 
 
-@pytest.mark.parametrize("interval", [11.0, 13.0, 15.0])
+@pytest.mark.parametrize("interval", [11.0, 13.0, 15.0, 7.0, 1.0, 400.0])
 def test_observations_stay_in_unit_interval_through_the_last_step(interval):
+    """Also the fact `kisim replay` reads an episode's end by: t_norm is 1.0 on the step
+    that returns `done` and, as the trace writes it to 9 digits, below 1.0 on every earlier
+    one; at an interval that does not divide the episode (7 s) and at one longer than it
+    (400 s, one step) too."""
     cfg = ExperimentConfig(control_interval_s=interval)
     env = ScalingEnv(cfg)
     obs = env.reset_to("spike", 5)
@@ -63,6 +67,7 @@ def test_observations_stay_in_unit_interval_through_the_last_step(interval):
         vectors.append(obs)
     assert env.stack.engine.now == cfg.episode_s
     assert vectors[-1][8] == 1.0          # t_norm reaches exactly 1
+    assert all(round(vec[8], 9) < 1.0 for vec in vectors[:-1])
     for vec in vectors:
         assert ((vec >= 0.0) & (vec <= 1.0)).all(), vec
 
@@ -477,3 +482,46 @@ def test_an_env_forked_mid_episode_while_it_is_traced_leaves_the_source_and_its_
     assert forking.seen == plain.seen
     traced = (tmp_path / "trace.jsonl").read_text()
     assert traced == plain_sink.getvalue() and len(traced.splitlines()) == 6
+
+
+class Hold:
+    """The config's init pods, never scaled, routed GPU-first."""
+
+    name, pods = "hold", None
+
+    def act(self, obs, env):
+        return ActionTriple(0, 0, RoutePref.GPU_FIRST)
+
+
+class ForkingHold(Hold):
+    """`Hold`, but at every control instant it first forks `env`, whose engine carries the
+    reported run's utilization sampler, and plays the fork to the episode end under one
+    fixed action, as a planner inside a reported run does."""
+
+    def __init__(self) -> None:
+        self.forks = []
+
+    def act(self, obs, env):
+        fork = copy.deepcopy(env)
+        done = False
+        while not done:
+            _, _, done = fork.step(ActionTriple(2, -1, 0))
+        self.forks.append((len(env.stack.util_samples), len(fork.stack.util_samples)))
+        return super().act(obs, env)
+
+
+@pytest.mark.parametrize("pattern", ["ramp", "spike"])
+def test_a_reported_run_that_forks_at_every_instant_reports_like_one_that_never_forks(pattern):
+    """Forks inside `run_policy_episode`: a policy that forks its env at every control
+    instant and plays each fork to the end gets the report and time series, byte for byte,
+    of the same policy unforked; each fork sampled utilization on to the end alone."""
+    cfg = ExperimentConfig(episode_s=60.0)
+    runs = []
+    forking = ForkingHold()
+    for policy in (Hold(), forking):
+        rows: list[dict] = []
+        report = run_policy_episode(policy, pattern, cfg, 3, timeseries=rows)
+        runs.append(json.dumps([report, rows], sort_keys=True))
+    assert runs[0] == runs[1]
+    assert len(forking.forks) == 4
+    assert all(at_fork < at_end == 61 for at_fork, at_end in forking.forks)
