@@ -28,17 +28,14 @@ from .nn import (ActorCriticParams, Adam, NetDims, actor_forward, critic_forward
                  ppo_loss_and_grads, tensor_shapes)
 from .traffic import PATTERN_NAMES
 
-CHECKPOINT_MAGIC = b"KISC1"
+CHECKPOINT_MAGIC = b"KISC2"
 CHECKPOINT_HEADER = struct.Struct("<6I")    # inputs, hidden1, hidden2, the three head sizes
-CHECKPOINT_STATE = struct.Struct("<IIddi")  # episode_index, n_returns, moving_avg, best, converged_at
+CHECKPOINT_STATE = struct.Struct("<IIdd")   # episode_index, n_returns, moving_avg, best
 EVAL_INDEX_BASE = 1_000_000     # the episode index of train's first greedy evaluation
 # `_actor` pads each head to a row of max(HEAD_SIZES) with -inf; every head but the last
 # is that wide already, so one block after the last fills its row
 _PAD = np.full((1, len(HEAD_SIZES) * max(HEAD_SIZES) - sum(HEAD_SIZES)), -np.inf, np.float32)
-MOVING_AVG_WINDOW = 10   # episodes in the reported moving-average return
-CONVERGENCE_WINDOW = 20          # detect_convergence compares two such windows,
-CONVERGENCE_STD_FRAC = 0.05      # wants the last one's std under 5% of its mean
-CONVERGENCE_IMPROVE_FRAC = 0.01  # and its mean under 1% above the previous one's
+MOVING_AVG_WINDOW = 3 * len(PATTERN_NAMES)  # episodes averaged: 3 rotations, each pattern alike
 
 
 class AgentError(RuntimeError):
@@ -172,15 +169,14 @@ class PpoAgent:
         )
 
 
-# ---- training state and convergence ------------------------------------
+# ---- training state ---------------------------------------------------------
 
 @dataclass
 class TrainState:
-    """A training run's state, exactly what a checkpoint stores: each episode's return,
-    the best moving average so far and the episode convergence was detected at (-1)."""
+    """A training run's state, exactly what a checkpoint stores: each episode's return
+    and the best moving average so far."""
     returns: list = field(default_factory=list)
     best_moving_avg: float = -math.inf
-    converged_at: int = -1
 
     @property
     def episode_index(self) -> int:
@@ -197,21 +193,6 @@ def moving_average(returns: list) -> float:
     return sum(window) / len(window) if window else 0.0
 
 
-def detect_convergence(state: TrainState) -> bool:
-    """Low variance and <1% window-over-window improvement."""
-    returns = state.returns
-    window = CONVERGENCE_WINDOW
-    if len(returns) < 2 * window:
-        return False
-    last = np.asarray(returns[-window:], dtype=np.float64)
-    prev = np.asarray(returns[-2 * window:-window], dtype=np.float64)
-    mean_last = last.mean()
-    if last.std() >= CONVERGENCE_STD_FRAC * abs(mean_last):
-        return False
-    improvement = (mean_last - prev.mean()) / max(abs(prev.mean()), 1e-12)
-    return improvement < CONVERGENCE_IMPROVE_FRAC
-
-
 # ---- checkpointing ---------------------------------------------------------
 
 def save_checkpoint(params: ActorCriticParams, state: TrainState,
@@ -225,14 +206,13 @@ def save_checkpoint(params: ActorCriticParams, state: TrainState,
     returns = np.asarray(state.returns, dtype="<f8")
     blob += CHECKPOINT_STATE.pack(
         state.episode_index, len(returns), state.moving_avg,
-        state.best_moving_avg if math.isfinite(state.best_moving_avg) else -1e308,
-        state.converged_at)
+        state.best_moving_avg if math.isfinite(state.best_moving_avg) else -1e308)
     blob += returns.tobytes()
     Path(path).write_bytes(bytes(blob))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ActorCriticParams, TrainState]:
-    """Read a KISC1 file; a wrong shape or length or an inconsistent state is a CheckpointError."""
+    """Read a KISC2 file; a wrong shape or length or an inconsistent state is a CheckpointError."""
     raw = Path(path).read_bytes()
     if len(raw) < len(CHECKPOINT_MAGIC) + CHECKPOINT_HEADER.size:
         raise CheckpointError(f"checkpoint {path} is truncated")
@@ -254,8 +234,7 @@ def load_checkpoint(path: str | Path) -> tuple[ActorCriticParams, TrainState]:
     state_off = off + 4 * sum(math.prod(shape) for shape in shapes.values())
     if len(raw) < state_off + CHECKPOINT_STATE.size:
         raise CheckpointError(f"checkpoint {path} is truncated before its training state")
-    episode_index, n_returns, moving_avg, best_avg, converged_at = \
-        CHECKPOINT_STATE.unpack_from(raw, state_off)
+    episode_index, n_returns, moving_avg, best_avg = CHECKPOINT_STATE.unpack_from(raw, state_off)
     returns_off = state_off + CHECKPOINT_STATE.size
     if len(raw) != returns_off + 8 * n_returns:
         raise CheckpointError(f"checkpoint {path} is {len(raw)} bytes, expected "
@@ -267,9 +246,7 @@ def load_checkpoint(path: str | Path) -> tuple[ActorCriticParams, TrainState]:
         off = end
     state = TrainState(
         returns=np.frombuffer(raw, dtype="<f8", offset=returns_off).tolist(),
-        best_moving_avg=best_avg if best_avg > -1e307 else -math.inf,
-        converged_at=converged_at,
-    )
+        best_moving_avg=best_avg if best_avg > -1e307 else -math.inf)
     if (episode_index, moving_avg) != (state.episode_index, state.moving_avg):
         raise CheckpointError(f"checkpoint {path} stores episode_index/moving_avg "
                               f"{episode_index}/{moving_avg!r} that its returns contradict")
@@ -334,8 +311,6 @@ def train(agent: PpoAgent, out: str | Path) -> TrainState:
                           *(astuple(losses) if losses else ("", "", ""))))
             by_pattern.writerow((ep, env.pattern, ret,
                                  moving_average(pattern_returns[env.pattern])))
-            if state.converged_at < 0 and detect_convergence(state):
-                state.converged_at = state.episode_index
             if state.moving_avg > state.best_moving_avg:
                 state.best_moving_avg = state.moving_avg
                 save_checkpoint(agent.params, state, out / "checkpoint_best.kisc")

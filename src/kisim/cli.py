@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -123,8 +124,6 @@ def cmd_train(args) -> int:
     print(f"trained {cfg.episodes} episodes; "
           f"moving average reward {state.moving_avg:.3f} "
           f"(best {state.best_moving_avg:.3f})")
-    if state.converged_at >= 0:
-        print(f"convergence detected at episode {state.converged_at}")
     print(f"outputs in {out}")
     return 0
 
@@ -303,7 +302,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()      # so that a reader that stopped shows here
+        return status
+    except BrokenPipeError:
+        # stdout's reader stopped (`| head -1`): devnull takes the exit-time flush, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except Exception as exc:  # config, replay, checkpoint and I/O errors alike
         print(f"error: {exc}", file=sys.stderr)
         return 1

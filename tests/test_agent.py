@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+from collections import Counter
 from dataclasses import replace
 from io import StringIO
 from unittest import mock
@@ -15,10 +16,10 @@ from hypothesis import given, settings, strategies as st
 import kisim.agent
 from kisim.agent import (CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_STATE,
                          MOVING_AVG_WINDOW, AgentError, CheckpointError, PpoAgent, TrainState,
-                         detect_convergence, gae, load_checkpoint, moving_average, run_episode,
-                         save_checkpoint, train)
+                         gae, load_checkpoint, moving_average, run_episode, save_checkpoint,
+                         train)
 from kisim.config import ExperimentConfig
-from kisim.env import ACTIONS, HEAD_SIZES, OBS_FIELDS, ScalingEnv
+from kisim.env import ACTIONS, HEAD_SIZES, OBS_FIELDS, ScalingEnv, episode_traffic
 from kisim.nn import (ActorCriticParams, NetDims, actor_forward, critic_forward, log_softmax,
                       ppo_loss_and_grads, tensor_shapes)
 from kisim.traffic import PATTERN_NAMES
@@ -340,20 +341,6 @@ def test_one_update_keeps_every_tensor_moment_and_gradient_float32(monkeypatch):
         assert all(t.dtype == np.float32 and t.flags.c_contiguous for t in store.values())
 
 
-def test_flat_returns_converge_after_two_windows():
-    converged = [n for n in range(1, 61) if detect_convergence(TrainState(returns=[1.0] * n))]
-    assert converged[0] == 40
-
-
-@pytest.mark.parametrize("returns", [
-    list(np.linspace(1.0, 2.0, 60)),     # still improving
-    [0.5, 1.5] * 30,                      # flat on average but noisy
-])
-def test_rising_or_noisy_returns_do_not_converge(returns):
-    assert not any(detect_convergence(TrainState(returns=returns[:n]))
-                   for n in range(1, len(returns) + 1))
-
-
 def test_train_state_derives_its_index_and_moving_average_from_its_returns():
     state = TrainState()
     assert (state.episode_index, state.moving_avg) == (0, 0.0)
@@ -372,13 +359,21 @@ def test_moving_average_is_the_mean_of_the_last_window_of_returns():
     assert moving_average(returns) == TrainState(returns=returns).moving_avg
 
 
+def test_the_moving_average_window_holds_each_pattern_alike():
+    """Training episode i plays `episode_traffic(seed, i)`'s pattern, so the last
+    `MOVING_AVG_WINDOW` of n episodes hold three of each pattern, whatever n."""
+    patterns = [episode_traffic(42, i)[0] for i in range(40)]
+    for n in range(MOVING_AVG_WINDOW, 41):
+        assert Counter(patterns[:n][-MOVING_AVG_WINDOW:]) == \
+            {pattern: 3 for pattern in PATTERN_NAMES}, n
+
+
 @pytest.fixture
 def saved(tmp_path):
     """A checkpoint of 100 returns: (path, bytes, offset of the state struct)."""
     params = PpoAgent(NetDims(hidden1=8, hidden2=6), seed=3).params
     rng = np.random.default_rng(7)
-    state = TrainState(returns=rng.normal(1.0, 0.3, N_RETURNS).tolist(),
-                       best_moving_avg=1.25, converged_at=61)
+    state = TrainState(returns=rng.normal(1.0, 0.3, N_RETURNS).tolist(), best_moving_avg=1.25)
     path = tmp_path / "run.kisc"
     save_checkpoint(params, state, path)
     raw = path.read_bytes()
@@ -428,13 +423,26 @@ def test_appended_bytes_are_a_checkpoint_error(saved, extra):
 
 def test_stored_index_or_average_that_the_returns_contradict_is_an_error(saved):
     path, raw, state_off, _, _ = saved
-    episode_index, n, moving_avg, best, converged = CHECKPOINT_STATE.unpack_from(raw, state_off)
-    for fields in [(episode_index - 1, n, moving_avg, best, converged),
-                   (episode_index, n, moving_avg + 1e-9, best, converged)]:
+    episode_index, n, moving_avg, best = CHECKPOINT_STATE.unpack_from(raw, state_off)
+    for fields in [(episode_index - 1, n, moving_avg, best),
+                   (episode_index, n, moving_avg + 1e-9, best)]:
         path.write_bytes(raw[:state_off] + CHECKPOINT_STATE.pack(*fields)
                          + raw[state_off + CHECKPOINT_STATE.size:])
         with pytest.raises(CheckpointError, match="contradict"):
             load_checkpoint(path)
+
+
+def test_a_kisc1_checkpoint_is_a_version_mismatch(saved):
+    """KISC1 stored a moving average over 10 episodes and a convergence episode after
+    the best; a KISC2 reader refuses it rather than read either."""
+    path, raw, state_off, _, state = saved
+    kisc1_state = struct.pack("<IIddi", N_RETURNS, N_RETURNS, moving_average(state.returns[-10:]),
+                              state.best_moving_avg, -1)
+    path.write_bytes(b"KISC1" + raw[len(CHECKPOINT_MAGIC):state_off] + kisc1_state
+                     + raw[state_off + CHECKPOINT_STATE.size:])
+    with pytest.raises(CheckpointError,
+                       match=re.escape("checkpoint version mismatch: b'KISC1' != b'KISC2'")):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("header, shape", [
@@ -455,7 +463,7 @@ def test_a_network_of_other_inputs_or_heads_than_the_envs_is_a_checkpoint_error(
 
 @pytest.mark.parametrize("hidden", [(0, 0), (1, 0)])
 def test_a_network_of_no_hidden_unit_is_a_checkpoint_error(tmp_path, hidden):
-    """The config refuses hidden sizes below 1; a KISC1 file saved from them loads as
+    """The config refuses hidden sizes below 1; a checkpoint saved from them loads as
     a constant policy of the head biases unless load_checkpoint refuses it too."""
     path = tmp_path / "hollow.kisc"
     save_checkpoint(PpoAgent(NetDims(*hidden)).params, TrainState(), path)

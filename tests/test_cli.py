@@ -2,7 +2,11 @@ import csv
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -229,6 +233,24 @@ def test_replay_reads_a_trace_whose_interval_does_not_divide_the_episode(tmp_pat
     assert [i + 1 for i, end in enumerate(ends) if end] == [15, 30]
     assert main(["replay", str(trace), "--out", str(tmp_path / "replay")]) == 0
     assert capsys.readouterr().out.startswith("trace: 30 steps over 2 episodes\n")
+
+
+def test_a_reader_that_stopped_ends_replay_quietly(tmp_path):
+    """Replay into a pipe whose reader has gone, as `kisim replay trace.jsonl | head -1`
+    leaves it: exit 1 with nothing on stderr, neither an `error:` line nor Python's
+    exit-time `Exception ignored` one."""
+    assert main(["train", "--episodes", "1", "--set", "episode_s=60",
+                 "--out", str(tmp_path)]) == 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kisim.cli", "replay", str(tmp_path / "trace.jsonl")],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(kisim.cli.__file__).parents[1])})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_action_diversity_counts_steps_distinct_actions_and_the_top_share():

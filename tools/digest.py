@@ -1,12 +1,13 @@
 """Determinism digest of kisim: the sha256 prefix of every output file.
 
-Runs four commands of the kisim in this checkout into a temporary directory:
+Runs five commands of the kisim in this checkout into a temporary directory:
 
 - `train --seed 42` (the default 100-episode training run);
 - `evaluate` of that run's checkpoint;
 - `baseline`;
 - the 30-episode dense train, `train --episodes 30 --set control_interval_s=1
-  --set users_min=1 --set users_max=5`.
+  --set users_min=1 --set users_max=5`;
+- `train --seed 5`, the default training run at a second seed, into `train_seed5/`.
 
 It then prints one `<run>/<file>  <sha256 prefix>` line per output file. The
 `out_dir` line of `effective_config.txt` names the temporary directory, so it is
@@ -50,13 +51,14 @@ def file_digest(path: Path) -> str:
 def main_digest() -> None:
     with tempfile.TemporaryDirectory(prefix="kisim-digest-") as tmp:
         root = Path(tmp)
-        train, evaluate, baseline, dense = (str(root / name) for name in
-                                            ("train", "evaluate", "baseline", "dense"))
+        train, evaluate, baseline, dense, train_seed5 = (
+            str(root / name) for name in ("train", "evaluate", "baseline", "dense", "train_seed5"))
         run(["train", "--seed", "42", "--out", train])
         run(["evaluate", str(Path(train) / "checkpoint.kisc"), "--out", evaluate])
         run(["baseline", "--out", baseline])
         run(["train", "--episodes", "30", "--set", "control_interval_s=1",
              "--set", "users_min=1", "--set", "users_max=5", "--out", dense])
+        run(["train", "--seed", "5", "--out", train_seed5])
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             print(f"{path.relative_to(root).as_posix()}  {file_digest(path)}")
 
