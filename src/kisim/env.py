@@ -35,8 +35,9 @@ from .simcore import (ClusterModel, Engine, Pool, PoolLimits, RoutePref, Service
 from .traffic import PATTERN_NAMES, LoadGenerator
 
 DELTAS = (-2, -1, 0, 1, 2)
-OBS_FIELDS = ("n_replicas", "u_gpu", "l_p95", "theta_req", "u_cpu", "u_mem",
-              "delta_l", "delta_theta", "t_norm", "p_id")
+OBS_FIELDS = ("gpu_ready", "cpu_ready", "u_gpu", "l_p95", "theta_req", "u_cpu",
+              "delta_theta", "t_norm", "p_id")
+_U_GPU, _L_P95 = OBS_FIELDS.index("u_gpu"), OBS_FIELDS.index("l_p95")   # the reward's terms
 
 _BOOLS = (bool, np.bool_)
 
@@ -250,7 +251,7 @@ class ScalingEnv:
         """A new episode on `pods` (CPU, GPU) Ready pods, else the config's init counts."""
         self.step_index = 0
         self.episode_return = 0.0
-        self.row = {}   # so the first trends compare with 0.0
+        self.row = {}   # so the first trend compares with 0.0
         init_cpu, init_gpu = pods or (self.config.init_cpu, self.config.init_gpu)
         self.stack = SimStack(self.config, pattern, traffic_seed, init_cpu, init_gpu)
         # facts fixed for the episode: the observation's p_id, demand_estimate's rate
@@ -261,27 +262,24 @@ class ScalingEnv:
     # ---- observation -----------------------------------------------------
 
     def observe(self) -> np.ndarray:
-        """A fresh vector in OBS_FIELDS order from one new `self.row` snapshot."""
+        """A fresh vector in OBS_FIELDS order from one new `self.row` snapshot. A window of no
+        completion with requests outstanding reads the worst latency, 1.0: no latency is 0,
+        so only an empty window's p95 of 0.0 counts the outstanding requests."""
         cfg = self.config
-        prev = self.row     # the trends compare with the previous snapshot
+        prev_tput = self.row.get("throughput_rps", 0.0)    # delta_theta compares with it
         self.row = row = self.stack.row()
-        p95 = row["p95_s"]
-        tput = row["throughput_rps"]
+        p95, tput = row["p95_s"], row["throughput_rps"]
         n_max = cfg.gpu_max + cfg.cpu_max
-
-        def trend(cur: float, prev: float, cap: float) -> float:
-            v = max(-1.0, min(1.0, (cur - prev) / cap))
-            return (v + 1.0) / 2.0
-
+        stalled = p95 == 0.0 and self.stack.cluster.outstanding() > 0
+        trend = max(-1.0, min(1.0, (tput - prev_tput) / cfg.throughput_cap_rps))
         return np.array([
-            min(1.0, (row["gpu_replicas"] + row["cpu_replicas"]) / n_max),
+            min(1.0, row["gpu_replicas"] / n_max),
+            min(1.0, row["cpu_replicas"] / n_max),
             row["gpu_util"],
-            min(p95 / cfg.latency_cap_s, 1.0),
+            1.0 if stalled else min(p95 / cfg.latency_cap_s, 1.0),
             min(tput / cfg.throughput_cap_rps, 1.0),
             row["cpu_util"],
-            row["mem_util"],
-            trend(p95, prev.get("p95_s", 0.0), cfg.latency_cap_s),
-            trend(tput, prev.get("throughput_rps", 0.0), cfg.throughput_cap_rps),
+            (trend + 1.0) / 2.0,
             row["t"] / cfg.episode_s,
             self._p_id,
         ], dtype=np.float64)
@@ -311,7 +309,7 @@ class ScalingEnv:
         n_max = cfg.gpu_max + cfg.cpu_max
         over = max(0, desired[0] + desired[1] - self.demand_estimate())
         # l_p95 and u_gpu as Python floats, so the trace and training log write plain reprs
-        terms = {"latency": float(obs[2]), "gpu_util": float(obs[1]),
+        terms = {"latency": float(obs[_L_P95]), "gpu_util": float(obs[_U_GPU]),
                  "overhead": min(1.0, over / n_max),
                  "smoothness": (abs(action.d_gpu) + abs(action.d_cpu)) / 4.0}
         terms["total"] = (-cfg.reward_alpha * terms["latency"]

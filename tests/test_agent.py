@@ -445,19 +445,24 @@ def test_a_kisc1_checkpoint_is_a_version_mismatch(saved):
         load_checkpoint(path)
 
 
+N_INPUTS = len(OBS_FIELDS)
+
+
 @pytest.mark.parametrize("header, shape", [
     ((11, 8, 6, 5, 5, 2), "11 inputs and heads (5, 5, 2)"),
-    ((10, 8, 6, 5, 5, 3), "10 inputs and heads (5, 5, 3)"),
-    ((10, 8, 6, 4, 4, 4), "10 inputs and heads (4, 4, 4)"),
-    ((10, 8, 6, 6, 5, 1), "10 inputs and heads (6, 5, 1)")])
+    ((N_INPUTS, 8, 6, 5, 5, 3), f"{N_INPUTS} inputs and heads (5, 5, 3)"),
+    ((N_INPUTS, 8, 6, 4, 4, 4), f"{N_INPUTS} inputs and heads (4, 4, 4)"),
+    ((N_INPUTS, 8, 6, 6, 5, 1), f"{N_INPUTS} inputs and heads (6, 5, 1)"),
+    ((10, 8, 6, 5, 5, 2), "10 inputs and heads (5, 5, 2)")])
 def test_a_network_of_other_inputs_or_heads_than_the_envs_is_a_checkpoint_error(saved, header,
                                                                                   shape):
+    """10 inputs is the width of the observation before it held each pool's Ready count."""
     path, raw, _, _, _ = saved
     magic = len(CHECKPOINT_MAGIC)
     path.write_bytes(raw[:magic] + CHECKPOINT_HEADER.pack(*header)
                      + raw[magic + CHECKPOINT_HEADER.size:])
     with pytest.raises(CheckpointError,
-                       match=re.escape(f"has {shape}, not the env's 10 and (5, 5, 2)")):
+                       match=re.escape(f"has {shape}, not the env's {N_INPUTS} and (5, 5, 2)")):
         load_checkpoint(path)
 
 

@@ -44,9 +44,11 @@ def test_train_evaluate_replay_smoke(tmp_path):
         assert (eval_dir / f"timeseries_{pattern}_{policy}.csv").exists()
 
 
-# line 1 of the default `kisim train` trace, by its fields
-LINE_ONE = (0, 1, "ramp", [0.333333333, 0.0, 0.015227098, 0.048666667, 0.0925625, 0.055717455,
-                           0.507613549, 0.524333333, 0.05, 0.0],
+# line 1 of the default `kisim train` trace, by its fields, its observation by name
+OBS_ONE = {"gpu_ready": 0.111111111, "cpu_ready": 0.222222222, "u_gpu": 0.0, "l_p95": 0.015227098,
+           "theta_req": 0.048666667, "u_cpu": 0.0925625, "delta_theta": 0.524333333,
+           "t_norm": 0.05, "p_id": 0.0}
+LINE_ONE = (0, 1, "ramp", [OBS_ONE[name] for name in OBS_FIELDS],
             ActionTriple(1, -1, 0), dict(zip(REWARD_TERMS, (0.015227098, 0.0, 0.333333333, 0.5,
                                                             -0.098560432))), (2, 2), 7)
 
@@ -68,6 +70,7 @@ def test_replay_record_is_the_writers_line_but_for_the_fields_it_sets():
 
 
 OBS = LINE_ONE[3]
+N_INPUTS = len(OBS_FIELDS)
 T_NORM = OBS_FIELDS.index("t_norm")
 ENDS = [*OBS[:T_NORM], 1.0, *OBS[T_NORM + 1:]]     # LINE_ONE's obs at its episode's last step
 WRITER = "trace line 1: trace_line cannot write its obs and reward back: "
@@ -97,8 +100,7 @@ def column(line: str, text: str) -> str:
      + "'true},\"desir', written '1},\"desired_'"),
     (replay_record(total="1"), WRITER + "must be real number, not str"),
     (replay_record(total=math.nan), WRITER + "episode 0 step 1: non-finite observation or "
-     "reward term in [0.333333333, 0.0, 0.015227098, 0.048666667, 0.0925625, 0.055717455, "
-     "0.507613549, 0.524333333, 0.05, 0.0, 0.015227098, 0.0, 0.333333333, 0.5, nan]"),
+     f"reward term in {[*LINE_ONE[3], 0.015227098, 0.0, 0.333333333, 0.5, math.nan]}"),
     (replay_record(total=-math.inf), WRITER + "episode 0 step 1: non-finite observation"),
     (replay_record(total=10**400), WRITER + "int too large to convert to float"),
     (replay_record(desired_gpu=-1), "trace line 1: desired_gpu -1 is not a non-negative int"),
@@ -119,6 +121,11 @@ def column(line: str, text: str) -> str:
     (replay_record(obs=[math.nan, *OBS[1:]]), WRITER + "episode 0 step 1: non-finite observation"),
     (replay_record(drop=("obs",)), "trace line 1: missing key 'obs'"),
     (replay_record(obs=OBS[:3]), WRITER + "%d format: a real number is required, not str"),
+    # line 1 of the default trace when the observation held 10 inputs: the Ready total,
+    # u_gpu, l_p95, theta_req, u_cpu, u_mem, delta_l, delta_theta, t_norm and p_id
+    (replay_record(obs=[0.333333333, 0.0, 0.015227098, 0.048666667, 0.0925625, 0.055717455,
+                        0.507613549, 0.524333333, 0.05, 0.0]),
+     WRITER + "%d format: a real number is required, not str"),
     (replay_record(reward=dict(LINE_ONE[5], gpu_util="0.0")),
      WRITER + "must be real number, not str"),
     (replay_record(reward=dict(LINE_ONE[5], overhead=math.inf)),
@@ -138,7 +145,8 @@ def column(line: str, text: str) -> str:
          "reward_total_past_any_float", "desired_gpu_negative", "desired_cpu_a_float",
          "users_a_string", "step_repeated", "step_missing", "episode_starts_past_step_1",
          "pattern_changes_mid_episode", "episode_resumes", "obs_nan", "obs_missing",
-         "obs_three_values", "reward_term_a_string", "reward_term_inf", "reward_total_alone",
+         "obs_three_values", "obs_of_ten_inputs",
+         "reward_term_a_string", "reward_term_inf", "reward_total_alone",
          "extra_key", "default_separators", "not_json", "empty", "blank_lines"])
 def test_replay_refuses_a_trace_record_it_cannot_read(line, message, tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
@@ -412,19 +420,21 @@ def _fresh_checkpoint(tmp_path, header=None):
     (["evaluate", "missing.kisc"], "missing.kisc"),
     (["baseline", "--patterns", "ramp", "spike", "ramp"],
      "pattern name 'ramp' is given more than once"),
-    (["evaluate", (10, 8, 8, 5, 5, 2), "--patterns", "spike", "spike"],
+    (["evaluate", (N_INPUTS, 8, 8, 5, 5, 2), "--patterns", "spike", "spike"],
      "pattern name 'spike' is given more than once"),
-    *((["evaluate", header], f"has {shape}, not the env's 10 and (5, 5, 2)")
+    *((["evaluate", header], f"has {shape}, not the env's {N_INPUTS} and (5, 5, 2)")
       for header, shape in (((11, 8, 8, 5, 5, 2), "11 inputs and heads (5, 5, 2)"),
-                            ((10, 8, 8, 5, 5, 3), "10 inputs and heads (5, 5, 3)"),
-                            ((10, 8, 8, 4, 4, 4), "10 inputs and heads (4, 4, 4)"),
-                            ((10, 8, 8, 6, 5, 1), "10 inputs and heads (6, 5, 1)")))],
+                            ((N_INPUTS, 8, 8, 5, 5, 3), f"{N_INPUTS} inputs and heads (5, 5, 3)"),
+                            ((N_INPUTS, 8, 8, 4, 4, 4), f"{N_INPUTS} inputs and heads (4, 4, 4)"),
+                            ((N_INPUTS, 8, 8, 6, 5, 1), f"{N_INPUTS} inputs and heads (6, 5, 1)"),
+                            ((10, 8, 8, 5, 5, 2), "10 inputs and heads (5, 5, 2)")))],
     ids=["baseline_unknown_pattern", "evaluate_missing_checkpoint",
          "baseline_repeated_pattern", "evaluate_repeated_pattern", "evaluate_11_inputs",
-         "evaluate_heads_553", "evaluate_heads_444", "evaluate_heads_651"])
+         "evaluate_heads_553", "evaluate_heads_444", "evaluate_heads_651", "evaluate_10_inputs"])
 def test_a_refused_comparison_writes_nothing(argv, message, tmp_path, capsys):
     """A tuple in `argv` is a fresh checkpoint with that header; one of other inputs or
-    heads than the env's (10 and (5, 5, 2)) is refused before --out exists."""
+    heads than the env's (`len(OBS_FIELDS)` and (5, 5, 2)) is refused before --out exists.
+    10 inputs is the width of the observation before it held each pool's Ready count."""
     argv = [str(_fresh_checkpoint(tmp_path, a)) if isinstance(a, tuple) else a for a in argv]
     out = tmp_path / "out"
     assert main(argv + ["--set", "episode_s=15", "--out", str(out)]) == 1

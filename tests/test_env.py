@@ -66,8 +66,9 @@ def test_observations_stay_in_unit_interval_through_the_last_step(interval):
         obs, _, done = env.step(ActionTriple(d_gpu=1, d_cpu=1, pref=1))
         vectors.append(obs)
     assert env.stack.engine.now == cfg.episode_s
-    assert vectors[-1][8] == 1.0          # t_norm reaches exactly 1
-    assert all(round(vec[8], 9) < 1.0 for vec in vectors[:-1])
+    t_norm = OBS_FIELDS.index("t_norm")
+    assert vectors[-1][t_norm] == 1.0          # t_norm reaches exactly 1
+    assert all(round(vec[t_norm], 9) < 1.0 for vec in vectors[:-1])
     for vec in vectors:
         assert ((vec >= 0.0) & (vec <= 1.0)).all(), vec
 
@@ -127,6 +128,7 @@ def test_a_row_holds_the_time_series_fields_in_order():
 
 def test_each_observation_reads_the_row_of_its_step():
     cfg = ExperimentConfig(episode_s=90.0)
+    n_max = cfg.gpu_max + cfg.cpu_max
     env = ScalingEnv(cfg)
     obs = env.reset_to("periodic", 7)
     done = False
@@ -135,10 +137,40 @@ def test_each_observation_reads_the_row_of_its_step():
         assert fields["t_norm"] * cfg.episode_s == env.row["t"] == env.stack.engine.now
         assert fields["u_gpu"] == env.row["gpu_util"]
         assert fields["u_cpu"] == env.row["cpu_util"]
-        assert fields["u_mem"] == env.row["mem_util"]
+        assert fields["gpu_ready"] == min(1.0, env.row["gpu_replicas"] / n_max)
+        assert fields["cpu_ready"] == min(1.0, env.row["cpu_replicas"] / n_max)
         if done:
             break
         obs, _, done = env.step(ActionTriple(d_gpu=1, d_cpu=-1, pref=1))
+
+
+def test_the_ready_counts_split_the_ready_total_by_pool():
+    """Three CPU pods and two CPU pods beside a GPU pod hold one Ready total, which
+    the two counts read alike in their sum and apart in the GPU count."""
+    env = ScalingEnv(ExperimentConfig())
+    gpu, cpu = OBS_FIELDS.index("gpu_ready"), OBS_FIELDS.index("cpu_ready")
+    cpu_only, mixed = env.reset_to("ramp", 3, pods=(3, 0)), env.reset_to("ramp", 3, pods=(2, 1))
+    assert cpu_only[gpu] + cpu_only[cpu] == mixed[gpu] + mixed[cpu] == 3 / 9
+    assert (cpu_only[gpu], mixed[gpu]) == (0.0, 1 / 9)
+
+
+def test_an_empty_window_with_requests_outstanding_reads_the_worst_latency():
+    """A GPU pod with no device never serves: no request completes, the backlog grows,
+    and the latency term reads 1.0, not the best latency 0.0 of an empty window. The
+    time series keeps the window's p95, 0.0."""
+    cfg = ExperimentConfig(episode_s=60.0, cpu_min=0, init_cpu=0, init_gpu=1,
+                           gpu_device_budget=0)
+    env = ScalingEnv(cfg)
+    obs = env.reset_to("ramp", 3)
+    assert obs[OBS_FIELDS.index("l_p95")] == 0.0 and env.stack.cluster.outstanding() == 0
+    backlog = []
+    for _ in range(4):
+        obs, reward, _ = env.step(ActionTriple(0, 0, 1))
+        assert env.terms["latency"] == obs[OBS_FIELDS.index("l_p95")] == 1.0
+        assert reward == -cfg.reward_alpha and env.row["p95_s"] == 0.0
+        backlog.append(len(env.stack.cluster.backlog))
+    assert env.stack.cluster.requests_completed == 0
+    assert backlog[0] == 16 and backlog[-1] == 49
 
 
 # every weight off its default, the smoothness term (off by default) switched on
@@ -217,7 +249,7 @@ def test_env_trace_reproduces_its_pinned_bytes():
     for i in range(4):
         run_episode(env, agent, i, trace=sink)
     digest = hashlib.sha256(sink.getvalue().encode()).hexdigest()
-    assert digest[:16] == "9b3f9802bb552b19"
+    assert digest[:16] == "7037b1bb5f8fc7af"
 
 
 def test_policy_episodes_reproduce_their_pinned_bytes():

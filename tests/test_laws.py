@@ -185,9 +185,12 @@ def test_the_laws_hold_under_hpa_syncs(pattern):
 
 @pytest.mark.parametrize("pattern", PATTERN_NAMES)
 def test_the_laws_hold_under_a_greedy_kiscaler(pattern):
+    """A fresh agent whose greedy policy starts CPU pods and leaves GPU pods Pending in
+    every pattern. Which one does follows the init weights: at seed 0 the ramp policy
+    only scales CPU down, so seed 3, the first that covers both phases in all four."""
     env = ScalingEnv(ExperimentConfig())
     env.reset_to(pattern, traffic_seed=11)
-    agent = PpoAgent(seed=0)
+    agent = PpoAgent(seed=3)
 
     def act():
         env.decode_and_apply(agent.greedy_action(env.observe()))
