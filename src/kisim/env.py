@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 from dataclasses import dataclass
 from typing import Optional
 
@@ -258,6 +259,11 @@ class ScalingEnv:
         self._p_id = PATTERN_NAMES.index(pattern) / (len(PATTERN_NAMES) - 1)
         self._cpu_rps = self.stack.service.sustainable_rps(Pool.CPU)
         return self.observe()
+
+    def fork(self) -> ScalingEnv:
+        """An exact copy that steps on alone. Raises, with no fallback, on any state pickle
+        cannot copy: a lambda listener, an open file, perfbench's traced listener closures."""
+        return pickle.loads(pickle.dumps(self, 5))
 
     # ---- observation -----------------------------------------------------
 

@@ -98,8 +98,5 @@ class UtilizationModel:
         return (min(1.0, millicores / cfg.node_millicores), min(1.0, mem / cfg.node_mem_bytes))
 
     def gpu_utilization(self, cluster: ClusterModel) -> float:
-        ready = cluster.gpu_ready   # mean_busy of the GPU pool, its index read once
-        if not ready:
-            return 0.0
-        busy = sum(p.in_service / p.concurrency_cap for p in ready) / len(ready)
-        return min(1.0, busy * (len(ready) / cluster.gpu_device_budget))
+        busy = mean_busy(cluster, Pool.GPU)   # 0.0, so no division, when no GPU pod is Ready
+        return busy and min(1.0, busy * (len(cluster.gpu_ready) / cluster.gpu_device_budget))

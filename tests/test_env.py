@@ -1,13 +1,13 @@
-import copy
 import hashlib
 import itertools
 import json
 import math
+import pickle
 from io import StringIO
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kisim.agent import EVAL_INDEX_BASE, PpoAgent, run_episode
 from kisim.baselines import run_baseline
@@ -440,8 +440,8 @@ def test_the_action_table_holds_every_action_once_by_its_head_indices():
         assert action.pref is RoutePref(p)
 
 
-def test_a_deep_copy_of_an_env_mid_episode_steps_like_its_source():
-    """A fork for planning: `copy.deepcopy` of a ScalingEnv mid-episode, whose lane holds
+def test_a_fork_of_an_env_mid_episode_steps_like_its_source():
+    """A fork for planning: `env.fork()` of a ScalingEnv mid-episode, whose lane holds
     each thinking user's next Request beside its cluster's bound `submit`, replays the
     source's rows, observations, rewards and event count step for step to the end, where
     the return it carried from the source has summed to the source's, bit for bit."""
@@ -451,7 +451,7 @@ def test_a_deep_copy_of_an_env_mid_episode_steps_like_its_source():
             np.random.default_rng(5).integers(0, HEAD_SIZES, size=(20, 3)).tolist()]
     for action in plan[:7]:
         env.step(action)
-    fork = copy.deepcopy(env)
+    fork = env.fork()
     lane = fork.stack.engine.lane
     assert lane and all(e[2].__self__ is fork.stack.cluster and e[3][0].user for e in lane)
     assert lane[0][3][0] is not env.stack.engine.lane[0][3][0]
@@ -465,6 +465,57 @@ def test_a_deep_copy_of_an_env_mid_episode_steps_like_its_source():
         assert fork.stack.engine.clock.seq == env.stack.engine.clock.seq
     assert done
     assert fork.episode_return.hex() == env.episode_return.hex()
+
+
+def test_a_fork_records_completions_only_into_its_own_listeners():
+    """A listener bound to per-run state, here a list's builtin `append`, forks with that
+    state: the fork's completions grow the fork's copy of the list, never the source's.
+    A listener that pickle cannot copy, such as a lambda, makes `fork()` raise."""
+    env = ScalingEnv(ExperimentConfig())
+    env.reset_to("ramp", traffic_seed=4)
+    log: list = []
+    env.stack.cluster.completion_listeners.append(log.append)
+    for _ in range(3):
+        env.step(ActionTriple(1, 0, RoutePref.GPU_FIRST))
+    size = len(log)
+    fork = env.fork()
+    fork.step(ActionTriple(1, 0, RoutePref.GPU_FIRST))
+    assert len(log) == size > 0
+    assert len(fork.stack.cluster.completion_listeners[-1].__self__) > size
+    env.stack.cluster.completion_listeners.append(lambda request: None)
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        env.fork()
+
+
+def steps_to_end(env, plan):
+    """Each step of `env` under `plan` to the episode end, as (row, observation bytes,
+    reward, event count), then the episode's return; floats as hex, bit for bit."""
+    steps, done = [], False
+    while not done:
+        obs, reward, done = env.step(plan[env.step_index])
+        steps.append((env.row, obs.tobytes(), reward.hex(), env.stack.engine.clock.seq))
+    return steps, env.episode_return.hex()
+
+
+@settings(max_examples=30, deadline=None)
+@given(pattern=st.sampled_from(PATTERN_NAMES), seed=st.integers(0, 2**31 - 1),
+       plan=st.lists(st.sampled_from(list(ACTIONS.values())), min_size=4, max_size=4),
+       fork_at=st.integers(0, 3))
+def test_a_fork_at_any_step_and_its_source_step_on_like_an_unforked_twin(pattern, seed, plan,
+                                                                         fork_at):
+    """Forked after `fork_at` of its four steps, an env and its fork each step to the end
+    bit for bit like a twin that was never forked: no state is shared between the two."""
+    cfg = ExperimentConfig(episode_s=60.0)
+    env, twin = ScalingEnv(cfg), ScalingEnv(cfg)
+    env.reset_to(pattern, seed)
+    twin.reset_to(pattern, seed)
+    for action in plan[:fork_at]:
+        env.step(action)
+    fork = env.fork()
+    twin_steps, twin_return = steps_to_end(twin, plan)
+    expected = (twin_steps[fork_at:], twin_return)
+    assert steps_to_end(fork, plan) == expected
+    assert steps_to_end(env, plan) == expected
 
 
 class ForkingAgent(CyclingAgent):
@@ -483,7 +534,7 @@ class ForkingAgent(CyclingAgent):
         if env.step_index == self.fork_at:
             row, seq, written = dict(env.row), env.stack.engine.clock.seq, self.sink.tell()
             for action in ACTIONS.values():
-                fork = copy.deepcopy(env)
+                fork = env.fork()
                 done = False
                 while not done:
                     _, _, done = fork.step(action)
@@ -499,7 +550,7 @@ def test_an_env_forked_mid_episode_while_it_is_traced_leaves_the_source_and_its_
     and its agent forks that env mid-episode and plays every action on a fork to the end.
     The source steps on as if unforked: the same row, event sequence and next observation,
     and the trace bytes of an unforked run. An env holds no file (an open one would make
-    `deepcopy` raise), so no fork can write to the source's trace."""
+    `fork()` raise), so no fork can write to the source's trace."""
     cfg = ExperimentConfig(episode_s=90.0)
     plain_sink = StringIO()
     plain = ForkingAgent(ScalingEnv(cfg), plain_sink, fork_at=-1)
@@ -534,7 +585,7 @@ class ForkingHold(Hold):
         self.forks = []
 
     def act(self, obs, env):
-        fork = copy.deepcopy(env)
+        fork = env.fork()
         done = False
         while not done:
             _, _, done = fork.step(ActionTriple(2, -1, 0))
