@@ -15,7 +15,12 @@ every loop over the same interval sees the same times.
 
 A pod serves each request from its pool's table of service_time(pool, n),
 n = 1..cap (the same floats), and `Request.user` names the virtual user
-waiting on the request: None for one whose completion wakes no one.
+waiting on the request: None for one whose completion wakes no one. A completed
+Request may be submitted again, as a closed-loop user does with its one Request:
+`submit` stamps `arrived_at` and clears `completed_at`, and a request that waits
+in a queue or the backlog reads `service_started_at` and `pod_id` as None until it
+starts. So a completion listener reads the completed request during its call; its
+fields change only when the request is next submitted.
 
 The pod lists are the only record of replicas and load: a pool's desired
 replica count is its number of non-terminating pods, and a pod counts its
@@ -340,6 +345,8 @@ class ClusterModel:
     # ---- request flow ----------------------------------------------------
 
     def submit(self, req: Request) -> None:
+        """`req` arrives now, a new request or a completed one submitted again."""
+        req.arrived_at, req.completed_at = self._clock.now, None
         self.requests_injected += 1
         self._route(req)
 
@@ -367,6 +374,7 @@ class ClusterModel:
                 n = len(p.queue)
                 if target is None or n < least or (n == least and p.id < target.id):
                     target, least = p, n
+        req.service_started_at = req.pod_id = None    # a re-submitted request reads unstarted
         (self.backlog if target is None else target.queue).append(req)
 
     def _complete(self, pod: Pod, req: Request) -> None:

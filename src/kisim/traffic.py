@@ -5,9 +5,13 @@ think time `hold_s`, then repeats (Locust-style). The target number of
 concurrent users follows a deterministic curve per pattern, shaped by the
 config's `users_*`, `periodic_period_s`, `spike_*` and `random_redraw_s`;
 surplus users retire at once, though a request in flight still completes. A
-user's next request waits on the engine's lane, due `hold_s` after its last one
-completes, for `ClusterModel.submit`; retiring the user withdraws it. The episode
-ends at `episode_s`, a time rather than an event: no request arrives from then on.
+user has one `Request`, whose id is the user's, and it carries each of the user's
+requests in turn: its completion puts it back on the engine's lane, due `hold_s`
+later, for `ClusterModel.submit`, which stamps its new arrival; retiring the user
+withdraws it. So a completion listener reads the completed request during its
+call, and its fields change only when the user's next arrival is submitted. The
+episode ends at `episode_s`, a time rather than an event: no request arrives from
+then on.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ class LoadGenerator:
                                                          size=n, endpoint=True)]
 
         self._next_user_id = 0
-        self._next_request_id = 0
         self._active: set[int] = set()      # uids of current users, never reused
         cluster.completion_listeners.append(self._on_complete)
 
@@ -94,10 +97,10 @@ class LoadGenerator:
 
     def _spawn_user(self) -> None:
         self._next_user_id += 1
-        self._active.add(self._next_user_id)
-        self._next_request_id += 1      # its first request arrives now
-        self.cluster.submit(Request(self._next_request_id, self._clock.now,
-                                    None, None, None, self._next_user_id))
+        uid = self._next_user_id
+        self._active.add(uid)
+        # the user's one Request(id, arrived_at, service_started_at, completed_at, pod_id, user)
+        self.cluster.submit(Request(uid, self._clock.now, None, None, None, uid))
 
     def _on_complete(self, req: Request) -> None:
         uid = req.user
@@ -109,8 +112,6 @@ class LoadGenerator:
             return
         if lane and due < lane[-1][0]:
             raise SimulationError(f"arrival at {due} before the lane's last event")
-        self._next_request_id += 1
         clock.seq += 1
-        # Request(id, arrived_at, service_started_at, completed_at, pod_id, user)
-        lane.append((due, clock.seq, self.cluster.submit,
-                     (Request(self._next_request_id, due, None, None, None, uid),)))
+        # the completed request is the user's next one: submit stamps its arrival at `due`
+        lane.append((due, clock.seq, self.cluster.submit, (req,)))

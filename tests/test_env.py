@@ -3,11 +3,12 @@ import itertools
 import json
 import math
 import pickle
+from dataclasses import replace
 from io import StringIO
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kisim.agent import EVAL_INDEX_BASE, PpoAgent, run_episode
 from kisim.baselines import run_baseline
@@ -16,7 +17,7 @@ from kisim.env import (ACTIONS, DELTAS, HEAD_SIZES, OBS_FIELDS, REWARD_TERMS, TI
                        ActionTriple, EpisodeFinished, ScalingEnv, SimStack, episode_traffic,
                        _TEXTS, _TEXTS_MAX, read_trace_line, run_policy_episode, trace_line)
 from kisim.nn import NetDims
-from kisim.simcore import RoutePref, SimulationError
+from kisim.simcore import Request, RoutePref, SimulationError
 from kisim.traffic import PATTERN_NAMES
 
 
@@ -497,25 +498,53 @@ def steps_to_end(env, plan):
     return steps, env.episode_return.hex()
 
 
+def requests_of(env):
+    """Every Request of `env`'s run: its users' next arrivals on the lane, those in service
+    (in the heap's completions), those queued on a pod and those backlogged."""
+    engine, cluster = env.stack.engine, env.stack.cluster
+    return ([e[3][0] for e in engine.lane]
+            + [a for e in engine.heap for a in e[3] if isinstance(a, Request)]
+            + [r for pod in cluster.cpu_pods + cluster.gpu_pods for r in pod.queue]
+            + list(cluster.backlog))
+
+
 @settings(max_examples=30, deadline=None)
 @given(pattern=st.sampled_from(PATTERN_NAMES), seed=st.integers(0, 2**31 - 1),
        plan=st.lists(st.sampled_from(list(ACTIONS.values())), min_size=4, max_size=4),
        fork_at=st.integers(0, 3))
+@example(pattern="random", seed=11, plan=[ACTIONS[2, 2, 0]] * 4, fork_at=2)
 def test_a_fork_at_any_step_and_its_source_step_on_like_an_unforked_twin(pattern, seed, plan,
                                                                          fork_at):
     """Forked after `fork_at` of its four steps, an env and its fork each step to the end
-    bit for bit like a twin that was never forked: no state is shared between the two."""
+    bit for bit like a twin that was never forked: no state is shared between the two. Each
+    samples utilization as a reported run does, and reports like the twin. Neither side
+    changes the other's Requests: the fork copies every one, and the source's keep their
+    fields while the fork runs, as the fork's keep theirs while the source runs. Most forks
+    after t=0 come while users think, so the lane holds their re-submitted Requests, but
+    not all: one CPU pod saturated by many users can leave none thinking at the fork. The
+    explicit example forks with Requests on the lane, queued and in service."""
     cfg = ExperimentConfig(episode_s=60.0)
     env, twin = ScalingEnv(cfg), ScalingEnv(cfg)
-    env.reset_to(pattern, seed)
-    twin.reset_to(pattern, seed)
+    for sim in (env, twin):
+        sim.reset_to(pattern, seed)
+        sim.stack.engine.schedule_periodic(cfg.monitor_interval_s, sim.stack._sample_util,
+                                           cfg.episode_s)
     for action in plan[:fork_at]:
         env.step(action)
     fork = env.fork()
+    mine, theirs = requests_of(env), requests_of(fork)
+    assert len(mine) == len(theirs) and not set(map(id, mine)) & set(map(id, theirs))
+    assert bool(fork_at) == bool(mine)      # users are served or think at every fork but t=0
+    held = [replace(r) for r in mine]
     twin_steps, twin_return = steps_to_end(twin, plan)
     expected = (twin_steps[fork_at:], twin_return)
     assert steps_to_end(fork, plan) == expected
+    assert mine == held
+    held = [replace(r) for r in theirs]
     assert steps_to_end(env, plan) == expected
+    assert theirs == held
+    report = twin.stack.report("twin")
+    assert env.stack.report("twin") == report == fork.stack.report("twin")
 
 
 class ForkingAgent(CyclingAgent):

@@ -49,17 +49,25 @@ def run_to_the_end(stack, retired_at=None):
     """Step `stack` to `episode_s` instant by instant. Returns every request submitted,
     the integrals of outstanding() and of each pool's requests in service, the pool of
     every pod seen, every (pod id, phase) seen and the longest backlog seen. A dict
-    `retired_at` gets the instant each user that retires leaves the generator's users."""
+    `retired_at` gets the instant each user that retires leaves the generator's users.
+
+    A user re-submits its one Request, so each submission is returned as a copy of its
+    own fields: taken at its completion, or at the end for one still in flight."""
     cluster, engine, end = stack.cluster, stack.engine, stack.config.episode_s
     users, active = stack.generator._active, set()
-    submitted = []
+    submitted, in_flight = [], {}   # in_flight: id() of a live request -> its submission
     submit = cluster.submit
 
     def collect(request):
+        in_flight[id(request)] = len(submitted)
         submitted.append(request)
         submit(request)
 
+    def keep(request):      # a listener reads the completed request's own fields
+        submitted[in_flight.pop(id(request))] = replace(request)
+
     cluster.submit = collect     # the generator and the lane look submit up on the instance
+    cluster.completion_listeners.append(keep)
     outstanding, in_service = 0.0, dict.fromkeys(Pool, 0.0)
     pool_of, phases_seen, backlog = {}, set(), 0
     now = engine.now
@@ -80,6 +88,8 @@ def run_to_the_end(stack, retired_at=None):
         if retired_at is not None and users != active:
             retired_at.update(dict.fromkeys(active - users, now))
             active = set(users)
+    for i in in_flight.values():
+        submitted[i] = replace(submitted[i])
     return submitted, outstanding, in_service, pool_of, phases_seen, backlog
 
 

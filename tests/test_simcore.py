@@ -666,8 +666,7 @@ class ReferenceGenerator(LoadGenerator):
     def _wake(self, uid):
         now = self.engine.clock.now
         if now < self.cfg.episode_s and uid in self._active:
-            self._next_request_id += 1
-            self.cluster.submit(Request(self._next_request_id, now, user=uid))
+            self.cluster.submit(Request(uid, now, user=uid))
 
 
 def run_request_cycle(cluster_cls, generator_cls, hold_s):

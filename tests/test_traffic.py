@@ -1,5 +1,7 @@
 """Pattern curves and the closed-loop virtual-user generator."""
 
+from dataclasses import replace
+
 import pytest
 
 from kisim.config import ExperimentConfig
@@ -209,7 +211,7 @@ def test_a_wake_comes_hold_s_after_its_completion_and_the_run_is_pinned(hold_s, 
 
     def tracked_submit(req):
         if req.user in last_done:
-            lags.append(req.arrived_at - last_done[req.user])
+            lags.append(engine.now - last_done[req.user])   # the arrival submit stamps
         thinking.discard(req.user)
         submit(req)
 
@@ -250,8 +252,9 @@ def test_a_thinking_user_retired_by_sync_is_never_submitted():
     retired_thinking = set()
 
     def tracked_submit(req):
-        assert req.user in gen._active and req.arrived_at == engine.now
+        assert req.user in gen._active
         submit(req)
+        assert req.arrived_at == engine.now     # stamped by submit
 
     def tracked_sync(now):
         active, thinking = set(gen._active), {e[3][0].user for e in engine.lane}
@@ -276,7 +279,7 @@ def test_no_request_is_injected_at_or_after_the_episode_end(hold_s):
     submit, arrivals = cluster.submit, []
 
     def tracked_submit(req):
-        arrivals.append(req.arrived_at)
+        arrivals.append(engine.now)     # the arrival submit stamps
         submit(req)
 
     def after_the_generator(req):
@@ -288,3 +291,84 @@ def test_no_request_is_injected_at_or_after_the_episode_end(hold_s):
     assert arrivals and max(arrivals) < 20.0
     assert not engine.lane and cluster.requests_injected == len(arrivals)
     assert cluster.requests_completed == cluster.requests_injected
+
+
+# ---- the request lifecycle: one Request per user ----------------------------
+
+def test_a_completed_request_is_its_users_next_arrival_hold_s_later():
+    """The object a completion hands to the listeners is the one the user's next arrival
+    submits, arriving exactly `hold_s` after it completed: one Request per user."""
+    hold_s = 0.5
+    engine, cluster, gen = run_generator("ramp", init_cpu=2, users_min=4, users_max=20,
+                                         hold_s=hold_s)
+    completed, resubmitted, objects = {}, [], {}   # user -> (request, completed_at)
+    submit = cluster.submit
+
+    def tracked_submit(req):
+        submit(req)
+        objects.setdefault(req.user, set()).add(id(req))
+        if req.user in completed:
+            done, done_at = completed.pop(req.user)
+            resubmitted.append((req is done, req.arrived_at == done_at + hold_s))
+
+    def on_complete(req):
+        completed[req.user] = (req, req.completed_at)
+
+    cluster.submit = tracked_submit
+    cluster.completion_listeners.append(on_complete)
+    engine.run_until(60.0)
+    assert len(objects) == gen.active_users() and all(len(v) == 1 for v in objects.values())
+    # every submission but each user's first re-submits the request it completed
+    assert len(resubmitted) == cluster.requests_injected - len(objects) > 500
+    assert all(same and exact for same, exact in resubmitted)
+
+
+def test_a_resubmitted_request_that_queues_reads_unstarted_until_it_starts():
+    """Its last service's start, pod and completion are cleared: a request waiting in a
+    pod's queue or the backlog reads `service_started_at`, `pod_id` and `completed_at` as
+    None until it starts, and a started one has its own start and pod."""
+    engine, cluster, gen = run_generator("spike", init_cpu=1, init_gpu=0, users_min=6,
+                                         users_max=6, hold_s=0.1)
+    submit, queued = cluster.submit, []
+
+    def waiting():
+        return [r for p in cluster.cpu_pods for r in p.queue] + list(cluster.backlog)
+
+    def tracked_submit(req):
+        resubmit = req.completed_at is not None
+        submit(req)
+        if req.service_started_at is None:
+            queued.append(resubmit)
+        assert all((r.service_started_at, r.pod_id, r.completed_at) == (None, None, None)
+                   for r in waiting())
+
+    def on_complete(req):
+        assert req.pod_id == cluster.cpu_pods[0].id
+        assert req.arrived_at <= req.service_started_at < req.completed_at == engine.now
+        assert all((r.service_started_at, r.pod_id, r.completed_at) == (None, None, None)
+                   for r in waiting())
+
+    cluster.submit = tracked_submit
+    cluster.completion_listeners.append(on_complete)
+    engine.run_until(30.0)
+    assert sum(queued) > 100    # re-submissions that queued
+
+
+def test_a_listener_after_the_generators_reads_the_completed_requests_own_fields():
+    """The generator's listener only puts the request on the lane: a listener appended
+    after it reads the fields a listener ahead of the generator's read."""
+    engine, cluster, gen = run_generator("periodic", seed=5, init_cpu=2, init_gpu=1,
+                                         users_min=4, users_max=40, periodic_period_s=60.0,
+                                         hold_s=0.1)
+    before, after = [], []
+    cluster.completion_listeners.insert(0, lambda r: before.append(replace(r)))
+
+    def last(req):
+        after.append(replace(req))
+        if req.user in gen._active:     # the generator put it on the lane already
+            assert engine.lane[-1][3][0] is req
+
+    cluster.completion_listeners.append(last)
+    engine.run_until(120.0)
+    assert len(after) > 6000 and after == before
+    assert all(r.completed_at > r.arrived_at and r.pod_id is not None for r in after)
