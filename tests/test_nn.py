@@ -1,5 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import kisim
 
 from kisim.env import HEAD_SIZES, OBS_FIELDS
 from kisim.nn import (ActorCriticParams, Adam, NetDims, _trunk, _trunk_backward, actor_forward,
@@ -198,3 +206,39 @@ def test_in_place_trunk_is_the_out_of_place_trunk_bit_for_bit(batch, net):
         assert all(grads[k].tobytes() == ref_grads[k].tobytes() for k in grads)
         Adam(params, lr=0.01).step(params, {k: (rng.normal(size=v.shape) * 0.1).astype(np.float32)
                                             for k, v in params.tensors.items()})
+
+
+# Imports kisim, then numpy, and prints the OPENBLAS_NUM_THREADS kisim left and
+# the size of the pool numpy's OpenBLAS started (None for another BLAS).
+BLAS_PROBE = """
+import ctypes, json, os, pathlib
+import kisim
+import numpy as np
+pool = None
+for lib in sorted((pathlib.Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        fn = getattr(ctypes.CDLL(str(lib)), symbol, None)
+        if fn is not None and pool is None:
+            fn.restype = ctypes.c_int
+            pool = int(fn())
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), pool]))
+"""
+
+
+@pytest.mark.parametrize("chosen, expected", [
+    ({}, "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ({"GOTO_NUM_THREADS": "2"}, None),
+    ({"OMP_NUM_THREADS": "2"}, None),
+])
+def test_kisim_asks_for_one_blas_thread_unless_the_caller_chose_a_count(chosen, expected):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(chosen, PYTHONPATH=str(Path(kisim.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    variable, pool = json.loads(proc.stdout)
+    assert variable == expected
+    if not chosen and pool is not None:
+        assert pool == 1
