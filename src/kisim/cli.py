@@ -186,8 +186,8 @@ def cmd_evaluate(args) -> int:
             rows.append(row)
 
     fields = ("pattern", "policy", "p95_ms", "mean_ms", "throughput_rps",
-              "gpu_util_mean", "cpu_util_mean", "mem_util_mean",
-              "speedup_vs_fixed_gpu", "speedup_vs_fixed_cpu", "flag",
+              "gpu_util_mean", "cpu_util_mean", "speedup_vs_fixed_gpu",
+              "speedup_vs_fixed_cpu", "flag",
               "requests_injected", "requests_completed", "traffic_seed")
     _write_report(out, "comparison", fields, rows,
                   ("pattern", "policy", "p95_ms", "throughput_rps", "gpu_util_mean",

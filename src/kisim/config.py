@@ -52,16 +52,12 @@ class ExperimentConfig:
 
     # Node capacity and per-pod utilization constants
     node_millicores: float = 16000.0
-    node_mem_bytes: float = 32.0 * 2**30
     cpu_pod_idle_millicores: float = 715.0
     cpu_pod_busy_millicores: float = 1062.0
-    cpu_pod_mem_bytes: float = 540e6
     gpu_pod_idle_millicores: float = 42.0
     gpu_pod_busy_millicores: float = 72.0
-    gpu_pod_mem_bytes: float = 825e6
     memory_pods: int = 3
     memory_pod_millicores: float = 3.0
-    memory_pod_mem_bytes: float = 3.0 * 2**20
 
     # Traffic patterns
     users_min: int = 5
@@ -133,7 +129,7 @@ class ExperimentConfig:
         for key in ("episode_s", "control_interval_s", "monitor_interval_s", "window_s",
                     "hpa_sync_period_s", "periodic_period_s", "random_redraw_s",
                     "latency_cap_s", "throughput_cap_rps", "base_service_s",
-                    "node_millicores", "node_mem_bytes", "hpa_target_cpu_util"):
+                    "node_millicores", "hpa_target_cpu_util"):
             if not 0 < getattr(self, key) < math.inf:     # NaN fails too
                 raise ConfigError(f"{key} must be positive and finite")
         # below these: a think time or pod start in the past, a pod without a slot, NaN losses
@@ -146,9 +142,8 @@ class ExperimentConfig:
                            ("cpu_startup_s", 0), ("gpu_startup_s", 0),
                            ("hpa_stabilization_down_s", 0), ("hidden1", 1), ("hidden2", 1),
                            ("cpu_pod_idle_millicores", 0), ("cpu_pod_busy_millicores", 0),
-                           ("cpu_pod_mem_bytes", 0), ("gpu_pod_idle_millicores", 0),
-                           ("gpu_pod_busy_millicores", 0), ("gpu_pod_mem_bytes", 0),
-                           ("memory_pod_millicores", 0), ("memory_pod_mem_bytes", 0)):
+                           ("gpu_pod_idle_millicores", 0), ("gpu_pod_busy_millicores", 0),
+                           ("memory_pod_millicores", 0)):
             if not getattr(self, key) >= least:
                 raise ConfigError(f"{key} must be >= {least}")
         for f in fields(self):

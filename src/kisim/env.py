@@ -138,7 +138,7 @@ def read_trace_line(line: str) -> dict:
 
 # the keys of SimStack.row(), in order: the columns of every time-series CSV
 TIMESERIES_FIELDS = ("t", "users", "p95_s", "throughput_rps", "gpu_util",
-                     "cpu_util", "mem_util", "gpu_replicas", "cpu_replicas")
+                     "cpu_util", "gpu_replicas", "cpu_replicas")
 
 
 class SimStack:
@@ -168,29 +168,26 @@ class SimStack:
 
         self.util_model = UtilizationModel(config)
         self.window = MetricsWindow(window_len_s=config.window_s)
-        self.util_samples: list[tuple[float, float, float]] = []   # (cpu, mem, gpu)
+        self.util_samples: list[tuple[float, float]] = []   # (cpu, gpu)
         self.cluster.completion_listeners.append(self.window.record)
         self.generator = LoadGenerator(config, pattern, traffic_seed,
                                        self.engine, self.cluster)
         self.generator.start()
 
     def _sample_util(self, now: float) -> None:
-        cpu, mem = self.util_model.cpu_mem_utilization(self.cluster)
-        gpu = self.util_model.gpu_utilization(self.cluster)
-        self.util_samples.append((cpu, mem, gpu))
+        self.util_samples.append((self.util_model.cpu_mem_utilization(self.cluster),
+                                  self.util_model.gpu_utilization(self.cluster)))
 
     def row(self) -> dict:
         """One time-series CSV row at the current instant."""
         now = self.engine.now
-        cpu, mem = self.util_model.cpu_mem_utilization(self.cluster)
         return {
             "t": now,
             "users": self.generator.target(min(now, self.config.episode_s)),
             "p95_s": self.window.p95(now),
             "throughput_rps": self.window.throughput(now),
             "gpu_util": self.util_model.gpu_utilization(self.cluster),
-            "cpu_util": cpu,
-            "mem_util": mem,
+            "cpu_util": self.util_model.cpu_mem_utilization(self.cluster),
             "gpu_replicas": len(self.cluster.ready_pods(Pool.GPU)),
             "cpu_replicas": len(self.cluster.ready_pods(Pool.CPU)),
         }
@@ -199,7 +196,7 @@ class SimStack:
         """Whole-run metrics of one (policy, pattern) run."""
         if not self.util_samples:   # else every utilization mean would read 0.0
             raise SimulationError("report() of a run that sampled no utilization")
-        cpu_util, mem_util, gpu_util = [sum(col) / len(col) for col in zip(*self.util_samples)]
+        cpu_util, gpu_util = [sum(col) / len(col) for col in zip(*self.util_samples)]
         served = self.cluster.requests_completed > 0    # else no latency: p95, mean None
         return {
             "pattern": self.generator.kind,
@@ -209,7 +206,6 @@ class SimStack:
             "throughput_rps": self.cluster.requests_completed / self.config.episode_s,
             "gpu_util_mean": gpu_util,
             "cpu_util_mean": cpu_util,
-            "mem_util_mean": mem_util,
             "requests_injected": self.cluster.requests_injected,
             "requests_completed": self.cluster.requests_completed,
             "traffic_seed": self.generator.seed,

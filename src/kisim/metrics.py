@@ -2,7 +2,7 @@
 
 Latency/throughput statistics come from the log of a run's completed
 requests: the sliding window is its suffix of the last `window_len_s`
-seconds, and the whole log gives the run's p95 and mean. CPU/memory/GPU
+seconds, and the whole log gives the run's p95 and mean. CPU and GPU
 utilization is synthesized from per-pod constants because no real node
 exists.
 """
@@ -76,26 +76,23 @@ class UtilizationModel:
 
     def __init__(self, cfg: ExperimentConfig) -> None:
         self.cfg = cfg
-        self._base = (cfg.memory_pods * cfg.memory_pod_millicores,
-                      cfg.memory_pods * cfg.memory_pod_mem_bytes)
-        # per pool: its Ready pods' idle millicores, busy minus idle, and memory
+        self._base = cfg.memory_pods * cfg.memory_pod_millicores
+        # per pool: its Ready pods' idle millicores, and busy minus idle
         self._pools = ((Pool.CPU, cfg.cpu_pod_idle_millicores,
-                        cfg.cpu_pod_busy_millicores - cfg.cpu_pod_idle_millicores,
-                        cfg.cpu_pod_mem_bytes),
+                        cfg.cpu_pod_busy_millicores - cfg.cpu_pod_idle_millicores),
                        (Pool.GPU, cfg.gpu_pod_idle_millicores,
-                        cfg.gpu_pod_busy_millicores - cfg.gpu_pod_idle_millicores,
-                        cfg.gpu_pod_mem_bytes))
+                        cfg.gpu_pod_busy_millicores - cfg.gpu_pod_idle_millicores))
 
-    def cpu_mem_utilization(self, cluster: ClusterModel) -> tuple[float, float]:
-        millicores, mem = self._base
+    def cpu_mem_utilization(self, cluster: ClusterModel) -> float:
+        """The node's CPU utilization. No memory is modelled: the name stays while perfbench's
+        probe patches this method by name (`metrics.util`), until it reads kisim's own counters."""
+        millicores = self._base
         # summed pod by pod: a pool's mean busy fraction times its pod count
         # can round differently
-        for pool, idle, swing, pod_mem in self._pools:
+        for pool, idle, swing in self._pools:
             for pod in cluster.ready_pods(pool):
                 millicores += idle + pod.in_service / pod.concurrency_cap * swing
-                mem += pod_mem
-        cfg = self.cfg
-        return (min(1.0, millicores / cfg.node_millicores), min(1.0, mem / cfg.node_mem_bytes))
+        return min(1.0, millicores / self.cfg.node_millicores)
 
     def gpu_utilization(self, cluster: ClusterModel) -> float:
         busy = mean_busy(cluster, Pool.GPU)   # 0.0, so no division, when no GPU pod is Ready

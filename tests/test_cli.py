@@ -323,7 +323,7 @@ def test_a_config_file_sits_under_set_and_the_flags(tmp_path, capsys):
 def _report(pattern, policy, p95_ms):
     return {"pattern": pattern, "policy": policy, "p95_ms": p95_ms,
             "mean_ms": p95_ms / 2, "throughput_rps": 10.0, "gpu_util_mean": 0.5,
-            "cpu_util_mean": 0.1, "mem_util_mean": 0.1, "requests_injected": 10,
+            "cpu_util_mean": 0.1, "requests_injected": 10,
             "requests_completed": 10, "traffic_seed": 1}
 
 

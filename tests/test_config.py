@@ -68,8 +68,7 @@ def test_train_refuses_an_out_dir_its_config_file_would_misrecord(tmp_path, caps
     # a node of no size, and a PPO update that averages no epoch (NaN losses)
     ("hold_s", -1.0), ("hold_s", float("nan")), ("base_service_s", 0.0),
     ("base_service_s", math.inf), ("cpu_concurrency", 0), ("gpu_concurrency", 0),
-    ("node_millicores", 0.0), ("node_mem_bytes", 0.0), ("node_mem_bytes", math.inf),
-    ("ppo_epochs", 0),
+    ("node_millicores", 0.0), ("ppo_epochs", 0),
     # a fixed deployment that completes no request and so reports the best p95, 0.0
     ("fixed_cpu_replicas", 0), ("fixed_gpu_replicas", -2),
     # a stalled pool reported as a result, an event order out of time, a pod ready in
@@ -84,9 +83,8 @@ def test_train_refuses_an_out_dir_its_config_file_would_misrecord(tmp_path, caps
       if f.type == "int" and f.name not in ("eval_every", "init_gpu")),    # -1 above
     ("cpu_min", -2), ("memory_pods", -100000), ("hidden1", 0), ("hidden2", 0),
     *((key, -1.0) for key in ("cpu_pod_idle_millicores", "cpu_pod_busy_millicores",
-                              "cpu_pod_mem_bytes", "gpu_pod_idle_millicores",
-                              "gpu_pod_busy_millicores", "gpu_pod_mem_bytes",
-                              "memory_pod_millicores", "memory_pod_mem_bytes"))])
+                              "gpu_pod_idle_millicores", "gpu_pod_busy_millicores",
+                              "memory_pod_millicores"))])
 def test_values_that_hang_or_crash_a_run_are_config_errors(key, value):
     with pytest.raises(ConfigError, match=key):
         ExperimentConfig(**{key: value})
@@ -103,14 +101,14 @@ RULE = {"hold_s": ">= 0", "cpu_concurrency": ">= 1", "gpu_concurrency": ">= 1",
         "gpu_startup_s": ">= 0", "cpu_contention_exp": "finite",
         "gpu_contention_exp": "finite", "cpu_min": ">= 0", "gpu_min": ">= 0",
         "seed": ">= 0", "episodes": ">= 1", "memory_pods": ">= 0", "hidden1": ">= 1",
-        "cpu_pod_busy_millicores": ">= 0", "memory_pod_mem_bytes": ">= 0"}
+        "cpu_pod_busy_millicores": ">= 0"}
 
 
 @pytest.mark.parametrize("key, value", [("monitor_interval_s", "0"), ("episode_s", "inf"),
                                         ("latency_cap_s", "0"), ("throughput_cap_rps", "0"),
                                         ("hold_s", "-1"), ("base_service_s", "0"),
                                         ("cpu_concurrency", "0"), ("gpu_concurrency", "0"),
-                                        ("node_millicores", "0"), ("node_mem_bytes", "0"),
+                                        ("node_millicores", "0"),
                                         ("cpu_contention_exp", "nan"),
                                         ("gpu_contention_exp", "inf"),
                                         ("gpu_startup_s", "nan"), ("cpu_startup_s", "-1"),
@@ -119,8 +117,7 @@ RULE = {"hold_s": ">= 0", "cpu_concurrency": ">= 1", "gpu_concurrency": ">= 1",
                                         ("hpa_stabilization_down_s", "nan"),
                                         ("cpu_min", "-2"), ("gpu_min", "-1"), ("seed", "-1"),
                                         ("episodes", "-3"), ("memory_pods", "-100000"),
-                                        ("hidden1", "-4"), ("cpu_pod_busy_millicores", "-1"),
-                                        ("memory_pod_mem_bytes", "-1e9")])
+                                        ("hidden1", "-4"), ("cpu_pod_busy_millicores", "-1")])
 def test_baseline_refuses_a_zero_monitor_interval(key, value, tmp_path, capsys):
     """A zero monitor interval resamples at t=0 forever; an infinite episode never
     ends; a zero cap divides the observation by zero. A negative think time
@@ -136,6 +133,39 @@ def test_baseline_refuses_a_zero_monitor_interval(key, value, tmp_path, capsys):
     assert main(["baseline", *short, "--set", f"{key}={value}", "--out", str(out)]) == 1
     rule = RULE.get(key, "positive and finite")
     assert f"{key} must be {rule}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the node-memory keys, which no observation, reward or decision read, with the values
+# an effective_config.txt held for them, each on the line after its key here
+NODE_MEMORY_KEYS = {"node_millicores": ("node_mem_bytes", "34359738368.0"),
+                    "cpu_pod_busy_millicores": ("cpu_pod_mem_bytes", "540000000.0"),
+                    "gpu_pod_busy_millicores": ("gpu_pod_mem_bytes", "825000000.0"),
+                    "memory_pod_millicores": ("memory_pod_mem_bytes", "3145728.0")}
+
+
+def test_an_effective_config_of_the_node_memory_model_is_refused(tmp_path, capsys):
+    """A default run's effective_config.txt as written while kisim modelled node memory:
+    its first memory key is unknown, and nothing is written."""
+    lines = []
+    for line in ExperimentConfig().to_text().splitlines():
+        lines.append(line)
+        removed = NODE_MEMORY_KEYS.get(line.split(" = ")[0])
+        if removed:
+            lines.append("%s = %s" % removed)
+    config = tmp_path / "effective_config.txt"
+    config.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "base"
+    assert main(["baseline", "--config", str(config), "--out", str(out)]) == 1
+    assert "unknown config key: 'node_mem_bytes'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", NODE_MEMORY_KEYS.values())
+def test_a_node_memory_key_is_refused_by_name(key, value, tmp_path, capsys):
+    out = tmp_path / "base"
+    assert main(["baseline", "--set", f"{key}={value}", "--out", str(out)]) == 1
+    assert f"unknown config key: {key!r}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -153,26 +153,20 @@ def test_cpu_utilization_idle_and_busy_endpoints():
     model = UtilizationModel(ExperimentConfig(memory_pods=0))
     engine, cluster = make_cluster()
     cluster.spawn_ready(Pool.CPU, 3)
-    cpu, mem = model.cpu_mem_utilization(cluster)
-    assert cpu == pytest.approx(3 * 715 / 16000)
-    assert mem == pytest.approx(3 * 540e6 / (32 * 2**30))
+    assert model.cpu_mem_utilization(cluster) == pytest.approx(3 * 715 / 16000)
     for pod in cluster.cpu_pods:
         pod.in_service = pod.concurrency_cap
-    cpu, _ = model.cpu_mem_utilization(cluster)
-    assert cpu == pytest.approx(3 * 1062 / 16000)
+    assert model.cpu_mem_utilization(cluster) == pytest.approx(3 * 1062 / 16000)
 
 
-def test_no_pods_reports_only_memory_pod_constants():
+def test_no_pods_reports_only_memory_pod_millicores():
     model = UtilizationModel(ExperimentConfig())
     engine, cluster = make_cluster()
-    cpu, mem = model.cpu_mem_utilization(cluster)
-    assert cpu == pytest.approx(3 * 3.0 / 16000)
-    assert mem == pytest.approx(3 * 3 * 2**20 / (32 * 2**30))
+    assert model.cpu_mem_utilization(cluster) == pytest.approx(3 * 3.0 / 16000)
 
 
 def test_all_utilizations_bounded():
     model = UtilizationModel(ExperimentConfig(node_millicores=100.0))  # tiny node saturates
     engine, cluster = make_cluster()
     cluster.spawn_ready(Pool.CPU, 5)
-    cpu, mem = model.cpu_mem_utilization(cluster)
-    assert 0.0 <= cpu <= 1.0 and 0.0 <= mem <= 1.0
+    assert 0.0 <= model.cpu_mem_utilization(cluster) <= 1.0

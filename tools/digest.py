@@ -9,7 +9,11 @@ Runs five commands of the kisim in this checkout into a temporary directory:
   --set users_min=1 --set users_max=5`;
 - `train --seed 5`, the default training run at a second seed, into `train_seed5/`.
 
-It then prints one `<run>/<file>  <sha256 prefix>` line per output file. The
+The four independent chains (`train` then `evaluate`, the seed-5 `train`, the
+dense `train` and `baseline`) run on min(2, CPUs) worker processes started by
+`spawn`, so no worker inherits the parent's BLAS thread pool; each worker's kisim
+import sets the BLAS thread count as a lone run's would. The digest then prints
+one `<run>/<file>  <sha256 prefix>` line per output file, in path order. The
 `out_dir` line of `effective_config.txt` names the temporary directory, so it is
 masked before hashing. Two checkouts are byte for byte alike when their outputs
 are; compare with `diff <(python tools/digest.py) <(python ../other/tools/digest.py)`.
@@ -22,9 +26,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import multiprocessing
+import os
 import re
 import sys
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -41,6 +48,11 @@ def run(argv: list[str]) -> None:
         raise SystemExit(f"kisim {' '.join(argv)} exited {status}")
 
 
+def run_chain(chain: list[list[str]]) -> None:
+    for argv in chain:
+        run(argv)
+
+
 def file_digest(path: Path) -> str:
     data = path.read_bytes()
     if path.name == "effective_config.txt":
@@ -53,12 +65,17 @@ def main_digest() -> None:
         root = Path(tmp)
         train, evaluate, baseline, dense, train_seed5 = (
             str(root / name) for name in ("train", "evaluate", "baseline", "dense", "train_seed5"))
-        run(["train", "--seed", "42", "--out", train])
-        run(["evaluate", str(Path(train) / "checkpoint.kisc"), "--out", evaluate])
-        run(["baseline", "--out", baseline])
-        run(["train", "--episodes", "30", "--set", "control_interval_s=1",
-             "--set", "users_min=1", "--set", "users_max=5", "--out", dense])
-        run(["train", "--seed", "5", "--out", train_seed5])
+        chains = [      # longest first, so that two workers finish close together
+            [["train", "--seed", "42", "--out", train],
+             ["evaluate", str(Path(train) / "checkpoint.kisc"), "--out", evaluate]],
+            [["train", "--seed", "5", "--out", train_seed5]],
+            [["train", "--episodes", "30", "--set", "control_interval_s=1",
+              "--set", "users_min=1", "--set", "users_max=5", "--out", dense]],
+            [["baseline", "--out", baseline]],
+        ]
+        with ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            list(pool.map(run_chain, chains))   # re-raises a chain's failure
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             print(f"{path.relative_to(root).as_posix()}  {file_digest(path)}")
 
