@@ -165,6 +165,29 @@ def test_no_pods_reports_only_memory_pod_millicores():
     assert model.cpu_mem_utilization(cluster) == pytest.approx(3 * 3.0 / 16000)
 
 
+def test_cpu_utilization_sums_the_ready_pods_of_both_pools_one_by_one():
+    """One float, the bits of the pod-by-pod sum; a draining pod adds nothing."""
+    cfg = ExperimentConfig()
+    model = UtilizationModel(cfg)
+    engine, cluster = make_cluster()
+    cluster.spawn_ready(Pool.CPU, 4)
+    cluster.spawn_ready(Pool.GPU, 1)
+    for pod, busy in zip(cluster.cpu_pods, (0, 1, 2, 2)):
+        pod.in_service = busy
+    cluster.gpu_pods[0].in_service = 3
+    cluster.set_desired_replicas(Pool.CPU, 3)            # the newest Ready pod drains
+    assert cluster.cpu_pods[3].phase is PodPhase.TERMINATING
+    millicores = cfg.memory_pods * cfg.memory_pod_millicores
+    for pod in cluster.cpu_pods[:3]:
+        millicores += cfg.cpu_pod_idle_millicores + pod.in_service / pod.concurrency_cap * (
+            cfg.cpu_pod_busy_millicores - cfg.cpu_pod_idle_millicores)
+    gpu = cluster.gpu_pods[0]
+    millicores += cfg.gpu_pod_idle_millicores + gpu.in_service / gpu.concurrency_cap * (
+        cfg.gpu_pod_busy_millicores - cfg.gpu_pod_idle_millicores)
+    util = model.cpu_mem_utilization(cluster)
+    assert type(util) is float and util.hex() == (millicores / cfg.node_millicores).hex()
+
+
 def test_all_utilizations_bounded():
     model = UtilizationModel(ExperimentConfig(node_millicores=100.0))  # tiny node saturates
     engine, cluster = make_cluster()
