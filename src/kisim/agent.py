@@ -7,7 +7,7 @@ the actor alone: a rollout is a list of `(obs, heads, log_prob, reward, done)`
 steps, `heads` the drawn head indices, that `update` values in one stacked critic
 pass. Both compute in float32, the weights' dtype, on the env's observations cast once.
 `train(agent, out)` is a training run's one writer: each episode's trace lines and CSV
-rows as it ends, both checkpoints; it returns the `TrainState` its last checkpoint stores.
+rows as it ends, the checkpoint at the end; it returns the `TrainState` the checkpoint stores.
 """
 
 from __future__ import annotations
@@ -173,10 +173,8 @@ class PpoAgent:
 
 @dataclass
 class TrainState:
-    """A training run's state, exactly what a checkpoint stores: each episode's return
-    and the best moving average so far."""
+    """A training run's state, exactly what a checkpoint stores: each episode's return."""
     returns: list = field(default_factory=list)
-    best_moving_avg: float = -math.inf
 
     @property
     def episode_index(self) -> int:
@@ -185,6 +183,12 @@ class TrainState:
     @property
     def moving_avg(self) -> float:
         return moving_average(self.returns)
+
+    @property
+    def best_moving_avg(self) -> float:
+        """The highest moving average after any episode, the first of ties; -inf before one."""
+        return max([-math.inf] + [moving_average(self.returns[max(0, n - MOVING_AVG_WINDOW):n])
+                                  for n in range(1, self.episode_index + 1)])
 
 
 def moving_average(returns: list) -> float:
@@ -195,19 +199,21 @@ def moving_average(returns: list) -> float:
 
 # ---- checkpointing ---------------------------------------------------------
 
+def _state_fields(state: TrainState) -> tuple:
+    """`CHECKPOINT_STATE`'s fields, each read from the returns; a best of -inf is -1e308."""
+    return (state.episode_index, len(state.returns), state.moving_avg,
+            max(state.best_moving_avg, -1e308))
+
+
 def save_checkpoint(params: ActorCriticParams, state: TrainState,
                     path: str | Path) -> None:
     dims = params.dims
     blob = bytearray(CHECKPOINT_MAGIC)
     blob += CHECKPOINT_HEADER.pack(len(OBS_FIELDS), dims.hidden1, dims.hidden2, *HEAD_SIZES)
     for name in tensor_shapes(dims):
-        arr = np.ascontiguousarray(params.tensors[name], dtype="<f4")
-        blob += arr.tobytes()
-    returns = np.asarray(state.returns, dtype="<f8")
-    blob += CHECKPOINT_STATE.pack(
-        state.episode_index, len(returns), state.moving_avg,
-        state.best_moving_avg if math.isfinite(state.best_moving_avg) else -1e308)
-    blob += returns.tobytes()
+        blob += np.ascontiguousarray(params.tensors[name], dtype="<f4").tobytes()
+    blob += CHECKPOINT_STATE.pack(*_state_fields(state))
+    blob += np.asarray(state.returns, dtype="<f8").tobytes()
     Path(path).write_bytes(bytes(blob))
 
 
@@ -234,7 +240,8 @@ def load_checkpoint(path: str | Path) -> tuple[ActorCriticParams, TrainState]:
     state_off = off + 4 * sum(math.prod(shape) for shape in shapes.values())
     if len(raw) < state_off + CHECKPOINT_STATE.size:
         raise CheckpointError(f"checkpoint {path} is truncated before its training state")
-    episode_index, n_returns, moving_avg, best_avg = CHECKPOINT_STATE.unpack_from(raw, state_off)
+    stored = CHECKPOINT_STATE.unpack_from(raw, state_off)
+    n_returns = stored[1]
     returns_off = state_off + CHECKPOINT_STATE.size
     if len(raw) != returns_off + 8 * n_returns:
         raise CheckpointError(f"checkpoint {path} is {len(raw)} bytes, expected "
@@ -244,12 +251,9 @@ def load_checkpoint(path: str | Path) -> tuple[ActorCriticParams, TrainState]:
         end = off + 4 * math.prod(shape)
         tensors[name] = np.frombuffer(raw[off:end], dtype="<f4").reshape(shape).copy()
         off = end
-    state = TrainState(
-        returns=np.frombuffer(raw, dtype="<f8", offset=returns_off).tolist(),
-        best_moving_avg=best_avg if best_avg > -1e307 else -math.inf)
-    if (episode_index, moving_avg) != (state.episode_index, state.moving_avg):
-        raise CheckpointError(f"checkpoint {path} stores episode_index/moving_avg "
-                              f"{episode_index}/{moving_avg!r} that its returns contradict")
+    state = TrainState(np.frombuffer(raw, dtype="<f8", offset=returns_off).tolist())
+    if stored != _state_fields(state):
+        raise CheckpointError(f"checkpoint {path} stores {stored}, which its returns contradict")
     return ActorCriticParams(dims, tensors), state
 
 
@@ -283,8 +287,7 @@ def train(agent: PpoAgent, out: str | Path) -> TrainState:
     `cfg.ppo_update_every_episodes`, and play one untraced greedy episode per pattern
     every `cfg.eval_every`. Writes each episode's out/trace.jsonl lines and its row of
     out/training_log.csv and pattern_rewards.csv, or eval_log.csv, as it ends, so an
-    interrupted run keeps them; out/checkpoint_best.kisc whenever the moving average
-    improves and out/checkpoint.kisc at the end."""
+    interrupted run keeps them, and out/checkpoint.kisc, the run's weights, at the end."""
     cfg = agent.cfg
     out = Path(out)
     env = ScalingEnv(cfg)
@@ -311,9 +314,6 @@ def train(agent: PpoAgent, out: str | Path) -> TrainState:
                           *(astuple(losses) if losses else ("", "", ""))))
             by_pattern.writerow((ep, env.pattern, ret,
                                  moving_average(pattern_returns[env.pattern])))
-            if state.moving_avg > state.best_moving_avg:
-                state.best_moving_avg = state.moving_avg
-                save_checkpoint(agent.params, state, out / "checkpoint_best.kisc")
             if cfg.eval_every and (ep + 1) % cfg.eval_every == 0:
                 eval_round = (ep + 1) // cfg.eval_every
                 for p_idx, pattern in enumerate(PATTERN_NAMES):

@@ -1,11 +1,12 @@
 import bisect
+import hashlib
 import itertools
 import json
 import math
 import re
 import struct
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from io import StringIO
 from unittest import mock
 
@@ -349,6 +350,25 @@ def test_train_state_derives_its_index_and_moving_average_from_its_returns():
     assert state.moving_avg == sum(range(15 - MOVING_AVG_WINDOW, 15)) / MOVING_AVG_WINDOW
     with pytest.raises(AttributeError):
         state.moving_avg = 1.0
+    with pytest.raises(AttributeError):
+        state.best_moving_avg = 1.0
+    assert [f.name for f in fields(TrainState)] == ["returns"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+                | st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), max_size=40))
+def test_the_best_moving_average_is_the_running_maximum_a_training_loop_keeps(returns):
+    """The best, derived from the returns, is what a loop that appends each return and
+    keeps the moving average whenever it is strictly higher holds: -inf before any
+    return, and the first of ties (a later equal average does not replace it)."""
+    state, best = TrainState(), -math.inf
+    for ret in returns:
+        state.returns.append(ret)
+        if state.moving_avg > best:
+            best = state.moving_avg
+    assert struct.pack("<d", TrainState(returns=list(returns)).best_moving_avg) == \
+        struct.pack("<d", best)
 
 
 def test_moving_average_is_the_mean_of_the_last_window_of_returns():
@@ -373,7 +393,7 @@ def saved(tmp_path):
     """A checkpoint of 100 returns: (path, bytes, offset of the state struct)."""
     params = PpoAgent(NetDims(hidden1=8, hidden2=6), seed=3).params
     rng = np.random.default_rng(7)
-    state = TrainState(returns=rng.normal(1.0, 0.3, N_RETURNS).tolist(), best_moving_avg=1.25)
+    state = TrainState(returns=rng.normal(1.0, 0.3, N_RETURNS).tolist())
     path = tmp_path / "run.kisc"
     save_checkpoint(params, state, path)
     raw = path.read_bytes()
@@ -387,6 +407,15 @@ def test_saved_state_round_trips(saved):
     assert (loaded.episode_index, loaded.moving_avg) == (N_RETURNS, state.moving_avg)
     for name, tensor in params.tensors.items():
         assert np.array_equal(loaded_params.tensors[name], tensor.astype(np.float32))
+
+
+def test_a_saved_checkpoint_keeps_its_kisc2_bytes(saved):
+    """An 8x6 network with 100 fixed returns saves to pinned KISC2 bytes, the best moving
+    average derived from the returns in its slot."""
+    path, raw, state_off, _, state = saved
+    assert hashlib.sha256(raw).hexdigest()[:16] == "9a6a91931d2a8bc3"
+    assert CHECKPOINT_STATE.unpack_from(raw, state_off) == \
+        (N_RETURNS, N_RETURNS, state.moving_avg, state.best_moving_avg)
 
 
 def test_fresh_state_round_trips(tmp_path):
@@ -424,9 +453,12 @@ def test_appended_bytes_are_a_checkpoint_error(saved, extra):
 def test_stored_index_or_average_that_the_returns_contradict_is_an_error(saved):
     path, raw, state_off, _, _ = saved
     episode_index, n, moving_avg, best = CHECKPOINT_STATE.unpack_from(raw, state_off)
-    for fields in [(episode_index - 1, n, moving_avg, best),
-                   (episode_index, n, moving_avg + 1e-9, best)]:
-        path.write_bytes(raw[:state_off] + CHECKPOINT_STATE.pack(*fields)
+    # -1e308 is the slot's -inf, the best before any return
+    for stored in [(episode_index - 1, n, moving_avg, best),
+                   (episode_index, n, moving_avg + 1e-9, best),
+                   (episode_index, n, moving_avg, best + 1e-9),
+                   (episode_index, n, moving_avg, -1e308)]:
+        path.write_bytes(raw[:state_off] + CHECKPOINT_STATE.pack(*stored)
                          + raw[state_off + CHECKPOINT_STATE.size:])
         with pytest.raises(CheckpointError, match="contradict"):
             load_checkpoint(path)

@@ -379,10 +379,9 @@ def test_training_outputs_agree(tmp_path):
         [(1, 1, p) for p in PATTERN_NAMES] + [(3, 2, p) for p in PATTERN_NAMES]
     assert all(math.isfinite(float(r["return"])) for r in evals)
 
-    _, best = load_checkpoint(out / "checkpoint_best.kisc")
-    assert 1 <= best.episode_index <= 4
-    assert best.returns == state.returns[:best.episode_index]
-    assert best.best_moving_avg == best.moving_avg == state.best_moving_avg
+    # train writes the final weights alone, and the best is the highest logged moving average
+    assert not (out / "checkpoint_best.kisc").exists()
+    assert state.best_moving_avg == max(float(row["moving_avg"]) for row in log)
 
 
 def test_evaluate_acts_with_the_checkpoint_weights_without_initializing_any(
