@@ -1,11 +1,11 @@
-"""Experiment harness: train / evaluate / baseline / replay subcommands.
+"""Experiment harness: train / evaluate / replay subcommands.
 
 Every run writes its effective config next to its outputs so results can be
 reproduced byte-for-byte from the recorded file plus the same code.
 
-`baseline` and `evaluate` run one pattern x policy grid (`_run_grid`); they
-differ in its policies and in the episode index base of its traffic seeds:
-0 for `baseline`, `EVAL_SEED_BASE` for `evaluate`.
+`evaluate` is the one comparison: a pattern x policy grid (`_run_grid`) on the
+traffic of episode indices `EVAL_SEED_BASE` on, of KIScaler if a checkpoint is
+given and of `POLICY_NAMES` always, one row per run.
 """
 
 from __future__ import annotations
@@ -39,13 +39,6 @@ def _write_csv(path: Path, fieldnames, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
         writer.writerows([row[k] for k in fieldnames] for row in rows)
-
-
-def _write_report(out: Path, stem: str, fields, rows: list[dict], shown) -> None:
-    """`<stem>.json`, `<stem>.csv` and a stdout table of the `shown` columns."""
-    (out / f"{stem}.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
-    _write_csv(out / f"{stem}.csv", fields, rows)
-    sys.stdout.write(_render_table(rows, shown))
 
 
 def _render_table(rows: list[dict], columns) -> str:
@@ -97,13 +90,15 @@ def _select_patterns(args) -> list[str]:
     return patterns
 
 
-def _run_grid(cfg: ExperimentConfig, out: Path, patterns, index_base: int, policies,
-              agent: PpoAgent | None = None, actions=None) -> dict[str, dict[str, dict]]:
-    """Each policy on each pattern's traffic (`"kiscaler"` is `agent`, which plays into the
-    list `actions[pattern]`), time series written."""
+def _run_grid(cfg: ExperimentConfig, out: Path, patterns, agent: PpoAgent | None,
+              actions) -> dict[str, dict[str, dict]]:
+    """Each policy on each pattern's traffic, time series written: `"kiscaler"` (`agent`,
+    which plays into the list `actions[pattern]`) first if there is an agent, then
+    `POLICY_NAMES`."""
+    policies = (() if agent is None else ("kiscaler",)) + POLICY_NAMES
     grid: dict[str, dict[str, dict]] = {}
     for pattern in patterns:
-        _, seed = episode_traffic(cfg.seed, index_base + PATTERN_NAMES.index(pattern))
+        _, seed = episode_traffic(cfg.seed, EVAL_SEED_BASE + PATTERN_NAMES.index(pattern))
         grid[pattern] = reports = {}
         for policy in policies:
             ts: list[dict] = []
@@ -128,60 +123,28 @@ def cmd_train(args) -> int:
     return 0
 
 
-# ---- baseline --------------------------------------------------------------
-
-def cmd_baseline(args) -> int:
-    cfg = _load_effective_config(args)
-    patterns = _select_patterns(args)
-    out = _prepare_out(cfg)
-
-    rows = []
-    for pattern, per_policy in _run_grid(cfg, out, patterns, 0, ("fixed_gpu", "fixed_cpu")).items():
-        gpu, cpu = per_policy["fixed_gpu"], per_policy["fixed_cpu"]
-        rows.append({
-            "pattern": pattern,
-            "gpu_p95_ms": gpu["p95_ms"],
-            "cpu_p95_ms": cpu["p95_ms"],
-            "speedup": cpu["p95_ms"] / gpu["p95_ms"] if gpu["p95_ms"] and cpu["p95_ms"] else "",
-            "gpu_throughput_rps": gpu["throughput_rps"],
-            "cpu_throughput_rps": cpu["throughput_rps"],
-            "throughput_ratio": (gpu["throughput_rps"] / cpu["throughput_rps"]
-                                 if cpu["throughput_rps"] > 0 else ""),
-            "gpu_util_mean": gpu["gpu_util_mean"],
-            "traffic_seed": gpu["traffic_seed"],
-        })
-
-    fields = ("pattern", "gpu_p95_ms", "cpu_p95_ms", "speedup",
-              "gpu_throughput_rps", "cpu_throughput_rps", "throughput_ratio",
-              "gpu_util_mean", "traffic_seed")
-    _write_report(out, "baseline_report", fields, rows, fields)
-    return 0
-
-
 # ---- evaluate ----------------------------------------------------------------
 
 def cmd_evaluate(args) -> int:
     cfg = _load_effective_config(args)
     patterns = _select_patterns(args)
-    agent = PpoAgent(load_checkpoint(args.checkpoint)[0], cfg, seed=cfg.seed)
+    agent = (PpoAgent(load_checkpoint(args.checkpoint)[0], cfg, seed=cfg.seed)
+             if args.checkpoint else None)
     out = _prepare_out(cfg)
 
     rows = []
     actions: dict[str, list] = {p: [] for p in patterns}
-    grid = _run_grid(cfg, out, patterns, EVAL_SEED_BASE, ("kiscaler",) + POLICY_NAMES, agent,
-                     actions)
-    for reports in grid.values():
-        kis_p95 = reports["kiscaler"]["p95_ms"]
+    for reports in _run_grid(cfg, out, patterns, agent, actions).values():
+        p95 = {policy: report["p95_ms"] for policy, report in reports.items()}
         # a p95 of None (no request completed) is no result: it ranks below any p95
-        served = [reports[p]["p95_ms"] for p in POLICY_NAMES if reports[p]["p95_ms"] is not None]
-        ahead = bool(served) and (kis_p95 is None or kis_p95 > min(served))
+        served = [p95[p] for p in POLICY_NAMES if p95[p] is not None]
+        ahead = agent is not None and bool(served) and (
+            p95["kiscaler"] is None or p95["kiscaler"] > min(served))
         for policy, report in reports.items():
             row = dict(report)
-            row["speedup_vs_fixed_gpu"] = row["speedup_vs_fixed_cpu"] = ""
-            if policy == "kiscaler" and kis_p95:
-                for base in ("fixed_gpu", "fixed_cpu"):
-                    base_p95 = reports[base]["p95_ms"]
-                    row[f"speedup_vs_{base}"] = base_p95 / kis_p95 if base_p95 else ""
+            for base in ("fixed_gpu", "fixed_cpu"):
+                row[f"speedup_vs_{base}"] = (p95[base] / p95[policy]
+                                             if p95[base] and p95[policy] else "")
             row["flag"] = "baselines_ahead" if policy == "kiscaler" and ahead else ""
             rows.append(row)
 
@@ -189,13 +152,16 @@ def cmd_evaluate(args) -> int:
               "gpu_util_mean", "cpu_util_mean", "speedup_vs_fixed_gpu",
               "speedup_vs_fixed_cpu", "flag",
               "requests_injected", "requests_completed", "traffic_seed")
-    _write_report(out, "comparison", fields, rows,
-                  ("pattern", "policy", "p95_ms", "throughput_rps", "gpu_util_mean",
-                   "speedup_vs_fixed_gpu", "speedup_vs_fixed_cpu", "flag"))
-    diversity_fields = ("pattern", "steps", "distinct_actions", "most_common_share")
-    _write_csv(out / "kiscaler_actions.csv", diversity_fields,
-               [dict(zip(diversity_fields, (p, *action_diversity(Counter(played)))))
-                for p, played in actions.items()])
+    (out / "comparison.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+    _write_csv(out / "comparison.csv", fields, rows)
+    sys.stdout.write(_render_table(rows, ("pattern", "policy", "p95_ms", "throughput_rps",
+                                          "gpu_util_mean", "speedup_vs_fixed_gpu",
+                                          "speedup_vs_fixed_cpu", "flag")))
+    if agent is not None:
+        diversity_fields = ("pattern", "steps", "distinct_actions", "most_common_share")
+        _write_csv(out / "kiscaler_actions.csv", diversity_fields,
+                   [dict(zip(diversity_fields, (p, *action_diversity(Counter(played)))))
+                    for p, played in actions.items()])
     return 0
 
 
@@ -211,8 +177,6 @@ def cmd_replay(args) -> int:
     last = None     # the record read before, whose episode the next one continues or ends
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
                 rec = read_trace_line(line)
             except ValueError as exc:
@@ -281,14 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_train, episodes=True)
     p_train.set_defaults(func=cmd_train)
 
-    p_eval = sub.add_parser("evaluate", help="compare a checkpoint against baselines")
+    p_eval = sub.add_parser(
+        "evaluate", help="compare a checkpoint, if given, and the baselines on every pattern")
     common(p_eval, patterns=True)
-    p_eval.add_argument("checkpoint", help="path to a .kisc checkpoint")
+    p_eval.add_argument("checkpoint", nargs="?",
+                        help="path to a .kisc checkpoint; without one, the baselines alone")
     p_eval.set_defaults(func=cmd_evaluate)
-
-    p_base = sub.add_parser("baseline", help="run fixed GPU/CPU baselines")
-    common(p_base, patterns=True)
-    p_base.set_defaults(func=cmd_baseline)
 
     p_replay = sub.add_parser("replay", help="summarize a JSON-lines trace")
     p_replay.add_argument("trace", help="path to trace.jsonl")

@@ -106,8 +106,8 @@ def column(line: str, text: str) -> str:
     (replay_record(desired_gpu=-1), "trace line 1: desired_gpu -1 is not a non-negative int"),
     (replay_record(desired_cpu=3.0), "trace line 1: desired_cpu 3.0 is not a non-negative int"),
     (replay_record(users="many"), "trace line 1: users 'many' is not a non-negative int"),
-    (replay_record() + "\n" + replay_record(step=2) + "\n\n" + replay_record(),
-     "trace line 4: episode 0 step 1 (ramp), expected episode 0 step 3 (ramp)\n"),
+    (replay_record() + "\n" + replay_record(step=2) + "\n" + replay_record(),
+     "trace line 3: episode 0 step 1 (ramp), expected episode 0 step 3 (ramp)\n"),
     # a line continues the one before, in episode, pattern and step, until t_norm reads 1.0,
     # and then starts the next episode at step 1
     (replay_record() + "\n" + replay_record(step=3),
@@ -136,8 +136,11 @@ def column(line: str, text: str) -> str:
     (json.dumps(json.loads(replay_record())), "trace line 1: column 12: ' 0, \"step\": ', "
      "written '0,\"step\":1,\"'"),
     ("{nope", "trace line 1: Expecting property name enclosed in double quotes"),
-    ("", "trace.jsonl: no trace record"),
-    (" \n\n", "trace.jsonl: no trace record")],
+    # trace_line never writes a blank line, so replay reads none
+    ("", "trace line 1: Expecting value"),
+    (" \n\n", "trace line 1: Expecting value"),
+    (replay_record() + "\n\n" + replay_record(step=2), "trace line 2: Expecting value"),
+    (replay_record(obs=ENDS) + "\n", "trace line 2: Expecting value")],
     ids=["no_keys", "not_an_object", "short_action", "reward_not_an_object", "list_pattern",
          "action_outside_the_deltas", "action_outside_the_prefs", "episode_a_string_after_an_int",
          "episode_a_float", "episode_a_bool", "step_negative", "pattern_unknown",
@@ -147,12 +150,21 @@ def column(line: str, text: str) -> str:
          "pattern_changes_mid_episode", "episode_resumes", "obs_nan", "obs_missing",
          "obs_three_values", "obs_of_ten_inputs",
          "reward_term_a_string", "reward_term_inf", "reward_total_alone",
-         "extra_key", "default_separators", "not_json", "empty", "blank_lines"])
+         "extra_key", "default_separators", "not_json", "empty", "blank_lines",
+         "blank_line_mid_episode", "blank_last_line"])
 def test_replay_refuses_a_trace_record_it_cannot_read(line, message, tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     trace.write_text(line + "\n")
     assert main(["replay", str(trace), "--out", str(tmp_path / "replay")]) == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "replay").exists()
+
+
+def test_replay_refuses_a_file_of_no_line(tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("")
+    assert main(["replay", str(trace), "--out", str(tmp_path / "replay")]) == 1
+    assert capsys.readouterr().err == f"error: {trace}: no trace record\n"
     assert not (tmp_path / "replay").exists()
 
 
@@ -296,6 +308,14 @@ def test_two_identical_train_runs_write_identical_files(tmp_path):
     assert files[0] == files[1]
 
 
+def test_the_baseline_command_is_gone(capsys):
+    """`evaluate` without a checkpoint is the baselines' one comparison."""
+    with pytest.raises(SystemExit) as exc:
+        main(["baseline"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'baseline'" in capsys.readouterr().err
+
+
 def test_removed_config_key_is_rejected(tmp_path, capsys):
     code = main(["train", "--episodes", "1", "--set", "moving_avg_window=10",
                  "--out", str(tmp_path / "out")])
@@ -308,14 +328,14 @@ def test_a_config_file_sits_under_set_and_the_flags(tmp_path, capsys):
     config = tmp_path / "kisim.cfg"
     config.write_text(ExperimentConfig(episode_s=30.0, users_max=9, seed=7).to_text())
     out = tmp_path / "base"
-    assert main(["baseline", "--config", str(config), "--set", "users_max=8",
+    assert main(["evaluate", "--config", str(config), "--set", "users_max=8",
                  "--patterns", "ramp", "--out", str(out)]) == 0
     cfg = parse_config_text((out / "effective_config.txt").read_text())
     assert (cfg.episode_s, cfg.seed, cfg.users_max, cfg.out_dir) == (30.0, 7, 8, str(out))
 
     config.write_text("nope = 1\n")
     refused = tmp_path / "refused"
-    assert main(["baseline", "--config", str(config), "--out", str(refused)]) == 1
+    assert main(["evaluate", "--config", str(config), "--out", str(refused)]) == 1
     assert "unknown config key: 'nope'" in capsys.readouterr().err
     assert not refused.exists()
 
@@ -415,9 +435,9 @@ def _fresh_checkpoint(tmp_path, header=None):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["baseline", "--patterns", "bogus"], "unknown pattern name: 'bogus'"),
+    (["evaluate", "--patterns", "bogus"], "unknown pattern name: 'bogus'"),
     (["evaluate", "missing.kisc"], "missing.kisc"),
-    (["baseline", "--patterns", "ramp", "spike", "ramp"],
+    (["evaluate", "--patterns", "ramp", "spike", "ramp"],
      "pattern name 'ramp' is given more than once"),
     (["evaluate", (N_INPUTS, 8, 8, 5, 5, 2), "--patterns", "spike", "spike"],
      "pattern name 'spike' is given more than once"),
@@ -506,6 +526,8 @@ def test_evaluate_runs_each_policy_once_through_one_runner(tmp_path, monkeypatch
 
 
 def test_baseline_runs_every_pattern_through_run_baseline(tmp_path, monkeypatch):
+    """Without a checkpoint, `evaluate` runs each baseline on each pattern's `EVAL_SEED_BASE`
+    traffic, and each row's speedup is the base's p95 over its own."""
     calls = []
 
     def fake_run_baseline(policy, pattern, cfg, traffic_seed, timeseries=None):
@@ -515,42 +537,75 @@ def test_baseline_runs_every_pattern_through_run_baseline(tmp_path, monkeypatch)
 
     monkeypatch.setattr(kisim.cli, "run_baseline", fake_run_baseline)
     out = tmp_path / "base"
-    assert main(["baseline", "--patterns", "spike", "ramp", "--seed", "7",
+    assert main(["evaluate", "--patterns", "spike", "ramp", "--seed", "7",
                  "--out", str(out)]) == 0
-    seeds = {p: episode_traffic(7, PATTERN_NAMES.index(p))[1] for p in ("spike", "ramp")}
-    assert calls == [(p, policy, seeds[p]) for p in ("spike", "ramp")
-                     for policy in ("fixed_gpu", "fixed_cpu")]
-    rows = json.loads((out / "baseline_report.json").read_text())
-    assert [(r["pattern"], r["traffic_seed"], r["speedup"]) for r in rows] == \
-        [("spike", seeds["spike"], 3.0), ("ramp", seeds["ramp"], 3.0)]
+    seeds = {p: episode_traffic(7, EVAL_SEED_BASE + PATTERN_NAMES.index(p))[1]
+             for p in ("spike", "ramp")}
+    assert calls == [(p, policy, seeds[p]) for p in ("spike", "ramp") for policy in POLICY_NAMES]
+    rows = json.loads((out / "comparison.json").read_text())
+    speedups = {"fixed_gpu": (1.0, 3.0), "fixed_cpu": (10.0 / 30.0, 1.0), "hpa": (10.0 / 30.0, 1.0)}
+    assert [(r["pattern"], r["policy"], r["traffic_seed"],
+             (r["speedup_vs_fixed_gpu"], r["speedup_vs_fixed_cpu"])) for r in rows] == \
+        [(p, policy, seeds[p], speedups[policy]) for p in ("spike", "ramp")
+         for policy in POLICY_NAMES]
 
 
+def test_evaluate_without_a_checkpoint_runs_the_baselines_alone(tmp_path, monkeypatch):
+    """No checkpoint is loaded and KIScaler never plays: each baseline runs once through
+    `kisim.cli.run_baseline`, and no row, time series or actions file is KIScaler's."""
+    calls = []
 
-def test_baseline_runs_on_the_traffic_of_training_episodes_0_to_3(tmp_path, monkeypatch):
-    """The traffic index space of `env.episode_traffic`: `baseline` starts at index 0, so each
-    pattern's baseline runs on the traffic seed of the training episode of that pattern."""
-    trained = {}
+    def spy(name, original=None):
+        def call(*args, **kwargs):
+            calls.append((name, *args[:2]))
+            return original(*args, **kwargs)
+        return call
 
-    def recorded(base_seed, index):
-        trained[index] = traffic = episode_traffic(base_seed, index)
-        return traffic
-
-    monkeypatch.setattr(kisim.agent, "episode_traffic", recorded)
-    sets = ["--seed", "5", "--set", "episode_s=15", "--set", "eval_every=0"]
-    assert main(["train", "--episodes", "4", *sets, "--out", str(tmp_path / "train")]) == 0
-    assert main(["baseline", *sets, "--out", str(tmp_path / "base")]) == 0
-    rows = json.loads((tmp_path / "base" / "baseline_report.json").read_text())
-    assert sorted(trained) == [0, 1, 2, 3]
-    assert [(r["pattern"], r["traffic_seed"]) for r in rows] == list(trained.values())
-
-
-def test_baseline_report_cells_read_back(tmp_path):
+    monkeypatch.setattr(kisim.cli, "load_checkpoint", spy("cli.load_checkpoint"))
+    monkeypatch.setattr(kisim.cli, "run_policy_episode", spy("cli.run_policy_episode"))
+    monkeypatch.setattr(kisim.cli, "run_baseline", spy("cli.run_baseline", run_baseline))
     out = tmp_path / "base"
-    assert main(["baseline", "--patterns", "periodic", "--set", "episode_s=30",
+    assert main(["evaluate", "--patterns", "ramp", "--set", "episode_s=30",
                  "--out", str(out)]) == 0
-    rows = json.loads((out / "baseline_report.json").read_text())
-    assert rows[0]["gpu_p95_ms"] > 0 and rows[0]["cpu_p95_ms"] > 0
-    _assert_cells_read_back(_read_csv(out / "baseline_report.csv"), rows)
+    assert calls == [("cli.run_baseline", policy, "ramp") for policy in POLICY_NAMES]
+    rows = json.loads((out / "comparison.json").read_text())
+    assert [(r["policy"], r["flag"]) for r in rows] == [(p, "") for p in POLICY_NAMES]
+    assert [cells["flag"] for cells in _read_csv(out / "comparison.csv")] == \
+        [""] * len(POLICY_NAMES)
+    assert not (out / "kiscaler_actions.csv").exists()
+    assert sorted(path.name for path in out.glob("timeseries_*")) == \
+        sorted(f"timeseries_ramp_{p}.csv" for p in POLICY_NAMES)
+
+
+def test_every_served_row_carries_its_speedups_over_the_fixed_baselines(tmp_path):
+    """A row's speedup over a fixed baseline is that baseline's p95 over its own, so a fixed
+    row reads 1.0 against itself, and `fixed_gpu`'s over `fixed_cpu` is the ratio of the
+    two runs' p95."""
+    out = tmp_path / "base"
+    assert main(["evaluate", "--patterns", "ramp", "--set", "episode_s=30",
+                 "--out", str(out)]) == 0
+    rows = {r["policy"]: r for r in json.loads((out / "comparison.json").read_text())}
+    for row in rows.values():
+        for base in ("fixed_gpu", "fixed_cpu"):
+            assert row[f"speedup_vs_{base}"] == rows[base]["p95_ms"] / row["p95_ms"]
+    assert rows["fixed_gpu"]["speedup_vs_fixed_gpu"] == 1.0
+    assert rows["fixed_cpu"]["speedup_vs_fixed_cpu"] == 1.0
+
+    cfg = ExperimentConfig(episode_s=30.0)
+    seed = episode_traffic(cfg.seed, EVAL_SEED_BASE + PATTERN_NAMES.index("ramp"))[1]
+    gpu, cpu = (run_baseline(p, "ramp", cfg, traffic_seed=seed)["p95_ms"]
+                for p in ("fixed_gpu", "fixed_cpu"))
+    assert rows["fixed_gpu"]["speedup_vs_fixed_cpu"] == cpu / gpu
+
+
+def test_baseline_comparison_cells_read_back(tmp_path):
+    out = tmp_path / "base"
+    assert main(["evaluate", "--patterns", "periodic", "--set", "episode_s=30",
+                 "--out", str(out)]) == 0
+    rows = json.loads((out / "comparison.json").read_text())
+    assert [r["policy"] for r in rows] == list(POLICY_NAMES)
+    assert all(r["p95_ms"] > 0 for r in rows)
+    _assert_cells_read_back(_read_csv(out / "comparison.csv"), rows)
 
 
 @pytest.mark.parametrize("overrides, served", [
@@ -560,13 +615,17 @@ def test_baseline_report_cells_read_back(tmp_path):
 def test_a_baseline_that_completes_no_request_reports_no_p95(overrides, served, tmp_path):
     out = tmp_path / "base"
     sets = [a for kv in overrides + ["episode_s=30"] for a in ("--set", kv)]
-    assert main(["baseline", "--patterns", "ramp", *sets, "--out", str(out)]) == 0
-    [row] = json.loads((out / "baseline_report.json").read_text())
-    [cells] = _read_csv(out / "baseline_report.csv")
+    assert main(["evaluate", "--patterns", "ramp", *sets, "--out", str(out)]) == 0
+    rows = {r["policy"]: r for r in json.loads((out / "comparison.json").read_text())}
+    cells = {r["policy"]: r for r in _read_csv(out / "comparison.csv")}
     for pool, ok in served.items():
-        assert (row[f"{pool}_p95_ms"] is None) == (not ok)
-        assert (cells[f"{pool}_p95_ms"] == "") == (not ok)
-    assert row["speedup"] == cells["speedup"] == ""
+        assert (rows[f"fixed_{pool}"]["p95_ms"] is None) == (not ok)
+        assert (cells[f"fixed_{pool}"]["p95_ms"] == "") == (not ok)
+    # no speedup over a run that served nothing, nor of one
+    assert all(rows[p]["speedup_vs_fixed_gpu"] == cells[p]["speedup_vs_fixed_gpu"] == ""
+               for p in POLICY_NAMES)
+    assert rows["fixed_gpu"]["speedup_vs_fixed_cpu"] == \
+        cells["fixed_gpu"]["speedup_vs_fixed_cpu"] == ""
 
 
 def test_evaluate_ranks_a_baseline_that_completes_no_request_last(tmp_path):
@@ -586,12 +645,13 @@ def test_evaluate_ranks_a_baseline_that_completes_no_request_last(tmp_path):
     assert kis["flag"] == ("baselines_ahead" if kis["p95_ms"] > best else "")
 
 
-@pytest.mark.parametrize("p95, flag", [
-    ({"kiscaler": None, "fixed_gpu": None, "fixed_cpu": 700.0, "hpa": None}, "baselines_ahead"),
-    ({"kiscaler": 300.0, "fixed_gpu": None, "fixed_cpu": None, "hpa": None}, ""),
-    ({"kiscaler": None, "fixed_gpu": None, "fixed_cpu": None, "hpa": None}, "")],
+@pytest.mark.parametrize("p95, flag, speedups", [
+    ({"kiscaler": None, "fixed_gpu": None, "fixed_cpu": 700.0, "hpa": None}, "baselines_ahead",
+     ["", "", "", "", "", 1.0, "", ""]),
+    ({"kiscaler": 300.0, "fixed_gpu": None, "fixed_cpu": None, "hpa": None}, "", [""] * 8),
+    ({"kiscaler": None, "fixed_gpu": None, "fixed_cpu": None, "hpa": None}, "", [""] * 8)],
     ids=["only_a_baseline_served", "only_kiscaler_served", "none_served"])
-def test_a_p95_of_none_ranks_below_any_p95(p95, flag, tmp_path, monkeypatch):
+def test_a_p95_of_none_ranks_below_any_p95(p95, flag, speedups, tmp_path, monkeypatch):
     def report(pattern, policy):
         return {**_report(pattern, policy, 1.0), "p95_ms": p95[policy], "mean_ms": p95[policy]}
 
@@ -605,20 +665,6 @@ def test_a_p95_of_none_ranks_below_any_p95(p95, flag, tmp_path, monkeypatch):
                  "--out", str(tmp_path / "eval")]) == 0
     rows = json.loads((tmp_path / "eval" / "comparison.json").read_text())
     assert [r["flag"] for r in rows] == [flag, "", "", ""]
-    assert all(r["speedup_vs_fixed_gpu"] == r["speedup_vs_fixed_cpu"] == "" for r in rows)
-
-
-def test_a_throughput_ratio_over_a_cpu_run_that_served_nothing_is_empty(tmp_path, capsys):
-    out = tmp_path / "base"
-    assert main(["baseline", "--patterns", "ramp", "--set", "users_min=0", "--set",
-                 "users_max=0", "--set", "episode_s=30", "--out", str(out)]) == 0
-    [row] = json.loads((out / "baseline_report.json").read_text())
-    [cells] = _read_csv(out / "baseline_report.csv")
-    assert row["cpu_throughput_rps"] == 0.0
-    assert row["throughput_ratio"] == cells["throughput_ratio"] == ""
-    header, shown = capsys.readouterr().out.splitlines()[-2:]
-    start = header.index("throughput_ratio")
-    end = header.index("gpu_util_mean")
-    assert header[start:end].strip() == "throughput_ratio"
-    assert shown[start:end].strip() == ""
-    assert shown[header.index("cpu_throughput_rps"):start].strip() == "0.00"
+    # a p95 of None has no speedup, nor has any row over it: fixed_cpu's own reads 1.0
+    assert [r[f"speedup_vs_{base}"] for r in rows for base in ("fixed_gpu", "fixed_cpu")] == \
+        speedups

@@ -130,7 +130,7 @@ def test_baseline_refuses_a_zero_monitor_interval(key, value, tmp_path, capsys):
     before any output."""
     out = tmp_path / "base"
     short = [] if key == "episode_s" else ["--set", "episode_s=30"]     # a key is set once
-    assert main(["baseline", *short, "--set", f"{key}={value}", "--out", str(out)]) == 1
+    assert main(["evaluate", *short, "--set", f"{key}={value}", "--out", str(out)]) == 1
     rule = RULE.get(key, "positive and finite")
     assert f"{key} must be {rule}" in capsys.readouterr().err
     assert not out.exists()
@@ -156,7 +156,7 @@ def test_an_effective_config_of_the_node_memory_model_is_refused(tmp_path, capsy
     config = tmp_path / "effective_config.txt"
     config.write_text("\n".join(lines) + "\n")
     out = tmp_path / "base"
-    assert main(["baseline", "--config", str(config), "--out", str(out)]) == 1
+    assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 1
     assert "unknown config key: 'node_mem_bytes'" in capsys.readouterr().err
     assert not out.exists()
 
@@ -164,7 +164,7 @@ def test_an_effective_config_of_the_node_memory_model_is_refused(tmp_path, capsy
 @pytest.mark.parametrize("key, value", NODE_MEMORY_KEYS.values())
 def test_a_node_memory_key_is_refused_by_name(key, value, tmp_path, capsys):
     out = tmp_path / "base"
-    assert main(["baseline", "--set", f"{key}={value}", "--out", str(out)]) == 1
+    assert main(["evaluate", "--set", f"{key}={value}", "--out", str(out)]) == 1
     assert f"unknown config key: {key!r}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -192,7 +192,7 @@ def test_a_key_given_twice_in_the_set_list_is_refused(tmp_path, capsys):
     """Each source is checked on its own: a `--set` of a key the config file sets stays
     legal (`tests/test_cli.py`), two `--set`s of one key are not."""
     out = tmp_path / "base"
-    assert main(["baseline", "--set", "episode_s=30", "--set", " episode_s = 60",
+    assert main(["evaluate", "--set", "episode_s=30", "--set", " episode_s = 60",
                  "--out", str(out)]) == 1
     assert "config key 'episode_s' is given more than once" in capsys.readouterr().err
     assert not out.exists()

@@ -33,9 +33,9 @@ def test_a_digest_chain_stops_at_its_first_failing_command(tmp_path, capsys):
     """A refused command ends its chain with the command's words and status, and the
     chain's next command never runs."""
     first, second = tmp_path / "first", tmp_path / "second"
-    with pytest.raises(SystemExit, match=r"kisim baseline --set node_mem_bytes=1 --out "
+    with pytest.raises(SystemExit, match=r"kisim evaluate --set node_mem_bytes=1 --out "
                                          r".*first exited 1"):
-        digest.run_chain([["baseline", "--set", "node_mem_bytes=1", "--out", str(first)],
-                          ["baseline", "--out", str(second)]])
+        digest.run_chain([["evaluate", "--set", "node_mem_bytes=1", "--out", str(first)],
+                          ["evaluate", "--out", str(second)]])
     assert "unknown config key: 'node_mem_bytes'" in capsys.readouterr().err
     assert not first.exists() and not second.exists()

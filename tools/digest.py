@@ -4,15 +4,15 @@ Runs five commands of the kisim in this checkout into a temporary directory:
 
 - `train --seed 42` (the default 100-episode training run);
 - `evaluate` of that run's checkpoint;
-- `baseline`;
+- `evaluate` without a checkpoint, the baselines alone, into `baseline/`;
 - the 30-episode dense train, `train --episodes 30 --set control_interval_s=1
   --set users_min=1 --set users_max=5`;
 - `train --seed 5`, the default training run at a second seed, into `train_seed5/`.
 
 The four independent chains (`train` then `evaluate`, the seed-5 `train`, the
-dense `train` and `baseline`) run on min(2, CPUs) worker processes started by
-`spawn`, so no worker inherits the parent's BLAS thread pool; each worker's kisim
-import sets the BLAS thread count as a lone run's would. The digest then prints
+dense `train` and the checkpoint-free `evaluate`) run on min(2, CPUs) worker
+processes started by `spawn`, so no worker inherits the parent's BLAS thread
+pool; each worker's kisim import sets the BLAS thread count as a lone run's would. The digest then prints
 one `<run>/<file>  <sha256 prefix>` line per output file, in path order. The
 `out_dir` line of `effective_config.txt` names the temporary directory, so it is
 masked before hashing. Two checkouts are byte for byte alike when their outputs
@@ -71,7 +71,7 @@ def main_digest() -> None:
             [["train", "--seed", "5", "--out", train_seed5]],
             [["train", "--episodes", "30", "--set", "control_interval_s=1",
               "--set", "users_min=1", "--set", "users_max=5", "--out", dense]],
-            [["baseline", "--out", baseline]],
+            [["evaluate", "--out", baseline]],
         ]
         with ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1),
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
