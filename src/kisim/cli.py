@@ -60,13 +60,12 @@ def _load_effective_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.set:
         cfg = apply_overrides(cfg, args.set)
-    flags = {"seed": args.seed, "episodes": getattr(args, "episodes", None),
-             "out_dir": args.out}
+    flags = {"seed": args.seed, "episodes": getattr(args, "episodes", None)}
     return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
-def _prepare_out(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.out_dir)
+def _prepare_out(cfg: ExperimentConfig, path: str) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     (out / "effective_config.txt").write_text(cfg.to_text())
     return out
@@ -114,7 +113,7 @@ def _run_grid(cfg: ExperimentConfig, out: Path, patterns, agent: PpoAgent | None
 
 def cmd_train(args) -> int:
     cfg = _load_effective_config(args)
-    out = _prepare_out(cfg)
+    out = _prepare_out(cfg, args.out)
     state = train(PpoAgent(cfg=cfg, seed=cfg.seed), out)
     print(f"trained {cfg.episodes} episodes; "
           f"moving average reward {state.moving_avg:.3f} "
@@ -130,7 +129,7 @@ def cmd_evaluate(args) -> int:
     patterns = _select_patterns(args)
     agent = (PpoAgent(load_checkpoint(args.checkpoint)[0], cfg, seed=cfg.seed)
              if args.checkpoint else None)
-    out = _prepare_out(cfg)
+    out = _prepare_out(cfg, args.out)
 
     rows = []
     actions: dict[str, list] = {p: [] for p in patterns}
@@ -232,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, episodes=False, patterns=False):
         p.add_argument("--config", help="config file (flat key = value lines)")
         p.add_argument("--seed", type=int, help="override config seed")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", default="runs", help="output directory (default: runs)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a single config key")
         if episodes:

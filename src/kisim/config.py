@@ -107,9 +107,6 @@ class ExperimentConfig:
     fixed_cpu_replicas: int = 3
     fixed_gpu_replicas: int = 1
 
-    # Output
-    out_dir: str = "runs"
-
     def __post_init__(self) -> None:
         if self.cpu_min > self.cpu_max:
             raise ConfigError("cpu_min exceeds cpu_max")
@@ -152,10 +149,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be >= 0")
             if isinstance(value, float) and not math.isfinite(value):  # NaN/inf exponents stall
                 raise ConfigError(f"{f.name} must be finite")
-            if isinstance(value, str) and ("#" in value or value != value.strip()
-                                           or len(value.splitlines()) > 1):
-                raise ConfigError(f"{f.name} = {value!r} cannot be written to a config "
-                                  "file: it holds '#', a line break or outer whitespace")
 
     def to_text(self) -> str:
         """Serialize as the flat key = value format (diff-friendly)."""
@@ -169,14 +162,9 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _parse_value(key: str, raw: str):
-    ftype = _FIELD_TYPES[key]
     raw = raw.strip()
     try:
-        if ftype == "int":
-            return int(raw)
-        if ftype == "float":
-            return float(raw)
-        return raw
+        return int(raw) if _FIELD_TYPES[key] == "int" else float(raw)
     except ValueError as exc:
         raise ConfigError(f"invalid value for config key {key!r}: {raw!r}") from exc
 

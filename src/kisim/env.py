@@ -111,7 +111,11 @@ def trace_line(episode: int, step: int, pattern: str, obs: list, action: ActionT
 def read_trace_line(line: str) -> dict:
     """The record of a trace line, newline included, if `trace_line` writes it back byte for
     byte; else a ValueError that names the missing key, the field at fault or the column."""
-    rec = json.loads(line)
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:     # its position counts lines within this one line
+        column = min(exc.pos, len(line.removesuffix("\n"))) + 1
+        raise ValueError(f"{exc.msg} at column {column}") from None
     if not isinstance(rec, dict):
         raise ValueError("not a JSON object")
     try:

@@ -160,6 +160,25 @@ def test_replay_refuses_a_trace_record_it_cannot_read(line, message, tmp_path, c
     assert not (tmp_path / "replay").exists()
 
 
+@pytest.mark.parametrize("lines, message", [
+    ([replay_record(step=step) for step in range(1, 6)] + [""],
+     "trace line 6: Expecting value at column 1"),
+    ([" "], "trace line 1: Expecting value at column 2"),
+    (['{"episode": 1'], "trace line 1: Expecting ',' delimiter at column 14"),
+    (["{nope"], "trace line 1: Expecting property name enclosed in double quotes at column 2")],
+    ids=["blank_sixth_line", "space_alone", "cut_object", "unquoted_key"])
+def test_replay_names_the_column_of_a_line_that_is_not_json(lines, message, tmp_path, capsys):
+    """json counts lines within the one line it is given, which a trace line number
+    contradicts; replay names the column within the line alone."""
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["replay", str(trace), "--out", str(tmp_path / "replay")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert "line 2" not in err and "(char" not in err
+    assert not (tmp_path / "replay").exists()
+
+
 def test_replay_refuses_a_file_of_no_line(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     trace.write_text("")
@@ -302,10 +321,22 @@ def test_two_identical_train_runs_write_identical_files(tmp_path):
         assert main(["train", "--episodes", "3", "--set", "episode_s=30", "--set", "hidden1=8",
                      "--set", "hidden2=6", "--out", str(out)]) == 0
     files = [{path.name: path.read_bytes() for path in out.iterdir()} for out in outs]
-    for written, out in zip(files, outs):
-        written["effective_config.txt"] = \
-            written["effective_config.txt"].replace(str(out).encode(), b"OUT")
     assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("name", ["exp #3", " exp", "exp "],
+                         ids=["hash", "leading_space", "trailing_space"])
+def test_train_writes_into_any_out_directory(name, tmp_path):
+    """The output directory is no config value: a name the flat config format could not
+    hold is still a directory to write into, and the recorded config does not name it."""
+    out = tmp_path / name
+    assert main(["train", "--episodes", "1", "--set", "episode_s=15",
+                 "--out", str(out)]) == 0
+    assert {path.name for path in out.iterdir()} == {
+        "checkpoint.kisc", "effective_config.txt", "eval_log.csv", "pattern_rewards.csv",
+        "trace.jsonl", "training_log.csv"}
+    assert (out / "effective_config.txt").read_text() == \
+        ExperimentConfig(episodes=1, episode_s=15.0).to_text()
 
 
 def test_the_baseline_command_is_gone(capsys):
@@ -324,14 +355,15 @@ def test_removed_config_key_is_rejected(tmp_path, capsys):
 
 
 def test_a_config_file_sits_under_set_and_the_flags(tmp_path, capsys):
-    """`--config` is read first, `--set` overrides it, then `--out` overrides both."""
+    """`--config` is read first and `--set` overrides it; the outputs land in `--out`."""
     config = tmp_path / "kisim.cfg"
     config.write_text(ExperimentConfig(episode_s=30.0, users_max=9, seed=7).to_text())
     out = tmp_path / "base"
     assert main(["evaluate", "--config", str(config), "--set", "users_max=8",
                  "--patterns", "ramp", "--out", str(out)]) == 0
     cfg = parse_config_text((out / "effective_config.txt").read_text())
-    assert (cfg.episode_s, cfg.seed, cfg.users_max, cfg.out_dir) == (30.0, 7, 8, str(out))
+    assert (cfg.episode_s, cfg.seed, cfg.users_max) == (30.0, 7, 8)
+    assert (out / "comparison.json").exists()
 
     config.write_text("nope = 1\n")
     refused = tmp_path / "refused"
@@ -495,7 +527,7 @@ def test_evaluate_rows_and_csv_cells_follow_the_grid(tmp_path):
     _assert_cells_read_back(_read_csv(out / "comparison.csv"), rows)
 
     ts: list[dict] = []
-    cfg = ExperimentConfig(episode_s=30.0, seed=3, out_dir=str(out))
+    cfg = ExperimentConfig(episode_s=30.0, seed=3)
     run_baseline("hpa", "ramp", cfg, traffic_seed=rows[-1]["traffic_seed"], timeseries=ts)
     csv_rows = _read_csv(out / "timeseries_ramp_hpa.csv")
     assert list(csv_rows[0]) == list(TIMESERIES_FIELDS)

@@ -5,28 +5,24 @@ from pathlib import Path
 
 import pytest
 
-from kisim.config import ExperimentConfig
-
 _SPEC = importlib.util.spec_from_file_location(
     "digest", Path(__file__).resolve().parents[1] / "tools" / "digest.py")
 digest = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(digest)
 
 
-def test_the_digest_masks_the_out_dir_line_of_a_config_alone(tmp_path):
-    """Two runs into different directories hash alike; any other byte still counts."""
-    def config(name, **kw):
-        path = tmp_path / name / "effective_config.txt"
-        path.parent.mkdir()
-        path.write_text(ExperimentConfig(out_dir=str(tmp_path / name), **kw).to_text())
-        return path
-    here, there, seeded = config("a"), config("b"), config("c", seed=7)
-    assert here.read_bytes() != there.read_bytes()
-    assert digest.file_digest(here) == digest.file_digest(there)
-    assert digest.file_digest(seeded) != digest.file_digest(here)
-    other = tmp_path / "a" / "notes.txt"          # only effective_config.txt is masked
-    other.write_bytes(here.read_bytes())
-    assert digest.file_digest(other) != digest.file_digest(here)
+def test_one_command_into_two_directories_hashes_alike(tmp_path):
+    """The digest hashes each file as written: a run's outputs, its effective config
+    among them, do not depend on the directory it writes into."""
+    here, there = tmp_path / "here", tmp_path / "exp #2 there"
+    for out in (here, there):
+        digest.run(["evaluate", "--patterns", "ramp", "--set", "episode_s=30",
+                    "--out", str(out)])
+    names = sorted(path.name for path in here.iterdir())
+    assert names == sorted(path.name for path in there.iterdir())
+    assert "effective_config.txt" in names
+    for name in names:
+        assert digest.file_digest(here / name) == digest.file_digest(there / name), name
 
 
 def test_a_digest_chain_stops_at_its_first_failing_command(tmp_path, capsys):

@@ -13,9 +13,8 @@ The four independent chains (`train` then `evaluate`, the seed-5 `train`, the
 dense `train` and the checkpoint-free `evaluate`) run on min(2, CPUs) worker
 processes started by `spawn`, so no worker inherits the parent's BLAS thread
 pool; each worker's kisim import sets the BLAS thread count as a lone run's would. The digest then prints
-one `<run>/<file>  <sha256 prefix>` line per output file, in path order. The
-`out_dir` line of `effective_config.txt` names the temporary directory, so it is
-masked before hashing. Two checkouts are byte for byte alike when their outputs
+one `<run>/<file>  <sha256 prefix>` line per output file, in path order, each file
+hashed as written. Two checkouts are byte for byte alike when their outputs
 are; compare with `diff <(python tools/digest.py) <(python ../other/tools/digest.py)`.
 
 Usage: python tools/digest.py
@@ -28,7 +27,6 @@ import hashlib
 import io
 import multiprocessing
 import os
-import re
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -37,8 +35,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from kisim.cli import main  # noqa: E402
-
-OUT_DIR_LINE = re.compile(rb"^out_dir = .*$", re.MULTILINE)
 
 
 def run(argv: list[str]) -> None:
@@ -54,10 +50,7 @@ def run_chain(chain: list[list[str]]) -> None:
 
 
 def file_digest(path: Path) -> str:
-    data = path.read_bytes()
-    if path.name == "effective_config.txt":
-        data = OUT_DIR_LINE.sub(b"out_dir = <masked>", data)
-    return hashlib.sha256(data).hexdigest()[:16]
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
 def main_digest() -> None:
