@@ -31,7 +31,6 @@ from .traffic import PATTERN_NAMES
 CHECKPOINT_MAGIC = b"KISC2"
 CHECKPOINT_HEADER = struct.Struct("<6I")    # inputs, hidden1, hidden2, the three head sizes
 CHECKPOINT_STATE = struct.Struct("<IIdd")   # episode_index, n_returns, moving_avg, best
-EVAL_INDEX_BASE = 1_000_000     # the episode index of train's first greedy evaluation
 # `_actor` pads each head to a row of max(HEAD_SIZES) with -inf; every head but the last
 # is that wide already, so one block after the last fills its row
 _PAD = np.full((1, len(HEAD_SIZES) * max(HEAD_SIZES) - sum(HEAD_SIZES)), -np.inf, np.float32)
@@ -284,10 +283,9 @@ def run_episode(env: ScalingEnv, agent: PpoAgent, episode_index: int,
 
 def train(agent: PpoAgent, out: str | Path) -> TrainState:
     """Train `cfg.episodes` traced episodes over rotating patterns, updating every
-    `cfg.ppo_update_every_episodes`, and play one untraced greedy episode per pattern
-    every `cfg.eval_every`. Writes each episode's out/trace.jsonl lines and its row of
-    out/training_log.csv and pattern_rewards.csv, or eval_log.csv, as it ends, so an
-    interrupted run keeps them, and out/checkpoint.kisc, the run's weights, at the end."""
+    `cfg.ppo_update_every_episodes`. Writes each episode's out/trace.jsonl lines and its
+    row of out/training_log.csv and pattern_rewards.csv as it ends, so an interrupted run
+    keeps them, and out/checkpoint.kisc, the run's weights, at the end."""
     cfg = agent.cfg
     out = Path(out)
     env = ScalingEnv(cfg)
@@ -296,14 +294,12 @@ def train(agent: PpoAgent, out: str | Path) -> TrainState:
     pattern_returns: dict[str, list] = {pattern: [] for pattern in PATTERN_NAMES}
     with ((out / "trace.jsonl").open("w") as trace,
           (out / "training_log.csv").open("w", newline="") as log_file,
-          (out / "pattern_rewards.csv").open("w", newline="") as pattern_file,
-          (out / "eval_log.csv").open("w", newline="") as eval_file):
+          (out / "pattern_rewards.csv").open("w", newline="") as pattern_file):
         # csv writes a float as its repr and any other value as its str
-        log, by_pattern, evals = map(csv.writer, (log_file, pattern_file, eval_file))
+        log, by_pattern = map(csv.writer, (log_file, pattern_file))
         log.writerow(("episode", "pattern", "return", "moving_avg",
                       "policy_loss", "value_loss", "entropy"))
         by_pattern.writerow(("episode", "pattern", "return", "pattern_moving_avg"))
-        evals.writerow(("train_episode", "eval_round", "pattern", "return"))
         for ep in range(cfg.episodes):
             ret = run_episode(env, agent, ep, steps=steps, trace=trace)
             state.returns.append(ret)
@@ -314,11 +310,5 @@ def train(agent: PpoAgent, out: str | Path) -> TrainState:
                           *(astuple(losses) if losses else ("", "", ""))))
             by_pattern.writerow((ep, env.pattern, ret,
                                  moving_average(pattern_returns[env.pattern])))
-            if cfg.eval_every and (ep + 1) % cfg.eval_every == 0:
-                eval_round = (ep + 1) // cfg.eval_every
-                for p_idx, pattern in enumerate(PATTERN_NAMES):
-                    # a multiple of len(PATTERN_NAMES) plus p_idx: episode_traffic picks `pattern`
-                    eval_index = EVAL_INDEX_BASE + eval_round * len(PATTERN_NAMES) + p_idx
-                    evals.writerow((ep, eval_round, pattern, run_episode(env, agent, eval_index)))
     save_checkpoint(agent.params, state, out / "checkpoint.kisc")
     return state

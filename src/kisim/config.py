@@ -95,7 +95,6 @@ class ExperimentConfig:
 
     # Training schedule
     episodes: int = 100
-    eval_every: int = 20
 
     # HPA baseline (it scales the CPU pool within cpu_min..cpu_max)
     hpa_target_cpu_util: float = 0.5

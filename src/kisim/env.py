@@ -218,8 +218,7 @@ class SimStack:
 
 def episode_traffic(base_seed: int, index: int) -> tuple[str, int]:
     """The (pattern, traffic seed) of episode `index`: patterns rotate with the index.
-    Training uses 0 ... episodes - 1, `train`'s greedy evaluations `agent.EVAL_INDEX_BASE`
-    (1,000,000) on, and `evaluate` `cli.EVAL_SEED_BASE` (2,000,000) on."""
+    Training uses 0 ... episodes - 1 and `evaluate` `cli.EVAL_SEED_BASE` (2,000,000) on."""
     return (PATTERN_NAMES[index % len(PATTERN_NAMES)],
             int(np.random.SeedSequence([base_seed, index]).generate_state(1)[0]))
 

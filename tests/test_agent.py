@@ -168,7 +168,7 @@ def test_update_values_each_step_with_the_bits_of_its_own_one_row_forward(steppe
 def test_a_rollout_of_three_episodes_gets_the_advantages_of_per_step_values(tmp_path):
     """One update every 3 episodes: the rollout holds two episode ends mid-buffer, and
     its advantages and returns are the bytes of values taken one step at a time."""
-    cfg = replace(SHORT, episodes=3, eval_every=0, ppo_update_every_episodes=3)
+    cfg = replace(SHORT, episodes=3, ppo_update_every_episodes=3)
     agent = PpoAgent(cfg=cfg, seed=6)
     real_update, real_gae = agent.update, gae
     rollouts, gae_outputs = [], []
@@ -509,54 +509,74 @@ def test_a_network_of_no_hidden_unit_is_a_checkpoint_error(tmp_path, hidden):
         load_checkpoint(path)
 
 
-def test_train_traces_each_training_step_once_and_no_greedy_evaluation(tmp_path):
+class Interrupted(Exception):
+    pass
+
+
+def interrupt_training_at(monkeypatch, k: int) -> list:
+    """Make `train`'s episode k raise `Interrupted`; returns the list that gets the
+    return of each episode played before it."""
+    returns: list = []
+    run = kisim.agent.run_episode
+
+    def interrupted(env, agent, episode_index, steps=None, trace=None):
+        if episode_index == k:
+            raise Interrupted
+        returns.append(run(env, agent, episode_index, steps=steps, trace=trace))
+        return returns[-1]
+
+    monkeypatch.setattr(kisim.agent, "run_episode", interrupted)
+    return returns
+
+
+def test_train_traces_each_training_step_once_and_no_greedy_evaluation(tmp_path,
+                                                                          monkeypatch):
     """Four training episodes of 20 steps write 80 lines, one per (episode, step) in
-    order; the 8 greedy evaluation episodes of two rounds write none, and a row each
-    of eval_log.csv."""
-    cfg = replace(ExperimentConfig(), episodes=4, eval_every=2)
-    train(PpoAgent(NetDims(hidden1=8, hidden2=6), cfg, seed=0), tmp_path)
+    order, and `train` plays no episode besides them."""
+    cfg = replace(ExperimentConfig(), episodes=4)
+    played = interrupt_training_at(monkeypatch, cfg.episodes)   # an index it never reaches
+    state = train(PpoAgent(NetDims(hidden1=8, hidden2=6), cfg, seed=0), tmp_path)
+    assert played == state.returns
     records = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
     assert [(r["episode"], r["step"]) for r in records] == \
         [(ep, step) for ep in range(4) for step in range(1, 21)]
-    assert len((tmp_path / "eval_log.csv").read_text().splitlines()) == 1 + 8
 
 
 def test_the_state_train_returns_is_the_state_its_last_checkpoint_stores(tmp_path):
-    cfg = replace(ExperimentConfig(), episodes=4, eval_every=2, episode_s=60.0)
+    cfg = replace(ExperimentConfig(), episodes=4, episode_s=60.0)
     state = train(PpoAgent(NetDims(hidden1=8, hidden2=6), cfg, seed=0), tmp_path)
     assert load_checkpoint(tmp_path / "checkpoint.kisc")[1] == state
     assert state.episode_index == 4
-
-
-class Interrupted(Exception):
-    pass
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_an_interrupted_run_keeps_the_rows_of_every_episode_it_finished(k, tmp_path,
                                                                           monkeypatch):
     """Training episode k raises. The CSVs then hold the rows an uninterrupted run at the
-    same seed writes for episodes 0 to k - 1, byte for byte, and eval_log.csv those of
-    every evaluation round (one per 2 episodes, a row per pattern) finished before k."""
-    cfg = replace(ExperimentConfig(), episodes=6, eval_every=2, episode_s=60.0)
+    same seed writes for episodes 0 to k - 1, byte for byte."""
+    cfg = replace(ExperimentConfig(), episodes=6, episode_s=60.0)
     whole, cut = tmp_path / "whole", tmp_path / "cut"
     whole.mkdir()
     cut.mkdir()
     train(PpoAgent(NetDims(hidden1=8, hidden2=6), cfg, seed=0), whole)
-
-    played = itertools.count()
-    run = kisim.agent.run_episode
-
-    def interrupted(env, agent, episode_index, steps=None, trace=None):
-        # a greedy evaluation episode runs without `steps`; count only training episodes
-        if steps is not None and next(played) == k:
-            raise Interrupted
-        return run(env, agent, episode_index, steps=steps, trace=trace)
-
-    monkeypatch.setattr(kisim.agent, "run_episode", interrupted)
+    interrupt_training_at(monkeypatch, k)
     with pytest.raises(Interrupted):
         train(PpoAgent(NetDims(hidden1=8, hidden2=6), cfg, seed=0), cut)
-    for name, rows in [("training_log.csv", k), ("pattern_rewards.csv", k),
-                       ("eval_log.csv", len(PATTERN_NAMES) * (k // 2))]:
+    for name in ("training_log.csv", "pattern_rewards.csv"):
         lines = (whole / name).read_bytes().splitlines(keepends=True)
-        assert (cut / name).read_bytes() == b"".join(lines[:1 + rows])
+        assert (cut / name).read_bytes() == b"".join(lines[:1 + k])
+
+
+def test_the_first_k_episodes_of_a_run_do_not_depend_on_its_length(tmp_path, monkeypatch):
+    """`train` of k episodes writes the checkpoint of the weights and returns that a
+    longer run at the same seed holds when its episode k begins, byte for byte."""
+    k = 3
+    cfg = replace(SHORT, episodes=6)
+    train(PpoAgent(NetDims(hidden1=8, hidden2=6), replace(cfg, episodes=k), seed=0), tmp_path)
+    longer = PpoAgent(NetDims(hidden1=8, hidden2=6), cfg, seed=0)
+    returns = interrupt_training_at(monkeypatch, k)
+    (tmp_path / "cut").mkdir()
+    with pytest.raises(Interrupted):
+        train(longer, tmp_path / "cut")
+    save_checkpoint(longer.params, TrainState(returns), tmp_path / "cut.kisc")
+    assert (tmp_path / "cut.kisc").read_bytes() == (tmp_path / "checkpoint.kisc").read_bytes()

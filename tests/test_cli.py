@@ -333,7 +333,7 @@ def test_train_writes_into_any_out_directory(name, tmp_path):
     assert main(["train", "--episodes", "1", "--set", "episode_s=15",
                  "--out", str(out)]) == 0
     assert {path.name for path in out.iterdir()} == {
-        "checkpoint.kisc", "effective_config.txt", "eval_log.csv", "pattern_rewards.csv",
+        "checkpoint.kisc", "effective_config.txt", "pattern_rewards.csv",
         "trace.jsonl", "training_log.csv"}
     assert (out / "effective_config.txt").read_text() == \
         ExperimentConfig(episodes=1, episode_s=15.0).to_text()
@@ -410,8 +410,7 @@ def _read_csv(path):
 
 def test_training_outputs_agree(tmp_path):
     out = tmp_path / "train"
-    assert main(["train", "--episodes", "4", "--set", "episode_s=30",
-                 "--set", "eval_every=2", "--out", str(out)]) == 0
+    assert main(["train", "--episodes", "4", "--set", "episode_s=30", "--out", str(out)]) == 0
     _, state = load_checkpoint(out / "checkpoint.kisc")
     log = _read_csv(out / "training_log.csv")
     returns = [float(row["return"]) for row in log]
@@ -425,11 +424,6 @@ def test_training_outputs_agree(tmp_path):
     # every pattern appears once, so each pattern's moving average is its return
     assert [float(row["pattern_moving_avg"]) for row in
             _read_csv(out / "pattern_rewards.csv")] == returns
-
-    evals = _read_csv(out / "eval_log.csv")
-    assert [(int(r["train_episode"]), int(r["eval_round"]), r["pattern"]) for r in evals] == \
-        [(1, 1, p) for p in PATTERN_NAMES] + [(3, 2, p) for p in PATTERN_NAMES]
-    assert all(math.isfinite(float(r["return"])) for r in evals)
 
     # train writes the final weights alone, and the best is the highest logged moving average
     assert not (out / "checkpoint_best.kisc").exists()

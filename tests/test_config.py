@@ -36,15 +36,30 @@ def test_config_text_round_trips(change):
     assert parse_config_text(cfg.to_text()) == cfg
 
 
-@pytest.mark.parametrize("line", ["out_dir = runs", "node_mem_bytes = 34359738368.0"],
-                         ids=["out_dir", "node_mem_bytes"])
+# a line of each removed key, with the value a default effective_config.txt held for it
+REMOVED_LINES = ["out_dir = runs", "node_mem_bytes = 34359738368.0", "eval_every = 20"]
+REMOVED_IDS = [line.split(" =")[0] for line in REMOVED_LINES]
+
+
+@pytest.mark.parametrize("line", REMOVED_LINES, ids=REMOVED_IDS)
 def test_a_config_file_naming_a_removed_key_is_refused_before_any_write(line, tmp_path, capsys):
-    """An `effective_config.txt` written before the output directory (or the node-memory
-    model) left the config: the default config's lines, then the removed key's."""
+    """An `effective_config.txt` written before the output directory, the node-memory
+    model or `train`'s greedy evaluation left the config: the default config's lines,
+    then the removed key's."""
     config = tmp_path / "effective_config.txt"
     config.write_text(ExperimentConfig().to_text() + line + "\n")
     out = tmp_path / "out"
     assert main(["train", "--episodes", "1", "--config", str(config), "--out", str(out)]) == 1
+    key = line.split(" =")[0]
+    assert capsys.readouterr().err == f"error: unknown config key: {key!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", REMOVED_LINES, ids=REMOVED_IDS)
+def test_a_set_of_a_removed_key_is_refused_before_any_write(line, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["train", "--episodes", "1", "--set", line.replace(" = ", "="),
+                 "--out", str(out)]) == 1
     key = line.split(" =")[0]
     assert capsys.readouterr().err == f"error: unknown config key: {key!r}\n"
     assert not out.exists()
@@ -57,7 +72,7 @@ def test_a_config_file_naming_a_removed_key_is_refused_before_any_write(line, tm
     *((key, math.inf) for key in ("episode_s", "control_interval_s", "monitor_interval_s",
                                   "window_s", "hpa_sync_period_s", "periodic_period_s",
                                   "random_redraw_s", "latency_cap_s", "throughput_cap_rps")),
-    ("ppo_minibatch", 0), ("ppo_update_every_episodes", 0), ("eval_every", -1),
+    ("ppo_minibatch", 0), ("ppo_update_every_episodes", 0),
     # a training run of no episode: a moving average of none beside a best of -inf
     ("episodes", 0),
     # outside its pool's bounds: more (or fewer) ready pods than a policy may ask for
@@ -78,7 +93,7 @@ def test_a_config_file_naming_a_removed_key_is_refused_before_any_write(line, tm
     # of no unit; a per-pod load that drives a utilization below 0
     ("hold_s", math.inf),
     *((f.name, -1) for f in fields(ExperimentConfig)
-      if f.type == "int" and f.name not in ("eval_every", "init_gpu")),    # -1 above
+      if f.type == "int" and f.name != "init_gpu"),    # -1 above
     ("cpu_min", -2), ("memory_pods", -100000), ("hidden1", 0), ("hidden2", 0),
     *((key, -1.0) for key in ("cpu_pod_idle_millicores", "cpu_pod_busy_millicores",
                               "gpu_pod_idle_millicores", "gpu_pod_busy_millicores",

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kisim.agent import EVAL_INDEX_BASE, PpoAgent, run_episode
+from kisim.agent import PpoAgent, run_episode
 from kisim.baselines import run_baseline
+from kisim.cli import EVAL_SEED_BASE
 from kisim.config import ExperimentConfig
 from kisim.env import (ACTIONS, DELTAS, HEAD_SIZES, OBS_FIELDS, REWARD_TERMS, TIMESERIES_FIELDS,
                        ActionTriple, EpisodeFinished, ScalingEnv, SimStack, episode_traffic,
@@ -90,7 +91,7 @@ def test_step_count_for_default_and_dense_control(interval, steps):
 @pytest.mark.parametrize("p_idx", range(len(PATTERN_NAMES)))
 def test_eval_index_reset_picks_the_pattern_at_its_offset(p_idx):
     cfg = ExperimentConfig(episode_s=5.0)
-    index = EVAL_INDEX_BASE + len(PATTERN_NAMES) * 3 + p_idx
+    index = EVAL_SEED_BASE + p_idx
     env = ScalingEnv(cfg)
     env.reset_to(*episode_traffic(cfg.seed, index))
     assert env.pattern == PATTERN_NAMES[p_idx]
