@@ -6,8 +6,8 @@ per episode by default over minibatches with normalized advantages. Acting runs
 the actor alone: a rollout is a list of `(obs, heads, log_prob, reward, done)`
 steps, `heads` the drawn head indices, that `update` values in one stacked critic
 pass. Both compute in float32, the weights' dtype, on the env's observations cast once.
-`train(agent, out)` is a training run's one writer: each episode's trace lines and CSV
-rows as it ends, the checkpoint at the end; it returns the `TrainState` the checkpoint stores.
+`train(agent, out)` is a training run's one writer: each episode's trace lines and log row
+as it ends, the checkpoint at the end; it returns the `TrainState` the checkpoint stores.
 """
 
 from __future__ import annotations
@@ -259,24 +259,18 @@ def load_checkpoint(path: str | Path) -> tuple[ActorCriticParams, TrainState]:
 # ---- training loop -------------------------------------------------------
 
 def run_episode(env: ScalingEnv, agent: PpoAgent, episode_index: int,
-                steps: list | None = None, trace=None) -> float:
-    """Play one episode; returns the undiscounted episode return, `env.episode_return`.
+                steps: list, trace) -> float:
+    """Play one sampled episode; returns the undiscounted episode return, `env.episode_return`.
 
-    With a `steps` list the agent samples its actions and appends each step to it;
-    without one it acts greedily. A `trace` file gets each step's `trace_line`."""
+    Appends each step to `steps` and writes its `trace_line` to the `trace` file."""
     obs = env.reset_to(*episode_traffic(env.config.seed, episode_index))
     done = False
     while not done:
-        if steps is None:
-            action = agent.greedy_action(obs)
-        else:
-            action, heads, log_prob = agent.sample_action(obs)
+        action, heads, log_prob = agent.sample_action(obs)
         next_obs, reward, done = env.step(action)
-        if trace is not None:
-            trace.write(trace_line(episode_index, env.step_index, env.pattern, next_obs.tolist(),
-                                   action, env.terms, env.desired, env.row["users"]))
-        if steps is not None:
-            steps.append((obs, heads, log_prob, reward, done))
+        trace.write(trace_line(episode_index, env.step_index, env.pattern, next_obs.tolist(),
+                               action, env.terms, env.desired, env.row["users"]))
+        steps.append((obs, heads, log_prob, reward, done))
         obs = next_obs
     return env.episode_return
 
@@ -284,31 +278,24 @@ def run_episode(env: ScalingEnv, agent: PpoAgent, episode_index: int,
 def train(agent: PpoAgent, out: str | Path) -> TrainState:
     """Train `cfg.episodes` traced episodes over rotating patterns, updating every
     `cfg.ppo_update_every_episodes`. Writes each episode's out/trace.jsonl lines and its
-    row of out/training_log.csv and pattern_rewards.csv as it ends, so an interrupted run
-    keeps them, and out/checkpoint.kisc, the run's weights, at the end."""
+    row of out/training_log.csv as it ends, so an interrupted run keeps them, and
+    out/checkpoint.kisc, the run's weights, at the end."""
     cfg = agent.cfg
     out = Path(out)
     env = ScalingEnv(cfg)
     state = TrainState()
     steps: list = []
-    pattern_returns: dict[str, list] = {pattern: [] for pattern in PATTERN_NAMES}
     with ((out / "trace.jsonl").open("w") as trace,
-          (out / "training_log.csv").open("w", newline="") as log_file,
-          (out / "pattern_rewards.csv").open("w", newline="") as pattern_file):
-        # csv writes a float as its repr and any other value as its str
-        log, by_pattern = map(csv.writer, (log_file, pattern_file))
+          (out / "training_log.csv").open("w", newline="") as log_file):
+        log = csv.writer(log_file)      # writes a float as its repr and any other value as its str
         log.writerow(("episode", "pattern", "return", "moving_avg",
                       "policy_loss", "value_loss", "entropy"))
-        by_pattern.writerow(("episode", "pattern", "return", "pattern_moving_avg"))
         for ep in range(cfg.episodes):
-            ret = run_episode(env, agent, ep, steps=steps, trace=trace)
+            ret = run_episode(env, agent, ep, steps, trace)
             state.returns.append(ret)
-            pattern_returns[env.pattern].append(ret)
             update_due = (ep + 1) % cfg.ppo_update_every_episodes == 0
             losses = agent.update(steps) if update_due else None
             log.writerow((ep, env.pattern, ret, state.moving_avg,
                           *(astuple(losses) if losses else ("", "", ""))))
-            by_pattern.writerow((ep, env.pattern, ret,
-                                 moving_average(pattern_returns[env.pattern])))
     save_checkpoint(agent.params, state, out / "checkpoint.kisc")
     return state

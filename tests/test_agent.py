@@ -42,10 +42,11 @@ SHORT = ExperimentConfig(episode_s=60.0)
 
 
 def sampled_episode(trace=None):
-    """(agent, steps) after one sampled 4-step episode of a small network."""
+    """(agent, steps) after one sampled 4-step episode of a small network, traced into
+    `trace` or a fresh StringIO."""
     agent = PpoAgent(NetDims(hidden1=8, hidden2=6), SHORT, seed=1)
     steps: list = []
-    run_episode(ScalingEnv(SHORT), agent, 0, steps=steps, trace=trace)
+    run_episode(ScalingEnv(SHORT), agent, 0, steps, StringIO() if trace is None else trace)
     return agent, steps
 
 
@@ -519,10 +520,10 @@ def interrupt_training_at(monkeypatch, k: int) -> list:
     returns: list = []
     run = kisim.agent.run_episode
 
-    def interrupted(env, agent, episode_index, steps=None, trace=None):
+    def interrupted(env, agent, episode_index, steps, trace):
         if episode_index == k:
             raise Interrupted
-        returns.append(run(env, agent, episode_index, steps=steps, trace=trace))
+        returns.append(run(env, agent, episode_index, steps, trace))
         return returns[-1]
 
     monkeypatch.setattr(kisim.agent, "run_episode", interrupted)
@@ -552,8 +553,8 @@ def test_the_state_train_returns_is_the_state_its_last_checkpoint_stores(tmp_pat
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_an_interrupted_run_keeps_the_rows_of_every_episode_it_finished(k, tmp_path,
                                                                           monkeypatch):
-    """Training episode k raises. The CSVs then hold the rows an uninterrupted run at the
-    same seed writes for episodes 0 to k - 1, byte for byte."""
+    """Training episode k raises. training_log.csv then holds the rows an uninterrupted run
+    at the same seed writes for episodes 0 to k - 1, byte for byte."""
     cfg = replace(ExperimentConfig(), episodes=6, episode_s=60.0)
     whole, cut = tmp_path / "whole", tmp_path / "cut"
     whole.mkdir()
@@ -562,9 +563,8 @@ def test_an_interrupted_run_keeps_the_rows_of_every_episode_it_finished(k, tmp_p
     interrupt_training_at(monkeypatch, k)
     with pytest.raises(Interrupted):
         train(PpoAgent(NetDims(hidden1=8, hidden2=6), cfg, seed=0), cut)
-    for name in ("training_log.csv", "pattern_rewards.csv"):
-        lines = (whole / name).read_bytes().splitlines(keepends=True)
-        assert (cut / name).read_bytes() == b"".join(lines[:1 + k])
+    lines = (whole / "training_log.csv").read_bytes().splitlines(keepends=True)
+    assert (cut / "training_log.csv").read_bytes() == b"".join(lines[:1 + k])
 
 
 def test_the_first_k_episodes_of_a_run_do_not_depend_on_its_length(tmp_path, monkeypatch):

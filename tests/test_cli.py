@@ -187,6 +187,13 @@ def test_replay_refuses_a_file_of_no_line(tmp_path, capsys):
     assert not (tmp_path / "replay").exists()
 
 
+def test_replay_refuses_a_missing_trace(tmp_path, capsys):
+    trace, out = tmp_path / "missing.jsonl", tmp_path / "replay"
+    assert main(["replay", str(trace), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: trace file not found: {trace}\n"
+    assert not out.exists()
+
+
 def test_a_trace_line_without_its_newline_is_not_the_writers():
     line = trace_line(*LINE_ONE)
     with pytest.raises(ValueError, match=rf"^column {len(line)}: '', written '\\n'$"):
@@ -333,8 +340,7 @@ def test_train_writes_into_any_out_directory(name, tmp_path):
     assert main(["train", "--episodes", "1", "--set", "episode_s=15",
                  "--out", str(out)]) == 0
     assert {path.name for path in out.iterdir()} == {
-        "checkpoint.kisc", "effective_config.txt", "pattern_rewards.csv",
-        "trace.jsonl", "training_log.csv"}
+        "checkpoint.kisc", "effective_config.txt", "trace.jsonl", "training_log.csv"}
     assert (out / "effective_config.txt").read_text() == \
         ExperimentConfig(episodes=1, episode_s=15.0).to_text()
 
@@ -421,9 +427,6 @@ def test_training_outputs_agree(tmp_path):
         window = returns[max(0, ep + 1 - MOVING_AVG_WINDOW):ep + 1]
         assert float(row["moving_avg"]) == sum(window) / len(window)
         assert row["policy_loss"] != ""           # one update per episode
-    # every pattern appears once, so each pattern's moving average is its return
-    assert [float(row["pattern_moving_avg"]) for row in
-            _read_csv(out / "pattern_rewards.csv")] == returns
 
     # train writes the final weights alone, and the best is the highest logged moving average
     assert not (out / "checkpoint_best.kisc").exists()
@@ -484,6 +487,25 @@ def test_a_refused_comparison_writes_nothing(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + ["--set", "episode_s=15", "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cut, message", [
+    (lambda raw: b"", "checkpoint {} is truncated"),
+    (lambda raw: b"KIS", "checkpoint {} is truncated"),
+    (lambda raw: raw[:len(CHECKPOINT_MAGIC) + CHECKPOINT_HEADER.size - 1],
+     "checkpoint {} is truncated"),
+    (lambda raw: b"this is a text file, not a checkpoint\n",
+     "not a checkpoint file (bad magic b'this ')")],
+    ids=["empty", "part_of_the_magic", "one_byte_short_of_the_header", "bad_magic"])
+def test_evaluate_refuses_a_file_without_a_checkpoint_header(cut, message, tmp_path, capsys):
+    """`cut` makes the file of a fresh checkpoint's bytes: one shorter than the magic and
+    the header, or one as long whose magic is not a checkpoint's."""
+    checkpoint = _fresh_checkpoint(tmp_path)
+    checkpoint.write_bytes(cut(checkpoint.read_bytes()))
+    out = tmp_path / "out"
+    assert main(["evaluate", str(checkpoint), "--set", "episode_s=15", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(checkpoint)}\n"
     assert not out.exists()
 
 

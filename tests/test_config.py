@@ -191,6 +191,28 @@ def test_train_refuses_zero_ppo_epochs_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pair, message", [
+    ("seed=abc", "invalid value for config key 'seed': 'abc'"),
+    ("users_max=1.5", "invalid value for config key 'users_max': '1.5'"),
+    ("seed", "override must look like key=value, got 'seed'")],
+    ids=["int_of_letters", "int_of_a_fraction", "no_equals_sign"])
+def test_a_set_that_is_no_value_of_its_key_is_refused_before_any_write(pair, message, tmp_path,
+                                                                       capsys):
+    out = tmp_path / "train"
+    assert main(["train", "--episodes", "1", "--set", pair, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_config_file_line_without_an_equals_sign_is_refused_by_its_number(tmp_path, capsys):
+    config = tmp_path / "kisim.cfg"
+    config.write_text("episode_s = 30\nseed 5\n")
+    out = tmp_path / "train"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: line 2: expected key = value, got 'seed 5'\n"
+    assert not out.exists()
+
+
 def test_a_key_given_twice_in_a_config_file_is_refused(tmp_path, capsys):
     """Else the file's second `seed` would win silently over its first."""
     config = tmp_path / "kisim.cfg"

@@ -226,8 +226,9 @@ FIVE_ACTIONS = (ActionTriple(1, 1, 1), ActionTriple(2, -1, 0), ActionTriple(-1, 
 
 
 class CyclingAgent:
-    """Acts FIVE_ACTIONS in turn, whatever it observes: as a policy of
-    `run_policy_episode` and greedily in `agent.run_episode`."""
+    """Acts FIVE_ACTIONS in turn, whatever it observes: through `act` as a policy of
+    `run_policy_episode`, and through `sample_action`, which draws no heads and gives
+    each action log-probability 0, in `agent.run_episode`."""
 
     name = "kiscaler"
     pods = None
@@ -235,11 +236,11 @@ class CyclingAgent:
     def __init__(self) -> None:
         self.actions = itertools.cycle(FIVE_ACTIONS)
 
-    def greedy_action(self, obs):
+    def act(self, obs, env):
         return next(self.actions)
 
-    def act(self, obs, env):
-        return self.greedy_action(obs)
+    def sample_action(self, obs):
+        return self.act(obs, None), None, 0.0
 
 
 def test_env_trace_reproduces_its_pinned_bytes():
@@ -249,7 +250,7 @@ def test_env_trace_reproduces_its_pinned_bytes():
     sink = StringIO()
     env, agent = ScalingEnv(ExperimentConfig(episode_s=60.0)), CyclingAgent()
     for i in range(4):
-        run_episode(env, agent, i, trace=sink)
+        run_episode(env, agent, i, [], sink)
     digest = hashlib.sha256(sink.getvalue().encode()).hexdigest()
     assert digest[:16] == "7037b1bb5f8fc7af"
 
@@ -416,7 +417,7 @@ def test_a_stepped_non_finite_observation_is_refused_before_it_is_written(monkey
     sink = StringIO()
     monkeypatch.setattr(SimStack, "row", nan_gpu_util)
     with pytest.raises(SimulationError, match="episode 5 step 1: non-finite"):
-        run_episode(ScalingEnv(ExperimentConfig(episode_s=30.0)), CyclingAgent(), 5, trace=sink)
+        run_episode(ScalingEnv(ExperimentConfig(episode_s=30.0)), CyclingAgent(), 5, [], sink)
     assert sink.getvalue() == ""
 
 
@@ -558,7 +559,7 @@ class ForkingAgent(CyclingAgent):
         self.env, self.sink, self.fork_at = env, sink, fork_at
         self.seen, self.forks = [], []
 
-    def greedy_action(self, obs):
+    def act(self, obs, env):
         self.seen.append(obs.tobytes())
         env = self.env
         if env.step_index == self.fork_at:
@@ -571,7 +572,7 @@ class ForkingAgent(CyclingAgent):
                 self.forks.append(fork)
             assert (env.row, env.stack.engine.clock.seq) == (row, seq)
             assert self.sink.tell() == written      # the forks wrote nothing
-        return super().greedy_action(obs)
+        return super().act(obs, env)
 
 
 def test_an_env_forked_mid_episode_while_it_is_traced_leaves_the_source_and_its_trace_alone(
@@ -584,10 +585,10 @@ def test_an_env_forked_mid_episode_while_it_is_traced_leaves_the_source_and_its_
     cfg = ExperimentConfig(episode_s=90.0)
     plain_sink = StringIO()
     plain = ForkingAgent(ScalingEnv(cfg), plain_sink, fork_at=-1)
-    run_episode(plain.env, plain, 2, trace=plain_sink)
+    run_episode(plain.env, plain, 2, [], plain_sink)
     with (tmp_path / "trace.jsonl").open("w") as sink:
         forking = ForkingAgent(ScalingEnv(cfg), sink, fork_at=3)
-        run_episode(forking.env, forking, 2, trace=sink)
+        run_episode(forking.env, forking, 2, [], sink)
     assert len(forking.forks) == len(ACTIONS) and plain.forks == []
     assert all(fork.step_index == 6 and fork.stack.engine.now == cfg.episode_s
                for fork in forking.forks)
