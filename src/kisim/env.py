@@ -171,9 +171,9 @@ class SimStack:
         self.cluster.spawn_ready(Pool.GPU, init_gpu)
 
         self.util_model = UtilizationModel(config)
-        self.window = MetricsWindow(window_len_s=config.window_s)
+        self.window = MetricsWindow(self.cluster.completion_times,
+                                    self.cluster.completion_latencies, config.window_s)
         self.util_samples: list[tuple[float, float]] = []   # (cpu, gpu)
-        self.cluster.completion_listeners.append(self.window.record)
         self.generator = LoadGenerator(config, pattern, traffic_seed,
                                        self.engine, self.cluster)
         self.generator.start()
@@ -260,7 +260,7 @@ class ScalingEnv:
 
     def fork(self) -> ScalingEnv:
         """An exact copy that steps on alone. Raises, with no fallback, on any state pickle
-        cannot copy: a lambda listener, an open file, perfbench's traced listener closures."""
+        cannot copy, such as a lambda listener or an open file."""
         return pickle.loads(pickle.dumps(self, 5))
 
     # ---- observation -----------------------------------------------------
@@ -326,7 +326,7 @@ class ScalingEnv:
 
     def step(self, action: ActionTriple) -> tuple[np.ndarray, float, bool]:
         """Act, run to control instant min(k*interval, episode_s) and observe it. At the
-        end the stack drops the events and listeners that point back at it, freeing it sooner."""
+        end the engine drops its events, which point back at the stack, freeing it sooner."""
         stack, end = self.stack, self.config.episode_s
         if stack is None or stack.engine.now >= end:
             raise EpisodeFinished("episode is finished; call reset_to() first")
@@ -337,7 +337,6 @@ class ScalingEnv:
         done = target >= end
         if done:
             stack.engine.clear()
-            stack.cluster.completion_listeners.clear()
         self.desired = (stack.cluster.desired(Pool.GPU), stack.cluster.desired(Pool.CPU))
         obs = self.observe()
         self.terms = self.reward(obs, action, self.desired)

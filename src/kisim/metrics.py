@@ -1,7 +1,8 @@
 """Windowed metrics and synthesized utilization (the Prometheus stand-in).
 
-Latency/throughput statistics come from the log of a run's completed
-requests: the sliding window is its suffix of the last `window_len_s`
+Latency/throughput statistics come from a cluster's completion log, the
+time and latency of each completed request, which `Engine.run_until`
+appends: the sliding window is its suffix of the last `window_len_s`
 seconds, and the whole log gives the run's p95 and mean. CPU and GPU
 utilization is synthesized from per-pod constants because no real node
 exists.
@@ -13,7 +14,7 @@ import math
 from bisect import bisect_right
 
 from .config import ExperimentConfig
-from .simcore import ClusterModel, Pool, Request
+from .simcore import ClusterModel, Pool
 
 
 def nearest_rank_p95(values) -> float:
@@ -26,40 +27,35 @@ def nearest_rank_p95(values) -> float:
 
 
 class MetricsWindow:
-    """Every request completion of a run, in completion order (no utilization).
+    """A view of a completion log, its completion times and latencies (no utilization).
 
     Completions and queries come at nondecreasing engine time, so the window
     at `now` is the suffix of the log completed after `now - window_len_s`."""
 
-    def __init__(self, window_len_s: float) -> None:
+    def __init__(self, completion_times: list[float], completion_latencies: list[float],
+                 window_len_s: float) -> None:
+        self.completion_times = completion_times
+        self.completion_latencies = completion_latencies
         self.window_len_s = window_len_s
-        self._times: list[float] = []
-        self._latencies: list[float] = []
-
-    def record(self, req: Request) -> None:
-        done = req.completed_at     # logs the request's latency as req.latency computes it
-        self._times.append(done)
-        self._latencies.append(done - req.arrived_at)
 
     def _start(self, now: float) -> int:
-        return bisect_right(self._times, now - self.window_len_s)
+        return bisect_right(self.completion_times, now - self.window_len_s)
 
     def latencies(self, now: float) -> list[float]:
-        return self._latencies[self._start(now):]
+        return self.completion_latencies[self._start(now):]
 
     def p95(self, now: float) -> float:
         return nearest_rank_p95(self.latencies(now))
 
     def throughput(self, now: float) -> float:
-        return (len(self._times) - self._start(now)) / self.window_len_s
+        return (len(self.completion_times) - self._start(now)) / self.window_len_s
 
     def run_p95(self) -> float:
-        return nearest_rank_p95(self._latencies)
+        return nearest_rank_p95(self.completion_latencies)
 
     def run_mean(self) -> float:
-        if not self._latencies:
-            return 0.0
-        return sum(self._latencies) / len(self._latencies)
+        latencies = self.completion_latencies
+        return sum(latencies) / len(latencies) if latencies else 0.0
 
 
 def mean_busy(cluster: ClusterModel, pool: Pool) -> float:

@@ -4,23 +4,26 @@ The cluster is a single node logically split into a CPU pool and a GPU pool
 of pods. Each pod is a finite-concurrency server with a FIFO queue. Everything
 is driven by one event loop, so a (seed, config) pair always replays the same trace.
 
-An event is a (fire_at, seq, action, args) tuple: at fire_at the engine calls
-action(*args), and seq, the count of events scheduled so far, breaks ties in
-scheduling order. An event waits in the heap, or in the in-order lane, a FIFO
-for events whose due times never decrease (arrivals, a constant delay after
-their scheduling instant). `run_until` fires the earlier (fire_at, seq) of the two
-heads, so an event fires in the same place, with the same seq, in either queue.
-Repeated instants are computed as k*interval, never as a running sum, so
-every loop over the same interval sees the same times.
+A timer is a (fire_at, seq, action, args) heap entry: at fire_at the engine calls
+action(*args), and seq, the count of events scheduled so far, breaks ties in scheduling
+order. A request's two events are typed, and `run_until` runs both inline: a completion
+is a heap entry (fire_at, seq, COMPLETION, (cluster, pod, request)), and an arrival a
+lane entry (due, seq, cluster, request). The lane is a FIFO of the load generator's
+users' next arrivals, whose due times never decrease. `run_until` fires the earlier
+(fire_at, seq) of the two heads, so the tie rule is the same across the queues as within
+one. Repeated instants are computed as k*interval, never as a running sum, so every loop
+over the same interval sees the same times.
 
 A pod serves each request from its pool's table of service_time(pool, n),
 n = 1..cap (the same floats), and `Request.user` names the virtual user
-waiting on the request: None for one whose completion wakes no one. A completed
-Request may be submitted again, as a closed-loop user does with its one Request:
-`submit` stamps `arrived_at` and clears `completed_at`, and a request that waits
-in a queue or the backlog reads `service_started_at` and `pod_id` as None until it
-starts. So a completion listener reads the completed request during its call; its
-fields change only when the request is next submitted.
+waiting on the request: None for one whose completion wakes no one. A user's one Request
+arrives again after each completion: an arrival (`submit`, for a user's first) stamps
+`arrived_at` and clears `completed_at`, and a request that waits in a queue or the
+backlog reads `service_started_at` and `pod_id` as None until it starts. A completion
+logs its time and latency in the cluster's completion log, puts the request of a user
+in `users` back on the lane `hold_s` later if that is before `episode_s` (the wake rule
+`LoadGenerator` sets), then calls the `completion_listeners`, outside observers that
+read the completed request: its fields change only at its next arrival.
 
 The pod lists are the only record of replicas and load: a pool's desired
 replica count is its number of non-terminating pods, and a pod counts its
@@ -32,7 +35,8 @@ else it waits Pending as a standby. A GPU pod not Pending holds a device, a term
 one until its last request drains, and a freed device goes to the oldest standby, so no
 GPU pod is Pending while a device is free (tests/test_simcore.py checks it under churn).
 The engine never rebinds `clock`, `heap` or `lane`: `ClusterModel` pushes its service
-starts, and `LoadGenerator` its arrivals, straight onto them, each bumping `clock.seq`.
+starts onto the heap, and `LoadGenerator` edits the lane in place. Nothing a cluster
+holds points back at it.
 """
 
 from __future__ import annotations
@@ -56,6 +60,13 @@ class SimulationError(RuntimeError):
 class SimClock:
     now: float = 0.0
     seq: int = 0    # events scheduled so far; the heap's tie-breaker
+
+
+class EventKind(Enum):
+    COMPLETION = "completion"   # an Enum member, so a pickled heap entry keeps its identity
+
+
+COMPLETION = EventKind.COMPLETION   # a completion's action slot, tested by identity
 
 
 class Engine:
@@ -101,13 +112,41 @@ class Engine:
             if lane and not (heap and heap[0] < lane[0]):   # the earlier (fire_at, seq)
                 if lane[0][0] > t_end:
                     break
-                fire_at, _, action, args = lane.popleft()
-            elif heap and heap[0][0] <= t_end:
-                fire_at, _, action, args = heapq.heappop(heap)
-            else:
+                now, _, cluster, req = lane.popleft()   # a user's arrival, as submit stamps it
+                clock.now = req.arrived_at = now
+                req.completed_at = None
+                cluster.requests_injected += 1
+                cluster._route(req)
+                continue
+            if not (heap and heap[0][0] <= t_end):
                 break
-            clock.now = fire_at
-            action(*args)
+            now, _, action, args = heapq.heappop(heap)
+            clock.now = now
+            if action is not COMPLETION:    # a timer
+                action(*args)
+                continue
+            cluster, pod, req = args    # a request's completion
+            pod.in_service -= 1
+            req.completed_at = now
+            cluster.requests_completed += 1
+            cluster.completion_times.append(now)
+            cluster.completion_latencies.append(now - req.arrived_at)
+            due = now + cluster.hold_s  # a constant delay >= 0: due times never decrease
+            if req.user in cluster.users and due < cluster.episode_s:
+                if lane and due < lane[-1][0]:
+                    raise SimulationError(f"arrival at {due} before the lane's last event")
+                clock.seq += 1
+                lane.append((due, clock.seq, cluster, req))
+            for listener in cluster.completion_listeners:
+                listener(req)
+            if pod.phase is _READY and pod.queue:   # a slot came free: serve the head as _route does
+                nxt, n = pod.queue.popleft(), pod.in_service
+                nxt.pod_id, nxt.service_started_at, pod.in_service = pod.id, now, n + 1
+                clock.seq += 1
+                heapq.heappush(heap, (now + pod.service_times[n], clock.seq, COMPLETION,
+                                      (cluster, pod, nxt)))
+            elif pod.phase is _TERMINATING and not pod.in_service:
+                cluster._remove_pod(pod)
         clock.now = t_end
 
     def pending_events(self) -> int:
@@ -246,7 +285,13 @@ class ClusterModel:
         self._next_pod_id = 0
         self.requests_injected = 0
         self.requests_completed = 0
+        # the completion log, one entry per completion in order: its time and its latency
+        self.completion_times: list[float] = []
+        self.completion_latencies: list[float] = []
         self.completion_listeners: list[Callable[[Request], None]] = []
+        # the wake rule, set by LoadGenerator: users' uids, their think time, the episode's end
+        self.users: set[int] = set()
+        self.hold_s = self.episode_s = 0.0
 
     # ---- introspection -------------------------------------------------
 
@@ -331,7 +376,7 @@ class ClusterModel:
         self._set_phase(pod, _TERMINATING)
         while pod.queue:    # out of the Ready index, the pod takes none of them back
             self._route(pod.queue.popleft())
-        if not pod.in_service:      # else it drains, and _complete removes it
+        if not pod.in_service:      # else it drains, and its last completion removes it
             self._remove_pod(pod)
 
     def _remove_pod(self, pod: Pod) -> None:
@@ -345,7 +390,7 @@ class ClusterModel:
     # ---- request flow ----------------------------------------------------
 
     def submit(self, req: Request) -> None:
-        """`req` arrives now, a new request or a completed one submitted again."""
+        """`req` arrives now; `run_until` runs a user's later arrivals inline the same way."""
         req.arrived_at, req.completed_at = self._clock.now, None
         self.requests_injected += 1
         self._route(req)
@@ -366,7 +411,7 @@ class ClusterModel:
                 target.in_service = least + 1
                 clock.seq += 1
                 heapq.heappush(self._heap, (now + target.service_times[least], clock.seq,
-                                            self._complete, (target, req)))
+                                            COMPLETION, (self, target, req)))
                 return
         target = None   # every Ready pod is full: the least (queue length, id) queues it
         for pods in order:
@@ -376,19 +421,3 @@ class ClusterModel:
                     target, least = p, n
         req.service_started_at = req.pod_id = None    # a re-submitted request reads unstarted
         (self.backlog if target is None else target.queue).append(req)
-
-    def _complete(self, pod: Pod, req: Request) -> None:
-        clock = self._clock
-        pod.in_service -= 1
-        req.completed_at = now = clock.now
-        self.requests_completed += 1
-        for listener in self.completion_listeners:
-            listener(req)
-        if pod.phase is _READY and pod.queue:   # a slot came free: serve the head as _route does
-            nxt, n = pod.queue.popleft(), pod.in_service
-            nxt.pod_id, nxt.service_started_at, pod.in_service = pod.id, now, n + 1
-            clock.seq += 1
-            heapq.heappush(self._heap, (now + pod.service_times[n], clock.seq,
-                                        self._complete, (pod, nxt)))
-        elif pod.phase is _TERMINATING and not pod.in_service:
-            self._remove_pod(pod)

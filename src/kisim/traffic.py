@@ -6,12 +6,12 @@ concurrent users follows a deterministic curve per pattern, shaped by the
 config's `users_*`, `periodic_period_s`, `spike_*` and `random_redraw_s`;
 surplus users retire at once, though a request in flight still completes. A
 user has one `Request`, whose id is the user's, and it carries each of the user's
-requests in turn: its completion puts it back on the engine's lane, due `hold_s`
-later, for `ClusterModel.submit`, which stamps its new arrival; retiring the user
-withdraws it. So a completion listener reads the completed request during its
-call, and its fields change only when the user's next arrival is submitted. The
-episode ends at `episode_s`, a time rather than an event: no request arrives from
-then on.
+requests in turn. The generator sets the cluster's wake rule (`ClusterModel.users`,
+`hold_s`, `episode_s`) and submits each user's first request; from then on
+`Engine.run_until` runs the cycle inline: a completion puts the request back on the
+engine's lane as `(due, seq, cluster, request)`, due `hold_s` later, and its arrival
+stamps it anew. Retiring the user withdraws its arrival from the lane. The episode ends
+at `episode_s`, a time rather than an event: no request arrives from then on.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .config import ExperimentConfig
-from .simcore import ClusterModel, Engine, Request, SimulationError
+from .simcore import ClusterModel, Engine, Request
 
 PATTERN_NAMES = ("ramp", "periodic", "random", "spike")
 SYNC_INTERVAL_S = 1.0   # how often the user count is brought to the curve
@@ -39,7 +39,7 @@ class LoadGenerator:
         self.seed = seed
         self.engine = engine
         self.cluster = cluster
-        self._hold_s, self._episode_s = cfg.hold_s, cfg.episode_s
+        self._episode_s = cfg.episode_s
         self._clock, self._lane = engine.clock, engine.lane
         if kind == "random":
             # seeded piecewise-constant levels, one per redraw period
@@ -49,8 +49,8 @@ class LoadGenerator:
                                                          size=n, endpoint=True)]
 
         self._next_user_id = 0
-        self._active: set[int] = set()      # uids of current users, never reused
-        cluster.completion_listeners.append(self._on_complete)
+        self._active = cluster.users    # uids of current users, never reused: those a completion wakes
+        cluster.hold_s, cluster.episode_s = cfg.hold_s, cfg.episode_s
 
     def target(self, t: float) -> int:
         """Target concurrent users at time t per the pattern curve."""
@@ -91,7 +91,7 @@ class LoadGenerator:
             # withdrawn from the lane; a completion still in flight finds its uid gone.
             retired = set(sorted(self._active, reverse=True)[:len(self._active) - target])
             self._active -= retired
-            kept = [e for e in self._lane if e[3][0].user not in retired]
+            kept = [e for e in self._lane if e[3].user not in retired]
             self._lane.clear()
             self._lane.extend(kept)
 
@@ -101,17 +101,3 @@ class LoadGenerator:
         self._active.add(uid)
         # the user's one Request(id, arrived_at, service_started_at, completed_at, pod_id, user)
         self.cluster.submit(Request(uid, self._clock.now, None, None, None, uid))
-
-    def _on_complete(self, req: Request) -> None:
-        uid = req.user
-        if uid not in self._active:     # a retired user, or no user at all
-            return
-        clock, lane = self._clock, self._lane
-        due = clock.now + self._hold_s  # a constant delay >= 0: due times never decrease
-        if due >= self._episode_s:      # the episode has ended, or ends while the user thinks
-            return
-        if lane and due < lane[-1][0]:
-            raise SimulationError(f"arrival at {due} before the lane's last event")
-        clock.seq += 1
-        # the completed request is the user's next one: submit stamps its arrival at `due`
-        lane.append((due, clock.seq, self.cluster.submit, (req,)))

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import itertools
 import json
 import math
 import pickle
+import weakref
 from dataclasses import replace
 from io import StringIO
 
@@ -445,7 +447,7 @@ def test_the_action_table_holds_every_action_once_by_its_head_indices():
 
 def test_a_fork_of_an_env_mid_episode_steps_like_its_source():
     """A fork for planning: `env.fork()` of a ScalingEnv mid-episode, whose lane holds
-    each thinking user's next Request beside its cluster's bound `submit`, replays the
+    each thinking user's next Request beside its cluster, replays the
     source's rows, observations, rewards and event count step for step to the end, where
     the return it carried from the source has summed to the source's, bit for bit."""
     env = ScalingEnv(ExperimentConfig())
@@ -456,8 +458,8 @@ def test_a_fork_of_an_env_mid_episode_steps_like_its_source():
         env.step(action)
     fork = env.fork()
     lane = fork.stack.engine.lane
-    assert lane and all(e[2].__self__ is fork.stack.cluster and e[3][0].user for e in lane)
-    assert lane[0][3][0] is not env.stack.engine.lane[0][3][0]
+    assert lane and all(e[2] is fork.stack.cluster and e[3].user for e in lane)
+    assert lane[0][3] is not env.stack.engine.lane[0][3]
     done = False
     for action in plan[7:]:
         assert not done
@@ -473,21 +475,59 @@ def test_a_fork_of_an_env_mid_episode_steps_like_its_source():
 def test_a_fork_records_completions_only_into_its_own_listeners():
     """A listener bound to per-run state, here a list's builtin `append`, forks with that
     state: the fork's completions grow the fork's copy of the list, never the source's.
-    A listener that pickle cannot copy, such as a lambda, makes `fork()` raise."""
+    So do they the fork's completion log, which its window reads, and they wake the fork's
+    users onto the fork's lane: the source's log, lane, requests and clock stay as they
+    were. A listener that pickle cannot copy, such as a lambda, makes `fork()` raise."""
     env = ScalingEnv(ExperimentConfig())
     env.reset_to("ramp", traffic_seed=4)
     log: list = []
     env.stack.cluster.completion_listeners.append(log.append)
     for _ in range(3):
         env.step(ActionTriple(1, 0, RoutePref.GPU_FIRST))
-    size = len(log)
+    source = env.stack
+    size, seq = len(log), source.engine.clock.seq
+    logged = list(zip(source.cluster.completion_times, source.cluster.completion_latencies))
+    lane = [(*e, replace(e[3])) for e in source.engine.lane]
     fork = env.fork()
     fork.step(ActionTriple(1, 0, RoutePref.GPU_FIRST))
     assert len(log) == size > 0
     assert len(fork.stack.cluster.completion_listeners[-1].__self__) > size
+    copy = fork.stack
+    for name in ("completion_times", "completion_latencies"):    # the window reads the log
+        assert getattr(copy.window, name) is getattr(copy.cluster, name) \
+            is not getattr(source.cluster, name)
+    assert copy.cluster.users is copy.generator._active     # the wake rule reads its users
+    forked = list(zip(copy.cluster.completion_times, copy.cluster.completion_latencies))
+    assert list(zip(source.cluster.completion_times, source.cluster.completion_latencies)) \
+        == logged == forked[:len(logged)]
+    assert len(forked) > len(logged)
+    assert [(*e, replace(e[3])) for e in source.engine.lane] == lane
+    assert source.engine.clock.seq == seq
+    woken = [e for e in copy.engine.lane if e[1] > seq]     # pushed by the fork's completions
+    assert woken and all(e[2] is copy.cluster and e[3].user in copy.cluster.users
+                         for e in copy.engine.lane)
     env.stack.cluster.completion_listeners.append(lambda request: None)
     with pytest.raises((pickle.PicklingError, AttributeError)):
         env.fork()
+
+
+def test_a_finished_episode_is_freed_by_reference_counting_alone():
+    """Nothing a cluster holds points back at it, and at `done` the engine drops its
+    events, which do. So with the cyclic GC off, dropping an env that stepped to `done`
+    frees its stack: a cycle would keep it, and its completion log, until a collection."""
+    gc.disable()
+    try:
+        env = ScalingEnv(ExperimentConfig())
+        env.reset_to("spike", traffic_seed=3)
+        cluster, engine = weakref.ref(env.stack.cluster), weakref.ref(env.stack.engine)
+        done = False
+        while not done:
+            _, _, done = env.step(ActionTriple(1, 1, RoutePref.GPU_FIRST))
+        assert cluster().requests_completed > 0
+        del env
+        assert cluster() is None and engine() is None
+    finally:
+        gc.enable()
 
 
 def steps_to_end(env, plan):
@@ -504,7 +544,7 @@ def requests_of(env):
     """Every Request of `env`'s run: its users' next arrivals on the lane, those in service
     (in the heap's completions), those queued on a pod and those backlogged."""
     engine, cluster = env.stack.engine, env.stack.cluster
-    return ([e[3][0] for e in engine.lane]
+    return ([e[3] for e in engine.lane]
             + [a for e in engine.heap for a in e[3] if isinstance(a, Request)]
             + [r for pod in cluster.cpu_pods + cluster.gpu_pods for r in pod.queue]
             + list(cluster.backlog))

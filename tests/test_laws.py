@@ -41,6 +41,7 @@ from kisim.config import ExperimentConfig
 from kisim.env import ACTIONS, ScalingEnv, SimStack
 from kisim.simcore import PodPhase, Pool
 from kisim.traffic import PATTERN_NAMES
+from test_traffic import track_arrivals
 
 REL = 1e-9
 
@@ -56,17 +57,15 @@ def run_to_the_end(stack, retired_at=None):
     cluster, engine, end = stack.cluster, stack.engine, stack.config.episode_s
     users, active = stack.generator._active, set()
     submitted, in_flight = [], {}   # in_flight: id() of a live request -> its submission
-    submit = cluster.submit
 
     def collect(request):
         in_flight[id(request)] = len(submitted)
         submitted.append(request)
-        submit(request)
 
     def keep(request):      # a listener reads the completed request's own fields
         submitted[in_flight.pop(id(request))] = replace(request)
 
-    cluster.submit = collect     # the generator and the lane look submit up on the instance
+    track_arrivals(cluster, collect)
     cluster.completion_listeners.append(keep)
     outstanding, in_service = 0.0, dict.fromkeys(Pool, 0.0)
     pool_of, phases_seen, backlog = {}, set(), 0

@@ -12,8 +12,21 @@ from kisim.simcore import (ClusterModel, Engine, PodPhase, Pool, PoolLimits,
 
 
 def done(ts, latency):
-    """A request completed at ts that arrived `latency` seconds before (to rounding)."""
-    return Request(id=0, arrived_at=ts - latency, completed_at=ts)
+    """The completion time and latency that `run_until` logs for a request completed at
+    ts that arrived `latency` seconds before (to rounding)."""
+    req = Request(id=0, arrived_at=ts - latency, completed_at=ts)
+    return req.completed_at, req.latency
+
+
+def empty_window(window_len_s):
+    """A window over a completion log of its own, and `record(done(...))` appending to it."""
+    times, latencies = [], []
+
+    def record(completion):
+        times.append(completion[0])
+        latencies.append(completion[1])
+
+    return MetricsWindow(times, latencies, window_len_s), record
 
 
 def brute_force_p95(values):
@@ -26,34 +39,34 @@ def brute_force_p95(values):
 # ---- p95 ------------------------------------------------------------------
 
 def test_p95_twenty_samples_takes_19th_order_statistic():
-    window = MetricsWindow(30.0)
+    window, record = empty_window(30.0)
     for i in range(19):
-        window.record(done(1.0, 0.1))
-    window.record(done(1.0, 1.0))
+        record(done(1.0, 0.1))
+    record(done(1.0, 1.0))
     assert window.p95(1.0) == pytest.approx(0.1)
 
 
 def test_p95_singleton_and_empty():
-    window = MetricsWindow(30.0)
+    window, record = empty_window(30.0)
     assert window.p95(0.0) == 0.0
-    window.record(done(0.5, 0.5))
+    record(done(0.5, 0.5))
     assert window.p95(0.5) == pytest.approx(0.5)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0,
                           allow_nan=False), min_size=1, max_size=1000))
 def test_p95_matches_sort_oracle(latencies):
-    window = MetricsWindow(1e9)
-    requests = [done(1.0, lat) for lat in latencies]
-    for req in requests:
-        window.record(req)
-    assert window.p95(1.0) == brute_force_p95([req.latency for req in requests])
+    window, record = empty_window(1e9)
+    completions = [done(1.0, lat) for lat in latencies]
+    for completion in completions:
+        record(completion)
+    assert window.p95(1.0) == brute_force_p95([latency for _, latency in completions])
 
 
 def test_samples_age_out_of_the_window():
-    window = MetricsWindow(30.0)
-    window.record(done(10.0, 5.0))
-    window.record(done(35.0, 0.2))
+    window, record = empty_window(30.0)
+    record(done(10.0, 5.0))
+    record(done(35.0, 0.2))
     assert window.p95(35.0) == pytest.approx(5.0)   # 10.0 > 35-30, retained
     assert window.p95(40.5) == pytest.approx(0.2)   # old sample expired
     assert window.throughput(40.5) == pytest.approx(1 / 30.0)
@@ -68,15 +81,14 @@ EVENTS = st.lists(st.tuples(st.just("done"), GAPS, st.floats(min_value=0.0, max_
 
 @given(EVENTS, st.sampled_from([0.5, 3.0, 30.0]))
 def test_window_and_run_queries_match_brute_force_filters(events, window_len):
-    window = MetricsWindow(window_len)
+    window, record = empty_window(window_len)
     log = []
     now = 0.0
     for kind, gap, *latency in events:
         now += gap
         if kind == "done":
-            req = done(now, latency[0])
-            window.record(req)
-            log.append((now, req.latency))
+            record(done(now, latency[0]))
+            log.append(done(now, latency[0]))
             continue
         inside = [lat for ts, lat in log if ts > now - window_len]
         assert window.latencies(now) == inside
@@ -90,15 +102,15 @@ def test_window_and_run_queries_match_brute_force_filters(events, window_len):
 # ---- throughput --------------------------------------------------------------
 
 def test_throughput_is_completions_over_window():
-    window = MetricsWindow(30.0)
+    window, record = empty_window(30.0)
     for i in range(300):
-        window.record(done(29.9, 0.1))
+        record(done(29.9, 0.1))
     assert window.throughput(30.0) == pytest.approx(10.0)
     assert window.throughput(30.0) * window.window_len_s == 300
 
 
 def test_throughput_empty_window():
-    assert MetricsWindow(30.0).throughput(100.0) == 0.0
+    assert empty_window(30.0)[0].throughput(100.0) == 0.0
 
 
 # ---- utilization ---------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Engine ordering, pod lifecycle, routing and the service-time model."""
 
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import kisim.env
 from kisim.config import ExperimentConfig
-from kisim.simcore import (ClusterModel, Engine, Pod, PodPhase, Pool,
+from kisim.env import SimStack
+from kisim.simcore import (COMPLETION, ClusterModel, Engine, Pod, PodPhase, Pool,
                            PoolLimits, Request, RoutePref, ServiceModel,
                            SimulationError)
 from kisim.traffic import LoadGenerator
@@ -107,15 +110,26 @@ def test_periodic_instants_are_start_plus_k_intervals():
     assert fired == [k * 0.3 for k in range(1001)]
 
 
-def schedule_in_order(engine, fire_at, action, *args):
-    """The lane push as the engine once offered it, checks included: the
-    reference for the producers that now push onto `engine.lane` themselves."""
+def schedule_in_order(engine, fire_at, cluster, request):
+    """A user's arrival pushed onto the lane, checks included: the lane entry
+    (due, seq, cluster, request) that `Engine.run_until` runs inline."""
     clock, lane = engine.clock, engine.lane
     if not fire_at >= clock.now or (lane and fire_at < lane[-1][0]):
         raise SimulationError(f"in-order event at fire_at={fire_at} is before "
                               f"now={clock.now} or the lane's last event")
     clock.seq += 1
-    lane.append((fire_at, clock.seq, action, args))
+    lane.append((fire_at, clock.seq, cluster, request))
+
+
+class FiringCluster(ClusterModel):
+    """A cluster whose every route calls `fire(request.id)` instead of serving it."""
+
+    def __init__(self, engine, fire):
+        super().__init__(engine, ServiceModel(), limits=PoolLimits(0, 8, 0, 8))
+        self.fire = fire
+
+    def _route(self, req):
+        self.fire(req.id)
 
 
 CHILD = st.tuples(st.booleans(), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
@@ -125,28 +139,35 @@ CHILD = st.tuples(st.booleans(), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
        steps=st.lists(st.lists(CHILD, max_size=3), min_size=1, max_size=40),
        cuts=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]), max_size=4))
 def test_the_lane_fires_like_a_single_heap(hold, steps, cuts):
-    """Each fired event schedules the children of the next step: a lane child at
-    now + hold, a heap child at now + its delay. Sent to the heap instead, the
-    lane children fire in the same order, at the same times, with the same seq."""
+    """Each fired event schedules the children of the next step: a lane child, an
+    arrival at now + hold, and a heap child at now + its delay. Sent to the heap as a
+    timer calling `submit` instead, the lane's arrivals fire in the same order, at the
+    same times, with the same seq, and are stamped and counted alike."""
     def run(use_lane):
         engine = Engine()
         todo, fired = iter(steps), []
 
         def fire(label):
-            fired.append((engine.now, label, engine.clock.seq))
+            fired.append((engine.now, label, engine.clock.seq, cluster.requests_injected))
             for in_lane, delay in next(todo, []):
                 at = engine.now + (hold if in_lane else delay)
+                child = Request(engine.clock.seq + 1, arrived_at=-1.0, completed_at=0.0)
+                arrivals.append(child)
                 if in_lane and use_lane:
-                    schedule_in_order(engine, at, fire, engine.clock.seq + 1)
+                    schedule_in_order(engine, at, cluster, child)
+                elif in_lane:
+                    engine.schedule(at, cluster.submit, child)
                 else:
-                    engine.schedule(at, fire, engine.clock.seq + 1)
+                    engine.schedule(at, fire, child.id)
 
+        cluster, arrivals = FiringCluster(engine, fire), []
         fire(0)
         for t in sorted(cuts):
             engine.run_until(t)
             fired.append(("cut", t, engine.pending_events()))
         engine.run_until(100.0)
-        return fired, engine.clock.seq, engine.pending_events()
+        stamps = [(r.arrived_at, r.completed_at) for r in arrivals]
+        return fired, stamps, engine.clock.seq, engine.pending_events()
 
     assert run(use_lane=True) == run(use_lane=False)
 
@@ -154,14 +175,15 @@ def test_the_lane_fires_like_a_single_heap(hold, steps, cuts):
 def test_pending_events_and_clear_cover_the_heap_and_the_lane():
     engine = Engine()
     fired = []
+    cluster = FiringCluster(engine, fired.append)
     engine.schedule(1.0, fired.append, "heap")
-    schedule_in_order(engine, 1.0, fired.append, "lane")
-    schedule_in_order(engine, 2.0, fired.append, "lane")
+    schedule_in_order(engine, 1.0, cluster, Request(1, arrived_at=0.0))
+    schedule_in_order(engine, 2.0, cluster, Request(2, arrived_at=0.0))
     assert engine.pending_events() == 3
     engine.clear()
     assert engine.pending_events() == 0
     engine.run_until(5.0)
-    assert fired == [] and engine.clock.seq == 3
+    assert fired == [] and engine.clock.seq == 3 and cluster.requests_injected == 0
 
 
 # ---- service model ----------------------------------------------------------
@@ -589,10 +611,20 @@ def test_pods_compare_by_identity():
     assert Pod(1, Pool.CPU, 2) != Pod(1, Pool.CPU, 2)
 
 
-# ---- the request cycle's pushes onto the engine's queues ---------------------
+# ---- the request cycle: typed events run inline against listeners and timers ----
 
 class ReferenceCluster(ClusterModel):
-    """Service starts as they went through `Engine.schedule`, one call per start."""
+    """Service starts as they went through `Engine.schedule`, one call per start, each
+    completing in its own `_complete` timer that calls the listeners; the completion log
+    is kept by the first listener, as the metrics window's once did."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.completion_listeners.append(self._log)
+
+    def _log(self, req):
+        self.completion_times.append(req.completed_at)
+        self.completion_latencies.append(req.latency)
 
     def _route(self, req):
         if self.routing_pref is RoutePref.GPU_FIRST:
@@ -639,8 +671,13 @@ class ReferenceCluster(ClusterModel):
 
 
 class ReferenceGenerator(LoadGenerator):
-    """Think-time wakes as they went through the checked lane push: each wake
-    checks its user and the episode's end, then builds and submits the request."""
+    """Think-time wakes as timers on the heap, from a completion listener: each wake
+    checks its user, then builds and submits a new request. A wake due at or after the
+    episode's end is never scheduled, and a retired user's wake finds it gone."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.cluster.completion_listeners.append(self._on_complete)
 
     def _sync(self, now):
         if now >= self.cfg.episode_s:
@@ -654,25 +691,61 @@ class ReferenceGenerator(LoadGenerator):
             self._active.remove(uid)
 
     def _on_complete(self, req):
-        uid = req.user
-        if uid not in self._active:
-            return
         now, cfg = self.engine.clock.now, self.cfg
-        if now >= cfg.episode_s:
-            self._active.remove(uid)
-            return
-        schedule_in_order(self.engine, now + cfg.hold_s, self._wake, uid)
+        if req.user in self._active and now + cfg.hold_s < cfg.episode_s:
+            self.engine.schedule(now + cfg.hold_s, self._wake, req.user)
 
     def _wake(self, uid):
-        now = self.engine.clock.now
-        if now < self.cfg.episode_s and uid in self._active:
-            self.cluster.submit(Request(uid, now, user=uid))
+        if uid in self._active:
+            self.cluster.submit(Request(uid, self.engine.clock.now, user=uid))
+
+
+def pending(engine):
+    """Every event left, in firing order, as (fire_at, seq, what): an arrival names its
+    user, a completion its pod and its request's user, a timer its action."""
+    left = []
+    for fire_at, seq, action, args in sorted(engine.heap) + list(engine.lane):
+        if action is COMPLETION or getattr(action, "__name__", None) == "_complete":
+            *_, pod, req = args
+            what = ("completion", pod.id, req.user)
+        elif isinstance(action, ClusterModel):      # the lane's (due, seq, cluster, request)
+            what = ("arrival", args.user)
+        elif action.__name__ == "_wake":
+            what = ("arrival", args[0])
+        else:
+            what = action.__name__
+        left.append((fire_at, seq, what))
+    return sorted(left)
+
+
+def completion_log(cluster):
+    """The cluster's completion log as (completed_at, latency) pairs, in completion order."""
+    return list(zip(cluster.completion_times, cluster.completion_latencies))
+
+
+def track(engine, cluster):
+    """Lists that get every completed request's (arrived_at, service_started_at,
+    completed_at, pod_id, user), and clock.seq after each route (every arrival's among
+    them) and at each completion, in the order the events fire."""
+    requests, seqs = [], []
+    route = cluster._route
+
+    def tracked_route(req):
+        route(req)
+        seqs.append(("route", req.user, engine.clock.seq))
+
+    def on_complete(r):
+        requests.append((r.arrived_at, r.service_started_at, r.completed_at, r.pod_id, r.user))
+        seqs.append(("completion", r.user, engine.clock.seq))
+
+    cluster._route = tracked_route
+    cluster.completion_listeners.append(on_complete)
+    return requests, seqs
 
 
 def run_request_cycle(cluster_cls, generator_cls, hold_s):
-    """A queued run with scale-ups, standbys, a backlog and drains: every request's
-    (arrived_at, service_started_at, completed_at, pod_id, user) in completion
-    order, clock.seq after each submit and each completion, and the queues left."""
+    """A queued run with scale-ups, standbys, a backlog and drains: what `track` saw,
+    the completion log, the final clock.seq and the events left."""
     engine = Engine()
     cluster = cluster_cls(engine, ServiceModel(), limits=PoolLimits(0, 8, 0, 8),
                           routing_pref=RoutePref.GPU_FIRST)
@@ -681,34 +754,19 @@ def run_request_cycle(cluster_cls, generator_cls, hold_s):
     cfg = ExperimentConfig(episode_s=300.0, users_min=4, users_max=40,
                            periodic_period_s=60.0, hold_s=hold_s)
     generator_cls(cfg, "periodic", 5, engine, cluster).start()
-    requests, seqs = [], []
-    submit = cluster.submit
-
-    def tracked_submit(req):
-        submit(req)
-        seqs.append(engine.clock.seq)
-
-    def on_complete(r):
-        requests.append((r.arrived_at, r.service_started_at, r.completed_at, r.pod_id, r.user))
-        seqs.append(engine.clock.seq)
-
-    cluster.submit = tracked_submit
-    cluster.completion_listeners.append(on_complete)
+    requests, seqs = track(engine, cluster)
     for t, pool, count in ((20.0, Pool.CPU, 5), (25.0, Pool.GPU, 3), (40.0, Pool.CPU, 0),
                            (45.0, Pool.GPU, 0), (55.0, Pool.CPU, 3), (70.0, Pool.GPU, 1)):
         engine.run_until(t)
         cluster.set_desired_replicas(pool, count)
     engine.run_until(120.0)
-    # a lane event is a user's next arrival: its wake's uid, or its request's user
-    left = ([(e[0], e[1], e[2].__name__) for e in sorted(engine.heap)]
-            + [(e[0], e[1], getattr(e[3][0], "user", e[3][0])) for e in engine.lane])
-    return requests, seqs, engine.clock.seq, left
+    return requests, seqs, completion_log(cluster), engine.clock.seq, pending(engine)
 
 
 @pytest.mark.parametrize("hold_s", [0.0, 0.1, 3.0])
 def test_the_request_cycle_pushes_what_schedule_and_the_checked_lane_pushed(hold_s):
-    """Service starts, direct and queued, and think-time wakes pushed straight
-    onto the engine's queues: the same requests, the same seq, the same order."""
+    """Service starts, direct and queued, think-time wakes and completions, run inline
+    by `run_until` as typed events: the same requests, the same seq, the same order."""
     new = run_request_cycle(ClusterModel, LoadGenerator, hold_s)
     ref = run_request_cycle(ReferenceCluster, ReferenceGenerator, hold_s)
     requests = new[0]
@@ -716,6 +774,52 @@ def test_the_request_cycle_pushes_what_schedule_and_the_checked_lane_pushed(hold
     assert 10 < waited < len(requests) - 10     # queued starts and direct ones
     assert len({r[3] for r in requests}) > 3    # pods came and went
     assert new == ref
+
+
+PLAN = st.lists(st.tuples(st.floats(0.0, 60.0), st.sampled_from(list(Pool)),
+                          st.integers(0, 4)), max_size=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hold_s=st.sampled_from([0.0, 0.1, 3.0]),
+       pattern=st.sampled_from(["periodic", "random", "spike"]),
+       seed=st.integers(0, 2**31 - 1), pods=st.tuples(st.integers(0, 3), st.integers(0, 2)),
+       budget=st.integers(1, 2), plan=PLAN)
+def test_a_simstack_on_the_inline_cycle_runs_like_the_listener_reference(
+        hold_s, pattern, seed, pods, budget, plan):
+    """A `SimStack`, its cluster and generator wired as every run wires them, against the
+    same stack built on the reference classes: through a replica plan that makes GPU
+    standbys and drains, under a pattern that retires users, to the episode's end, every
+    request, clock.seq after each route and completion, the completion log the window
+    reads, the events left and the fields of the requests left in the system agree."""
+    cfg = ExperimentConfig(episode_s=60.0, users_min=2, users_max=12, hold_s=hold_s,
+                           periodic_period_s=20.0, spike_at_s=15.0, spike_len_s=10.0,
+                           random_redraw_s=7.0, gpu_device_budget=budget)
+
+    def run(stack):
+        engine, cluster = stack.engine, stack.cluster
+        seen = track(engine, cluster)
+        for t, pool, count in sorted(plan, key=lambda step: step[0]):
+            engine.run_until(t)
+            cluster.set_desired_replicas(pool, count)
+        engine.run_until(cfg.episode_s)
+        assert stack.window.completion_times is cluster.completion_times
+        assert stack.window.completion_latencies is cluster.completion_latencies
+        in_system = ([a for e in engine.heap for a in e[3] if isinstance(a, Request)]
+                     + [r for pod in cluster.cpu_pods + cluster.gpu_pods for r in pod.queue]
+                     + list(cluster.backlog))
+        fields = sorted((r.user, r.arrived_at, r.service_started_at, r.completed_at, r.pod_id)
+                        for r in in_system)     # one request per user: sorted by user
+        return (*seen, completion_log(cluster), cluster.requests_injected, engine.clock.seq,
+                pending(engine), fields)
+
+    new = run(SimStack(cfg, pattern, seed, *pods))
+    with mock.patch.object(kisim.env, "ClusterModel", ReferenceCluster), \
+            mock.patch.object(kisim.env, "LoadGenerator", ReferenceGenerator):
+        ref = run(SimStack(cfg, pattern, seed, *pods))
+    assert new == ref
+    requests, log = new[0], new[2]
+    assert log == [(r[2], r[2] - r[0]) for r in requests]
 
 
 @pytest.mark.parametrize("base_s", [-0.05, math.nan, math.inf])

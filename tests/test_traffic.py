@@ -22,6 +22,25 @@ def make_cluster():
                                 routing_pref=RoutePref.GPU_FIRST)
 
 
+def track_arrivals(cluster, arrived):
+    """Call `arrived(request)` after each arrival is stamped and routed: a user's first
+    through `submit`, each later one inline in `Engine.run_until`. An arrival counts
+    `requests_injected` just before it routes its request, and a re-route from a queue or
+    the backlog counts nothing, so a route that finds the count moved, by one, is an
+    arrival."""
+    route, counted = cluster._route, [cluster.requests_injected]
+
+    def tracked_route(req):
+        moved = cluster.requests_injected - counted[0]
+        assert moved in (0, 1)
+        counted[0] = cluster.requests_injected
+        route(req)
+        if moved:
+            arrived(req)
+
+    cluster._route = tracked_route
+
+
 def curve(kind, seed=9, **kw):
     """The target(t) curve of a generator that is never started."""
     return LoadGenerator(config(**kw), kind, seed, *make_cluster()).target
@@ -207,13 +226,11 @@ def test_a_wake_comes_hold_s_after_its_completion_and_the_run_is_pinned(hold_s, 
                                          users_min=4, users_max=40, periodic_period_s=60.0,
                                          hold_s=hold_s)
     last_done, thinking, retired_thinking, lags = {}, set(), set(), []
-    submit = cluster.submit
 
-    def tracked_submit(req):
+    def arrived(req):
         if req.user in last_done:
-            lags.append(engine.now - last_done[req.user])   # the arrival submit stamps
+            lags.append(engine.now - last_done[req.user])   # the arrival run_until stamps
         thinking.discard(req.user)
-        submit(req)
 
     def on_complete(req):
         last_done[req.user] = req.completed_at
@@ -221,7 +238,7 @@ def test_a_wake_comes_hold_s_after_its_completion_and_the_run_is_pinned(hold_s, 
         if req.user in gen._active:
             thinking.add(req.user)
 
-    cluster.submit = tracked_submit
+    track_arrivals(cluster, arrived)
     cluster.completion_listeners.append(on_complete)
     engine.run_until(120.0)
     assert (engine.clock.seq, cluster.requests_completed) == pin
@@ -232,8 +249,8 @@ def test_a_wake_comes_hold_s_after_its_completion_and_the_run_is_pinned(hold_s, 
 def test_a_wake_due_before_the_lanes_last_event_is_refused_and_leaves_no_trace():
     engine, cluster, gen = run_generator("spike", users_min=1, users_max=1, hold_s=0.5)
     engine.run_until(0.0)                   # user 1's first request is in service
-    engine.clock.seq += 1                   # another producer's event, due later
-    engine.lane.append((50.0, engine.clock.seq, lambda: None, ()))
+    engine.clock.seq += 1                   # another request's arrival, due later
+    engine.lane.append((50.0, engine.clock.seq, cluster, Request(99, arrived_at=0.0)))
     scheduled = engine.clock.seq
     with pytest.raises(SimulationError, match="before the lane's last event"):
         engine.run_until(1.0)               # the completion at 0.0816 wakes user 1 at 0.5816
@@ -248,26 +265,27 @@ def test_a_thinking_user_retired_by_sync_is_never_submitted():
     cluster.spawn_ready(Pool.GPU, 1)
     gen = LoadGenerator(config(users_min=4, users_max=40, periodic_period_s=60.0, hold_s=3.0),
                         "periodic", 5, engine, cluster)
-    submit, sync = cluster.submit, gen._sync
-    retired_thinking = set()
+    sync, retired_thinking, arrivals = gen._sync, set(), []
 
-    def tracked_submit(req):
+    def arrived(req):
         assert req.user in gen._active
-        submit(req)
-        assert req.arrived_at == engine.now     # stamped by submit
+        assert req.arrived_at == engine.now     # stamped by its arrival
+        arrivals.append(req)
 
     def tracked_sync(now):
-        active, thinking = set(gen._active), {e[3][0].user for e in engine.lane}
+        active, thinking = set(gen._active), {e[3].user for e in engine.lane}
         sync(now)
         retired_thinking.update((active - gen._active) & thinking)
-        assert {e[3][0].user for e in engine.lane} <= gen._active
+        assert {e[3].user for e in engine.lane} <= gen._active
         due = [e[0] for e in engine.lane]
         assert due == sorted(due)
 
-    cluster.submit, gen._sync = tracked_submit, tracked_sync
+    track_arrivals(cluster, arrived)
+    gen._sync = tracked_sync
     gen.start()
     engine.run_until(120.0)
     assert len(retired_thinking) > 10
+    assert len(arrivals) == cluster.requests_injected
 
 
 @pytest.mark.parametrize("hold_s", [0.0, 0.5, 3.0])
@@ -276,17 +294,16 @@ def test_no_request_is_injected_at_or_after_the_episode_end(hold_s):
     nothing waits in the lane for it either."""
     engine, cluster, gen = run_generator("ramp", init_cpu=2, users_min=4, users_max=40,
                                          episode_s=20.0, hold_s=hold_s)
-    submit, arrivals = cluster.submit, []
+    arrivals = []
 
-    def tracked_submit(req):
-        arrivals.append(engine.now)     # the arrival submit stamps
-        submit(req)
+    def arrived(req):
+        arrivals.append(req.arrived_at)     # stamped by its arrival
 
-    def after_the_generator(req):
+    def after_the_wake(req):    # a listener runs once the completion put its wake on the lane
         assert all(e[0] < 20.0 for e in engine.lane)
 
-    cluster.submit = tracked_submit
-    cluster.completion_listeners.append(after_the_generator)
+    track_arrivals(cluster, arrived)
+    cluster.completion_listeners.append(after_the_wake)
     engine.run_until(40.0)
     assert arrivals and max(arrivals) < 20.0
     assert not engine.lane and cluster.requests_injected == len(arrivals)
@@ -302,10 +319,8 @@ def test_a_completed_request_is_its_users_next_arrival_hold_s_later():
     engine, cluster, gen = run_generator("ramp", init_cpu=2, users_min=4, users_max=20,
                                          hold_s=hold_s)
     completed, resubmitted, objects = {}, [], {}   # user -> (request, completed_at)
-    submit = cluster.submit
 
-    def tracked_submit(req):
-        submit(req)
+    def arrived(req):
         objects.setdefault(req.user, set()).add(id(req))
         if req.user in completed:
             done, done_at = completed.pop(req.user)
@@ -314,7 +329,7 @@ def test_a_completed_request_is_its_users_next_arrival_hold_s_later():
     def on_complete(req):
         completed[req.user] = (req, req.completed_at)
 
-    cluster.submit = tracked_submit
+    track_arrivals(cluster, arrived)
     cluster.completion_listeners.append(on_complete)
     engine.run_until(60.0)
     assert len(objects) == gen.active_users() and all(len(v) == 1 for v in objects.values())
@@ -324,51 +339,53 @@ def test_a_completed_request_is_its_users_next_arrival_hold_s_later():
 
 
 def test_a_resubmitted_request_that_queues_reads_unstarted_until_it_starts():
-    """Its last service's start, pod and completion are cleared: a request waiting in a
-    pod's queue or the backlog reads `service_started_at`, `pod_id` and `completed_at` as
-    None until it starts, and a started one has its own start and pod."""
+    """A user's re-arrival, which `run_until` runs inline, clears its last service's start,
+    pod and completion: a request waiting in a pod's queue or the backlog reads
+    `service_started_at`, `pod_id` and `completed_at` as None until it starts, and a
+    started one has its own start and pod. Only `_route`'s reset clears the first two."""
     engine, cluster, gen = run_generator("spike", init_cpu=1, init_gpu=0, users_min=6,
                                          users_max=6, hold_s=0.1)
-    submit, queued = cluster.submit, []
+    queued, served = [], set()     # served: the users that have completed a request
 
     def waiting():
         return [r for p in cluster.cpu_pods for r in p.queue] + list(cluster.backlog)
 
-    def tracked_submit(req):
-        resubmit = req.completed_at is not None
-        submit(req)
+    def arrived(req):
         if req.service_started_at is None:
-            queued.append(resubmit)
+            queued.append(req.user in served)
         assert all((r.service_started_at, r.pod_id, r.completed_at) == (None, None, None)
                    for r in waiting())
 
     def on_complete(req):
+        served.add(req.user)
         assert req.pod_id == cluster.cpu_pods[0].id
         assert req.arrived_at <= req.service_started_at < req.completed_at == engine.now
         assert all((r.service_started_at, r.pod_id, r.completed_at) == (None, None, None)
                    for r in waiting())
 
-    cluster.submit = tracked_submit
+    track_arrivals(cluster, arrived)
     cluster.completion_listeners.append(on_complete)
     engine.run_until(30.0)
     assert sum(queued) > 100    # re-submissions that queued
 
 
-def test_a_listener_after_the_generators_reads_the_completed_requests_own_fields():
-    """The generator's listener only puts the request on the lane: a listener appended
-    after it reads the fields a listener ahead of the generator's read."""
+def test_a_listener_after_the_wake_reads_the_completed_requests_own_fields():
+    """A completion logs the request, then only puts it on the lane before it calls the
+    listeners: each listener, the first and the last, reads the fields the log took."""
     engine, cluster, gen = run_generator("periodic", seed=5, init_cpu=2, init_gpu=1,
                                          users_min=4, users_max=40, periodic_period_s=60.0,
                                          hold_s=0.1)
-    before, after = [], []
-    cluster.completion_listeners.insert(0, lambda r: before.append(replace(r)))
+    first, after, logged = [], [], []
+    cluster.completion_listeners.append(lambda r: first.append(replace(r)))
 
     def last(req):
         after.append(replace(req))
-        if req.user in gen._active:     # the generator put it on the lane already
-            assert engine.lane[-1][3][0] is req
+        logged.append((req.completed_at, req.completed_at - req.arrived_at))
+        if req.user in gen._active:     # its wake is on the lane already
+            assert engine.lane[-1][3] is req
 
     cluster.completion_listeners.append(last)
     engine.run_until(120.0)
-    assert len(after) > 6000 and after == before
+    assert len(after) > 6000 and after == first
+    assert logged == list(zip(cluster.completion_times, cluster.completion_latencies))
     assert all(r.completed_at > r.arrived_at and r.pod_id is not None for r in after)
