@@ -262,14 +262,14 @@ def run_episode(env: ScalingEnv, agent: PpoAgent, episode_index: int,
                 steps: list, trace) -> float:
     """Play one sampled episode; returns the undiscounted episode return, `env.episode_return`.
 
-    Appends each step to `steps` and writes its `trace_line` to the `trace` file."""
+    Appends each step to `steps` and writes its `trace_line`, the reward as stepped, to `trace`."""
     obs = env.reset_to(*episode_traffic(env.config.seed, episode_index))
     done = False
     while not done:
         action, heads, log_prob = agent.sample_action(obs)
         next_obs, reward, done = env.step(action)
         trace.write(trace_line(episode_index, env.step_index, env.pattern, next_obs.tolist(),
-                               action, env.terms, env.desired, env.row["users"]))
+                               action, reward, env.desired, env.row["users"]))
         steps.append((obs, heads, log_prob, reward, done))
         obs = next_obs
     return env.episode_return

@@ -192,10 +192,9 @@ def cmd_replay(args) -> int:
                     f"expected episode {expected[0]} step {expected[1]}"
                     + (f" ({last['pattern']})" if goes_on else ""))
             last = rec
-            returns[episode] += rec["reward"]["total"]
+            returns[episode] += rec["reward"]
             by_pattern[rec["pattern"]][tuple(action)] += 1
-            rows.append(dict(rec, reward_total=rec["reward"]["total"], d_gpu=action[0],
-                             d_cpu=action[1], pref=action[2]))
+            rows.append(dict(rec, d_gpu=action[0], d_cpu=action[1], pref=action[2]))
     if not rows:
         raise ReplayError(f"{path}: no trace record")
     histogram = sum(by_pattern.values(), Counter())
@@ -203,7 +202,7 @@ def cmd_replay(args) -> int:
     out = Path(args.out) if args.out else path.parent
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "replay_summary.csv",
-               ("episode", "step", "pattern", "reward_total", "d_gpu", "d_cpu",
+               ("episode", "step", "pattern", "reward", "d_gpu", "d_cpu",
                 "pref", "desired_gpu", "desired_cpu", "users"), rows)
 
     print(f"trace: {len(rows)} steps over {len(returns)} episodes")

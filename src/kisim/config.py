@@ -76,7 +76,6 @@ class ExperimentConfig:
     reward_alpha: float = 1.0
     reward_beta: float = 0.5
     reward_gamma: float = 0.25
-    reward_delta: float = 0.0
 
     # PPO hyperparameters
     ppo_lr: float = 3e-4

@@ -2,12 +2,12 @@
 
 One episode = one pattern, 300 simulated seconds, one decision every 15 s. Each control
 step takes one `SimStack.row()` snapshot, kept as `ScalingEnv.row`; the observation, the
-reward, the trace record and the evaluation time series all read it, and the reward terms
-and the trace record share one (GPU, CPU) replica count, kept as `ScalingEnv.terms` and
-`ScalingEnv.desired`, and their totals sum to `ScalingEnv.episode_return`. Observations are
-float64 vectors in `OBS_FIELDS` order (all components in [0, 1]); actions are (GPU delta,
-CPU delta, placement preference) triples, the `ACTIONS` of the policy's `HEAD_SIZES`, which
-no other module restates.
+reward, the trace record and the evaluation time series all read it, and the reward and
+the trace record share one (GPU, CPU) replica count, `ScalingEnv.desired`. The reward is
+one float, which only `ScalingEnv.reward` takes apart, summed in `ScalingEnv.episode_return`.
+Observations are float64 vectors in `OBS_FIELDS` order (all components in [0, 1]); actions
+are (GPU delta, CPU delta, placement preference) triples, the `ACTIONS` of the policy's
+`HEAD_SIZES`, which no other module restates.
 
 The env writes nothing: `agent.run_episode` writes a traced step as one `TRACE_LINE`,
 the bytes `json.dumps` writes for its record, each value as the text `repr(round(x, 9))`.
@@ -68,11 +68,9 @@ ACTIONS = {(g, c, p): ActionTriple(DELTAS[g], DELTAS[c], p)
 # ":")). Ints by %d; each float by %s of its text repr(round(x, 9)) (float.__repr__, as json
 # writes it), remembered for a float by _value_text; the pattern is one of PATTERN_NAMES,
 # which need no escaping.
-REWARD_TERMS = ("latency", "gpu_util", "overhead", "smoothness", "total")
 TRACE_LINE = ('{"episode":%d,"step":%d,"pattern":"%s","obs":['
-              + ",".join(["%s"] * len(OBS_FIELDS)) + '],"action":[%d,%d,%d],"reward":{'
-              + ",".join(f'"{k}":%s' for k in REWARD_TERMS)
-              + '},"desired_gpu":%d,"desired_cpu":%d,"users":%d}\n')
+              + ",".join(["%s"] * len(OBS_FIELDS)) + '],"action":[%d,%d,%d],"reward":%s,'
+              + '"desired_gpu":%d,"desired_cpu":%d,"users":%d}\n')
 
 
 _TEXTS: dict[float, str] = {}     # the memo of _value_text, at most _TEXTS_MAX entries
@@ -91,10 +89,10 @@ def _value_text(x: float) -> str:
 
 
 def trace_line(episode: int, step: int, pattern: str, obs: list, action: ActionTriple,
-               terms: dict, desired: tuple[int, int], users: int) -> str:
-    """One trace record, each obs value and reward term as `round(x, 9)`. A
+               reward: float, desired: tuple[int, int], users: int) -> str:
+    """One trace record, each obs value and the reward as `round(x, 9)`. A
     non-finite one is a SimulationError: json would write NaN, which is not JSON."""
-    values = (*obs, *terms.values())
+    values = (*obs, reward)
     if not all(map(math.isfinite, values)):
         raise SimulationError(f"episode {episode} step {step}: non-finite observation or "
                               f"reward term in {[round(x, 9) for x in values]}")
@@ -105,7 +103,7 @@ def trace_line(episode: int, step: int, pattern: str, obs: list, action: ActionT
     texts = [(type(x) is float and (remembered(x) if x else repr(x))) or _value_text(x)
              for x in values]
     return TRACE_LINE % (episode, step, pattern, *texts[:len(obs)], action.d_gpu, action.d_cpu,
-                         action.pref, *texts[len(obs):], *desired, users)
+                         action.pref, texts[-1], *desired, users)
 
 
 def read_trace_line(line: str) -> dict:
@@ -234,9 +232,9 @@ class ScalingEnv:
         self.config = config
         self.stack: Optional[SimStack] = None
         self.row: dict = {}     # the SimStack.row() snapshot of the last observe()
-        self.terms, self.desired = {}, (0, 0)   # the last step's REWARD_TERMS, (GPU, CPU) replicas
+        self.desired = (0, 0)   # the last step's (GPU, CPU) desired replicas
         self.step_index = 0
-        self.episode_return = 0.0   # the sum of this episode's terms["total"], in step order
+        self.episode_return = 0.0   # the sum of this episode's rewards, in step order
 
     @property
     def pattern(self) -> str:
@@ -307,20 +305,14 @@ class ScalingEnv:
         # every replica is rated at a CPU pod's saturated completion rate
         return int(math.ceil(offered_rps / self._cpu_rps))
 
-    def reward(self, obs: np.ndarray, action: ActionTriple, desired: tuple[int, int]) -> dict:
-        """The REWARD_TERMS at `desired` (GPU, CPU) replicas: four terms, then their weighting."""
+    def reward(self, obs: np.ndarray, desired: tuple[int, int]) -> float:
+        """-α·l_p95 + β·u_gpu - γ·min(1, `desired` (GPU, CPU) replicas past demand / n_max)."""
         cfg = self.config
         n_max = cfg.gpu_max + cfg.cpu_max
         over = max(0, desired[0] + desired[1] - self.demand_estimate())
-        # l_p95 and u_gpu as Python floats, so the trace and training log write plain reprs
-        terms = {"latency": float(obs[_L_P95]), "gpu_util": float(obs[_U_GPU]),
-                 "overhead": min(1.0, over / n_max),
-                 "smoothness": (abs(action.d_gpu) + abs(action.d_cpu)) / 4.0}
-        terms["total"] = (-cfg.reward_alpha * terms["latency"]
-                          + cfg.reward_beta * terms["gpu_util"]
-                          - cfg.reward_gamma * terms["overhead"]
-                          - cfg.reward_delta * terms["smoothness"])
-        return terms
+        # l_p95 and u_gpu as Python floats, so the reward is a plain float, as its repr is written
+        return (-cfg.reward_alpha * float(obs[_L_P95]) + cfg.reward_beta * float(obs[_U_GPU])
+                - cfg.reward_gamma * min(1.0, over / n_max))
 
     # ---- stepping ----------------------------------------------------------
 
@@ -339,9 +331,9 @@ class ScalingEnv:
             stack.engine.clear()
         self.desired = (stack.cluster.desired(Pool.GPU), stack.cluster.desired(Pool.CPU))
         obs = self.observe()
-        self.terms = self.reward(obs, action, self.desired)
-        self.episode_return += self.terms["total"]
-        return obs, self.terms["total"], done
+        reward = self.reward(obs, self.desired)
+        self.episode_return += reward
+        return obs, reward, done
 
 
 def run_policy_episode(policy, pattern: str, cfg: ExperimentConfig, traffic_seed: int,

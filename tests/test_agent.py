@@ -1,4 +1,5 @@
 import bisect
+import csv
 import hashlib
 import itertools
 import json
@@ -541,6 +542,33 @@ def test_train_traces_each_training_step_once_and_no_greedy_evaluation(tmp_path,
     records = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
     assert [(r["episode"], r["step"]) for r in records] == \
         [(ep, step) for ep in range(4) for step in range(1, 21)]
+
+
+def test_each_trace_line_holds_the_reward_its_step_returned(tmp_path, monkeypatch):
+    """A line's reward is `round(r, 9)` of the reward `env.step` returned for its step, and
+    an episode's trace rewards sum to its logged return within that rounding, 5e-10 a step."""
+    cfg = replace(SHORT, episodes=2)
+    stepped: list = []
+    step = ScalingEnv.step
+
+    def recorded(env, action):
+        result = step(env, action)
+        stepped.append((env.step_index, result[1]))
+        return result
+
+    monkeypatch.setattr(ScalingEnv, "step", recorded)
+    train(PpoAgent(NetDims(hidden1=8, hidden2=6), cfg, seed=0), tmp_path)
+    records = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
+    assert [(r["step"], r["reward"]) for r in records] == \
+        [(index, round(reward, 9)) for index, reward in stepped]
+    with (tmp_path / "training_log.csv").open() as fh:
+        logged = [float(row["return"]) for row in csv.DictReader(fh)]
+    assert len(logged) == 2 and len(records) == 2 * 4
+    for episode, ret in enumerate(logged):
+        rewards = [reward for (_, reward), r in zip(stepped, records) if r["episode"] == episode]
+        assert sum(rewards) == ret      # the return is the stepped rewards' sum, in step order
+        traced = [r["reward"] for r in records if r["episode"] == episode]
+        assert abs(sum(traced) - ret) <= len(traced) * 5e-10
 
 
 def test_the_state_train_returns_is_the_state_its_last_checkpoint_stores(tmp_path):

@@ -18,7 +18,7 @@ from kisim.agent import (CHECKPOINT_HEADER, CHECKPOINT_MAGIC, MOVING_AVG_WINDOW,
 from kisim.baselines import POLICY_NAMES, run_baseline
 from kisim.cli import EVAL_SEED_BASE, action_diversity, main
 from kisim.config import ExperimentConfig, parse_config_text
-from kisim.env import (OBS_FIELDS, REWARD_TERMS, TIMESERIES_FIELDS, ActionTriple,
+from kisim.env import (OBS_FIELDS, TIMESERIES_FIELDS, ActionTriple,
                        episode_traffic, read_trace_line, trace_line)
 from kisim.nn import ActorCriticParams, NetDims
 from kisim.traffic import PATTERN_NAMES
@@ -49,15 +49,13 @@ OBS_ONE = {"gpu_ready": 0.111111111, "cpu_ready": 0.222222222, "u_gpu": 0.0, "l_
            "theta_req": 0.048666667, "u_cpu": 0.0925625, "delta_theta": 0.524333333,
            "t_norm": 0.05, "p_id": 0.0}
 LINE_ONE = (0, 1, "ramp", [OBS_ONE[name] for name in OBS_FIELDS],
-            ActionTriple(1, -1, 0), dict(zip(REWARD_TERMS, (0.015227098, 0.0, 0.333333333, 0.5,
-                                                            -0.098560432))), (2, 2), 7)
+            ActionTriple(1, -1, 0), -0.098560432, (2, 2), 7)
 
 
-def replay_record(total=-0.098560432, drop=(), **fields) -> str:
+def replay_record(drop=(), **fields) -> str:
     """`trace_line`'s line of LINE_ONE, less its newline, re-dumped as compact JSON with
-    `reward.total` set to `total`, the keys in `drop` dropped and the `fields` given set."""
+    the keys in `drop` dropped and the `fields` given set."""
     rec = json.loads(trace_line(*LINE_ONE))
-    rec["reward"]["total"] = total
     rec.update(fields)
     for key in drop:
         del rec[key]
@@ -67,6 +65,7 @@ def replay_record(total=-0.098560432, drop=(), **fields) -> str:
 def test_replay_record_is_the_writers_line_but_for_the_fields_it_sets():
     assert replay_record() + "\n" == trace_line(*LINE_ONE)
     assert read_trace_line(replay_record() + "\n") == json.loads(replay_record())
+    assert read_trace_line(replay_record(reward=3) + "\n")["reward"] == 3     # an int reward
 
 
 OBS = LINE_ONE[3]
@@ -86,7 +85,10 @@ def column(line: str, text: str) -> str:
     ("{}", "trace line 1: missing key 'episode'"),
     ("3", "trace line 1: not a JSON object"),
     (replay_record(action=[1]), "trace line 1: action [1]: ActionTriple.__init__() missing 2"),
-    (replay_record(reward=3), WRITER + "'int' object has no attribute 'values'"),
+    # line 1 of the default trace when the reward was written as its terms
+    (replay_record(reward={"latency": 0.015227098, "gpu_util": 0.0, "overhead": 0.333333333,
+                           "smoothness": 0.5, "total": -0.098560432}),
+     WRITER + "must be real number, not dict"),
     (replay_record(pattern=["ramp"]), "trace line 1: pattern ['ramp'] is not one of ("),
     (replay_record(action=[7, 9, 3]), "trace line 1: action [7, 9, 3]: deltas must be in"),
     (replay_record(action=[0, 0, 2]), "trace line 1: action [0, 0, 2]: 2 is not a valid RoutePref"),
@@ -96,13 +98,13 @@ def column(line: str, text: str) -> str:
     (replay_record(episode=True), "trace line 1: episode True is not a non-negative int"),
     (replay_record(step=-1), "trace line 1: step -1 is not a non-negative int"),
     (replay_record(pattern="nope"), "trace line 1: pattern 'nope' is not one of ("),
-    (replay_record(total=True), column(replay_record(total=True), "true")
-     + "'true},\"desir', written '1},\"desired_'"),
-    (replay_record(total="1"), WRITER + "must be real number, not str"),
-    (replay_record(total=math.nan), WRITER + "episode 0 step 1: non-finite observation or "
-     f"reward term in {[*LINE_ONE[3], 0.015227098, 0.0, 0.333333333, 0.5, math.nan]}"),
-    (replay_record(total=-math.inf), WRITER + "episode 0 step 1: non-finite observation"),
-    (replay_record(total=10**400), WRITER + "int too large to convert to float"),
+    (replay_record(reward=True), column(replay_record(reward=True), "true")
+     + "'true,\"desire', written '1,\"desired_g'"),
+    (replay_record(reward="1"), WRITER + "must be real number, not str"),
+    (replay_record(reward=math.nan), WRITER + "episode 0 step 1: non-finite observation or "
+     f"reward term in {[*LINE_ONE[3], math.nan]}"),
+    (replay_record(reward=-math.inf), WRITER + "episode 0 step 1: non-finite observation"),
+    (replay_record(reward=10**400), WRITER + "int too large to convert to float"),
     (replay_record(desired_gpu=-1), "trace line 1: desired_gpu -1 is not a non-negative int"),
     (replay_record(desired_cpu=3.0), "trace line 1: desired_cpu 3.0 is not a non-negative int"),
     (replay_record(users="many"), "trace line 1: users 'many' is not a non-negative int"),
@@ -120,18 +122,12 @@ def column(line: str, text: str) -> str:
     # a record the writer can never produce, each made from line 1 of a real trace
     (replay_record(obs=[math.nan, *OBS[1:]]), WRITER + "episode 0 step 1: non-finite observation"),
     (replay_record(drop=("obs",)), "trace line 1: missing key 'obs'"),
-    (replay_record(obs=OBS[:3]), WRITER + "%d format: a real number is required, not str"),
+    (replay_record(obs=OBS[:3]), WRITER + "not enough arguments for format string"),
     # line 1 of the default trace when the observation held 10 inputs: the Ready total,
     # u_gpu, l_p95, theta_req, u_cpu, u_mem, delta_l, delta_theta, t_norm and p_id
     (replay_record(obs=[0.333333333, 0.0, 0.015227098, 0.048666667, 0.0925625, 0.055717455,
                         0.507613549, 0.524333333, 0.05, 0.0]),
      WRITER + "%d format: a real number is required, not str"),
-    (replay_record(reward=dict(LINE_ONE[5], gpu_util="0.0")),
-     WRITER + "must be real number, not str"),
-    (replay_record(reward=dict(LINE_ONE[5], overhead=math.inf)),
-     WRITER + "episode 0 step 1: non-finite observation"),
-    (replay_record(reward={"total": -0.098560432}),
-     WRITER + "not enough arguments for format string"),
     (replay_record(x=1), column(replay_record(x=1), ',"x"') + "',\"x\":1}\\n', written '}\\n'"),
     (json.dumps(json.loads(replay_record())), "trace line 1: column 12: ' 0, \"step\": ', "
      "written '0,\"step\":1,\"'"),
@@ -141,17 +137,15 @@ def column(line: str, text: str) -> str:
     (" \n\n", "trace line 1: Expecting value"),
     (replay_record() + "\n\n" + replay_record(step=2), "trace line 2: Expecting value"),
     (replay_record(obs=ENDS) + "\n", "trace line 2: Expecting value")],
-    ids=["no_keys", "not_an_object", "short_action", "reward_not_an_object", "list_pattern",
+    ids=["no_keys", "not_an_object", "short_action", "reward_of_terms", "list_pattern",
          "action_outside_the_deltas", "action_outside_the_prefs", "episode_a_string_after_an_int",
          "episode_a_float", "episode_a_bool", "step_negative", "pattern_unknown",
-         "reward_total_a_bool", "reward_total_a_string", "reward_total_nan", "reward_total_inf",
-         "reward_total_past_any_float", "desired_gpu_negative", "desired_cpu_a_float",
+         "reward_a_bool", "reward_a_string", "reward_nan", "reward_inf",
+         "reward_past_any_float", "desired_gpu_negative", "desired_cpu_a_float",
          "users_a_string", "step_repeated", "step_missing", "episode_starts_past_step_1",
          "pattern_changes_mid_episode", "episode_resumes", "obs_nan", "obs_missing",
-         "obs_three_values", "obs_of_ten_inputs",
-         "reward_term_a_string", "reward_term_inf", "reward_total_alone",
-         "extra_key", "default_separators", "not_json", "empty", "blank_lines",
-         "blank_line_mid_episode", "blank_last_line"])
+         "obs_three_values", "obs_of_ten_inputs", "extra_key", "default_separators", "not_json",
+         "empty", "blank_lines", "blank_line_mid_episode", "blank_last_line"])
 def test_replay_refuses_a_trace_record_it_cannot_read(line, message, tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     trace.write_text(line + "\n")
@@ -354,10 +348,11 @@ def test_the_baseline_command_is_gone(capsys):
 
 
 def test_removed_config_key_is_rejected(tmp_path, capsys):
-    code = main(["train", "--episodes", "1", "--set", "moving_avg_window=10",
-                 "--out", str(tmp_path / "out")])
-    assert code == 1
-    assert "unknown config key" in capsys.readouterr().err
+    for pair in ("moving_avg_window=10", "reward_delta=0.0"):
+        out = tmp_path / pair.split("=")[0]
+        assert main(["train", "--episodes", "1", "--set", pair, "--out", str(out)]) == 1
+        assert "unknown config key" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_a_config_file_sits_under_set_and_the_flags(tmp_path, capsys):

@@ -37,15 +37,16 @@ def test_config_text_round_trips(change):
 
 
 # a line of each removed key, with the value a default effective_config.txt held for it
-REMOVED_LINES = ["out_dir = runs", "node_mem_bytes = 34359738368.0", "eval_every = 20"]
+REMOVED_LINES = ["out_dir = runs", "node_mem_bytes = 34359738368.0", "eval_every = 20",
+                 "reward_delta = 0.0"]
 REMOVED_IDS = [line.split(" =")[0] for line in REMOVED_LINES]
 
 
 @pytest.mark.parametrize("line", REMOVED_LINES, ids=REMOVED_IDS)
 def test_a_config_file_naming_a_removed_key_is_refused_before_any_write(line, tmp_path, capsys):
     """An `effective_config.txt` written before the output directory, the node-memory
-    model or `train`'s greedy evaluation left the config: the default config's lines,
-    then the removed key's."""
+    model, `train`'s greedy evaluation or the reward's zero-weighted smoothness term left
+    the config: the default config's lines, then the removed key's."""
     config = tmp_path / "effective_config.txt"
     config.write_text(ExperimentConfig().to_text() + line + "\n")
     out = tmp_path / "out"

@@ -16,7 +16,7 @@ from kisim.agent import PpoAgent, run_episode
 from kisim.baselines import run_baseline
 from kisim.cli import EVAL_SEED_BASE
 from kisim.config import ExperimentConfig
-from kisim.env import (ACTIONS, DELTAS, HEAD_SIZES, OBS_FIELDS, REWARD_TERMS, TIMESERIES_FIELDS,
+from kisim.env import (ACTIONS, DELTAS, HEAD_SIZES, OBS_FIELDS, TIMESERIES_FIELDS,
                        ActionTriple, EpisodeFinished, ScalingEnv, SimStack, episode_traffic,
                        _TEXTS, _TEXTS_MAX, read_trace_line, run_policy_episode, trace_line)
 from kisim.nn import NetDims
@@ -170,20 +170,20 @@ def test_an_empty_window_with_requests_outstanding_reads_the_worst_latency():
     backlog = []
     for _ in range(4):
         obs, reward, _ = env.step(ActionTriple(0, 0, 1))
-        assert env.terms["latency"] == obs[OBS_FIELDS.index("l_p95")] == 1.0
+        assert obs[OBS_FIELDS.index("l_p95")] == 1.0
         assert reward == -cfg.reward_alpha and env.row["p95_s"] == 0.0
         backlog.append(len(env.stack.cluster.backlog))
     assert env.stack.cluster.requests_completed == 0
     assert backlog[0] == 16 and backlog[-1] == 49
 
 
-# every weight off its default, the smoothness term (off by default) switched on
+# every weight off its default
 REWARD_CFG = ExperimentConfig(reward_alpha=0.7, reward_beta=0.3, reward_gamma=0.45,
-                              reward_delta=0.2, hold_s=0.25, episode_s=120.0)
+                              hold_s=0.25, episode_s=120.0)
 
 
 @pytest.mark.parametrize("desired, overhead", [((0, 1), 0.0), ((2, 6), 4 / 9), ((3, 12), 1.0)])
-def test_each_reward_term_is_its_formula_at_non_default_weights(desired, overhead):
+def test_the_reward_is_its_formula_at_non_default_weights(desired, overhead):
     """A characterization of the reward as it stands. At t=30 the ramp holds 16 users,
     a demand of 4 replicas: no excess, 4 of 9, and more than the pools' 9."""
     cfg = REWARD_CFG
@@ -193,15 +193,12 @@ def test_each_reward_term_is_its_formula_at_non_default_weights(desired, overhea
         env.step(ActionTriple(0, 1, 0))
     assert (env.row["users"], env.demand_estimate()) == (16, 4)
     obs = np.linspace(0.05, 0.95, len(OBS_FIELDS))
-    terms = env.reward(obs, ActionTriple(d_gpu=-1, d_cpu=2, pref=1), desired)
-    assert tuple(terms) == REWARD_TERMS
-    assert terms["latency"] == obs[OBS_FIELDS.index("l_p95")]
-    assert terms["gpu_util"] == obs[OBS_FIELDS.index("u_gpu")]
-    assert terms["overhead"] == min(1.0, max(0, sum(desired) - 4) / (cfg.gpu_max + cfg.cpu_max))
-    assert terms["overhead"] == pytest.approx(overhead)
-    assert terms["smoothness"] == (1 + 2) / 4.0
-    assert terms["total"] == (-0.7 * terms["latency"] + 0.3 * terms["gpu_util"]
-                              - 0.45 * terms["overhead"] - 0.2 * terms["smoothness"])
+    over = min(1.0, max(0, sum(desired) - 4) / (cfg.gpu_max + cfg.cpu_max))
+    assert over == pytest.approx(overhead)
+    reward = env.reward(obs, desired)
+    assert type(reward) is float
+    assert reward == (-0.7 * float(obs[OBS_FIELDS.index("l_p95")])
+                      + 0.3 * float(obs[OBS_FIELDS.index("u_gpu")]) - 0.45 * over)
 
 
 def test_demand_estimate_rates_every_replica_at_a_cpu_pods_rate():
@@ -254,7 +251,7 @@ def test_env_trace_reproduces_its_pinned_bytes():
     for i in range(4):
         run_episode(env, agent, i, [], sink)
     digest = hashlib.sha256(sink.getvalue().encode()).hexdigest()
-    assert digest[:16] == "7037b1bb5f8fc7af"
+    assert digest[:16] == "5d9cf1b7f75adca5"
 
 
 def test_policy_episodes_reproduce_their_pinned_bytes():
@@ -295,7 +292,7 @@ def test_only_a_reported_run_samples_utilization():
     assert len(stacks[0].util_samples) == 31 and report["cpu_util_mean"] > 0.0
 
 
-def json_trace_line(episode, step, pattern, obs, action, terms, desired, users):
+def json_trace_line(episode, step, pattern, obs, action, reward, desired, users):
     """A trace line as json.dumps wrote it before the template: the reference."""
     record = {
         "episode": episode,
@@ -303,7 +300,7 @@ def json_trace_line(episode, step, pattern, obs, action, terms, desired, users):
         "pattern": pattern,
         "obs": [round(float(x), 9) for x in obs],
         "action": [action.d_gpu, action.d_cpu, action.pref],
-        "reward": {k: round(v, 9) for k, v in terms.items()},
+        "reward": round(reward, 9),
         "desired_gpu": desired[0],
         "desired_cpu": desired[1],
         "users": users,
@@ -322,28 +319,25 @@ COUNT = st.integers(0, 2**63)
        obs=st.lists(FINITE, min_size=len(OBS_FIELDS), max_size=len(OBS_FIELDS)),
        action=st.builds(ActionTriple, st.sampled_from(DELTAS), st.sampled_from(DELTAS),
                         st.sampled_from([0, 1, RoutePref.CPU_FIRST, RoutePref.GPU_FIRST])),
-       terms=st.lists(FINITE, min_size=len(REWARD_TERMS), max_size=len(REWARD_TERMS)),
-       desired=st.tuples(COUNT, COUNT), users=COUNT)
+       reward=FINITE, desired=st.tuples(COUNT, COUNT), users=COUNT)
 def test_the_trace_template_writes_the_bytes_json_dumps_writes(episode, step, pattern, obs,
-                                                               action, terms, desired, users):
-    terms = dict(zip(REWARD_TERMS, terms))
-    line = trace_line(episode, step, pattern, obs, action, terms, desired, users)
-    assert line == json_trace_line(episode, step, pattern, obs, action, terms, desired, users)
-    assert json.loads(line)["reward"]["total"] == round(terms["total"], 9)
+                                                               action, reward, desired, users):
+    line = trace_line(episode, step, pattern, obs, action, reward, desired, users)
+    assert line == json_trace_line(episode, step, pattern, obs, action, reward, desired, users)
+    assert json.loads(line)["reward"] == round(reward, 9)
     assert read_trace_line(line) == json.loads(line)
 
 
-N_TRACE_VALUES = len(OBS_FIELDS) + len(REWARD_TERMS)
+N_TRACE_VALUES = len(OBS_FIELDS) + 1    # the observation, then the reward
 
 
 def trace_lines_of(*rows):
     """(trace_line, json_trace_line) of each row of N_TRACE_VALUES values, in order: the
-    first len(OBS_FIELDS) are the observation, the rest the reward terms."""
+    first len(OBS_FIELDS) are the observation, the last the reward."""
     lines = []
     for values in rows:
-        obs, terms = list(values[:len(OBS_FIELDS)]), dict(zip(REWARD_TERMS,
-                                                              values[len(OBS_FIELDS):]))
-        args = (3, 4, "spike", obs, ActionTriple(1, -1, 0), terms, (1, 2), 7)
+        obs, reward = list(values[:len(OBS_FIELDS)]), values[len(OBS_FIELDS)]
+        args = (3, 4, "spike", obs, ActionTriple(1, -1, 0), reward, (1, 2), 7)
         lines.append((trace_line(*args), json_trace_line(*args)))
     return lines
 
@@ -359,15 +353,14 @@ def test_each_signed_zero_writes_its_own_text_whichever_came_first(zeros):
 
 @pytest.mark.parametrize("int_first", [True, False])
 def test_an_int_and_an_equal_float_keep_their_own_texts(int_first):
-    """An int among the reward terms (the reference writes obs values as floats)."""
+    """An int reward (the reference writes obs values as floats)."""
     _TEXTS.clear()
-    ints = [0.5] * len(OBS_FIELDS) + [1, 2, 1, 2, 1]
-    floats = [1.0] * len(OBS_FIELDS) + [1.0, 2.0, 1.0, 2.0, 1.0]
+    ints = [0.5] * len(OBS_FIELDS) + [1]
+    floats = [1.0] * len(OBS_FIELDS) + [1.0]
     for line, reference in trace_lines_of(*([ints, floats] if int_first else [floats, ints])):
         assert line == reference
     assert trace_lines_of(ints)[0][0].endswith(
-        '"reward":{"latency":1,"gpu_util":2,"overhead":1,"smoothness":2,"total":1},'
-        '"desired_gpu":1,"desired_cpu":2,"users":7}\n')
+        '"reward":1,"desired_gpu":1,"desired_cpu":2,"users":7}\n')
 
 
 def test_a_value_evicted_from_the_memo_writes_the_same_bytes_again():
@@ -401,13 +394,13 @@ def test_a_non_finite_value_raises_its_old_message_and_is_never_remembered(value
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
-@pytest.mark.parametrize("slot", range(len(OBS_FIELDS) + len(REWARD_TERMS)))
+@pytest.mark.parametrize("slot", range(N_TRACE_VALUES))
 def test_a_non_finite_trace_value_is_a_simulation_error_naming_its_step(slot, value):
-    values = [0.5] * (len(OBS_FIELDS) + len(REWARD_TERMS))
+    values = [0.5] * N_TRACE_VALUES
     values[slot] = value
-    obs, terms = values[:len(OBS_FIELDS)], dict(zip(REWARD_TERMS, values[len(OBS_FIELDS):]))
+    obs, reward = values[:len(OBS_FIELDS)], values[len(OBS_FIELDS)]
     with pytest.raises(SimulationError, match="episode 12 step 34: non-finite"):
-        trace_line(12, 34, "ramp", obs, ActionTriple(0, 0, 0), terms, (1, 2), 5)
+        trace_line(12, 34, "ramp", obs, ActionTriple(0, 0, 0), reward, (1, 2), 5)
 
 
 def test_a_stepped_non_finite_observation_is_refused_before_it_is_written(monkeypatch):
