@@ -105,6 +105,19 @@ def column(line: str, text: str) -> str:
      f"reward term in {[*LINE_ONE[3], math.nan]}"),
     (replay_record(reward=-math.inf), WRITER + "episode 0 step 1: non-finite observation"),
     (replay_record(reward=10**400), WRITER + "int too large to convert to float"),
+    (replay_record(reward=math.inf), WRITER + "episode 0 step 1: non-finite observation"),
+    (replay_record(reward=None), WRITER + "must be real number, not NoneType"),
+    (replay_record(reward=[-0.098560432]), WRITER + "must be real number, not list"),
+    # the object form with the total alone, the form of CI's corrupted trace copy
+    (replay_record(reward={"total": -0.098560432}), WRITER + "must be real number, not dict"),
+    (replay_record(drop=("reward",)), "trace line 1: missing key 'reward'"),
+    # a reward that is not the shortest repr of a float rounded to 9 digits
+    (replay_record(reward=-0.0985604321),
+     column(replay_record(reward=-0.0985604321), '1,"desired_gpu')
+     + "'1,\"desired_g', written ',\"desired_gp'"),
+    (replay_record().replace(":-0.098560432,", ":-9.8560432e-02,"),
+     column(replay_record().replace(":-0.098560432,", ":-9.8560432e-02,"), "9.8560432e-02")
+     + "'9.8560432e-0', written '0.098560432,'"),
     (replay_record(desired_gpu=-1), "trace line 1: desired_gpu -1 is not a non-negative int"),
     (replay_record(desired_cpu=3.0), "trace line 1: desired_cpu 3.0 is not a non-negative int"),
     (replay_record(users="many"), "trace line 1: users 'many' is not a non-negative int"),
@@ -141,7 +154,9 @@ def column(line: str, text: str) -> str:
          "action_outside_the_deltas", "action_outside_the_prefs", "episode_a_string_after_an_int",
          "episode_a_float", "episode_a_bool", "step_negative", "pattern_unknown",
          "reward_a_bool", "reward_a_string", "reward_nan", "reward_inf",
-         "reward_past_any_float", "desired_gpu_negative", "desired_cpu_a_float",
+         "reward_past_any_float", "reward_plus_inf", "reward_null", "reward_a_list",
+         "reward_total_alone", "reward_missing", "reward_unrounded", "reward_in_exponent_form",
+         "desired_gpu_negative", "desired_cpu_a_float",
          "users_a_string", "step_repeated", "step_missing", "episode_starts_past_step_1",
          "pattern_changes_mid_episode", "episode_resumes", "obs_nan", "obs_missing",
          "obs_three_values", "obs_of_ten_inputs", "extra_key", "default_separators", "not_json",

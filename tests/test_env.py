@@ -201,6 +201,24 @@ def test_the_reward_is_its_formula_at_non_default_weights(desired, overhead):
                       + 0.3 * float(obs[OBS_FIELDS.index("u_gpu")]) - 0.45 * over)
 
 
+@pytest.mark.parametrize("weights, term", [
+    ((1.0, 0.0, 0.0), lambda obs, over: -float(obs[OBS_FIELDS.index("l_p95")])),
+    ((0.0, 1.0, 0.0), lambda obs, over: float(obs[OBS_FIELDS.index("u_gpu")])),
+    ((0.0, 0.0, 1.0), lambda obs, over: -over)], ids=["alpha", "beta", "gamma"])
+def test_each_weight_scales_its_own_term_alone(weights, term):
+    """With one weight 1 and the others 0 the reward is that weight's term, signed: the
+    latency and overhead terms cost, the GPU term pays. At (2, 6) replicas the overhead
+    is 4 of 9, as above."""
+    alpha, beta, gamma = weights
+    env = ScalingEnv(replace(REWARD_CFG, reward_alpha=alpha, reward_beta=beta,
+                             reward_gamma=gamma))
+    env.reset_to("ramp", 3)
+    for _ in range(2):
+        env.step(ActionTriple(0, 1, 0))
+    obs = np.linspace(0.05, 0.95, len(OBS_FIELDS))
+    assert env.reward(obs, (2, 6)) == term(obs, 4 / 9)
+
+
 def test_demand_estimate_rates_every_replica_at_a_cpu_pods_rate():
     """A characterization: the offered rate of the row's users over the CPU pod's saturated
     completion rate, whatever GPU pods run."""
@@ -252,6 +270,32 @@ def test_env_trace_reproduces_its_pinned_bytes():
         run_episode(env, agent, i, [], sink)
     digest = hashlib.sha256(sink.getvalue().encode()).hexdigest()
     assert digest[:16] == "5d9cf1b7f75adca5"
+
+
+@pytest.mark.parametrize("episode", range(len(PATTERN_NAMES)))
+def test_each_reward_term_reads_from_its_trace_line_and_config(episode):
+    """A line's reward is the weighted sum of terms read from that line and the config
+    alone: `obs.l_p95`, `obs.u_gpu` and the overhead of the line's desired replicas past
+    the demand of its users. Each obs value and the reward are rounded to 9 digits, so the
+    sum differs from the written reward by at most (α + β + 1)·5e-10."""
+    cfg = REWARD_CFG
+    cpu_rps = cfg.cpu_concurrency / (cfg.base_service_s
+                                     * cfg.cpu_concurrency ** cfg.cpu_contention_exp)
+    sink = StringIO()
+    run_episode(ScalingEnv(cfg), CyclingAgent(), episode, [], sink)
+    overheads = []
+    for line in sink.getvalue().splitlines():
+        rec = json.loads(line)
+        assert rec["pattern"] == PATTERN_NAMES[episode]
+        obs = dict(zip(OBS_FIELDS, rec["obs"]))
+        demand = math.ceil(rec["users"] / (cfg.hold_s + cfg.base_service_s) / cpu_rps)
+        overheads.append(min(1.0, max(0, rec["desired_gpu"] + rec["desired_cpu"] - demand)
+                             / (cfg.gpu_max + cfg.cpu_max)))
+        total = (-cfg.reward_alpha * obs["l_p95"] + cfg.reward_beta * obs["u_gpu"]
+                 - cfg.reward_gamma * overheads[-1])
+        bound = (cfg.reward_alpha + cfg.reward_beta + 1) * 5e-10
+        assert abs(total - rec["reward"]) <= bound * (1 + 1e-6)
+    assert len(overheads) == 8 and max(overheads) > 0     # the overhead term is exercised
 
 
 def test_policy_episodes_reproduce_their_pinned_bytes():
